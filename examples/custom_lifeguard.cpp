@@ -123,21 +123,5 @@ main()
         std::fprintf(stderr, "expected exactly one call/ret mismatch\n");
         return 1;
     }
-
-    // The same checker on the retained per-record dispatch path must
-    // report the same findings in the same cycles (the cycle-identity
-    // invariant the batched handler table is built on).
-    core::LbaConfig per_record = experiment.config().lba;
-    per_record.dispatch_tier = core::DispatchTier::kPerRecord;
-    auto baseline = experiment.runLba(factory, per_record);
-    if (baseline.cycles != result.cycles ||
-        baseline.findings.size() != result.findings.size() ||
-        baseline.findings[0].pc != result.findings[0].pc) {
-        std::fprintf(stderr,
-                     "batched and per-record dispatch disagree\n");
-        return 1;
-    }
-    std::printf("per-record dispatch agrees: %llu cycles both ways\n",
-                static_cast<unsigned long long>(result.cycles));
     return 0;
 }

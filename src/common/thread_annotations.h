@@ -7,9 +7,8 @@
  * The threaded runtime (docs/ARCHITECTURE.md "Threaded execution") has
  * a strict ownership model: the *coordinator* thread owns the timing
  * engine, the shared cache hierarchy and every cycle counter; one
- * *worker* thread per lane owns lifeguard state between flush barriers;
- * and each SPSC log ring has exactly one producer-side and one
- * consumer-side owner. Until this header existed those rules lived in
+ * *worker* thread per lane owns lifeguard state between flush barriers.
+ * Until this header existed those rules lived in
  * runtime `assertCoordinator()` traps and prose. The macros below
  * express them in types, so a clang build with `-Wthread-safety
  * -Wthread-safety-beta -Werror` rejects an ownership violation at
@@ -35,12 +34,10 @@
  *    the run() drivers and the worker-thread entry lambda. The lint
  *    (tools/lba_lint.py) checks that static annotations and runtime
  *    asserts stay in agreement.
- *  - SPSC side roles: LBA_SPSC_PRODUCER(cap) / LBA_SPSC_CONSUMER(cap)
- *    mark the producer- and consumer-side entry points of a
- *    single-producer/single-consumer ring; `cap` is the ring's
- *    per-object side capability (log::LogBuffer::producer_side_ /
- *    consumer_side_). The owning thread assumes the side through the
- *    ring's assumeProducer()/assumeConsumer().
+ *  - Per-object sides: a capability member such as
+ *    lifeguard::DispatchEngine::functional_side_, held by whichever
+ *    thread currently runs that object's work and adopted through an
+ *    ASSERT_CAPABILITY function (DispatchEngine::assumeFunctionalOwner).
  *  - sync::Mutex / sync::MutexLock / sync::CondVar — annotated
  *    wrappers over the std primitives (libstdc++'s std::mutex carries
  *    no TSA attributes), used where the runtime really blocks
@@ -162,13 +159,6 @@ assumeWorkerRole() LBA_ASSERT_CAPABILITY(worker_role)
 
 /** Entry point runnable only on an executor worker thread. */
 #define LBA_WORKER_ONLY LBA_REQUIRES(::lba::threading::worker_role)
-
-/** Producer-side entry point of an SPSC ring; @p cap is the ring's
- *  producer-side capability member. */
-#define LBA_SPSC_PRODUCER(cap) LBA_REQUIRES(cap)
-
-/** Consumer-side entry point of an SPSC ring. */
-#define LBA_SPSC_CONSUMER(cap) LBA_REQUIRES(cap)
 
 namespace lba::sync {
 

@@ -75,7 +75,7 @@ class LbaSystem : public sim::RetireObserver
     }
 
     /** Log-buffer occupancy statistics (quiescent-read snapshot). */
-    log::LogBufferStats bufferStats() const
+    BufferStats bufferStats() const
     {
         return timer_.bufferStats(0);
     }

@@ -130,7 +130,7 @@ class ParallelLbaSystem : public sim::RetireObserver
     std::vector<const lifeguard::Lifeguard*> shardLifeguards() const;
 
     /** One shard's log-buffer occupancy statistics (snapshot). */
-    log::LogBufferStats bufferStats(unsigned shard) const
+    BufferStats bufferStats(unsigned shard) const
     {
         return timer_->bufferStats(shard);
     }

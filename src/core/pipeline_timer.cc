@@ -85,10 +85,6 @@ PipelineTimer::buildLanes(
     producers_.push_back(std::move(primary));
 
     if (config_.execution == ExecutionMode::kThreaded) {
-        LBA_ASSERT(config_.dispatch_tier != DispatchTier::kPerRecord,
-                   "threaded execution requires a batching dispatch "
-                   "tier (its flush boundaries are the cross-thread "
-                   "barriers)");
         coordinator_ = std::this_thread::get_id();
         executor_ = std::make_unique<ThreadedExecutor>(nlanes);
         // Pin each intrinsic engine to its lane's worker up front.
@@ -164,19 +160,16 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // by the producing application, even when the occupying record
     // belongs to another tenant. A lane hosting several folded shard
     // contexts may need multiple slots for one logical record.
-    LBA_ASSERT(needed <= lane.buffer.capacity(),
+    LBA_ASSERT(needed <= lane.capacity,
                "lane buffer smaller than one record's consumptions");
-    if (lane.slot_finish.size() + lane.pending + needed >
-        lane.buffer.capacity()) {
+    if (lane.slot_finish.size() + lane.pending + needed > lane.capacity) {
         // A queued-but-unconsumed record occupies a slot whose finish
-        // time is not known yet: catch the whole queue up first (in
-        // arrival order, so the interleaving stays identical to the
-        // per-record path — these records were consumed before this
-        // point on that path too).
+        // time is not known yet: catch the whole queue up first, in
+        // arrival order (a record-at-a-time consumer would have
+        // consumed them before this point too).
         flushPending();
     }
-    std::size_t freed = 0;
-    while (lane.slot_finish.size() + needed > lane.buffer.capacity()) {
+    while (lane.slot_finish.size() + needed > lane.capacity) {
         Cycles freed_at = lane.slot_finish.front();
         lane.slot_finish.pop_front();
         if (producer.app_time < freed_at) {
@@ -185,13 +178,7 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
             producer.stats.backpressure_stall_cycles += stall;
             producer.app_time = freed_at;
         }
-        ++freed;
     }
-    // The functional buffer mirrors the slot accounting. The
-    // coordinator owns the consumer side of every lane ring (workers
-    // receive record spans, never the ring).
-    lane.buffer.assumeConsumer();
-    lane.buffer.popN(freed);
 }
 
 void
@@ -200,33 +187,18 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
                          const EventRecord& record, Cycles produced_at,
                          double record_bytes)
 {
-    // The coordinator owns the producer side of every lane ring too:
-    // records enter on the logging thread.
-    lane.buffer.assumeProducer();
-    bool pushed = lane.buffer.push(record, produced_at);
-    LBA_ASSERT(pushed, "buffer full after slot accounting");
-
-    if (config_.dispatch_tier != DispatchTier::kPerRecord) {
-        PendingMeta meta;
-        meta.producer =
-            static_cast<unsigned>(&producer - producers_.data());
-        meta.lane = static_cast<unsigned>(&lane - lanes_.data());
-        meta.engine = &engine;
-        meta.produced_at = produced_at;
-        meta.bytes = record_bytes;
-        pending_records_.push_back(record);
-        pending_meta_.push_back(meta);
-        ++lane.pending;
-        return;
-    }
-
-    // Per-record path: serial by construction (threaded execution
-    // requires batched dispatch), so the calling thread owns the
-    // engine's functional side as well as the coordinator role.
-    engine.assumeFunctionalOwner();
-    Cycles cost = engine.consume(record);
-    applyRecordTiming(producer, lane, record, produced_at, record_bytes,
-                      cost);
+    PendingMeta meta;
+    meta.producer = static_cast<unsigned>(&producer - producers_.data());
+    meta.lane = static_cast<unsigned>(&lane - lanes_.data());
+    meta.engine = &engine;
+    meta.produced_at = produced_at;
+    meta.bytes = record_bytes;
+    pending_records_.push_back(record);
+    pending_meta_.push_back(meta);
+    ++lane.pending;
+    lane.max_occupancy =
+        std::max<std::uint64_t>(lane.max_occupancy,
+                                lane.slot_finish.size() + lane.pending);
 }
 
 void
@@ -285,7 +257,7 @@ PipelineTimer::flushPending()
     // The consume observer runs inside phase 2 and may call back into
     // a syncing accessor (stats(), sync(), ...); re-entering the flush
     // would re-run every queued handler. The guard makes re-entry a
-    // no-op, like a stats read mid-consume on the per-record path.
+    // no-op.
     assertCoordinator();
     if (pending_meta_.empty() || flushing_) return;
     flushing_ = true;
@@ -298,12 +270,9 @@ PipelineTimer::flushPending()
         // in-line — cycle-identical by construction (see the header).
         runPendingThreaded(n);
     } else {
-        // Phase 1: handler execution, in arrival order — the same cache
-        // interleaving as per-record consumption — with maximal runs
-        // that share an engine drained through one consumeBatch (or
-        // consumeBatchFused, on the fused tier) call each (the whole
-        // queue, for single-lane systems).
-        const bool fused = config_.dispatch_tier == DispatchTier::kFused;
+        // Phase 1: handler execution, in arrival order, with maximal
+        // runs that share an engine drained through one consumeBatch
+        // call each (the whole queue, for single-lane systems).
         std::size_t i = 0;
         while (i < n) {
             std::size_t j = i + 1;
@@ -315,13 +284,8 @@ PipelineTimer::flushPending()
             // so it owns each engine's functional side for the drain.
             lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
             engine->assumeFunctionalOwner();
-            if (fused) {
-                engine->consumeBatchFused(pending_records_.data() + i,
-                                          j - i, pending_costs_.data() + i);
-            } else {
-                engine->consumeBatch(pending_records_.data() + i, j - i,
-                                     pending_costs_.data() + i);
-            }
+            engine->consumeBatch(pending_records_.data() + i, j - i,
+                                 pending_costs_.data() + i);
             i = j;
         }
     }
@@ -380,8 +344,7 @@ PipelineTimer::runPendingThreaded(std::size_t n)
         executor_->enqueue(pending_meta_[i].engine,
                            pending_meta_[i].lane,
                            pending_records_.data() + i, j - i,
-                           &batch_scratch_[run],
-                           config_.dispatch_tier == DispatchTier::kFused);
+                           &batch_scratch_[run]);
         ++run;
         i = j;
     }
@@ -671,11 +634,18 @@ PipelineTimer::producerTime(unsigned producer) const
     return producers_[producer].app_time;
 }
 
-log::LogBufferStats
-PipelineTimer::bufferStats(unsigned lane) const
+BufferStats
+PipelineTimer::bufferStats(unsigned lane_idx) const
 {
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].buffer.stats();
+    LBA_ASSERT(lane_idx < lanes_.size(), "bad lane index");
+    // Every delivered record is consumed (records) or queued (pending);
+    // the consumed ones not yet reclaimed still hold slots.
+    const Lane& lane = lanes_[lane_idx];
+    BufferStats stats;
+    stats.pushes = lane.records + lane.pending;
+    stats.pops = lane.records - lane.slot_finish.size();
+    stats.max_occupancy = lane.max_occupancy;
+    return stats;
 }
 
 lifeguard::DispatchStats

@@ -32,28 +32,23 @@
  * special case by construction, which the shards=1 differential tests
  * assert cycle-for-cycle.
  *
- * Dispatch tiers (LbaConfig::dispatch_tier). The recurrence above is
- * *what* is computed; the tier changes only *how* (and when) the host
- * computes it. kPerRecord consumes each record as it is logged through
- * the lifeguard's virtual handleEvent (the micro_dispatch baseline).
- * kBatched (the default) queues records as they are logged and drains
- * them at the next flush boundary — the following retirement (before
- * its drain check and cache accesses), a containment drain, a
- * slot-reservation squeeze, or end of run — first running every queued
- * handler in arrival order through the lifeguards' handler tables
- * (DispatchEngine::consumeBatch), then folding the per-record costs
- * into the recurrence in the same order. Because every flush boundary
- * precedes the next application-core cache access, the shared-L2
- * access interleaving is exactly the per-record path's, making the
- * tiers cycle-identical (tests/dispatch_batch_test.cpp) while the host
- * pays table dispatch instead of a virtual call per record. kFused
- * drains the same flush batches through each lifeguard's *compiled*
- * handler IR (lifeguard/compiler.h): same-event-type runs execute in
- * specialized loops with the shadow cost accounting inlined — no
- * virtual call, no per-record table lookup — and lifeguards without an
- * IR description fall back to kBatched per engine, transparently
- * (tests/dispatch_fused_test.cpp asserts the three-way cycle
- * identity).
+ * Dispatch at flush boundaries. The recurrence above is *what* is
+ * computed; the flush queue decides *when* the host computes it.
+ * Records are queued as they are logged and drained at the next flush
+ * boundary — the following retirement (before its drain check and
+ * cache accesses), a containment drain, a slot-reservation squeeze, or
+ * end of run — first running every queued handler in arrival order
+ * through the lifeguards' handler tables (DispatchEngine::consumeBatch),
+ * then folding the per-record costs into the recurrence in the same
+ * order. Every flush boundary precedes the next application-core cache
+ * access, so the shared-L2 access interleaving is the one a
+ * record-at-a-time consumer would produce; handler costs never depend
+ * on the recurrence, so the split is exact. The golden cycle corpus
+ * (tests/golden/) pins the resulting cycles.
+ *
+ * The lane buffer is its slot accounting: the finish times of the
+ * records occupying slots plus the records queued for the next flush.
+ * Occupancy statistics (bufferStats) come from the same two counts.
  *
  * Threaded execution (LbaConfig::execution = kThreaded). Handlers run
  * on real host threads — one worker per lane (ThreadedExecutor) — and
@@ -97,7 +92,6 @@
 #include "compress/registry.h"
 #include "core/threaded_executor.h"
 #include "lifeguard/dispatch.h"
-#include "log/log_buffer.h"
 #include "mem/hierarchy.h"
 #include "sim/process.h"
 #include "stats/counter.h"
@@ -107,8 +101,7 @@ namespace lba::core {
 /**
  * How the host executes lifeguard handlers. Simulated timing is
  * identical either way (the mode changes host threads, not the model);
- * kThreaded requires a batching dispatch tier (kBatched or kFused),
- * whose flush boundaries are the cross-thread barriers.
+ * under kThreaded the flush boundaries are the cross-thread barriers.
  */
 enum class ExecutionMode
 {
@@ -116,27 +109,6 @@ enum class ExecutionMode
     kSerial,
     /** One host worker thread per lane (see the file comment). */
     kThreaded,
-};
-
-/**
- * How the host dispatches records to lifeguard handlers. Simulated
- * timing is identical across tiers (asserted by
- * tests/dispatch_batch_test.cpp and tests/dispatch_fused_test.cpp);
- * the tier trades host-side dispatch overhead, not model fidelity.
- */
-enum class DispatchTier
-{
-    /** Consume each record as it is logged, through the lifeguard's
-     *  virtual handleEvent (the micro_dispatch baseline). */
-    kPerRecord,
-    /** Queue and drain at flush boundaries through the handler table
-     *  (DispatchEngine::consumeBatch). The default. */
-    kBatched,
-    /** Queue and drain through the compiled handler IR
-     *  (DispatchEngine::consumeBatchFused): specialized loops over
-     *  same-event-type runs, no virtual call or table lookup. Engines
-     *  whose lifeguard has no IR description fall back to kBatched. */
-    kFused,
 };
 
 /** LBA platform configuration (shared by the serial and parallel systems). */
@@ -181,21 +153,8 @@ struct LbaConfig
     /** Record size on the transport when compression is disabled. */
     unsigned raw_record_bytes = 24;
     /**
-     * Dispatch tier (see DispatchTier and the file comment). The
-     * batching tiers (kBatched, kFused) queue records as they are
-     * logged and drain them at the next flush boundary: the following
-     * retirement, a containment drain, a slot-reservation squeeze, or
-     * end of run. Every flush boundary precedes the next
-     * application-core cache access, so the cache-access interleaving —
-     * and therefore every cycle count — is identical to the kPerRecord
-     * path (asserted by tests/dispatch_batch_test.cpp and
-     * tests/dispatch_fused_test.cpp).
-     */
-    DispatchTier dispatch_tier = DispatchTier::kBatched;
-    /**
      * Host execution mode (kThreaded = one worker thread per lane,
-     * cycle-identical to kSerial; see the file comment). Threaded
-     * execution requires a batching dispatch tier.
+     * cycle-identical to kSerial; see the file comment).
      */
     ExecutionMode execution = ExecutionMode::kSerial;
 };
@@ -211,6 +170,21 @@ struct LaneLimits
     std::size_t buffer_capacity = 0;
     /** Transport bytes/cycle (< 0 = LbaConfig value; 0 = unlimited). */
     double transport_bytes_per_cycle = -1.0;
+};
+
+/**
+ * Occupancy of one lane's log buffer. pushes - pops is the number of
+ * records holding slots (consumed records whose slots have not been
+ * reclaimed yet, plus records queued for the next flush).
+ */
+struct BufferStats
+{
+    /** Records delivered to the lane. */
+    std::uint64_t pushes = 0;
+    /** Slots reclaimed by back-pressure accounting, oldest first. */
+    std::uint64_t pops = 0;
+    /** Peak slots held at once. */
+    std::uint64_t max_occupancy = 0;
 };
 
 /** Timing/traffic statistics of one LBA run (aggregated over lanes). */
@@ -366,8 +340,8 @@ class PipelineTimer
         LBA_COORDINATOR_ONLY;
 
     /**
-     * Drain the deferred batched-dispatch queue now (no-op on the
-     * per-record path and at every natural flush boundary). External
+     * Drain the deferred dispatch queue now (a no-op at every natural
+     * flush boundary). External
      * drivers call this before inspecting mid-run lifeguard state —
      * e.g. the containment manager before checking findings, and the
      * pool at slice boundaries so scheduling sees up-to-date lag.
@@ -444,9 +418,9 @@ class PipelineTimer
         consume_observer_ = std::move(observer);
     }
 
-    /** Quiescent-read snapshots (by value: the underlying counters
-     *  live in side-owned structs; see LogBufferStats/DispatchStats). */
-    log::LogBufferStats bufferStats(unsigned lane) const;
+    /** Snapshots by value (DispatchStats merges side-owned counters;
+     *  read it quiescent). */
+    BufferStats bufferStats(unsigned lane) const;
     lifeguard::DispatchStats dispatchStats(unsigned lane) const
         LBA_COORDINATOR_ONLY;
     lifeguard::Lifeguard& lifeguard(unsigned lane) const
@@ -477,8 +451,9 @@ class PipelineTimer
     {
         lifeguard::Lifeguard* lifeguard = nullptr;
         std::unique_ptr<lifeguard::DispatchEngine> dispatch;
-        log::LogBuffer buffer;
-        /** finish times of records still occupying buffer slots. */
+        /** Buffer capacity, in records (slots). */
+        std::size_t capacity = 0;
+        /** finish times of consumed records still occupying slots. */
         std::deque<Cycles> slot_finish;
         /** finish(i-1) of this lane's most recent record. */
         Cycles last_finish = 0;
@@ -492,10 +467,15 @@ class PipelineTimer
         double transport_bytes = 0.0;
         Cycles transport_wait_cycles = 0;
         std::uint64_t records = 0;
-        /** Records queued for batched dispatch but not yet consumed. */
+        /** Records queued for the next flush but not yet consumed. */
         std::size_t pending = 0;
+        /** Peak of slot_finish.size() + pending (BufferStats). */
+        std::uint64_t max_occupancy = 0;
 
-        explicit Lane(std::size_t capacity) : buffer(capacity) {}
+        explicit Lane(std::size_t slots) : capacity(slots)
+        {
+            LBA_ASSERT(slots > 0, "log buffer capacity must be positive");
+        }
     };
 
     /** One monitored application feeding the shared lanes. */
@@ -539,9 +519,8 @@ class PipelineTimer
                       std::size_t needed) LBA_COORDINATOR_ONLY;
 
     /**
-     * Deliver one record to one lane: push it into the lane buffer,
-     * then either consume it immediately (per-record path) or queue it
-     * for the next batched flush.
+     * Deliver one record to one lane: take its slot and queue it for
+     * the next flush.
      */
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,
@@ -560,7 +539,7 @@ class PipelineTimer
 
     /**
      * Drain the deferred dispatch queue: run every queued handler in
-     * arrival order (batched per engine run), then apply the timing
+     * arrival order (one consumeBatch per engine run), then apply the timing
      * recurrence per record in the same order.
      */
     void flushPending() LBA_COORDINATOR_ONLY;
@@ -609,7 +588,7 @@ class PipelineTimer
     std::vector<std::pair<unsigned, std::size_t>> lane_demand_
         LBA_GUARDED_BY(::lba::threading::coordinator_role);
 
-    /** Deferred batched dispatch: records awaiting consumption, in
+    /** Deferred dispatch: records awaiting consumption, in
      *  arrival order (contiguous so engine runs batch directly). */
     std::vector<log::EventRecord> pending_records_
         LBA_GUARDED_BY(::lba::threading::coordinator_role);

@@ -74,7 +74,7 @@ void
 ThreadedExecutor::enqueue(lifeguard::DispatchEngine* engine,
                           unsigned hint, const log::EventRecord* records,
                           std::size_t count,
-                          lifeguard::DeferredBatch* out, bool fused)
+                          lifeguard::DeferredBatch* out)
 {
     LBA_ASSERT(!joined_, "enqueue() after stopAndJoin()");
     auto [it, inserted] = binding_.emplace(
@@ -83,7 +83,7 @@ ThreadedExecutor::enqueue(lifeguard::DispatchEngine* engine,
     Worker& worker = *workers_[it->second];
     // Between rounds the coordinator owns `runs` (the worker released
     // it through its `done` store, which dispatchRound() acquired).
-    worker.runs.push_back({engine, records, count, out, fused});
+    worker.runs.push_back({engine, records, count, out});
 }
 
 void
@@ -166,13 +166,8 @@ ThreadedExecutor::workerLoop(Worker& worker)
             // round: the engine is pinned here, and the publish/done
             // chain hands its lifeguard state over exclusively.
             run.engine->assumeFunctionalOwner();
-            if (run.fused) {
-                run.engine->consumeBatchFusedDeferred(
-                    run.records, run.count, *run.out);
-            } else {
-                run.engine->consumeBatchDeferred(run.records, run.count,
-                                                 *run.out);
-            }
+            run.engine->consumeBatchDeferred(run.records, run.count,
+                                             *run.out);
         }
         worker.runs.clear();
         seen = target;

@@ -84,15 +84,11 @@ class ThreadedExecutor
      * (pinning it with @p hint on first sight). @p records and @p out
      * must stay valid through the next dispatchRound(); batches of one
      * worker run in enqueue order, so staging runs in global arrival
-     * order preserves per-engine record order. @p fused selects the
-     * engine's fused deferred drain (dispatch tier three) instead of
-     * the batched one; both capture into @p out for the same
-     * coordinator-side replay.
+     * order preserves per-engine record order.
      */
     void enqueue(lifeguard::DispatchEngine* engine, unsigned hint,
                  const log::EventRecord* records, std::size_t count,
-                 lifeguard::DeferredBatch* out, bool fused = false)
-        LBA_COORDINATOR_ONLY;
+                 lifeguard::DeferredBatch* out) LBA_COORDINATOR_ONLY;
 
     /** Run every staged batch; returns when all workers are done (and
      *  their side effects are visible, per the publish→done chain). */
@@ -107,15 +103,13 @@ class ThreadedExecutor
     }
 
   private:
-    /** One staged consumeBatch(Fused)Deferred() call. */
+    /** One staged consumeBatchDeferred() call. */
     struct Run
     {
         lifeguard::DispatchEngine* engine = nullptr;
         const log::EventRecord* records = nullptr;
         std::size_t count = 0;
         lifeguard::DeferredBatch* out = nullptr;
-        /** Drain through the fused tier (see enqueue()). */
-        bool fused = false;
     };
 
     struct Worker

@@ -9,15 +9,7 @@ namespace lba::lifeguard {
 
 namespace {
 
-/** Resolved slot for a legacy lifeguard: the virtual fallback. */
-void
-virtualHandler(Lifeguard& self, const log::EventRecord& record,
-               CostSink& cost)
-{
-    self.handleEvent(record, cost);
-}
-
-/** Resolved slot for an unregistered type on a table lifeguard. */
+/** Resolved slot for an unregistered event type. */
 void
 ignoreHandler(Lifeguard&, const log::EventRecord&, CostSink&)
 {
@@ -30,45 +22,15 @@ DispatchEngine::DispatchEngine(Lifeguard& lifeguard,
                                const DispatchConfig& config)
     : lifeguard_(lifeguard),
       config_(config),
-      hierarchy_(hierarchy),
       sink_(hierarchy, config.core)
 {
-    // Engines are built on the thread that drives the run — the
-    // coordinator by construction, before any worker exists (the same
-    // claim PipelineTimer's constructor makes). Assuming the role here
-    // lets construction-time work carry coordinator-only annotations.
-    threading::assumeCoordinatorRole();
-    // Late registration would diverge from this snapshot (and the
-    // batched path from the per-record path): freeze the table.
+    // Late registration would diverge from this snapshot (and from
+    // direct handleEvent() callers): freeze the table.
     lifeguard.sealHandlerTable();
     const auto& table = lifeguard.handlers();
     for (std::size_t t = 0; t < table.size(); ++t) {
-        if (table[t]) {
-            resolved_[t] = table[t];
-        } else {
-            resolved_[t] = lifeguard.usesHandlerTable() ? &ignoreHandler
-                                                        : &virtualHandler;
-        }
+        resolved_[t] = table[t] ? table[t] : &ignoreHandler;
     }
-    // Fused tier: lower the lifeguard's IR description, when it has
-    // one, into the specialized drain table (coordinator-only step).
-    if (const ir::LifeguardIR* ir = lifeguard.handlerIR()) {
-        compiled_ = compileHandlers(lifeguard, *ir);
-        fused_ = true;
-    }
-}
-
-Cycles
-DispatchEngine::consumeTable(const log::EventRecord& record)
-{
-    return dispatchOne(record);
-}
-
-Cycles
-DispatchEngine::consume(const log::EventRecord& record)
-{
-    lifeguard_.handleEvent(record, sink_);
-    return account(record, config_.dispatch_cycles + sink_.take());
 }
 
 Cycles
@@ -79,7 +41,7 @@ DispatchEngine::dispatchOne(const log::EventRecord& record)
     if (handler == &ignoreHandler) {
         // Unregistered type: dispatch cost only, no handler call,
         // nothing in the sink — the hardware's "handler is just nlba"
-        // case, and exactly what consumeTable() charges.
+        // case.
         return account(record, config_.dispatch_cycles);
     }
     handler(lifeguard_, record, sink_);
@@ -98,113 +60,6 @@ DispatchEngine::consumeBatch(const log::EventRecord* records,
         total += cycles;
     }
     return total;
-}
-
-Cycles
-DispatchEngine::consumeBatch(
-    std::span<const log::LogBuffer::Entry> entries, Cycles* costs)
-{
-    ++functional_.batches;
-    Cycles total = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        Cycles cycles = dispatchOne(entries[i].record);
-        if (costs) costs[i] = cycles;
-        total += cycles;
-    }
-    return total;
-}
-
-template <typename RecordAt>
-Cycles
-DispatchEngine::fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
-{
-    Cycles total = 0;
-    if (compiled_.all_const) {
-        // Every type is kSkip/kConst: the whole batch drains through
-        // one tight loop — per record, the cost is a table lookup and
-        // the stat updates, with no call of any kind. This is the bulk
-        // fast path the micro_dispatch >= 2x claim measures.
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto t = static_cast<std::size_t>(at(i).type);
-            const Cycles cycles = config_.dispatch_cycles +
-                                  compiled_.handlers[t].const_cycles;
-            if (costs) costs[i] = cycles;
-            ++functional_.records_by_type[t];
-            timing_.cycles_by_type[t] += cycles;
-            total += cycles;
-        }
-        functional_.records += count;
-        timing_.total_cycles += total;
-        return total;
-    }
-    std::size_t i = 0;
-    while (i < count) {
-        // Maximal same-event-type run [i, j).
-        const log::EventType type = at(i).type;
-        std::size_t j = i + 1;
-        while (j < count && at(j).type == type) ++j;
-        const auto t = static_cast<std::size_t>(type);
-        const CompiledHandler& handler = compiled_.handlers[t];
-        if (handler.kind != CompiledHandler::Kind::kProgram) {
-            // kSkip/kConst run: constant per-record cost, charged in
-            // bulk — arithmetic identical to j-i account() calls.
-            const std::size_t n = j - i;
-            const Cycles per =
-                config_.dispatch_cycles + handler.const_cycles;
-            if (costs) {
-                for (std::size_t k = i; k < j; ++k) costs[k] = per;
-            }
-            const Cycles run = per * static_cast<Cycles>(n);
-            functional_.records += n;
-            functional_.records_by_type[t] += n;
-            timing_.total_cycles += run;
-            timing_.cycles_by_type[t] += run;
-            total += run;
-        } else {
-            ir::DirectCost cost(hierarchy_, config_.core);
-            for (std::size_t k = i; k < j; ++k) {
-                const log::EventRecord& record = at(k);
-                runIrProgram(*handler.program, lifeguard_, record, cost);
-                const Cycles cycles =
-                    config_.dispatch_cycles + cost.take();
-                if (costs) costs[k] = cycles;
-                account(record, cycles);
-                total += cycles;
-            }
-        }
-        i = j;
-    }
-    return total;
-}
-
-Cycles
-DispatchEngine::consumeBatchFused(const log::EventRecord* records,
-                                  std::size_t count, Cycles* costs)
-{
-    // No IR description: the batched tier IS the fused tier's
-    // behaviour (and its cost), so fall through to it.
-    if (!fused_) return consumeBatch(records, count, costs);
-    ++functional_.batches;
-    return fusedDrain(
-        count,
-        [records](std::size_t i) -> const log::EventRecord& {
-            return records[i];
-        },
-        costs);
-}
-
-Cycles
-DispatchEngine::consumeBatchFused(
-    std::span<const log::LogBuffer::Entry> entries, Cycles* costs)
-{
-    if (!fused_) return consumeBatch(entries, costs);
-    ++functional_.batches;
-    return fusedDrain(
-        entries.size(),
-        [entries](std::size_t i) -> const log::EventRecord& {
-            return entries[i].record;
-        },
-        costs);
 }
 
 namespace {
@@ -265,57 +120,6 @@ DispatchEngine::consumeBatchDeferred(const log::EventRecord* records,
         ++functional_.records;
         ++functional_
               .records_by_type[static_cast<std::size_t>(record.type)];
-    }
-}
-
-void
-DispatchEngine::consumeBatchFusedDeferred(
-    const log::EventRecord* records, std::size_t count,
-    DeferredBatch& out)
-{
-    if (!fused_) {
-        consumeBatchDeferred(records, count, out);
-        return;
-    }
-    ++functional_.batches;
-    out.clear();
-    out.records.reserve(count);
-    ir::DeferredCost cost(out.ops);
-    std::size_t i = 0;
-    while (i < count) {
-        const log::EventType type = records[i].type;
-        std::size_t j = i + 1;
-        while (j < count && records[j].type == type) ++j;
-        const auto t = static_cast<std::size_t>(type);
-        const CompiledHandler& handler = compiled_.handlers[t];
-        const std::size_t n = j - i;
-        if (handler.kind != CompiledHandler::Kind::kProgram) {
-            // kSkip/kConst run: no metadata accesses, constant
-            // instruction cost (0 for kSkip) — replayDeferred() adds
-            // the dispatch cycles, exactly as for the batched tier.
-            DeferredBatch::PerRecord per;
-            per.instr_cycles = handler.const_cycles;
-            per.first_op = static_cast<std::uint32_t>(out.ops.size());
-            for (std::size_t k = 0; k < n; ++k) {
-                out.records.push_back(per);
-            }
-        } else {
-            for (std::size_t k = i; k < j; ++k) {
-                DeferredBatch::PerRecord per;
-                per.first_op =
-                    static_cast<std::uint32_t>(out.ops.size());
-                runIrProgram(*handler.program, lifeguard_, records[k],
-                             cost);
-                per.instr_cycles = cost.takeInstrs();
-                per.num_ops = cost.takeOps();
-                out.records.push_back(per);
-            }
-        }
-        // Functional half of account(), in bulk (see
-        // consumeBatchDeferred for why only this half advances here).
-        functional_.records += n;
-        functional_.records_by_type[t] += n;
-        i = j;
     }
 }
 

@@ -11,22 +11,13 @@
  * pipelines with the previous handler; we charge a small fixed dispatch
  * cost per record (default 1 cycle).
  *
- * Host-side dispatch mirrors that table, in three tiers. At
- * construction the engine *resolves* the lifeguard's handler table: a
- * registered handler is entered directly; for legacy lifeguards (no
- * registrations) every slot falls back to the virtual handleEvent()
- * call; for table-style lifeguards an unregistered event type resolves
- * to a no-op. consume() is the retained per-record virtual tier; the
- * batched tier (consumeBatch) drains whole record spans through the
- * resolved table; the fused tier (consumeBatchFused) goes further —
- * when the lifeguard describes its handlers as IR (ir.h), the engine
- * lowers the description once at construction (compiler.h) and drains
- * each same-event-type run through a specialized loop with no
- * per-record indirect call at all (lifeguards without an IR
- * description transparently fall back to the batched tier). All tiers
- * charge identical simulated cycles for the same record stream; only
- * host speed differs (bench/micro_dispatch.cc,
- * tests/dispatch_fused_test.cpp).
+ * Host-side dispatch mirrors that table. At construction the engine
+ * *resolves* the lifeguard's handler table (an unregistered event type
+ * resolves to dispatch cost only); consumeBatch() drains record spans
+ * through it. The timing engine calls it at flush boundaries
+ * (core/pipeline_timer.h); threaded execution splits it into
+ * consumeBatchDeferred() on a worker and replayDeferred() on the
+ * coordinator, which charge the same cycles.
  *
  * Handler work is charged through a CostSink that routes metadata accesses
  * through the lifeguard core's caches.
@@ -34,12 +25,10 @@
  */
 
 #include <array>
-#include <span>
+#include <vector>
 
 #include "common/thread_annotations.h"
-#include "lifeguard/compiler.h"
 #include "lifeguard/lifeguard.h"
-#include "log/log_buffer.h"
 #include "mem/hierarchy.h"
 #include "stats/histogram.h"
 
@@ -71,7 +60,7 @@ struct DispatchStats
     Cycles total_cycles = 0;
     std::array<std::uint64_t, log::kNumEventTypes> records_by_type{};
     std::array<Cycles, log::kNumEventTypes> cycles_by_type{};
-    /** consumeBatch()/consumeBatchDeferred() calls (0 per-record). */
+    /** consumeBatch()/consumeBatchDeferred() calls. */
     std::uint64_t batches = 0;
 };
 
@@ -91,9 +80,12 @@ struct DispatchStats
  */
 struct DeferredBatch
 {
-    /** One captured metadata access (shared with the fused tier's
-     *  DeferredCost, which pushes into `ops` directly). */
-    using MemOp = ir::MemOp;
+    /** One captured metadata access (address + direction). */
+    struct MemOp
+    {
+        Addr addr = 0;
+        bool is_write = false;
+    };
 
     struct PerRecord
     {
@@ -149,24 +141,6 @@ class DispatchEngine
     }
 
     /**
-     * Consume one record: dispatch + handler execution, through the
-     * virtual handleEvent() path (the retained per-record baseline).
-     * Serial path: charges the shared hierarchy directly, so the
-     * caller must be the coordinator *and* own the functional side.
-     * @return Cycles the lifeguard core spent on this record.
-     */
-    Cycles consume(const log::EventRecord& record)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Consume one record through the resolved handler table (no
-     * virtual dispatch). Charges exactly the cycles consume() would.
-     * @return Cycles the lifeguard core spent on this record.
-     */
-    Cycles consumeTable(const log::EventRecord& record)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
      * Drain a contiguous record batch through the handler table, in
      * order. When @p costs is non-null, costs[i] receives record i's
      * cycles (the timing engine folds them into its recurrence).
@@ -175,59 +149,6 @@ class DispatchEngine
     Cycles consumeBatch(const log::EventRecord* records,
                         std::size_t count, Cycles* costs = nullptr)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Drain a log-buffer span (see log::LogBuffer::frontSpan) through
-     * the handler table. The caller still pops the buffer.
-     * @return Total cycles across the batch.
-     */
-    Cycles consumeBatch(std::span<const log::LogBuffer::Entry> entries,
-                        Cycles* costs = nullptr)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Drain a contiguous record batch through the fused tier: the
-     * batch is scanned for maximal same-event-type runs and each run
-     * is drained through the loop compiled from the lifeguard's IR
-     * description — constant-cost runs in bulk with no per-record
-     * call, the rest through the computed-goto interpreter
-     * (compiler.h). Charges exactly the cycles consumeBatch() would;
-     * a lifeguard without an IR description falls back to
-     * consumeBatch() transparently. Same ownership contract as
-     * consumeBatch(): serial path, coordinator + functional side.
-     * @return Total cycles across the batch.
-     */
-    Cycles consumeBatchFused(const log::EventRecord* records,
-                             std::size_t count, Cycles* costs = nullptr)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Fused drain of a log-buffer span (see log::LogBuffer::frontSpan).
-     * The caller still pops the buffer.
-     * @return Total cycles across the batch.
-     */
-    Cycles
-    consumeBatchFused(std::span<const log::LogBuffer::Entry> entries,
-                      Cycles* costs = nullptr)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Functional half of consumeBatchFused() for threaded execution:
-     * the fused twin of consumeBatchDeferred(), with the same
-     * ownership contract — it runs on the worker that owns this
-     * engine's functional side and captures costs into @p out for the
-     * coordinator's replayDeferred() pass, which is unchanged (the
-     * captured batches are indistinguishable from the batched tier's).
-     * Falls back to consumeBatchDeferred() when the lifeguard has no
-     * IR description.
-     */
-    void consumeBatchFusedDeferred(const log::EventRecord* records,
-                                   std::size_t count, DeferredBatch& out)
-        LBA_REQUIRES(functional_side_);
-
-    /** True when the lifeguard opted into the fused tier (an IR
-     *  description was present and compiled at construction). */
-    bool fusedTierCompiled() const { return fused_; }
 
     /**
      * Functional half of consumeBatch() for threaded execution: run
@@ -319,21 +240,13 @@ class DispatchEngine
     };
 
     /** Dispatch one record through the resolved table, with the
-     *  unregistered-type fast path (batched loops). Runs the handler
-     *  (functional side) and charges the shared hierarchy through
-     *  sink_ (coordinator), so it is a serial-path helper. */
+     *  unregistered-type fast path. Runs the handler (functional side)
+     *  and charges the shared hierarchy through sink_ (coordinator),
+     *  so it is a serial-path helper. */
     Cycles dispatchOne(const log::EventRecord& record)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
-    /** The fused serial drain loop (see consumeBatchFused), templated
-     *  over the record accessor so the pointer and log-buffer-span
-     *  entry points share one body. Carries the same capability
-     *  requirements as the serial batched loops it replaces. */
-    template <typename RecordAt>
-    Cycles fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /** Fold one consumed record into the statistics (serial paths:
+    /** Fold one consumed record into the statistics (serial path:
      *  both domains advance together). */
     Cycles
     account(const log::EventRecord& record, Cycles cycles)
@@ -369,8 +282,6 @@ class DispatchEngine
 
     Lifeguard& lifeguard_;
     DispatchConfig config_;
-    /** For the fused tier's DirectCost (same hierarchy sink_ wraps). */
-    mem::CacheHierarchy& hierarchy_;
     /** Charges the shared, order-sensitive hierarchy — coordinator
      *  territory (workers capture costs into DeferredBatch instead). */
     Sink sink_ LBA_GUARDED_BY(::lba::threading::coordinator_role);
@@ -378,10 +289,6 @@ class DispatchEngine
     TimingCounts timing_ LBA_GUARDED_BY(::lba::threading::coordinator_role);
     /** Handler table with the null slots resolved (see file comment). */
     std::array<Lifeguard::Handler, log::kNumEventTypes> resolved_;
-    /** The lifeguard's lowered IR (valid when fused_; compiled once,
-     *  at construction, on the coordinating thread). */
-    CompiledDispatch compiled_;
-    bool fused_ = false;
 };
 
 } // namespace lba::lifeguard

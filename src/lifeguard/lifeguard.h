@@ -18,19 +18,12 @@
  * construction (onEvent<&MyGuard::onLoad>(EventType::kLoad)), and the
  * dispatch engine jumps straight through that table — no virtual call,
  * no per-record switch. Event types without a handler cost dispatch
- * cycles only. The virtual handleEvent() remains as a compatibility
- * shim: its base implementation dispatches through the table, so
- * table-registered lifeguards work unchanged with direct handleEvent()
- * callers (tests, the DBI platform), while legacy lifeguards may
- * instead override handleEvent() and skip registration entirely. A
- * lifeguard must pick ONE of the two styles — registering handlers and
- * overriding handleEvent() on the same class would give the two
- * dispatch paths different behaviour. Register handlers in the
- * constructor: a dispatch engine seals the table when it resolves it,
- * and later registration asserts. A lifeguard that neither registers
- * nor overrides is a valid no-op monitor (every event costs dispatch
- * cycles only) — if your checker finds nothing, check your
- * registrations first.
+ * cycles only. handleEvent() is the same table call for direct callers
+ * (tests, the DBI platform). Register handlers in the constructor: a
+ * dispatch engine seals the table when it resolves it, and later
+ * registration asserts. A lifeguard that registers nothing is a valid
+ * no-op monitor (every event costs dispatch cycles only) — if your
+ * checker finds nothing, check your registrations first.
  *
  * The same Lifeguard instance runs unchanged on both platforms:
  *  - LBA: the dispatch engine on the lifeguard core feeds it records from
@@ -49,10 +42,6 @@
 #include "log/event.h"
 
 namespace lba::lifeguard {
-
-namespace ir {
-class LifeguardIR;
-} // namespace ir
 
 /**
  * Receives the simulated cost of handler execution. Implemented by each
@@ -116,15 +105,10 @@ class Lifeguard
     virtual const char* name() const = 0;
 
     /**
-     * Process one event record, charging handler cost to @p cost.
-     *
-     * Compatibility shim: the base implementation dispatches through
-     * the handler table (a type with no handler is a no-op). Legacy
-     * lifeguards override this instead of registering handlers; such
-     * overrides are reached by the dispatch engine through its virtual
-     * fallback, never mixed with table entries.
+     * Process one event record through the handler table, charging
+     * handler cost to @p cost (a type with no handler is a no-op).
      */
-    virtual void
+    void
     handleEvent(const log::EventRecord& record, CostSink& cost)
     {
         Handler handler =
@@ -145,30 +129,12 @@ class Lifeguard
         return handlers_;
     }
 
-    /** True when at least one handler was registered (table style). */
-    bool usesHandlerTable() const { return uses_handler_table_; }
-
-    /**
-     * The lifeguard's handler-IR description (ir.h), or nullptr when
-     * it has none. A non-null description opts the lifeguard into the
-     * fused dispatch tier: the dispatch engine lowers it once at
-     * construction (lifeguard::compileHandlers) and drains record runs
-     * through specialized loops instead of the handler table. The
-     * description must mirror the registered table exactly — same
-     * event types, same per-record cost — which handler authors get by
-     * writing each handler body once, templated over the cost
-     * accumulator (docs/LIFEGUARD_GUIDE.md, "Describing handlers as
-     * IR"). Lifeguards without a description (including all legacy
-     * virtual ones) transparently stay on the batched tier.
-     */
-    virtual const ir::LifeguardIR* handlerIR() const { return nullptr; }
-
     /**
      * Freeze the handler table. Called by a dispatch engine when it
      * resolves the table; registering a handler afterwards would make
      * the engine's snapshot diverge from the live table (and the
-     * batched path diverge from the per-record path), so setHandler()
-     * asserts against it. Idempotent.
+     * engine diverge from direct handleEvent() callers), so
+     * setHandler() asserts against it. Idempotent.
      */
     void sealHandlerTable() { handlers_sealed_ = true; }
 
@@ -202,7 +168,6 @@ class Lifeguard
                    "handler registered after a dispatch engine "
                    "resolved the table; register in the constructor");
         handlers_[static_cast<std::size_t>(type)] = handler;
-        uses_handler_table_ = true;
     }
 
     /**
@@ -232,7 +197,6 @@ class Lifeguard
   private:
     std::vector<Finding> findings_;
     std::array<Handler, log::kNumEventTypes> handlers_{};
-    bool uses_handler_table_ = false;
     bool handlers_sealed_ = false;
 };
 

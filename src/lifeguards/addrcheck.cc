@@ -34,38 +34,11 @@ AddrCheck::AddrCheck(const AddrCheckConfig& config)
     onEvent<&AddrCheck::checkAccess>(EventType::kStore);
     onEvent<&AddrCheck::onAlloc>(EventType::kAlloc);
     onEvent<&AddrCheck::onFree>(EventType::kFree);
-
-    // The IR mirror of the table, for the fused dispatch tier. The
-    // load/store prologue (2-instruction range test, 1-instruction
-    // fall-through) is expressed as IR ops so the fused loop can skip
-    // non-heap records without entering a kernel; the heap path and
-    // the annotation handlers are shared-body kernels.
-    auto access = [](lifeguard::Lifeguard& self,
-                     const EventRecord& record, auto& cost) {
-        static_cast<AddrCheck&>(self).heapAccess(record, cost);
-    };
-    for (EventType type : {EventType::kLoad, EventType::kStore}) {
-        ir_.define(type)
-            .charge(2)
-            .rangeExit(config.heap_base, config.heap_bytes, 1)
-            .kernel(access);
-    }
-    ir_.define(EventType::kAlloc)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<AddrCheck&>(self).allocImpl(record, cost);
-        });
-    ir_.define(EventType::kFree)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<AddrCheck&>(self).freeImpl(record, cost);
-        });
 }
 
-template <typename Cost>
 void
 AddrCheck::markRange(Addr base, std::uint64_t size, bool allocated,
-                     Cost& cost)
+                     CostSink& cost)
 {
     // Functional update: per-granule validity masks.
     Addr end = base + size;
@@ -93,9 +66,7 @@ AddrCheck::markRange(Addr base, std::uint64_t size, bool allocated,
 void
 AddrCheck::checkAccess(const EventRecord& record, CostSink& cost)
 {
-    // Range test: two compares against the heap bounds. (The IR
-    // expresses exactly this prologue as charge(2) + rangeExit(heap,
-    // 1) — keep the two in lockstep.)
+    // Range test: two compares against the heap bounds.
     cost.instrs(2);
     Addr addr = record.addr;
     if (addr < config_.heap_base ||
@@ -103,14 +74,6 @@ AddrCheck::checkAccess(const EventRecord& record, CostSink& cost)
         cost.instrs(1); // fall-through branch
         return;
     }
-    heapAccess(record, cost);
-}
-
-template <typename Cost>
-void
-AddrCheck::heapAccess(const EventRecord& record, Cost& cost)
-{
-    Addr addr = record.addr;
     unsigned bytes = static_cast<unsigned>(record.aux ? record.aux : 1);
     // Shadow index computation + mask formation + test + branch.
     cost.instrs(6);
@@ -144,9 +107,8 @@ AddrCheck::heapAccess(const EventRecord& record, Cost& cost)
             msg});
 }
 
-template <typename Cost>
 void
-AddrCheck::allocImpl(const EventRecord& record, Cost& cost)
+AddrCheck::onAlloc(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(10);
     if (record.addr == 0) return; // failed allocation
@@ -158,14 +120,7 @@ AddrCheck::allocImpl(const EventRecord& record, Cost& cost)
 }
 
 void
-AddrCheck::onAlloc(const EventRecord& record, CostSink& cost)
-{
-    allocImpl(record, cost);
-}
-
-template <typename Cost>
-void
-AddrCheck::freeImpl(const EventRecord& record, Cost& cost)
+AddrCheck::onFree(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(10);
     auto it = live_.find(record.addr);
@@ -178,12 +133,6 @@ AddrCheck::freeImpl(const EventRecord& record, Cost& cost)
     markRange(record.addr, it->second, false, cost);
     live_bytes_ -= it->second;
     live_.erase(it);
-}
-
-void
-AddrCheck::onFree(const EventRecord& record, CostSink& cost)
-{
-    freeImpl(record, cost);
 }
 
 void

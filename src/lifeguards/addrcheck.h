@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -43,24 +42,11 @@ class AddrCheck : public lifeguard::Lifeguard
 
     void finish(lifeguard::CostSink& cost) override;
 
-    /** Fused-tier opt-in: the IR mirror of the handler table. */
-    const lifeguard::ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
     /** Bytes currently marked allocated (for tests). */
     std::uint64_t liveBytes() const { return live_bytes_; }
 
   private:
-    // Handler bodies are written once, templated over the cost
-    // accumulator, and instantiated for the virtual CostSink (table
-    // path) and the fused ir::DirectCost/DeferredCost (IR kernels) —
-    // which is what makes the dispatch tiers cost-identical by
-    // construction.
-
-    /** kLoad/kStore handler (table path: full body incl. range test). */
+    /** kLoad/kStore handler: heap-range test, then the validity probe. */
     void checkAccess(const log::EventRecord& record,
                      lifeguard::CostSink& cost);
 
@@ -72,26 +58,11 @@ class AddrCheck : public lifeguard::Lifeguard
     void onFree(const log::EventRecord& record,
                 lifeguard::CostSink& cost);
 
-    /** Heap-range load/store body (after the range guard, which the
-     *  IR expresses as charge(2) + rangeExit(heap, 1)). */
-    template <typename Cost>
-    void heapAccess(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void allocImpl(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void freeImpl(const log::EventRecord& record, Cost& cost);
-
     /** Mark or clear [base, base+size) validity bits. */
-    template <typename Cost>
     void markRange(Addr base, std::uint64_t size, bool allocated,
-                   Cost& cost);
+                   lifeguard::CostSink& cost);
 
     AddrCheckConfig config_;
-    /** Handler-IR description (built in the constructor, mirrors the
-     *  registrations there). */
-    lifeguard::ir::LifeguardIR ir_;
     /** Bit i of entry(g) set => byte g*8+i is allocated. */
     lifeguard::ShadowMemory<std::uint8_t, 8> valid_;
     /** Live heap blocks: base -> size. */

@@ -38,38 +38,11 @@ BoundsCheck::BoundsCheck(const BoundsCheckConfig& config)
     onEvent<&BoundsCheck::checkAccess>(EventType::kStore);
     onEvent<&BoundsCheck::onAlloc>(EventType::kAlloc);
     onEvent<&BoundsCheck::onFree>(EventType::kFree);
-
-    // The IR mirror of the table, for the fused dispatch tier. The
-    // load/store prologue (2-instruction range test, 1-instruction
-    // fall-through) is IR ops so the fused loop skips non-heap records
-    // without entering a kernel; the tag probe and the annotation
-    // handlers are shared-body kernels.
-    auto probe = [](lifeguard::Lifeguard& self, const EventRecord& record,
-                    auto& cost) {
-        static_cast<BoundsCheck&>(self).tagProbe(record, cost);
-    };
-    for (EventType type : {EventType::kLoad, EventType::kStore}) {
-        ir_.define(type)
-            .charge(2)
-            .rangeExit(config.heap_base, config.heap_bytes, 1)
-            .kernel(probe);
-    }
-    ir_.define(EventType::kAlloc)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<BoundsCheck&>(self).allocImpl(record, cost);
-        });
-    ir_.define(EventType::kFree)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<BoundsCheck&>(self).freeImpl(record, cost);
-        });
 }
 
-template <typename Cost>
 void
 BoundsCheck::colourRange(Addr base, std::uint64_t size, std::uint8_t tag,
-                         Cost& cost)
+                         CostSink& cost)
 {
     if (size == 0) return;
     Addr end = base + size;
@@ -89,9 +62,7 @@ BoundsCheck::colourRange(Addr base, std::uint64_t size, std::uint8_t tag,
 void
 BoundsCheck::checkAccess(const EventRecord& record, CostSink& cost)
 {
-    // Range test: two compares against the heap bounds. (The IR
-    // expresses exactly this prologue as charge(2) + rangeExit(heap,
-    // 1) — keep the two in lockstep.)
+    // Range test: two compares against the heap bounds.
     cost.instrs(2);
     Addr addr = record.addr;
     if (addr < config_.heap_base ||
@@ -99,14 +70,6 @@ BoundsCheck::checkAccess(const EventRecord& record, CostSink& cost)
         cost.instrs(1); // fall-through branch
         return;
     }
-    tagProbe(record, cost);
-}
-
-template <typename Cost>
-void
-BoundsCheck::tagProbe(const EventRecord& record, Cost& cost)
-{
-    Addr addr = record.addr;
     // Shadow index computation + tag extract + compare + branch: the
     // whole check is one probe of the granule the address lands in —
     // constant cost, no straddle handling (that imprecision at granule
@@ -129,9 +92,8 @@ BoundsCheck::tagProbe(const EventRecord& record, Cost& cost)
             msg});
 }
 
-template <typename Cost>
 void
-BoundsCheck::allocImpl(const EventRecord& record, Cost& cost)
+BoundsCheck::onAlloc(const EventRecord& record, CostSink& cost)
 {
     // Block bookkeeping + tag-cycling arithmetic.
     cost.instrs(8);
@@ -143,14 +105,7 @@ BoundsCheck::allocImpl(const EventRecord& record, Cost& cost)
 }
 
 void
-BoundsCheck::onAlloc(const EventRecord& record, CostSink& cost)
-{
-    allocImpl(record, cost);
-}
-
-template <typename Cost>
-void
-BoundsCheck::freeImpl(const EventRecord& record, Cost& cost)
+BoundsCheck::onFree(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(8);
     auto it = live_.find(record.addr);
@@ -162,12 +117,6 @@ BoundsCheck::freeImpl(const EventRecord& record, Cost& cost)
     colourRange(record.addr, it->second, 0, cost);
     live_bytes_ -= it->second;
     live_.erase(it);
-}
-
-void
-BoundsCheck::onFree(const EventRecord& record, CostSink& cost)
-{
-    freeImpl(record, cost);
 }
 
 } // namespace lba::lifeguards

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -50,13 +49,6 @@ class BoundsCheck : public lifeguard::Lifeguard
 
     const char* name() const override { return "BoundsCheck"; }
 
-    /** Fused-tier opt-in: the IR mirror of the handler table. */
-    const lifeguard::ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
     /** Tag most recently assigned (for tests; 0 = none yet). */
     std::uint8_t lastTag() const { return next_tag_; }
 
@@ -64,12 +56,7 @@ class BoundsCheck : public lifeguard::Lifeguard
     std::uint64_t liveBytes() const { return live_bytes_; }
 
   private:
-    // Handler bodies are written once, templated over the cost
-    // accumulator, and instantiated for the virtual CostSink (table
-    // path) and the fused ir::DirectCost/DeferredCost (IR kernels) —
-    // which keeps the dispatch tiers cost-identical by construction.
-
-    /** kLoad/kStore handler (table path: full body incl. range test). */
+    /** kLoad/kStore handler: heap-range test, then one tag probe. */
     void checkAccess(const log::EventRecord& record,
                      lifeguard::CostSink& cost);
 
@@ -81,25 +68,11 @@ class BoundsCheck : public lifeguard::Lifeguard
     void onFree(const log::EventRecord& record,
                 lifeguard::CostSink& cost);
 
-    /** Heap-range load/store body: one shadow probe + tag compare. */
-    template <typename Cost>
-    void tagProbe(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void allocImpl(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void freeImpl(const log::EventRecord& record, Cost& cost);
-
     /** Colour [base, base+size) granules with @p tag. */
-    template <typename Cost>
     void colourRange(Addr base, std::uint64_t size, std::uint8_t tag,
-                     Cost& cost);
+                     lifeguard::CostSink& cost);
 
     BoundsCheckConfig config_;
-    /** Handler-IR description (built in the constructor, mirrors the
-     *  registrations there). */
-    lifeguard::ir::LifeguardIR ir_;
     /** 4-bit tag per 16-byte granule (byte-wide entries; 0 = free). */
     lifeguard::ShadowMemory<std::uint8_t, 16> tags_;
     /** Live heap blocks: base -> size (free records carry no size). */

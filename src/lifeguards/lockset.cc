@@ -24,6 +24,7 @@
 
 namespace lba::lifeguards {
 
+using lifeguard::CostSink;
 using lifeguard::FindingKind;
 using log::EventRecord;
 using log::EventType;
@@ -79,66 +80,36 @@ LockSet::LockSet(const LockSetConfig& config)
 {
     // The handler table: memory accesses drive the Eraser state
     // machine, lock annotations maintain the held-lock sets, alloc
-    // annotations reset recycled granules. Each captureless generic
-    // lambda below serves as BOTH the table entry (CostSink
-    // instantiation) and the fused IR kernel (DirectCost/DeferredCost
-    // instantiations), so the dispatch tiers share one handler body.
-    auto load = [](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-        static_cast<LockSet&>(self).handleAccess(record, false, cost);
-    };
-    auto store = [](lifeguard::Lifeguard& self,
-                    const EventRecord& record, auto& cost) {
-        static_cast<LockSet&>(self).handleAccess(record, true, cost);
-    };
-    setHandler(EventType::kLoad, load);
-    setHandler(EventType::kStore, store);
-    // The IR form of the load/store handlers hoists the check-range
-    // filter (2 instrs on the fall-through) into a kRangeExit op so
-    // the fused loop skips filtered records without a call; the
-    // kernel is the post-filter Eraser state machine. With no
-    // configured range the filter compiles away entirely, exactly as
-    // in handleAccess.
-    auto load_body = [](lifeguard::Lifeguard& self,
-                        const EventRecord& record, auto& cost) {
-        static_cast<LockSet&>(self).accessImpl(record, false, cost);
-    };
-    auto store_body = [](lifeguard::Lifeguard& self,
-                         const EventRecord& record, auto& cost) {
-        static_cast<LockSet&>(self).accessImpl(record, true, cost);
-    };
-    if (config.check_bytes != 0) {
-        ir_.define(EventType::kLoad)
-            .rangeExit(config.check_base, config.check_bytes, 2)
-            .kernel(load_body);
-        ir_.define(EventType::kStore)
-            .rangeExit(config.check_base, config.check_bytes, 2)
-            .kernel(store_body);
-    } else {
-        ir_.define(EventType::kLoad).kernel(load_body);
-        ir_.define(EventType::kStore).kernel(store_body);
-    }
-    auto describe = [this](EventType type, auto handler) {
-        setHandler(type, handler);
-        ir_.define(type).kernel(handler);
-    };
-    describe(EventType::kLock, [](lifeguard::Lifeguard& self,
-                                  const EventRecord& record, auto& cost) {
-        static_cast<LockSet&>(self).handleLock(record, true, cost);
-    });
-    describe(EventType::kUnlock,
-             [](lifeguard::Lifeguard& self, const EventRecord& record,
-                auto& cost) {
-                 if (record.aux != 0) {
-                     static_cast<LockSet&>(self).handleLock(record, false,
-                                                            cost);
-                 }
-             });
-    describe(EventType::kAlloc, [](lifeguard::Lifeguard& self,
-                                   const EventRecord& record,
-                                   auto& cost) {
-        static_cast<LockSet&>(self).allocImpl(record, cost);
-    });
+    // annotations reset recycled granules.
+    onEvent<&LockSet::onLoad>(EventType::kLoad);
+    onEvent<&LockSet::onStore>(EventType::kStore);
+    onEvent<&LockSet::onLock>(EventType::kLock);
+    onEvent<&LockSet::onUnlock>(EventType::kUnlock);
+    onEvent<&LockSet::onAlloc>(EventType::kAlloc);
+}
+
+void
+LockSet::onLoad(const EventRecord& record, CostSink& cost)
+{
+    handleAccess(record, false, cost);
+}
+
+void
+LockSet::onStore(const EventRecord& record, CostSink& cost)
+{
+    handleAccess(record, true, cost);
+}
+
+void
+LockSet::onLock(const EventRecord& record, CostSink& cost)
+{
+    handleLock(record, true, cost);
+}
+
+void
+LockSet::onUnlock(const EventRecord& record, CostSink& cost)
+{
+    if (record.aux != 0) handleLock(record, false, cost);
 }
 
 std::uint32_t
@@ -156,10 +127,9 @@ LockSet::granuleState(Addr addr) const
     return g ? static_cast<State>(g->state) : kVirgin;
 }
 
-template <typename Cost>
 void
 LockSet::handleLock(const EventRecord& record, bool acquire,
-                    Cost& cost)
+                    CostSink& cost)
 {
     cost.instrs(12);
     ThreadLocks& tl = thread_locks_[record.tid];
@@ -180,27 +150,16 @@ LockSet::handleLock(const EventRecord& record, bool acquire,
     cost.memAccess(table_.simAddr(tl.id), true);
 }
 
-template <typename Cost>
 void
 LockSet::handleAccess(const EventRecord& record, bool is_write,
-                      Cost& cost)
+                      CostSink& cost)
 {
-    // Range filter (the IR form is a kRangeExit op — keep in
-    // lockstep with the constructor's description).
     if (config_.check_bytes != 0 &&
         (record.addr < config_.check_base ||
          record.addr >= config_.check_base + config_.check_bytes)) {
         cost.instrs(2); // range filter
         return;
     }
-    accessImpl(record, is_write, cost);
-}
-
-template <typename Cost>
-void
-LockSet::accessImpl(const EventRecord& record, bool is_write,
-                    Cost& cost)
-{
     Addr addr = record.addr;
     cost.instrs(3);
     Granule& g = granules_.entry(addr);
@@ -269,9 +228,8 @@ LockSet::accessImpl(const EventRecord& record, bool is_write,
     }
 }
 
-template <typename Cost>
 void
-LockSet::allocImpl(const EventRecord& record, Cost& cost)
+LockSet::onAlloc(const EventRecord& record, CostSink& cost)
 {
     // Reallocation resets the Eraser state machine: the new owner
     // must not inherit sharing history (or races!) from the block's

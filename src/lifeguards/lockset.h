@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -92,13 +91,6 @@ class LockSet : public lifeguard::Lifeguard
 
     const char* name() const override { return "LockSet"; }
 
-    /** Fused-tier opt-in: the IR mirror of the handler table. */
-    const lifeguard::ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
     /** Current lockset id of a thread (tests). */
     std::uint32_t threadLockset(ThreadId tid) const;
 
@@ -129,33 +121,25 @@ class LockSet : public lifeguard::Lifeguard
         std::uint32_t id = LocksetTable::kEmpty;
     };
 
-    // Handler bodies, templated over the cost accumulator and shared
-    // between the table path and the fused IR kernels (the
-    // constructor registers both from the same lambdas). The optional
-    // check-range filter of handleAccess is what the IR expresses as
-    // a kRangeExit op, so the kernel body is the post-filter
-    // accessImpl.
+    // Handlers (registered in the constructor).
+    void onLoad(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onStore(const log::EventRecord& record,
+                 lifeguard::CostSink& cost);
+    void onLock(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onUnlock(const log::EventRecord& record,
+                  lifeguard::CostSink& cost);
+    /** Reallocation resets the granules' Eraser state. */
+    void onAlloc(const log::EventRecord& record, lifeguard::CostSink& cost);
 
-    /** Table-path load/store body: optional range filter + access. */
-    template <typename Cost>
+    /** Load/store body: optional range filter + the Eraser state
+     *  machine. */
     void handleAccess(const log::EventRecord& record, bool is_write,
-                      Cost& cost);
+                      lifeguard::CostSink& cost);
 
-    /** The Eraser state machine proper (after the range filter). */
-    template <typename Cost>
-    void accessImpl(const log::EventRecord& record, bool is_write,
-                    Cost& cost);
-
-    template <typename Cost>
     void handleLock(const log::EventRecord& record, bool acquire,
-                    Cost& cost);
-
-    template <typename Cost>
-    void allocImpl(const log::EventRecord& record, Cost& cost);
+                    lifeguard::CostSink& cost);
 
     LockSetConfig config_;
-    /** Handler-IR description (built in the constructor). */
-    lifeguard::ir::LifeguardIR ir_;
     LocksetTable table_;
     lifeguard::ShadowMemory<Granule, 8> granules_;
     std::unordered_map<ThreadId, ThreadLocks> thread_locks_;

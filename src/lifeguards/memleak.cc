@@ -39,33 +39,6 @@ MemLeak::MemLeak(const MemLeakConfig& config)
     onEvent<&MemLeak::onSyscall>(EventType::kSyscall);
     onEvent<&MemLeak::onAlloc>(EventType::kAlloc);
     onEvent<&MemLeak::onFree>(EventType::kFree);
-
-    // The IR mirror of the table, for the fused dispatch tier.
-    auto touched = [](lifeguard::Lifeguard& self,
-                      const EventRecord& record, auto& cost) {
-        static_cast<MemLeak&>(self).touch(record, cost);
-    };
-    for (EventType type : {EventType::kLoad, EventType::kStore}) {
-        ir_.define(type)
-            .charge(2)
-            .rangeExit(config.heap_base, config.heap_bytes, 1)
-            .kernel(touched);
-    }
-    ir_.define(EventType::kSyscall)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<MemLeak&>(self).tickImpl(record, cost);
-        });
-    ir_.define(EventType::kAlloc)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<MemLeak&>(self).allocImpl(record, cost);
-        });
-    ir_.define(EventType::kFree)
-        .kernel([](lifeguard::Lifeguard& self, const EventRecord& record,
-                   auto& cost) {
-            static_cast<MemLeak&>(self).freeImpl(record, cost);
-        });
 }
 
 MemLeak::Block*
@@ -85,9 +58,7 @@ MemLeak::owningBlock(Addr addr)
 void
 MemLeak::checkAccess(const EventRecord& record, CostSink& cost)
 {
-    // Range test: two compares against the heap bounds. (The IR
-    // expresses exactly this prologue as charge(2) + rangeExit(heap,
-    // 1) — keep the two in lockstep.)
+    // Range test: two compares against the heap bounds.
     cost.instrs(2);
     Addr addr = record.addr;
     if (addr < config_.heap_base ||
@@ -95,14 +66,6 @@ MemLeak::checkAccess(const EventRecord& record, CostSink& cost)
         cost.instrs(1); // fall-through branch
         return;
     }
-    touch(record, cost);
-}
-
-template <typename Cost>
-void
-MemLeak::touch(const EventRecord& record, Cost& cost)
-{
-    Addr addr = record.addr;
     // Stamp read-modify-write: index computation, load, store, plus
     // the block-table refresh.
     cost.instrs(4);
@@ -115,9 +78,8 @@ MemLeak::touch(const EventRecord& record, Cost& cost)
     }
 }
 
-template <typename Cost>
 void
-MemLeak::tickImpl(const EventRecord& record, Cost& cost)
+MemLeak::onSyscall(const EventRecord& record, CostSink& cost)
 {
     // Epoch tick: increment + period test.
     cost.instrs(2);
@@ -146,14 +108,7 @@ MemLeak::tickImpl(const EventRecord& record, Cost& cost)
 }
 
 void
-MemLeak::onSyscall(const EventRecord& record, CostSink& cost)
-{
-    tickImpl(record, cost);
-}
-
-template <typename Cost>
-void
-MemLeak::allocImpl(const EventRecord& record, Cost& cost)
+MemLeak::onAlloc(const EventRecord& record, CostSink& cost)
 {
     // Block-table insert + allocation-site capture.
     cost.instrs(12);
@@ -174,14 +129,7 @@ MemLeak::allocImpl(const EventRecord& record, Cost& cost)
 }
 
 void
-MemLeak::onAlloc(const EventRecord& record, CostSink& cost)
-{
-    allocImpl(record, cost);
-}
-
-template <typename Cost>
-void
-MemLeak::freeImpl(const EventRecord& record, Cost& cost)
+MemLeak::onFree(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(12);
     auto it = blocks_.find(record.addr);
@@ -196,12 +144,6 @@ MemLeak::freeImpl(const EventRecord& record, Cost& cost)
         cost.memAccess(stamps_.shadowAddr(g), true);
     }
     blocks_.erase(it);
-}
-
-void
-MemLeak::onFree(const EventRecord& record, CostSink& cost)
-{
-    freeImpl(record, cost);
 }
 
 void

@@ -21,7 +21,6 @@
 
 #include <map>
 
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -52,13 +51,6 @@ class MemLeak : public lifeguard::Lifeguard
 
     void finish(lifeguard::CostSink& cost) override;
 
-    /** Fused-tier opt-in: the IR mirror of the handler table. */
-    const lifeguard::ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
     /** Live (unfreed) blocks currently tracked (for tests). */
     std::size_t liveBlocks() const { return blocks_.size(); }
 
@@ -76,12 +68,8 @@ class MemLeak : public lifeguard::Lifeguard
         bool suspected = false;
     };
 
-    // Handler bodies are written once, templated over the cost
-    // accumulator, and instantiated for the virtual CostSink (table
-    // path) and the fused ir::DirectCost/DeferredCost (IR kernels) —
-    // which keeps the dispatch tiers cost-identical by construction.
-
-    /** kLoad/kStore handler (table path: full body incl. range test). */
+    /** kLoad/kStore handler: heap-range test, then refresh the granule
+     *  and block stamps. */
     void checkAccess(const log::EventRecord& record,
                      lifeguard::CostSink& cost);
 
@@ -97,26 +85,10 @@ class MemLeak : public lifeguard::Lifeguard
     void onFree(const log::EventRecord& record,
                 lifeguard::CostSink& cost);
 
-    /** Heap-range load/store body: refresh the granule + block stamp. */
-    template <typename Cost>
-    void touch(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void tickImpl(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void allocImpl(const log::EventRecord& record, Cost& cost);
-
-    template <typename Cost>
-    void freeImpl(const log::EventRecord& record, Cost& cost);
-
     /** The tracked block containing @p addr, or nullptr. */
     Block* owningBlock(Addr addr);
 
     MemLeakConfig config_;
-    /** Handler-IR description (built in the constructor, mirrors the
-     *  registrations there). */
-    lifeguard::ir::LifeguardIR ir_;
     /** Last-touch epoch stamp per 16-byte granule (long-lived; never
      *  reclaimed while the guard runs — the footprint stressor). */
     lifeguard::ShadowMemory<std::uint32_t, 16> stamps_;

@@ -21,22 +21,10 @@
 
 namespace lba::lifeguards {
 
+using lifeguard::CostSink;
 using lifeguard::FindingKind;
 using log::EventRecord;
 using log::EventType;
-
-namespace {
-
-/** Lower a templated TaintCheck handler into one captureless generic
- *  lambda, registered BOTH as the table entry (CostSink instantiation)
- *  and as the IR kernel (DirectCost/DeferredCost instantiations) — one
- *  body, three cost flavours, no way for the tiers to diverge. */
-#define TAINT_HANDLER(method)                                            \
-    [](lifeguard::Lifeguard& self, const EventRecord& record,            \
-       auto& cost) { static_cast<TaintCheck&>(self).method(record,       \
-                                                          cost); }
-
-} // namespace
 
 TaintCheck::TaintCheck(const TaintCheckConfig& config)
     : config_(config), taint_(config.shadow_base)
@@ -44,25 +32,17 @@ TaintCheck::TaintCheck(const TaintCheckConfig& config)
     // The handler table: TaintCheck watches *all* dataflow-relevant
     // instruction classes (the paper's distinction from
     // address-triggered schemes) plus the input/alloc annotations.
-    // Every handler mutates taint state, so the IR description is one
-    // kKernel per event type.
-    auto describe = [this](EventType type, auto handler) {
-        setHandler(type, handler);
-        ir_.define(type).kernel(handler);
-    };
-    describe(EventType::kLoadImm, TAINT_HANDLER(onLoadImm));
-    describe(EventType::kMove, TAINT_HANDLER(onMove));
-    describe(EventType::kIntAlu, TAINT_HANDLER(onAlu));
-    describe(EventType::kLoad, TAINT_HANDLER(onLoad));
-    describe(EventType::kStore, TAINT_HANDLER(onStore));
-    describe(EventType::kIndirectJump, TAINT_HANDLER(onIndirectTransfer));
-    describe(EventType::kIndirectCall, TAINT_HANDLER(onIndirectTransfer));
-    describe(EventType::kReturn, TAINT_HANDLER(onReturn));
-    describe(EventType::kInput, TAINT_HANDLER(onInput));
-    describe(EventType::kAlloc, TAINT_HANDLER(onAlloc));
+    onEvent<&TaintCheck::onLoadImm>(EventType::kLoadImm);
+    onEvent<&TaintCheck::onMove>(EventType::kMove);
+    onEvent<&TaintCheck::onAlu>(EventType::kIntAlu);
+    onEvent<&TaintCheck::onLoad>(EventType::kLoad);
+    onEvent<&TaintCheck::onStore>(EventType::kStore);
+    onEvent<&TaintCheck::onIndirectTransfer>(EventType::kIndirectJump);
+    onEvent<&TaintCheck::onIndirectTransfer>(EventType::kIndirectCall);
+    onEvent<&TaintCheck::onReturn>(EventType::kReturn);
+    onEvent<&TaintCheck::onInput>(EventType::kInput);
+    onEvent<&TaintCheck::onAlloc>(EventType::kAlloc);
 }
-
-#undef TAINT_HANDLER
 
 bool
 TaintCheck::regBit(ThreadId tid, RegIndex reg) const
@@ -99,9 +79,8 @@ TaintCheck::memTainted(Addr addr, unsigned bytes) const
     return false;
 }
 
-template <typename Cost>
 bool
-TaintCheck::readMemTaint(Addr addr, unsigned bytes, Cost& cost)
+TaintCheck::readMemTaint(Addr addr, unsigned bytes, CostSink& cost)
 {
     cost.memAccess(taint_.shadowAddr(addr), false);
     bool tainted = false;
@@ -117,10 +96,9 @@ TaintCheck::readMemTaint(Addr addr, unsigned bytes, Cost& cost)
     return tainted;
 }
 
-template <typename Cost>
 void
 TaintCheck::writeMemTaint(Addr addr, unsigned bytes, bool tainted,
-                          Cost& cost)
+                          CostSink& cost)
 {
     // Functional update: per-granule taint masks.
     Addr end = addr + bytes;
@@ -145,10 +123,9 @@ TaintCheck::writeMemTaint(Addr addr, unsigned bytes, bool tainted,
     }
 }
 
-template <typename Cost>
 void
 TaintCheck::checkJump(const EventRecord& record, RegIndex source_reg,
-                      Cost& cost)
+                      CostSink& cost)
 {
     cost.instrs(2);
     if (!regBit(record.tid, source_reg)) return;
@@ -163,9 +140,8 @@ TaintCheck::checkJump(const EventRecord& record, RegIndex source_reg,
             record.tid, msg});
 }
 
-template <typename Cost>
 void
-TaintCheck::onLoadImm(const EventRecord& record, Cost& cost)
+TaintCheck::onLoadImm(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(1);
     if (static_cast<isa::Opcode>(record.opcode) == isa::Opcode::kLi) {
@@ -174,17 +150,15 @@ TaintCheck::onLoadImm(const EventRecord& record, Cost& cost)
     // lih mixes an immediate into rd: taint of rd is unchanged.
 }
 
-template <typename Cost>
 void
-TaintCheck::onMove(const EventRecord& record, Cost& cost)
+TaintCheck::onMove(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(2);
     setRegBit(record.tid, record.rd, regBit(record.tid, record.rs1));
 }
 
-template <typename Cost>
 void
-TaintCheck::onAlu(const EventRecord& record, Cost& cost)
+TaintCheck::onAlu(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(4);
     auto op = static_cast<isa::Opcode>(record.opcode);
@@ -195,9 +169,8 @@ TaintCheck::onAlu(const EventRecord& record, Cost& cost)
     setRegBit(record.tid, record.rd, tainted);
 }
 
-template <typename Cost>
 void
-TaintCheck::onLoad(const EventRecord& record, Cost& cost)
+TaintCheck::onLoad(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(6);
     unsigned bytes = static_cast<unsigned>(record.aux ? record.aux : 1);
@@ -205,9 +178,8 @@ TaintCheck::onLoad(const EventRecord& record, Cost& cost)
     setRegBit(record.tid, record.rd, tainted);
 }
 
-template <typename Cost>
 void
-TaintCheck::onStore(const EventRecord& record, Cost& cost)
+TaintCheck::onStore(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(6);
     unsigned bytes = static_cast<unsigned>(record.aux ? record.aux : 1);
@@ -215,32 +187,28 @@ TaintCheck::onStore(const EventRecord& record, Cost& cost)
                   cost);
 }
 
-template <typename Cost>
 void
-TaintCheck::onIndirectTransfer(const EventRecord& record, Cost& cost)
+TaintCheck::onIndirectTransfer(const EventRecord& record, CostSink& cost)
 {
     checkJump(record, record.rs1, cost);
 }
 
-template <typename Cost>
 void
-TaintCheck::onReturn(const EventRecord& record, Cost& cost)
+TaintCheck::onReturn(const EventRecord& record, CostSink& cost)
 {
     checkJump(record, isa::kRegLr, cost);
 }
 
-template <typename Cost>
 void
-TaintCheck::onInput(const EventRecord& record, Cost& cost)
+TaintCheck::onInput(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(6);
     writeMemTaint(record.addr, static_cast<unsigned>(record.aux), true,
                   cost);
 }
 
-template <typename Cost>
 void
-TaintCheck::onAlloc(const EventRecord& record, Cost& cost)
+TaintCheck::onAlloc(const EventRecord& record, CostSink& cost)
 {
     cost.instrs(4);
     if (record.addr != 0 && record.aux != 0) {

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -38,13 +37,6 @@ class TaintCheck : public lifeguard::Lifeguard
 
     const char* name() const override { return "TaintCheck"; }
 
-    /** Fused-tier opt-in: the IR mirror of the handler table. */
-    const lifeguard::ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
     /** True when register @p reg of thread @p tid is tainted (tests). */
     bool regTainted(ThreadId tid, RegIndex reg) const;
 
@@ -52,52 +44,36 @@ class TaintCheck : public lifeguard::Lifeguard
     bool memTainted(Addr addr, unsigned bytes) const;
 
   private:
-    // Handler bodies, templated over the cost accumulator: every
-    // TaintCheck handler touches register- or memory-taint state, so
-    // the IR description is one kKernel per event type, sharing these
-    // bodies with the table path (the constructor registers table
-    // entry and IR kernel from the same lambda - the tiers cannot
-    // diverge).
-    template <typename Cost>
-    void onLoadImm(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onMove(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onAlu(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onLoad(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onStore(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onIndirectTransfer(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onReturn(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onInput(const log::EventRecord& record, Cost& cost);
-    template <typename Cost>
-    void onAlloc(const log::EventRecord& record, Cost& cost);
+    // Handlers (registered in the constructor).
+    void onLoadImm(const log::EventRecord& record,
+                   lifeguard::CostSink& cost);
+    void onMove(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onAlu(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onLoad(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onStore(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onIndirectTransfer(const log::EventRecord& record,
+                            lifeguard::CostSink& cost);
+    void onReturn(const log::EventRecord& record,
+                  lifeguard::CostSink& cost);
+    void onInput(const log::EventRecord& record, lifeguard::CostSink& cost);
+    void onAlloc(const log::EventRecord& record, lifeguard::CostSink& cost);
 
     /** Tainted-jump check shared by the control-transfer handlers. */
-    template <typename Cost>
     void checkJump(const log::EventRecord& record, RegIndex source_reg,
-                   Cost& cost);
+                   lifeguard::CostSink& cost);
 
     /** Taint mask covering [addr, addr+bytes) (read path). */
-    template <typename Cost>
-    bool readMemTaint(Addr addr, unsigned bytes, Cost& cost);
+    bool readMemTaint(Addr addr, unsigned bytes, lifeguard::CostSink& cost);
 
     /** Set/clear taint over [addr, addr+bytes) (write path). */
-    template <typename Cost>
     void writeMemTaint(Addr addr, unsigned bytes, bool tainted,
-                       Cost& cost);
+                       lifeguard::CostSink& cost);
 
     /** Register-taint bit accessors (host-side state, no cost). */
     bool regBit(ThreadId tid, RegIndex reg) const;
     void setRegBit(ThreadId tid, RegIndex reg, bool tainted);
 
     TaintCheckConfig config_;
-    /** Handler-IR description (built in the constructor). */
-    lifeguard::ir::LifeguardIR ir_;
     /** Bit i of entry(g) set => byte g*8+i is tainted. */
     lifeguard::ShadowMemory<std::uint8_t, 8> taint_;
     /** Per-thread register taint bitmask (bit per register). */

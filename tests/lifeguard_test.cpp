@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "lifeguard/compiler.h"
 #include "lifeguard/dispatch.h"
 #include "lifeguard/finding.h"
-#include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
 
@@ -67,14 +65,23 @@ TEST(ShadowMemory, LargeStructEntries)
     EXPECT_EQ(shadow.find(0x2004)->lockset, 99u);
 }
 
-/** A lifeguard with a deterministic per-event cost, for dispatch tests. */
+/** A lifeguard with a deterministic per-event cost, for dispatch tests:
+ *  one handler registered for every event type. */
 class FixedCostLifeguard : public Lifeguard
 {
   public:
+    FixedCostLifeguard()
+    {
+        for (unsigned t = 0; t < log::kNumEventTypes; ++t) {
+            onEvent<&FixedCostLifeguard::onAny>(
+                static_cast<log::EventType>(t));
+        }
+    }
+
     const char* name() const override { return "FixedCost"; }
 
     void
-    handleEvent(const log::EventRecord& record, CostSink& cost) override
+    onAny(const log::EventRecord& record, CostSink& cost)
     {
         ++events;
         cost.instrs(5);
@@ -88,6 +95,14 @@ class FixedCostLifeguard : public Lifeguard
     int events = 0;
 };
 
+/** Dispatch one record as a batch of one. */
+Cycles
+consumeOne(DispatchEngine& engine, const log::EventRecord& record)
+{
+    engine.assumeFunctionalOwner();
+    return engine.consumeBatch(&record, 1);
+}
+
 TEST(Dispatch, ChargesDispatchPlusHandler)
 {
     FixedCostLifeguard guard;
@@ -97,7 +112,7 @@ TEST(Dispatch, ChargesDispatchPlusHandler)
     log::EventRecord alu;
     alu.type = log::EventType::kIntAlu;
     // dispatch(1) + instrs(5) = 6.
-    EXPECT_EQ(engine.consume(alu), 6u);
+    EXPECT_EQ(consumeOne(engine, alu), 6u);
     EXPECT_EQ(guard.events, 1);
 }
 
@@ -112,10 +127,10 @@ TEST(Dispatch, MetadataAccessGoesThroughCaches)
     load.type = log::EventType::kLoad;
     load.addr = 0x20000;
     // First touch: dispatch(1) + instrs(5) + mem(1 + L2miss 106) = 113.
-    Cycles cold = engine.consume(load);
+    Cycles cold = consumeOne(engine, load);
     EXPECT_EQ(cold, 1 + 5 + 1 + hc.l2_hit_cycles + hc.mem_cycles);
     // Second touch: shadow line now in the lifeguard core's L1.
-    Cycles warm = engine.consume(load);
+    Cycles warm = consumeOne(engine, load);
     EXPECT_EQ(warm, 1 + 5 + 1);
 }
 
@@ -129,9 +144,9 @@ TEST(Dispatch, StatsBrokenDownByType)
     alu.type = log::EventType::kIntAlu;
     log::EventRecord store;
     store.type = log::EventType::kStore;
-    engine.consume(alu);
-    engine.consume(alu);
-    engine.consume(store);
+    consumeOne(engine, alu);
+    consumeOne(engine, alu);
+    consumeOne(engine, store);
     const DispatchStats& s = engine.stats();
     EXPECT_EQ(s.records, 3u);
     EXPECT_EQ(
@@ -140,6 +155,7 @@ TEST(Dispatch, StatsBrokenDownByType)
     EXPECT_EQ(
         s.records_by_type[static_cast<int>(log::EventType::kStore)], 1u);
     EXPECT_GT(s.total_cycles, 0u);
+    EXPECT_EQ(s.batches, 3u);
 }
 
 TEST(Dispatch, FinishRunsLifeguardHook)
@@ -147,6 +163,7 @@ TEST(Dispatch, FinishRunsLifeguardHook)
     FixedCostLifeguard guard;
     mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
     DispatchEngine engine(guard, hierarchy, {1, 1});
+    engine.assumeFunctionalOwner();
     EXPECT_EQ(engine.finish(), 100u);
 }
 
@@ -161,13 +178,13 @@ TEST(Dispatch, LifeguardCoreIsConfigurable)
     log::EventRecord load;
     load.type = log::EventType::kLoad;
     load.addr = 0x20000;
-    engine.consume(load);
+    consumeOne(engine, load);
     // The metadata access must have hit core 3's L1D, not core 1's.
     EXPECT_EQ(hierarchy.l1d(3).stats().accesses(), 1u);
     EXPECT_EQ(hierarchy.l1d(1).stats().accesses(), 0u);
 }
 
-/** A table-style lifeguard: handlers registered, no override. */
+/** A lifeguard with handlers for two event types only. */
 class TableLifeguard : public Lifeguard
 {
   public:
@@ -201,7 +218,6 @@ class TableLifeguard : public Lifeguard
 TEST(HandlerTable, RegistrationPopulatesTable)
 {
     TableLifeguard guard;
-    EXPECT_TRUE(guard.usesHandlerTable());
     const auto& table = guard.handlers();
     EXPECT_NE(table[static_cast<std::size_t>(log::EventType::kIntAlu)],
               nullptr);
@@ -209,16 +225,13 @@ TEST(HandlerTable, RegistrationPopulatesTable)
               nullptr);
     EXPECT_EQ(table[static_cast<std::size_t>(log::EventType::kStore)],
               nullptr);
-
-    FixedCostLifeguard legacy;
-    EXPECT_FALSE(legacy.usesHandlerTable());
 }
 
-TEST(HandlerTable, BaseShimDispatchesThroughTable)
+TEST(HandlerTable, HandleEventDispatchesThroughTable)
 {
-    // handleEvent() on a table lifeguard reaches the registered
-    // handler — so direct callers (tests, the DBI platform) and the
-    // dispatch engine see the same behaviour.
+    // handleEvent() reaches the registered handler, so direct callers
+    // (tests, the DBI platform) and the dispatch engine see the same
+    // behaviour.
     TableLifeguard guard;
     NullCostSink sink;
     log::EventRecord alu;
@@ -234,32 +247,22 @@ TEST(HandlerTable, BaseShimDispatchesThroughTable)
     EXPECT_EQ(guard.load_events, 0);
 }
 
-TEST(HandlerTable, TableAndVirtualPathsChargeIdenticalCycles)
+TEST(HandlerTable, UnregisteredTypeCostsDispatchOnly)
 {
-    log::EventRecord alu;
-    alu.type = log::EventType::kIntAlu;
-    log::EventRecord load;
-    load.type = log::EventType::kLoad;
-    load.addr = 0x20000;
-    log::EventRecord store; // unregistered
+    TableLifeguard guard;
+    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
+    DispatchEngine engine(guard, hierarchy, {1, 1});
+    log::EventRecord store;
     store.type = log::EventType::kStore;
-
-    auto run = [&](bool table_path) {
-        TableLifeguard guard;
-        mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-        DispatchEngine engine(guard, hierarchy, {1, 1});
-        Cycles total = 0;
-        for (const auto* rec : {&alu, &load, &store, &load, &alu}) {
-            total += table_path ? engine.consumeTable(*rec)
-                                : engine.consume(*rec);
-        }
-        return total;
-    };
-    EXPECT_EQ(run(true), run(false));
+    EXPECT_EQ(consumeOne(engine, store), 1u);
+    EXPECT_EQ(engine.stats().records, 1u);
 }
 
-TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
+TEST(HandlerTable, ConsumeBatchIsSplitInvariant)
 {
+    // The timing engine's flush sizes vary with the run; the cycles a
+    // record costs must not. One batch of 64 charges exactly what 64
+    // batches of one charge, record by record.
     std::vector<log::EventRecord> records;
     for (int i = 0; i < 64; ++i) {
         log::EventRecord rec;
@@ -269,70 +272,30 @@ TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
         records.push_back(rec);
     }
 
-    TableLifeguard batched_guard;
-    mem::CacheHierarchy batched_hierarchy(mem::HierarchyConfig{});
-    DispatchEngine batched(batched_guard, batched_hierarchy, {1, 1});
+    TableLifeguard whole_guard;
+    mem::CacheHierarchy whole_hierarchy(mem::HierarchyConfig{});
+    DispatchEngine whole(whole_guard, whole_hierarchy, {1, 1});
     std::vector<Cycles> costs(records.size());
-    Cycles total = batched.consumeBatch(records.data(), records.size(),
-                                        costs.data());
+    whole.assumeFunctionalOwner();
+    Cycles total = whole.consumeBatch(records.data(), records.size(),
+                                      costs.data());
 
-    TableLifeguard record_guard;
-    mem::CacheHierarchy record_hierarchy(mem::HierarchyConfig{});
-    DispatchEngine per_record(record_guard, record_hierarchy, {1, 1});
+    TableLifeguard split_guard;
+    mem::CacheHierarchy split_hierarchy(mem::HierarchyConfig{});
+    DispatchEngine split(split_guard, split_hierarchy, {1, 1});
     Cycles expected = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
-        Cycles c = per_record.consume(records[i]);
+        Cycles c = consumeOne(split, records[i]);
         EXPECT_EQ(costs[i], c) << i;
         expected += c;
     }
     EXPECT_EQ(total, expected);
-    EXPECT_EQ(batched.stats().records, per_record.stats().records);
-    EXPECT_EQ(batched.stats().total_cycles,
-              per_record.stats().total_cycles);
-    EXPECT_EQ(batched.stats().batches, 1u);
-    EXPECT_EQ(per_record.stats().batches, 0u);
-    EXPECT_EQ(batched_guard.load_events, record_guard.load_events);
-    EXPECT_EQ(batched_guard.alu_events, record_guard.alu_events);
-}
-
-TEST(HandlerTable, LogBufferSpanDrain)
-{
-    // The frontSpan/consumeBatch/popN drain loop — the shape the
-    // micro_dispatch bench and the timing engine use.
-    log::LogBuffer buffer(32);
-    for (int i = 0; i < 20; ++i) {
-        log::EventRecord rec;
-        rec.type = log::EventType::kIntAlu;
-        buffer.push(rec, static_cast<Cycles>(i));
-    }
-    TableLifeguard guard;
-    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-    DispatchEngine engine(guard, hierarchy, {1, 1});
-    while (!buffer.empty()) {
-        auto span = buffer.frontSpan(8);
-        engine.consumeBatch(span);
-        buffer.popN(span.size());
-    }
-    EXPECT_EQ(guard.alu_events, 20);
-    EXPECT_EQ(engine.stats().records, 20u);
-    // dispatch(1) + instrs(3) per record.
-    EXPECT_EQ(engine.stats().total_cycles, 20u * 4u);
-}
-
-TEST(HandlerTable, LegacyLifeguardFallsBackToVirtualDispatch)
-{
-    // A lifeguard that never registered handlers must still work
-    // through the batched path (resolved to the virtual fallback).
-    FixedCostLifeguard guard;
-    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-    DispatchEngine engine(guard, hierarchy, {1, 1});
-    log::EventRecord alu;
-    alu.type = log::EventType::kIntAlu;
-    std::vector<log::EventRecord> records(5, alu);
-    Cycles total =
-        engine.consumeBatch(records.data(), records.size(), nullptr);
-    EXPECT_EQ(guard.events, 5);
-    EXPECT_EQ(total, 5u * 6u); // dispatch(1) + instrs(5)
+    EXPECT_EQ(whole.stats().records, split.stats().records);
+    EXPECT_EQ(whole.stats().total_cycles, split.stats().total_cycles);
+    EXPECT_EQ(whole.stats().batches, 1u);
+    EXPECT_EQ(split.stats().batches, records.size());
+    EXPECT_EQ(whole_guard.load_events, split_guard.load_events);
+    EXPECT_EQ(whole_guard.alu_events, split_guard.alu_events);
 }
 
 TEST(Lifeguard, FindingAccumulation)
@@ -340,9 +303,10 @@ TEST(Lifeguard, FindingAccumulation)
     class Reporter : public Lifeguard
     {
       public:
+        Reporter() { onEvent<&Reporter::onAlu>(log::EventType::kIntAlu); }
         const char* name() const override { return "R"; }
         void
-        handleEvent(const log::EventRecord&, CostSink&) override
+        onAlu(const log::EventRecord&, CostSink&)
         {
             report({FindingKind::kOther, 0, 0, 0, "x"});
         }
@@ -350,195 +314,12 @@ TEST(Lifeguard, FindingAccumulation)
     Reporter r;
     NullCostSink sink;
     log::EventRecord rec;
+    rec.type = log::EventType::kIntAlu;
     r.handleEvent(rec, sink);
     r.handleEvent(rec, sink);
     EXPECT_EQ(r.findings().size(), 2u);
     EXPECT_EQ(r.countFindings(FindingKind::kOther), 2u);
     EXPECT_EQ(r.countFindings(FindingKind::kDataRace), 0u);
-}
-
-/**
- * Mixed-coverage IR lifeguard: a pure-charge handler (lowers to
- * kConst), a kernel handler (lowers to kProgram) and everything else
- * unregistered (kSkip) — one guard exercising all three compiler
- * classifications at once, the shape BoundsCheck and MemLeak have.
- */
-class MixedIrLifeguard : public Lifeguard
-{
-  public:
-    MixedIrLifeguard()
-    {
-        onEvent<&MixedIrLifeguard::onAlu>(log::EventType::kIntAlu);
-        onEvent<&MixedIrLifeguard::onLoad>(log::EventType::kLoad);
-        ir_.define(log::EventType::kIntAlu).charge(3);
-        ir_.define(log::EventType::kLoad)
-            .charge(1)
-            .kernel([](Lifeguard& self, const log::EventRecord& r,
-                       auto& cost) {
-                static_cast<MixedIrLifeguard&>(self).loadBody(r, cost);
-            });
-    }
-
-    const char* name() const override { return "MixedIr"; }
-
-    const ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-
-    void
-    onAlu(const log::EventRecord&, CostSink& cost)
-    {
-        cost.instrs(3);
-    }
-
-    void
-    onLoad(const log::EventRecord& record, CostSink& cost)
-    {
-        cost.instrs(1);
-        loadBody(record, cost);
-    }
-
-    template <typename Cost>
-    void
-    loadBody(const log::EventRecord& record, Cost& cost)
-    {
-        cost.instrs(2);
-        cost.memAccess(kShadowBase + record.addr / 8, false);
-        ++loads;
-    }
-
-    int loads = 0;
-
-  private:
-    ir::LifeguardIR ir_;
-};
-
-TEST(Compiler, MixedCoverageClassification)
-{
-    MixedIrLifeguard guard;
-    CompiledDispatch compiled =
-        compileHandlers(guard, *guard.handlerIR());
-
-    auto handler = [&](log::EventType type) -> const CompiledHandler& {
-        return compiled.handlers[static_cast<std::size_t>(type)];
-    };
-    EXPECT_EQ(handler(log::EventType::kIntAlu).kind,
-              CompiledHandler::Kind::kConst);
-    EXPECT_EQ(handler(log::EventType::kIntAlu).const_cycles, 3u);
-    EXPECT_EQ(handler(log::EventType::kLoad).kind,
-              CompiledHandler::Kind::kProgram);
-    ASSERT_NE(handler(log::EventType::kLoad).program, nullptr);
-    EXPECT_EQ(handler(log::EventType::kStore).kind,
-              CompiledHandler::Kind::kSkip);
-    EXPECT_EQ(handler(log::EventType::kSyscall).kind,
-              CompiledHandler::Kind::kSkip);
-    // One kProgram entry is enough to forfeit the bulk fast path.
-    EXPECT_FALSE(compiled.all_const);
-}
-
-TEST(Compiler, MixedCoverageFusedMatchesBatched)
-{
-    // The mixed guard compiles — and drains cycle-identically through
-    // the fused tier (kConst run + kProgram run + kSkip run in one
-    // batch).
-    std::vector<log::EventRecord> records(48);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        records[i].type = (i % 3 == 0) ? log::EventType::kIntAlu
-                          : (i % 3 == 1)
-                              ? log::EventType::kLoad
-                              : log::EventType::kStore;
-        records[i].addr = 0x10000000 + i * 8;
-    }
-
-    mem::CacheHierarchy fused_hierarchy(mem::HierarchyConfig{});
-    MixedIrLifeguard fused_guard;
-    DispatchEngine fused(fused_guard, fused_hierarchy);
-    EXPECT_TRUE(fused.fusedTierCompiled());
-    std::vector<Cycles> fused_costs(records.size());
-    fused.assumeFunctionalOwner();
-    Cycles fused_total = fused.consumeBatchFused(
-        records.data(), records.size(), fused_costs.data());
-
-    mem::CacheHierarchy batched_hierarchy(mem::HierarchyConfig{});
-    MixedIrLifeguard batched_guard;
-    DispatchEngine batched(batched_guard, batched_hierarchy);
-    std::vector<Cycles> batched_costs(records.size());
-    batched.assumeFunctionalOwner();
-    Cycles batched_total = batched.consumeBatch(
-        records.data(), records.size(), batched_costs.data());
-
-    EXPECT_EQ(fused_total, batched_total);
-    EXPECT_EQ(fused_costs, batched_costs);
-    EXPECT_EQ(fused_guard.loads, batched_guard.loads);
-}
-
-/** Table registrations and IR descriptions must cover the same types:
- *  either direction of drift is a construction-time panic, not a
- *  silently diverging fused tier. */
-class RegisteredWithoutIr : public Lifeguard
-{
-  public:
-    RegisteredWithoutIr()
-    {
-        onEvent<&RegisteredWithoutIr::onAny>(log::EventType::kIntAlu);
-        onEvent<&RegisteredWithoutIr::onAny>(log::EventType::kLoad);
-        ir_.define(log::EventType::kIntAlu).charge(1);
-        // kLoad registered above but deliberately not described.
-    }
-    const char* name() const override { return "NoIr"; }
-    const ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-    void onAny(const log::EventRecord&, CostSink& cost)
-    {
-        cost.instrs(1);
-    }
-
-  private:
-    ir::LifeguardIR ir_;
-};
-
-class IrWithoutRegistration : public Lifeguard
-{
-  public:
-    IrWithoutRegistration()
-    {
-        onEvent<&IrWithoutRegistration::onAny>(log::EventType::kIntAlu);
-        ir_.define(log::EventType::kIntAlu).charge(1);
-        // Described below, never registered above.
-        ir_.define(log::EventType::kStore).charge(2);
-    }
-    const char* name() const override { return "NoReg"; }
-    const ir::LifeguardIR*
-    handlerIR() const override
-    {
-        return &ir_;
-    }
-    void onAny(const log::EventRecord&, CostSink& cost)
-    {
-        cost.instrs(1);
-    }
-
-  private:
-    ir::LifeguardIR ir_;
-};
-
-TEST(CompilerDeathTest, RegisteredHandlerWithoutIrDescriptionPanics)
-{
-    RegisteredWithoutIr guard;
-    EXPECT_DEATH(compileHandlers(guard, *guard.handlerIR()),
-                 "registered handler without an IR description");
-}
-
-TEST(CompilerDeathTest, IrDescriptionForUnregisteredTypePanics)
-{
-    IrWithoutRegistration guard;
-    EXPECT_DEATH(compileHandlers(guard, *guard.handlerIR()),
-                 "IR description for an unregistered event type");
 }
 
 } // namespace

@@ -1,24 +1,14 @@
 /**
  * @file
- * Tests for event records, the capture unit, and the log buffer —
- * including the cross-thread SPSC torture tests backing the lock-free
- * ring (run under ThreadSanitizer in CI) and the threaded-execution
- * determinism property.
+ * Tests for event records and the capture unit.
  */
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "asm/assembler.h"
-#include "core/runner.h"
-#include "lifeguards/addrcheck.h"
 #include "log/capture.h"
 #include "log/event.h"
-#include "log/log_buffer.h"
 #include "sim/process.h"
-#include "workload/generator.h"
-#include "workload/profile.h"
 
 namespace lba::log {
 namespace {
@@ -126,343 +116,6 @@ TEST(Capture, StreamsWholeProgramInOrder)
     EXPECT_EQ(records[6].type, EventType::kThreadExit);
     // PCs advance by 8.
     EXPECT_EQ(records[1].pc, records[0].pc + 8);
-}
-
-TEST(LogBuffer, FifoOrder)
-{
-    LogBuffer buf(4);
-    for (int i = 0; i < 3; ++i) {
-        EventRecord rec;
-        rec.pc = 0x1000 + i * 8;
-        EXPECT_TRUE(buf.push(rec, i * 10));
-    }
-    LogBuffer::Entry e;
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(buf.pop(&e));
-        EXPECT_EQ(e.record.pc, 0x1000u + i * 8);
-        EXPECT_EQ(e.produced_at, static_cast<Cycles>(i * 10));
-    }
-    EXPECT_TRUE(buf.empty());
-}
-
-TEST(LogBuffer, CapacityAndFullEvents)
-{
-    LogBuffer buf(2);
-    EventRecord rec;
-    EXPECT_TRUE(buf.push(rec, 0));
-    EXPECT_TRUE(buf.push(rec, 1));
-    EXPECT_TRUE(buf.full());
-    EXPECT_FALSE(buf.push(rec, 2));
-    EXPECT_EQ(buf.stats().full_events, 1u);
-    LogBuffer::Entry e;
-    buf.pop(&e);
-    EXPECT_TRUE(buf.push(rec, 3));
-}
-
-TEST(LogBuffer, EmptyPopFails)
-{
-    LogBuffer buf(2);
-    LogBuffer::Entry e;
-    EXPECT_FALSE(buf.pop(&e));
-    EXPECT_EQ(buf.stats().empty_events, 1u);
-    EXPECT_EQ(buf.front(), nullptr);
-}
-
-TEST(LogBuffer, TracksMaxOccupancy)
-{
-    LogBuffer buf(8);
-    EventRecord rec;
-    buf.push(rec, 0);
-    buf.push(rec, 0);
-    buf.push(rec, 0);
-    buf.pop(nullptr);
-    buf.push(rec, 0);
-    EXPECT_EQ(buf.stats().max_occupancy, 3u);
-    EXPECT_EQ(buf.stats().pushes, 4u);
-    EXPECT_EQ(buf.stats().pops, 1u);
-}
-
-/** Property: random interleaving never loses or duplicates records. */
-TEST(LogBuffer, RandomInterleavingPreservesStream)
-{
-    LogBuffer buf(16);
-    std::uint64_t state = 7;
-    std::uint64_t pushed = 0, popped = 0;
-    std::vector<std::uint64_t> out;
-    while (popped < 1000) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        bool do_push = (state & 1) && pushed < 1000;
-        if (do_push) {
-            EventRecord rec;
-            rec.addr = pushed;
-            if (buf.push(rec, pushed)) ++pushed;
-        } else if (!buf.empty()) {
-            LogBuffer::Entry e;
-            ASSERT_TRUE(buf.pop(&e));
-            out.push_back(e.record.addr);
-            ++popped;
-        } else if (pushed >= 1000) {
-            break;
-        }
-    }
-    // Drain.
-    LogBuffer::Entry e;
-    while (buf.pop(&e)) out.push_back(e.record.addr);
-    ASSERT_EQ(out.size(), pushed);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], i);
-    }
-}
-
-TEST(LogBuffer, FrontSpanIsContiguousPrefix)
-{
-    LogBuffer buf(8);
-    for (int i = 0; i < 5; ++i) {
-        EventRecord rec;
-        rec.pc = 0x1000 + i * 8;
-        ASSERT_TRUE(buf.push(rec, i));
-    }
-    auto span = buf.frontSpan(3);
-    ASSERT_EQ(span.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(span[i].record.pc, 0x1000u + i * 8);
-        EXPECT_EQ(span[i].produced_at, static_cast<Cycles>(i));
-    }
-    // A view larger than the occupancy clips to it.
-    EXPECT_EQ(buf.frontSpan(100).size(), 5u);
-    // Peeking does not consume.
-    EXPECT_EQ(buf.size(), 5u);
-    EXPECT_EQ(buf.stats().pops, 0u);
-}
-
-TEST(LogBuffer, PopNRetiresOldestAndCountsPops)
-{
-    LogBuffer buf(8);
-    EventRecord rec;
-    for (int i = 0; i < 6; ++i) {
-        rec.addr = static_cast<Addr>(i);
-        buf.push(rec, i);
-    }
-    buf.popN(4);
-    EXPECT_EQ(buf.size(), 2u);
-    EXPECT_EQ(buf.stats().pops, 4u);
-    ASSERT_NE(buf.front(), nullptr);
-    EXPECT_EQ(buf.front()->record.addr, 4u);
-}
-
-TEST(LogBuffer, FrontSpanClipsAtRingWrapThenExposesRemainder)
-{
-    // Fill, drain 3, refill: the queue now wraps the ring boundary.
-    LogBuffer buf(4);
-    EventRecord rec;
-    for (int i = 0; i < 4; ++i) {
-        rec.addr = static_cast<Addr>(i);
-        buf.push(rec, i);
-    }
-    buf.popN(3);
-    for (int i = 4; i < 7; ++i) {
-        rec.addr = static_cast<Addr>(i);
-        ASSERT_TRUE(buf.push(rec, i));
-    }
-    ASSERT_EQ(buf.size(), 4u);
-
-    // First span: only the tail of the ring (entry 3) is contiguous.
-    auto head = buf.frontSpan(100);
-    ASSERT_EQ(head.size(), 1u);
-    EXPECT_EQ(head[0].record.addr, 3u);
-    buf.popN(head.size());
-
-    // Second span: the wrapped remainder, contiguous from slot 0.
-    auto tail = buf.frontSpan(100);
-    ASSERT_EQ(tail.size(), 3u);
-    for (std::size_t i = 0; i < tail.size(); ++i) {
-        EXPECT_EQ(tail[i].record.addr, 4u + i);
-    }
-}
-
-/** Property: batch pops interleaved with pushes preserve the stream. */
-TEST(LogBuffer, BatchDrainPreservesStream)
-{
-    LogBuffer buf(16);
-    std::uint64_t state = 99;
-    std::uint64_t pushed = 0;
-    std::vector<std::uint64_t> out;
-    while (out.size() < 1000) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        if ((state & 3) != 0 && pushed < 1000 && !buf.full()) {
-            EventRecord rec;
-            rec.addr = pushed;
-            ASSERT_TRUE(buf.push(rec, pushed));
-            ++pushed;
-        } else if (!buf.empty()) {
-            auto span = buf.frontSpan(1 + (state % 8));
-            ASSERT_FALSE(span.empty());
-            for (const auto& entry : span) {
-                out.push_back(entry.record.addr);
-            }
-            buf.popN(span.size());
-        } else if (pushed >= 1000) {
-            break;
-        }
-    }
-    while (!buf.empty()) {
-        out.push_back(buf.front()->record.addr);
-        buf.popN(1);
-    }
-    ASSERT_EQ(out.size(), pushed);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], i);
-    }
-}
-
-/**
- * SPSC torture: a real producer thread races a real consumer over a
- * small ring for millions of records, the consumer mixing pop(),
- * frontSpan()/popN() and randomized batch sizes. The sequence check
- * (addr == arrival index) proves no record is lost, duplicated,
- * reordered or torn; the TSan CI job backs the memory-order argument
- * in log_buffer.h.
- */
-TEST(LogBufferSpsc, CrossThreadTorturePreservesStream)
-{
-    constexpr std::uint64_t kRecords = 2'000'000;
-    LogBuffer buf(1024);
-
-    std::thread producer([&buf] {
-        for (std::uint64_t i = 0; i < kRecords; ++i) {
-            EventRecord rec;
-            rec.addr = static_cast<Addr>(i);
-            while (!buf.push(rec, static_cast<Cycles>(i))) {
-                std::this_thread::yield();
-            }
-        }
-    });
-
-    std::uint64_t state = 42;
-    std::uint64_t next = 0;
-    std::uint64_t mismatches = 0;
-    while (next < kRecords) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        if (state & 1) {
-            auto span = buf.frontSpan(1 + (state % 64));
-            if (span.empty()) {
-                std::this_thread::yield();
-                continue;
-            }
-            for (const auto& entry : span) {
-                if (entry.record.addr != next ||
-                    entry.produced_at != next) {
-                    ++mismatches;
-                }
-                ++next;
-            }
-            buf.popN(span.size());
-        } else {
-            LogBuffer::Entry entry;
-            if (!buf.pop(&entry)) {
-                std::this_thread::yield();
-                continue;
-            }
-            if (entry.record.addr != next) ++mismatches;
-            ++next;
-        }
-    }
-    producer.join();
-
-    EXPECT_EQ(mismatches, 0u);
-    EXPECT_TRUE(buf.empty());
-    EXPECT_EQ(buf.stats().pushes, kRecords);
-    EXPECT_EQ(buf.stats().pops, kRecords);
-}
-
-/** Same race on a capacity-3 ring: every few records cross the wrap
- *  boundary, so the cached index arithmetic is exercised constantly
- *  and producer and consumer are almost always a slot apart. */
-TEST(LogBufferSpsc, TinyCapacityWrapStress)
-{
-    constexpr std::uint64_t kRecords = 200'000;
-    LogBuffer buf(3);
-
-    std::thread producer([&buf] {
-        for (std::uint64_t i = 0; i < kRecords; ++i) {
-            EventRecord rec;
-            rec.addr = static_cast<Addr>(i);
-            while (!buf.push(rec, static_cast<Cycles>(i))) {
-                std::this_thread::yield();
-            }
-        }
-    });
-
-    std::uint64_t next = 0;
-    std::uint64_t mismatches = 0;
-    while (next < kRecords) {
-        auto span = buf.frontSpan(2);
-        if (span.empty()) {
-            std::this_thread::yield();
-            continue;
-        }
-        for (const auto& entry : span) {
-            if (entry.record.addr != next) ++mismatches;
-            ++next;
-        }
-        buf.popN(span.size());
-    }
-    producer.join();
-
-    EXPECT_EQ(mismatches, 0u);
-    EXPECT_TRUE(buf.empty());
-    EXPECT_EQ(buf.stats().pops, kRecords);
-}
-
-/**
- * Determinism property: threaded execution must not let host thread
- * scheduling leak into results — the same program gives bit-identical
- * stats and findings on every one of 50 runs. (Each run spawns fresh
- * worker threads, so 50 runs sample 50 host schedules.)
- */
-TEST(ThreadedDeterminism, FiftyRunsBitIdentical)
-{
-    workload::BugInjection bugs;
-    bugs.use_after_free = true;
-    auto gen = workload::generate(*workload::findProfile("bc"), bugs,
-                                  5000);
-    core::LbaConfig lba;
-    lba.execution = core::ExecutionMode::kThreaded;
-    auto factory = [] {
-        return std::make_unique<lifeguards::AddrCheck>();
-    };
-    core::Experiment exp(gen.program);
-    core::PlatformResult first = exp.runLba(factory, lba);
-    EXPECT_GT(first.findings.size(), 0u);
-
-    for (int run = 1; run < 50; ++run) {
-        SCOPED_TRACE(run);
-        core::PlatformResult result = exp.runLba(factory, lba);
-        EXPECT_EQ(result.cycles, first.cycles);
-        EXPECT_EQ(result.lba.total_cycles, first.lba.total_cycles);
-        EXPECT_EQ(result.lba.app_cycles, first.lba.app_cycles);
-        EXPECT_EQ(result.lba.records_logged, first.lba.records_logged);
-        EXPECT_EQ(result.lba.lifeguard_busy_cycles,
-                  first.lba.lifeguard_busy_cycles);
-        EXPECT_EQ(result.lba.backpressure_stall_cycles,
-                  first.lba.backpressure_stall_cycles);
-        EXPECT_EQ(result.lba.syscall_stall_cycles,
-                  first.lba.syscall_stall_cycles);
-        EXPECT_EQ(result.lba.mean_consume_lag,
-                  first.lba.mean_consume_lag);
-        ASSERT_EQ(result.findings.size(), first.findings.size());
-        for (std::size_t i = 0; i < first.findings.size(); ++i) {
-            EXPECT_EQ(result.findings[i].kind, first.findings[i].kind);
-            EXPECT_EQ(result.findings[i].pc, first.findings[i].pc);
-            EXPECT_EQ(result.findings[i].addr, first.findings[i].addr);
-        }
-    }
 }
 
 TEST(EventRecord, ToStringMentionsTypeAndPc)

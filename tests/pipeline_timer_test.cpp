@@ -39,12 +39,16 @@ class FixedCostLifeguard : public lifeguard::Lifeguard
                                 std::uint32_t finish_instrs = 0)
         : handler_instrs_(handler_instrs), finish_instrs_(finish_instrs)
     {
+        for (unsigned t = 0; t < log::kNumEventTypes; ++t) {
+            onEvent<&FixedCostLifeguard::onAny>(
+                static_cast<log::EventType>(t));
+        }
     }
 
     const char* name() const override { return "FixedCost"; }
 
     void
-    handleEvent(const log::EventRecord&, lifeguard::CostSink& cost) override
+    onAny(const log::EventRecord&, lifeguard::CostSink& cost)
     {
         cost.instrs(handler_instrs_);
     }
@@ -184,7 +188,7 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     timer.log(aluRecord(), 0);
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
 
-    const log::LogBufferStats& bstats = timer.bufferStats(0);
+    BufferStats bstats = timer.bufferStats(0);
     EXPECT_EQ(bstats.pushes, 3u);
     EXPECT_EQ(bstats.pops, 1u);
     EXPECT_EQ(bstats.max_occupancy, 2u);

@@ -144,38 +144,38 @@ TEST_F(SmokeTest, LbaRunTrailingValueFlagIsUsageErrorNotCrash)
     EXPECT_EQ(runCommand(dbi), 2);
 }
 
-TEST_F(SmokeTest, LbaRunDispatchTierFlagValidation)
+TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
 {
-    // Unknown tier names are usage errors (exit 2), in both the
-    // `--flag value` and `--flag=value` spellings — never a silent
-    // fall-back to the default tier.
-    for (const char* spelling :
-         {" --dispatch bogus", " --dispatch=bogus"}) {
+    // Each value must exit 2 with nothing on stdout: no wrap-around to
+    // a near-infinite budget, no silent fall-back to the default, no
+    // out-of-memory lane count, no non-finite bandwidth. The removed
+    // --dispatch flag is a usage error too.
+    std::string out = ::testing::TempDir() + "smoke_malformed.out";
+    for (const char* args :
+         {" --instrs -5", " --instrs abc", " --instrs 0", " --instrs 5k",
+          " --instrs ''", " --shards 100000", " --shards 0",
+          " --shards +4", " --lanes 0 --tenants 2", " --lanes 65",
+          " --tenants -1", " --transport-bw -1", " --transport-bw nan",
+          " --transport-bw inf", " --transport-bw 1e999",
+          " --transport-bw 2x", " --containment patch"
+                                " --checkpoint-interval -1",
+          " --containment patch --checkpoint-interval=1e3",
+          " --dispatch fused", " --dispatch=batched"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
-                          spelling + " >/dev/null 2>&1";
-        EXPECT_EQ(runCommand(cmd), 2) << "spelling: " << spelling;
+                          args + " >" + out + " 2>/dev/null";
+        EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;
+        std::FILE* file = std::fopen(out.c_str(), "r");
+        ASSERT_NE(file, nullptr);
+        EXPECT_EQ(std::fgetc(file), EOF) << "stdout not empty:" << args;
+        std::fclose(file);
     }
-    // Every valid tier runs end-to-end, in both spellings.
-    for (const char* spelling :
-         {" --dispatch fused", " --dispatch=fused",
-          " --dispatch batched", " --dispatch per-record"}) {
-        std::string cmd = std::string(LBA_RUN_PATH) +
-                          " gzip addrcheck --instrs 15000"
-                          " --platform lba" +
-                          spelling + " >/dev/null 2>&1";
-        EXPECT_EQ(runCommand(cmd), 0) << "spelling: " << spelling;
-    }
-    // The fused tier composes with threaded host execution...
-    std::string threaded = std::string(LBA_RUN_PATH) +
-                           " gzip addrcheck --instrs 15000"
-                           " --platform lba --dispatch fused"
-                           " --execution threaded >/dev/null 2>&1";
-    EXPECT_EQ(runCommand(threaded), 0);
-    // ...while per-record + threaded stays rejected.
-    std::string per_record = std::string(LBA_RUN_PATH) +
-                             " gzip addrcheck --dispatch per-record"
-                             " --execution threaded >/dev/null 2>&1";
-    EXPECT_EQ(runCommand(per_record), 2);
+    std::remove(out.c_str());
+    // The limits themselves are accepted.
+    std::string edge = std::string(LBA_RUN_PATH) +
+                       " gzip addrcheck --instrs 1 --shards 64"
+                       " --transport-bw 0.5 --platform lba"
+                       " >/dev/null 2>&1";
+    EXPECT_EQ(runCommand(edge), 0);
 }
 
 TEST_F(SmokeTest, LbaTraceMissingArgumentsAreUsageErrors)

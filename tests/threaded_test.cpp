@@ -270,5 +270,50 @@ TEST(ThreadedExecution, ThreadedPathActuallyBatches)
     EXPECT_EQ(threaded, run(ExecutionMode::kSerial));
 }
 
+/**
+ * Determinism property: threaded execution must not let host thread
+ * scheduling leak into results — the same program gives bit-identical
+ * stats and findings on every one of 50 runs. (Each run spawns fresh
+ * worker threads, so 50 runs sample 50 host schedules.)
+ */
+TEST(ThreadedDeterminism, FiftyRunsBitIdentical)
+{
+    workload::BugInjection bugs;
+    bugs.use_after_free = true;
+    auto gen = workload::generate(*workload::findProfile("bc"), bugs,
+                                  5000);
+    LbaConfig lba;
+    lba.execution = ExecutionMode::kThreaded;
+    auto factory = [] {
+        return std::make_unique<lifeguards::AddrCheck>();
+    };
+    Experiment exp(gen.program);
+    PlatformResult first = exp.runLba(factory, lba);
+    EXPECT_GT(first.findings.size(), 0u);
+
+    for (int run = 1; run < 50; ++run) {
+        SCOPED_TRACE(run);
+        PlatformResult result = exp.runLba(factory, lba);
+        EXPECT_EQ(result.cycles, first.cycles);
+        EXPECT_EQ(result.lba.total_cycles, first.lba.total_cycles);
+        EXPECT_EQ(result.lba.app_cycles, first.lba.app_cycles);
+        EXPECT_EQ(result.lba.records_logged, first.lba.records_logged);
+        EXPECT_EQ(result.lba.lifeguard_busy_cycles,
+                  first.lba.lifeguard_busy_cycles);
+        EXPECT_EQ(result.lba.backpressure_stall_cycles,
+                  first.lba.backpressure_stall_cycles);
+        EXPECT_EQ(result.lba.syscall_stall_cycles,
+                  first.lba.syscall_stall_cycles);
+        EXPECT_EQ(result.lba.mean_consume_lag,
+                  first.lba.mean_consume_lag);
+        ASSERT_EQ(result.findings.size(), first.findings.size());
+        for (std::size_t i = 0; i < first.findings.size(); ++i) {
+            EXPECT_EQ(result.findings[i].kind, first.findings[i].kind);
+            EXPECT_EQ(result.findings[i].pc, first.findings[i].pc);
+            EXPECT_EQ(result.findings[i].addr, first.findings[i].addr);
+        }
+    }
+}
+
 } // namespace
 } // namespace lba::core

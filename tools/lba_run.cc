@@ -11,7 +11,6 @@
  *           [--tenants N] [--lanes M] [--sched static|rr|lag]
  *           [--containment abort|skip|patch|quarantine]
  *           [--checkpoint-interval N] [--json PATH]
- *           [--dispatch batched|per-record|fused]
  *           [--execution serial|threaded]
  *
  * With --tenants N the benchmark argument may be a comma-separated
@@ -19,25 +18,27 @@
  * lifeguard pool under the chosen scheduling policy (src/sched/).
  * --containment enables rewind-and-repair containment under the chosen
  * repair policy (src/replay/containment.h); the `--containment=policy`
- * spelling is accepted too. --dispatch selects the lifeguard-core
- * dispatch tier: `batched` (the default) drains records in batches
- * through the per-event-type handler tables, `fused` drains the same
- * batches through compiled handler IR (specialized loops, no per-record
- * table lookup), `per-record` is the retained virtual-dispatch
- * baseline; all three are cycle-identical by construction
- * (docs/ARCHITECTURE.md). --execution selects the host execution mode:
- * `threaded` runs lifeguard handlers on one worker thread per lane
- * while every simulated cycle count stays bit-identical to `serial`
- * (docs/ARCHITECTURE.md "Threaded execution"); it requires a batching
- * dispatch tier. --codec selects the registered log codec the
- * transport accounting runs (`predictor` is the default; see
- * `lba_trace codecs` for the registry). --json writes a
- * machine-readable copy of the report to PATH.
+ * spelling is accepted too. --execution selects the host execution
+ * mode: `threaded` runs lifeguard handlers on one worker thread per
+ * lane while every simulated cycle count stays bit-identical to
+ * `serial` (docs/ARCHITECTURE.md "Threaded execution"). --codec
+ * selects the registered log codec the transport accounting runs
+ * (`predictor` is the default; see `lba_trace codecs` for the
+ * registry). --json writes a machine-readable copy of the report to
+ * PATH.
+ *
+ * Numeric values must be plain decimals with nothing else in the
+ * token: --instrs is at least 1, --shards and --lanes are 1..64,
+ * --transport-bw is a finite number >= 0. Anything else is a usage
+ * error (exit 2) before any output.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +60,41 @@ namespace {
 
 using namespace lba;
 
+/** Largest --shards / --lanes value: one simulated lifeguard core each. */
+constexpr std::uint64_t kMaxLanes = 64;
+
+/**
+ * Parse all of @p text as an unsigned decimal in [@p min, @p max]:
+ * digits only (no sign, blank or suffix) and no overflow.
+ */
+template <typename T>
+bool
+parseCount(const char* text, std::uint64_t min, std::uint64_t max,
+           T* out)
+{
+    if (*text < '0' || *text > '9') return false;
+    errno = 0;
+    char* end = nullptr;
+    unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || value < min || value > max) {
+        return false;
+    }
+    *out = static_cast<T>(value);
+    return true;
+}
+
+/** Parse all of @p text as a finite, non-negative bytes/cycle value. */
+bool
+parseBandwidth(const char* text, double* out)
+{
+    if ((*text < '0' || *text > '9') && *text != '.') return false;
+    char* end = nullptr;
+    double value = std::strtod(text, &end);
+    if (*end != '\0' || !std::isfinite(value)) return false;
+    *out = value;
+    return true;
+}
+
 int
 usage()
 {
@@ -74,7 +110,6 @@ usage()
         "[--sched static|rr|lag]\n"
         "               [--containment abort|skip|patch|quarantine]\n"
         "               [--checkpoint-interval N] [--json PATH]\n"
-        "               [--dispatch batched|per-record|fused]\n"
         "               [--execution serial|threaded]\n");
     return 2;
 }
@@ -255,8 +290,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
                const core::LifeguardFactory& factory,
                std::uint64_t instrs, unsigned tenants, unsigned lanes,
                sched::Policy policy, double transport_bw,
-               const std::string& codec, core::DispatchTier dispatch_tier,
-               core::ExecutionMode execution,
+               const std::string& codec, core::ExecutionMode execution,
                const workload::BugInjection& bugs,
                const replay::ContainmentConfig& containment,
                const std::string& json_path)
@@ -266,7 +300,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     config.policy = policy;
     config.lba.transport_bytes_per_cycle = transport_bw;
     config.lba.codec = codec;
-    config.lba.dispatch_tier = dispatch_tier;
     config.lba.execution = execution;
     config.containment = containment;
     sched::LifeguardPool pool(config, factory);
@@ -382,19 +415,10 @@ main(int argc, char** argv)
     std::string json_path;
     workload::BugInjection bugs;
     replay::ContainmentConfig containment;
-    core::DispatchTier dispatch_tier = core::DispatchTier::kBatched;
-    auto parse_dispatch = [&](const std::string& value) {
-        if (value == "batched") {
-            dispatch_tier = core::DispatchTier::kBatched;
-        } else if (value == "per-record") {
-            dispatch_tier = core::DispatchTier::kPerRecord;
-        } else if (value == "fused") {
-            dispatch_tier = core::DispatchTier::kFused;
-        } else {
-            return false;
-        }
-        return true;
-    };
+    constexpr std::uint64_t kUnbounded =
+        std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kMaxUnsigned =
+        std::numeric_limits<unsigned>::max();
     core::ExecutionMode execution = core::ExecutionMode::kSerial;
     auto parse_execution = [&](const std::string& value) {
         if (value == "serial") {
@@ -424,12 +448,10 @@ main(int argc, char** argv)
                 continue;
             }
             if (arg == "--checkpoint-interval") {
-                containment.checkpoint_interval =
-                    std::strtoull(value.c_str(), nullptr, 10);
-                continue;
-            }
-            if (arg == "--dispatch") {
-                if (!parse_dispatch(value)) return usage();
+                if (!parseCount(value.c_str(), 0, kUnbounded,
+                                &containment.checkpoint_interval)) {
+                    return usage();
+                }
                 continue;
             }
             if (arg == "--execution") {
@@ -439,22 +461,27 @@ main(int argc, char** argv)
             return usage();
         }
         if (arg == "--instrs" && i + 1 < argc) {
-            instrs = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCount(argv[++i], 1, kUnbounded, &instrs)) {
+                return usage();
+            }
         } else if (arg == "--platform" && i + 1 < argc) {
             platform = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
-            shards = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCount(argv[++i], 1, kMaxLanes, &shards)) {
+                return usage();
+            }
         } else if (arg == "--tenants" && i + 1 < argc) {
-            tenants = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCount(argv[++i], 0, kMaxUnsigned, &tenants)) {
+                return usage();
+            }
         } else if (arg == "--lanes" && i + 1 < argc) {
-            lanes = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCount(argv[++i], 1, kMaxLanes, &lanes)) {
+                return usage();
+            }
         } else if (arg == "--sched" && i + 1 < argc) {
             if (!sched::parsePolicy(argv[++i], &policy)) return usage();
         } else if (arg == "--transport-bw" && i + 1 < argc) {
-            transport_bw = std::strtod(argv[++i], nullptr);
+            if (!parseBandwidth(argv[++i], &transport_bw)) return usage();
         } else if (arg == "--codec" && i + 1 < argc) {
             codec = argv[++i];
         } else if (arg == "--containment" && i + 1 < argc) {
@@ -464,10 +491,10 @@ main(int argc, char** argv)
                 return usage();
             }
         } else if (arg == "--checkpoint-interval" && i + 1 < argc) {
-            containment.checkpoint_interval =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--dispatch" && i + 1 < argc) {
-            if (!parse_dispatch(argv[++i])) return usage();
+            if (!parseCount(argv[++i], 0, kUnbounded,
+                            &containment.checkpoint_interval)) {
+                return usage();
+            }
         } else if (arg == "--execution" && i + 1 < argc) {
             if (!parse_execution(argv[++i])) return usage();
         } else if (arg == "--json" && i + 1 < argc) {
@@ -484,14 +511,6 @@ main(int argc, char** argv)
         } else {
             return usage();
         }
-    }
-    if (execution == core::ExecutionMode::kThreaded &&
-        dispatch_tier == core::DispatchTier::kPerRecord) {
-        // Threaded execution's cross-thread barriers are the batching
-        // tiers' flush boundaries; the per-record path has none.
-        std::fprintf(stderr, "--execution threaded requires "
-                             "--dispatch batched|fused\n");
-        return usage();
     }
     if (containment.checkpoint_interval > 0 && !containment.enabled) {
         std::fprintf(stderr, "--checkpoint-interval requires "
@@ -542,15 +561,12 @@ main(int argc, char** argv)
     }
 
     if (tenants > 0) {
-        // Malformed --lanes (strtoul yields 0) is a CLI error, not a
-        // library invariant violation.
-        if (lanes == 0) return usage();
         auto benchmarks = splitList(benchmark);
         if (benchmarks.empty()) return usage();
         return runMultiTenant(benchmarks, lifeguard_name, factory,
                               instrs, tenants, lanes, policy,
-                              transport_bw, codec, dispatch_tier,
-                              execution, bugs, containment, json_path);
+                              transport_bw, codec, execution, bugs,
+                              containment, json_path);
     }
 
     const workload::Profile* profile = workload::findProfile(benchmark);
@@ -566,7 +582,6 @@ main(int argc, char** argv)
     // Experiment::runParallelLba (one timing engine under both).
     config.lba.transport_bytes_per_cycle = transport_bw;
     config.lba.codec = codec;
-    config.lba.dispatch_tier = dispatch_tier;
     config.lba.execution = execution;
     config.containment = containment;
     core::Experiment experiment(generated.program, config);

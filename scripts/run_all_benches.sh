@@ -11,8 +11,8 @@
 # BENCH_results.json trajectory accumulating on every push.
 # LBA_BENCH_CLAIMS_FATAL=1 overrides that forgiveness: a missed claim
 # fails the run even in smoke mode — for claims that hold at any
-# instruction budget (host-side speedup ratios like micro_dispatch's
-# dispatch-tier rows, which compare code paths on the same input).
+# instruction budget (orderings like fig_mte's BoundsCheck-below-
+# AddrCheck overhead, which compare lifeguards on the same input).
 set -eu
 
 build_dir="${1:-build}"

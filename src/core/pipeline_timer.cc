@@ -466,8 +466,7 @@ PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
     assertCoordinator();
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     // Flush boundary: consume everything the previous interval logged
-    // before this retirement's drain check and cache accesses — the
-    // point the per-record path had consumed them by.
+    // before this retirement's drain check and cache accesses.
     flushPending();
     Producer& producer = producers_[producer_idx];
     if (producer.pending_drain) {

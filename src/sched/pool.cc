@@ -396,11 +396,10 @@ LifeguardPool::run()
                                  tenant.manager.get())
                            : this;
         tenant.run_result = tenant.process->run(observer);
-        // Catch up any batch-deferred consumption so this slice's lag
-        // window (fed by the consume observer) is complete before the
-        // scheduler reads it — the per-record path had consumed these
-        // records by now, and steal decisions must not depend on the
-        // dispatch mode.
+        // Catch up deferred consumption so this slice's lag window (fed
+        // by the consume observer) is complete before the scheduler
+        // reads it: steal decisions must not depend on where the flush
+        // boundaries fall.
         timer_->sync();
 
         // Fold this slice into the tenant's recent-lag measurement (a

@@ -148,8 +148,8 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
 {
     // Each value must exit 2 with nothing on stdout: no wrap-around to
     // a near-infinite budget, no silent fall-back to the default, no
-    // out-of-memory lane count, no non-finite bandwidth. The removed
-    // --dispatch flag is a usage error too.
+    // out-of-memory lane count, no non-finite bandwidth. Unknown flags
+    // are usage errors too.
     std::string out = ::testing::TempDir() + "smoke_malformed.out";
     for (const char* args :
          {" --instrs -5", " --instrs abc", " --instrs 0", " --instrs 5k",
@@ -160,7 +160,7 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
           " --transport-bw 2x", " --containment patch"
                                 " --checkpoint-interval -1",
           " --containment patch --checkpoint-interval=1e3",
-          " --dispatch fused", " --dispatch=batched"}) {
+          " --no-such-flag 1", " --no-such-flag=1"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
                           args + " >" + out + " 2>/dev/null";
         EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;

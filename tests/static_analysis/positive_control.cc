@@ -9,7 +9,7 @@
 
 #include "common/thread_annotations.h"
 #include "core/pipeline_timer.h"
-#include "log/log_buffer.h"
+#include "lifeguard/dispatch.h"
 
 /** GUARDED_BY data accessed under its mutex. */
 struct LbaLintCounter
@@ -38,21 +38,16 @@ bumpLocked(LbaLintCounter& counter)
     counter.value += 1;
 }
 
-/** Each SPSC side used by the thread that assumed it. */
+/** A worker running an engine's functional half after adopting the
+ *  engine's per-object side (the coordinator replays the costs). */
 void
-producerPushes(lba::log::LogBuffer& ring, const lba::log::EventRecord& r)
+workerDrains(lba::lifeguard::DispatchEngine& engine,
+             const lba::log::EventRecord& record,
+             lba::lifeguard::DeferredBatch& out)
 {
-    ring.assumeProducer();
-    if (!ring.full()) (void)ring.push(r, 0);
-}
-
-void
-consumerPops(lba::log::LogBuffer& ring)
-{
-    ring.assumeConsumer();
-    lba::log::LogBuffer::Entry entry;
-    while (ring.pop(&entry)) {
-    }
+    lba::threading::assumeWorkerRole();
+    engine.assumeFunctionalOwner();
+    engine.consumeBatchDeferred(&record, 1, out);
 }
 
 } // namespace
@@ -61,12 +56,12 @@ consumerPops(lba::log::LogBuffer& ring)
 void
 lbaStaticAnalysisPositiveControl(lba::core::PipelineTimer& timer,
                                  const lba::sim::Retired& retired,
-                                 lba::log::LogBuffer& ring,
+                                 lba::lifeguard::DispatchEngine& engine,
                                  const lba::log::EventRecord& record,
+                                 lba::lifeguard::DeferredBatch& out,
                                  LbaLintCounter& counter)
 {
     coordinatorDrives(timer, retired);
     bumpLocked(counter);
-    producerPushes(ring, record);
-    consumerPops(ring);
+    workerDrains(engine, record, out);
 }

@@ -56,8 +56,8 @@ recordStream(const std::vector<isa::Instruction>& program)
 
 /**
  * Same seed + profile => identical *event stream*, not just an
- * identical program: every differential test in the tree (batched vs
- * per-record dispatch, serial vs parallel, pool vs parallel) silently
+ * identical program: every differential test in the tree (threaded vs
+ * serial execution, serial vs parallel, pool vs parallel) silently
  * relies on the two runs it compares observing the exact same records
  * in the exact same order.
  */

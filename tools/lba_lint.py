@@ -23,20 +23,6 @@ express (see docs/STATIC_ANALYSIS.md):
                  annotation. A passed runtime check is what the
                  ASSERT_CAPABILITY attribute claims statically; this
                  rule keeps the claim honest.
-  fused-annotations
-                 The fused dispatch tier's capability annotations must
-                 not be dropped: lifeguard/compiler.h's
-                 compileHandlers() stays LBA_COORDINATOR_ONLY (it runs
-                 once, at engine construction, before workers exist --
-                 tests/static_analysis/violation_worker_calls_compiler.cc
-                 proves the TSA gate rejects a worker calling it, but
-                 only while the annotation is present); dispatch.h's
-                 fused drain entry points keep exactly the capability
-                 sets of the batched tier they replace --
-                 consumeBatchFused/fusedDrain require coordinator_role
-                 + functional_side_, consumeBatchFusedDeferred requires
-                 functional_side_ only (it runs on worker threads, like
-                 consumeBatchDeferred).
 
 The file list comes from compile_commands.json (configure with
 -DCMAKE_EXPORT_COMPILE_COMMANDS=ON -- the root CMakeLists does this by
@@ -433,86 +419,6 @@ def check_role_parity(repo, findings):
 
 
 # --------------------------------------------------------------------------
-# Rule: fused-annotations (lifeguard/compiler.h + lifeguard/dispatch.h)
-# --------------------------------------------------------------------------
-
-# method name -> (annotation substrings that must appear in every
-# declaration tail, substrings that must NOT appear). Checked against
-# the headers only: clang TSA takes attributes from the declaration,
-# so the .cc definitions carry none.
-_FUSED_RULES = {
-    "compileHandlers": (("LBA_COORDINATOR_ONLY",), ()),
-    "consumeBatchFused": (("coordinator_role", "functional_side_"), ()),
-    "fusedDrain": (("coordinator_role", "functional_side_"), ()),
-    "consumeBatchFusedDeferred": (("functional_side_",),
-                                  ("coordinator_role",)),
-}
-
-
-def check_fused_annotations(repo, findings):
-    for rel in (("src", "lifeguard", "compiler.h"),
-                ("src", "lifeguard", "dispatch.h")):
-        path = repo.joinpath(*rel)
-        if not path.is_file():
-            findings.append(
-                Finding(path, 1, "fused-annotations",
-                        "expected header not found (fused tier moved? "
-                        "update tools/lba_lint.py)")
-            )
-            continue
-        text = scrub(path.read_text())
-        for name, (required, forbidden) in _FUSED_RULES.items():
-            for match in re.finditer(r"\b%s\s*\(" % name, text):
-                close = _matching_paren(text, match.end() - 1)
-                tail, terminator, _ = _decl_tail(text, close + 1)
-                if terminator not in ";{":
-                    continue
-                line = line_of(text, match.start())
-                for want in required:
-                    if want not in tail:
-                        findings.append(
-                            Finding(
-                                path, line, "fused-annotations",
-                                f"declaration of '{name}' lost the "
-                                f"'{want}' capability requirement -- "
-                                "the fused tier must keep the batched "
-                                "tier's ownership contract",
-                            )
-                        )
-                for bad in forbidden:
-                    if bad in tail:
-                        findings.append(
-                            Finding(
-                                path, line, "fused-annotations",
-                                f"declaration of '{name}' now requires "
-                                f"'{bad}' -- the deferred functional "
-                                "half runs on worker threads and must "
-                                "stay callable without it",
-                            )
-                        )
-
-    # The rule must be checking something real: every rule name has to
-    # appear at least once, or the lint is silently dead.
-    seen = scrub(
-        (repo / "src" / "lifeguard" / "compiler.h").read_text()
-        if (repo / "src" / "lifeguard" / "compiler.h").is_file() else ""
-    ) + scrub(
-        (repo / "src" / "lifeguard" / "dispatch.h").read_text()
-        if (repo / "src" / "lifeguard" / "dispatch.h").is_file() else ""
-    )
-    for name in _FUSED_RULES:
-        if not re.search(r"\b%s\s*\(" % name, seen):
-            findings.append(
-                Finding(
-                    repo / "src" / "lifeguard" / "dispatch.h", 1,
-                    "fused-annotations",
-                    f"'{name}' not found in the fused-tier headers "
-                    "(renamed? update tools/lba_lint.py)",
-                )
-            )
-
-
-# --------------------------------------------------------------------------
 
 
 def main():
@@ -541,7 +447,6 @@ def main():
         check_atomic_order(path, text, atomic_names, findings)
         check_raw_thread(path, text, findings)
     check_role_parity(repo, findings)
-    check_fused_annotations(repo, findings)
 
     for finding in findings:
         print(finding)

@@ -155,7 +155,7 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
          {" --instrs -5", " --instrs abc", " --instrs 0", " --instrs 5k",
           " --instrs ''", " --shards 100000", " --shards 0",
           " --shards +4", " --lanes 0 --tenants 2", " --lanes 65",
-          " --tenants -1", " --transport-bw -1", " --transport-bw nan",
+          " --tenants -1", " --tenants 100000", " --transport-bw -1", " --transport-bw nan",
           " --transport-bw inf", " --transport-bw 1e999",
           " --transport-bw 2x", " --containment patch"
                                 " --checkpoint-interval -1",

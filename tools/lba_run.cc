@@ -29,7 +29,7 @@
  *
  * Numeric values must be plain decimals with nothing else in the
  * token: --instrs is at least 1, --shards and --lanes are 1..64,
- * --transport-bw is a finite number >= 0. Anything else is a usage
+ * --tenants is at most 256, --transport-bw is a finite number >= 0. Anything else is a usage
  * error (exit 2) before any output.
  */
 
@@ -62,6 +62,12 @@ using namespace lba;
 
 /** Largest --shards / --lanes value: one simulated lifeguard core each. */
 constexpr std::uint64_t kMaxLanes = 64;
+
+/**
+ * Largest --tenants value: four tenants per lane at kMaxLanes. Each
+ * tenant is a generated program held in memory for the whole run.
+ */
+constexpr std::uint64_t kMaxTenants = 4 * kMaxLanes;
 
 /**
  * Parse all of @p text as an unsigned decimal in [@p min, @p max]:
@@ -417,8 +423,6 @@ main(int argc, char** argv)
     replay::ContainmentConfig containment;
     constexpr std::uint64_t kUnbounded =
         std::numeric_limits<std::uint64_t>::max();
-    constexpr std::uint64_t kMaxUnsigned =
-        std::numeric_limits<unsigned>::max();
     core::ExecutionMode execution = core::ExecutionMode::kSerial;
     auto parse_execution = [&](const std::string& value) {
         if (value == "serial") {
@@ -471,7 +475,7 @@ main(int argc, char** argv)
                 return usage();
             }
         } else if (arg == "--tenants" && i + 1 < argc) {
-            if (!parseCount(argv[++i], 0, kMaxUnsigned, &tenants)) {
+            if (!parseCount(argv[++i], 0, kMaxTenants, &tenants)) {
                 return usage();
             }
         } else if (arg == "--lanes" && i + 1 < argc) {

@@ -51,38 +51,31 @@ class LbaSystem : public sim::RetireObserver
     LbaSystem(lifeguard::Lifeguard& lifeguard,
               mem::CacheHierarchy& hierarchy, const LbaConfig& config = {});
 
-    // The retire stream must stay on the thread that built the system
-    // (the coordinator); the timer underneath asserts it at runtime,
-    // these annotations say it statically. The sim::RetireObserver
-    // base is role-agnostic, so base-pointer dispatch is vouched for
-    // by the run() drivers, which assume the role once up front.
-    void onRetire(const sim::Retired& retired) override
-        LBA_COORDINATOR_ONLY;
-    void onOsEvent(const sim::OsEvent& event) override
-        LBA_COORDINATOR_ONLY;
+    void onRetire(const sim::Retired& retired) override;
+    void onOsEvent(const sim::OsEvent& event) override;
 
     /**
      * Complete the run: drain the pipeline and run the lifeguard's
      * end-of-program hook. Must be called exactly once, after run().
      */
-    void finish() LBA_COORDINATOR_ONLY;
+    void finish();
 
     /** Statistics (valid after finish()). */
     const LbaRunStats&
-    stats() const LBA_COORDINATOR_ONLY
+    stats() const
     {
         return timer_.stats();
     }
 
-    /** Log-buffer occupancy statistics (quiescent-read snapshot). */
+    /** Log-buffer occupancy statistics (snapshot). */
     BufferStats bufferStats() const
     {
         return timer_.bufferStats(0);
     }
 
-    /** Per-event-type dispatch statistics (quiescent-read snapshot). */
+    /** Per-event-type dispatch statistics (snapshot). */
     lifeguard::DispatchStats
-    dispatchStats() const LBA_COORDINATOR_ONLY
+    dispatchStats() const
     {
         return timer_.dispatchStats(0);
     }
@@ -94,7 +87,7 @@ class LbaSystem : public sim::RetireObserver
     }
 
     lifeguard::Lifeguard&
-    lifeguard() LBA_COORDINATOR_ONLY
+    lifeguard()
     {
         return timer_.lifeguard(0);
     }

@@ -106,20 +106,16 @@ class ParallelLbaSystem : public sim::RetireObserver
                       mem::CacheHierarchy& hierarchy,
                       const ParallelLbaConfig& config);
 
-    // Coordinator-confined like the serial system (see LbaSystem).
-    void onRetire(const sim::Retired& retired) override
-        LBA_COORDINATOR_ONLY;
-    void onOsEvent(const sim::OsEvent& event) override
-        LBA_COORDINATOR_ONLY;
+    void onRetire(const sim::Retired& retired) override;
+    void onOsEvent(const sim::OsEvent& event) override;
 
     /** Drain and finalize; must be called once after the run. */
-    void finish() LBA_COORDINATOR_ONLY;
+    void finish();
 
     const ParallelLbaStats& stats() const { return stats_; }
 
     /** Findings across all shards (detection order within a shard). */
-    std::vector<lifeguard::Finding> allFindings() const
-        LBA_COORDINATOR_ONLY;
+    std::vector<lifeguard::Finding> allFindings() const;
 
     unsigned shards() const { return timer_->lanes(); }
 
@@ -137,7 +133,7 @@ class ParallelLbaSystem : public sim::RetireObserver
 
     /** One shard's per-event-type dispatch statistics (snapshot). */
     lifeguard::DispatchStats
-    dispatchStats(unsigned shard) const LBA_COORDINATOR_ONLY
+    dispatchStats(unsigned shard) const
     {
         return timer_->dispatchStats(shard);
     }

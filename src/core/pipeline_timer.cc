@@ -21,9 +21,6 @@ PipelineTimer::PipelineTimer(
     const std::vector<LaneLimits>& lane_limits)
     : hierarchy_(hierarchy), config_(config)
 {
-    // The constructing thread is the coordinator by definition (the
-    // runtime twin is coordinator_, recorded in buildLanes).
-    threading::assumeCoordinatorRole();
     LBA_ASSERT(!lifeguards.empty(), "timer needs at least one lane");
     buildLanes(static_cast<unsigned>(lifeguards.size()), lifeguards,
                lane_limits);
@@ -34,7 +31,6 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
                              const std::vector<LaneLimits>& lane_limits)
     : hierarchy_(hierarchy), config_(config)
 {
-    threading::assumeCoordinatorRole();
     LBA_ASSERT(nlanes >= 1, "timer needs at least one lane");
     buildLanes(nlanes, {}, lane_limits);
 }
@@ -83,25 +79,11 @@ PipelineTimer::buildLanes(
     primary.app_core = config_.app_core;
     primary.encoder = makeEncoder();
     producers_.push_back(std::move(primary));
-
-    if (config_.execution == ExecutionMode::kThreaded) {
-        coordinator_ = std::this_thread::get_id();
-        executor_ = std::make_unique<ThreadedExecutor>(nlanes);
-        // Pin each intrinsic engine to its lane's worker up front.
-        // External-dispatch engines (pool tenants) pin lazily, at the
-        // first flush that carries them.
-        for (unsigned i = 0; i < nlanes; ++i) {
-            if (lanes_[i].dispatch) {
-                executor_->bind(lanes_[i].dispatch.get(), i);
-            }
-        }
-    }
 }
 
 unsigned
 PipelineTimer::addProducer(unsigned app_core)
 {
-    assertCoordinator();
     LBA_ASSERT(!finished_, "cannot add a producer after seal()");
     LBA_ASSERT(app_core < hierarchy_.config().num_cores,
                "producer core outside the hierarchy");
@@ -258,36 +240,24 @@ PipelineTimer::flushPending()
     // a syncing accessor (stats(), sync(), ...); re-entering the flush
     // would re-run every queued handler. The guard makes re-entry a
     // no-op.
-    assertCoordinator();
     if (pending_meta_.empty() || flushing_) return;
     flushing_ = true;
     std::size_t n = pending_meta_.size();
     pending_costs_.resize(n);
 
-    if (executor_) {
-        // Threaded phase 1: same runs, fanned out to the worker
-        // threads, costs recorded and replayed instead of charged
-        // in-line — cycle-identical by construction (see the header).
-        runPendingThreaded(n);
-    } else {
-        // Phase 1: handler execution, in arrival order, with maximal
-        // runs that share an engine drained through one consumeBatch
-        // call each (the whole queue, for single-lane systems).
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n &&
-                   pending_meta_[j].engine == pending_meta_[i].engine) {
-                ++j;
-            }
-            // Serial flush: the coordinator runs the handlers itself,
-            // so it owns each engine's functional side for the drain.
-            lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
-            engine->assumeFunctionalOwner();
-            engine->consumeBatch(pending_records_.data() + i, j - i,
-                                 pending_costs_.data() + i);
-            i = j;
+    // Phase 1: handler execution, in arrival order, with maximal runs
+    // that share an engine drained through one consumeBatch call each
+    // (the whole queue, for single-lane systems).
+    std::size_t i = 0;
+    while (i < n) {
+        std::size_t j = i + 1;
+        while (j < n && pending_meta_[j].engine == pending_meta_[i].engine) {
+            ++j;
         }
+        lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
+        engine->consumeBatch(pending_records_.data() + i, j - i,
+                             pending_costs_.data() + i);
+        i = j;
     }
 
     // Phase 2: the timing recurrence, same order. Handler costs never
@@ -311,66 +281,6 @@ PipelineTimer::flushPending()
     flushing_ = false;
 }
 
-void
-PipelineTimer::runPendingThreaded(std::size_t n)
-{
-    // Partition into the same maximal same-engine runs as the serial
-    // flush (so even the `batches` stat matches), count them, and give
-    // each run its own DeferredBatch scratch slot — resized before any
-    // pointer is taken, because workers write through those pointers.
-    std::size_t nruns = 0;
-    for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n &&
-               pending_meta_[j].engine == pending_meta_[i].engine) {
-            ++j;
-        }
-        ++nruns;
-        i = j;
-    }
-    if (batch_scratch_.size() < nruns) batch_scratch_.resize(nruns);
-
-    // Fan out. Staging in global arrival order keeps each worker's
-    // batch list — and therefore each engine's record stream — in
-    // arrival order; runs on different workers race, which is safe
-    // because phase 1 touches only per-lifeguard state.
-    std::size_t run = 0;
-    for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n &&
-               pending_meta_[j].engine == pending_meta_[i].engine) {
-            ++j;
-        }
-        executor_->enqueue(pending_meta_[i].engine,
-                           pending_meta_[i].lane,
-                           pending_records_.data() + i, j - i,
-                           &batch_scratch_[run]);
-        ++run;
-        i = j;
-    }
-    executor_->dispatchRound();
-
-    // Replay: charge the recorded accesses through the shared
-    // hierarchy in global arrival order — run by run, record by
-    // record, exactly the serial interleaving — producing the same
-    // per-record costs consumeBatch() would have.
-    run = 0;
-    for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n &&
-               pending_meta_[j].engine == pending_meta_[i].engine) {
-            ++j;
-        }
-        lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
-        for (std::size_t k = i; k < j; ++k) {
-            pending_costs_[k] = engine->replayDeferred(
-                pending_records_[k], batch_scratch_[run], k - i);
-        }
-        ++run;
-        i = j;
-    }
-}
-
 bool
 PipelineTimer::admitRecord(Producer& producer, const EventRecord& record,
                            double* record_bytes)
@@ -387,7 +297,6 @@ PipelineTimer::admitRecord(Producer& producer, const EventRecord& record,
 bool
 PipelineTimer::log(const EventRecord& record, unsigned lane)
 {
-    assertCoordinator();
     Producer& producer = producers_.front();
     double record_bytes = 0.0;
     if (!admitRecord(producer, record, &record_bytes)) return false;
@@ -421,7 +330,6 @@ bool
 PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
                    const std::vector<Target>& targets)
 {
-    assertCoordinator();
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     LBA_ASSERT(!targets.empty(), "record needs at least one target");
     Producer& producer = producers_[producer_idx];
@@ -463,7 +371,6 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
 void
 PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
 {
-    assertCoordinator();
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     // Flush boundary: consume everything the previous interval logged
     // before this retirement's drain check and cache accesses.
@@ -503,7 +410,6 @@ PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
 void
 PipelineTimer::noteSyscall(unsigned producer)
 {
-    assertCoordinator();
     LBA_ASSERT(producer < producers_.size(), "bad producer index");
     if (config_.syscall_stall) producers_[producer].pending_drain = true;
 }
@@ -511,7 +417,6 @@ PipelineTimer::noteSyscall(unsigned producer)
 Cycles
 PipelineTimer::drainProducer(unsigned producer_idx)
 {
-    assertCoordinator();
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     flushPending();
     Producer& producer = producers_[producer_idx];
@@ -526,7 +431,6 @@ PipelineTimer::drainProducer(unsigned producer_idx)
 void
 PipelineTimer::chargeContainment(unsigned producer_idx, Cycles cycles)
 {
-    assertCoordinator();
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     Producer& producer = producers_[producer_idx];
     producer.app_time += cycles;
@@ -545,7 +449,6 @@ Cycles
 PipelineTimer::finishShard(unsigned producer_idx, unsigned lane_idx,
                            lifeguard::DispatchEngine& engine)
 {
-    assertCoordinator();
     LBA_ASSERT(!finished_, "finishShard() after seal()");
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     LBA_ASSERT(lane_idx < lanes_.size(), "bad lane index");
@@ -567,14 +470,9 @@ PipelineTimer::finishShard(unsigned producer_idx, unsigned lane_idx,
 void
 PipelineTimer::seal()
 {
-    assertCoordinator();
     LBA_ASSERT(!finished_, "seal() called twice");
     flushPending();
     finished_ = true;
-    // No further flushes can carry work: park the worker threads. The
-    // join also closes the happens-before chain, so the end-of-run
-    // stats and findings reads below and after are race-free.
-    if (executor_) executor_->stopAndJoin();
 
     Cycles end = 0;
     std::uint64_t compressed_records = 0;
@@ -609,7 +507,6 @@ PipelineTimer::seal()
 void
 PipelineTimer::finishAll()
 {
-    assertCoordinator();
     for (unsigned i = 0; i < lanes(); ++i) {
         LBA_ASSERT(lanes_[i].dispatch,
                    "finishAll() needs intrinsic dispatch engines");

@@ -50,23 +50,6 @@
  * records occupying slots plus the records queued for the next flush.
  * Occupancy statistics (bufferStats) come from the same two counts.
  *
- * Threaded execution (LbaConfig::execution = kThreaded). Handlers run
- * on real host threads — one worker per lane (ThreadedExecutor) — and
- * every simulated cycle count stays bit-identical to serial execution.
- * The flush splits in two: phase 1 fans the queued per-engine runs out
- * to the workers, which execute handlers against their lifeguards'
- * private state while *recording* costs (instruction counts and the
- * ordered metadata accesses) into DeferredBatch scratch instead of
- * charging the shared cache hierarchy; phase 2, back on the
- * coordinating thread after the round barrier, replays the recorded
- * accesses through the hierarchy in global arrival order — the exact
- * interleaving the serial flush charges — and folds the costs into the
- * recurrence. Flush boundaries are therefore cross-thread barriers;
- * between them, only workers touch lifeguard state and only the
- * coordinator touches the timer. tests/threaded_test.cpp asserts the
- * cycle identity across serial/shards/pool/containment configurations;
- * docs/ARCHITECTURE.md "Threaded execution" gives the full argument.
- *
  * Multi-tenant generalisation (src/sched/). The timer also supports
  * multiple *producers*: independent monitored applications, each with its
  * own application-core clock, log stream (compressor), back-pressure and
@@ -85,31 +68,26 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/assert.h"
 #include "compress/registry.h"
-#include "core/threaded_executor.h"
 #include "lifeguard/dispatch.h"
 #include "mem/hierarchy.h"
 #include "sim/process.h"
 #include "stats/counter.h"
 
-namespace lba::core {
+namespace lba::threading {
 
-/**
- * How the host executes lifeguard handlers. Simulated timing is
- * identical either way (the mode changes host threads, not the model);
- * under kThreaded the flush boundaries are the cross-thread barriers.
- */
-enum class ExecutionMode
+/** Empty; only hostbench/e2e_host.cc calls it. */
+inline void
+assumeCoordinatorRole()
 {
-    /** Everything on the calling thread (the reference). */
-    kSerial,
-    /** One host worker thread per lane (see the file comment). */
-    kThreaded,
-};
+}
+
+} // namespace lba::threading
+
+namespace lba::core {
 
 /** LBA platform configuration (shared by the serial and parallel systems). */
 struct LbaConfig
@@ -152,11 +130,6 @@ struct LbaConfig
     double transport_bytes_per_cycle = 0.0;
     /** Record size on the transport when compression is disabled. */
     unsigned raw_record_bytes = 24;
-    /**
-     * Host execution mode (kThreaded = one worker thread per lane,
-     * cycle-identical to kSerial; see the file comment).
-     */
-    ExecutionMode execution = ExecutionMode::kSerial;
 };
 
 /**
@@ -280,17 +253,16 @@ class PipelineTimer
      * always exists, on config.app_core.
      * @return The new producer's index.
      */
-    unsigned addProducer(unsigned app_core) LBA_COORDINATOR_ONLY;
+    unsigned addProducer(unsigned app_core);
 
     /**
      * Account one retirement on @p producer's application core: apply
      * any pending syscall-containment drain, then charge fetch/memory
      * cost.
      */
-    void retire(unsigned producer, const sim::Retired& retired)
-        LBA_COORDINATOR_ONLY;
+    void retire(unsigned producer, const sim::Retired& retired);
     void
-    retire(const sim::Retired& retired) LBA_COORDINATOR_ONLY
+    retire(const sim::Retired& retired)
     {
         retire(0, retired);
     }
@@ -301,8 +273,7 @@ class PipelineTimer
      * dispatch timing. Intrinsic-dispatch mode only.
      * @return False when the filter dropped the record.
      */
-    bool log(const log::EventRecord& record, unsigned lane)
-        LBA_COORDINATOR_ONLY;
+    bool log(const log::EventRecord& record, unsigned lane);
 
     /**
      * Deliver one record of @p producer to each target in order
@@ -313,14 +284,14 @@ class PipelineTimer
      * @return False when the filter dropped the record.
      */
     bool log(unsigned producer, const log::EventRecord& record,
-             const std::vector<Target>& targets) LBA_COORDINATOR_ONLY;
+             const std::vector<Target>& targets);
 
     /**
      * Arm the containment drain: @p producer stalls at its next
      * retirement until every record it has logged so far has been
      * consumed. No-op unless config.syscall_stall.
      */
-    void noteSyscall(unsigned producer = 0) LBA_COORDINATOR_ONLY;
+    void noteSyscall(unsigned producer = 0);
 
     /**
      * Immediately stall @p producer until every record it has logged so
@@ -330,14 +301,13 @@ class PipelineTimer
      * stall lands on the producer's clock as containment cycles.
      * @return The stall applied (0 when the lanes were already ahead).
      */
-    Cycles drainProducer(unsigned producer) LBA_COORDINATOR_ONLY;
+    Cycles drainProducer(unsigned producer);
 
     /**
      * Charge @p cycles of containment work (undo-log replay, pipeline
      * flush on rewind) to @p producer's application clock.
      */
-    void chargeContainment(unsigned producer, Cycles cycles)
-        LBA_COORDINATOR_ONLY;
+    void chargeContainment(unsigned producer, Cycles cycles);
 
     /**
      * Drain the deferred dispatch queue now (a no-op at every natural
@@ -346,12 +316,7 @@ class PipelineTimer
      * e.g. the containment manager before checking findings, and the
      * pool at slice boundaries so scheduling sees up-to-date lag.
      */
-    void
-    sync() LBA_COORDINATOR_ONLY
-    {
-        assertCoordinator();
-        flushPending();
-    }
+    void sync() { flushPending(); }
 
     /** The shared cache hierarchy (rewind cost modelling). */
     mem::CacheHierarchy& hierarchy() { return hierarchy_; }
@@ -365,7 +330,7 @@ class PipelineTimer
      * charge it to that lane, and seal the aggregate stats. Call exactly
      * once.
      */
-    void finishAll() LBA_COORDINATOR_ONLY;
+    void finishAll();
 
     /**
      * External-dispatch end-of-program hook: run @p engine's finish pass
@@ -374,21 +339,20 @@ class PipelineTimer
      * @return The lane's new last-finish time.
      */
     Cycles finishShard(unsigned producer, unsigned lane,
-                       lifeguard::DispatchEngine& engine)
-        LBA_COORDINATOR_ONLY;
+                       lifeguard::DispatchEngine& engine);
 
     /**
      * Seal the aggregate and per-producer statistics after every
      * finishShard() call. finishAll() = per-lane finishShard + seal().
      * Call exactly once.
      */
-    void seal() LBA_COORDINATOR_ONLY;
+    void seal();
 
     /** Aggregate statistics (totals valid after finishAll()/seal()).
-     *  Flushes deferred dispatch first, hence coordinator-only (as is
-     *  every accessor below that syncs). */
+     *  Flushes deferred dispatch first (as does every accessor below
+     *  that syncs). */
     const LbaRunStats&
-    stats() const LBA_COORDINATOR_ONLY
+    stats() const
     {
         syncConst();
         return stats_;
@@ -399,8 +363,7 @@ class PipelineTimer
      * records, its log stream's bytes-per-record, its consume lag, and
      * (after seal()) its completion time in total_cycles.
      */
-    const LbaRunStats& producerStats(unsigned producer) const
-        LBA_COORDINATOR_ONLY;
+    const LbaRunStats& producerStats(unsigned producer) const;
 
     /** Current app-core clock of @p producer. */
     Cycles producerTime(unsigned producer) const;
@@ -418,27 +381,23 @@ class PipelineTimer
         consume_observer_ = std::move(observer);
     }
 
-    /** Snapshots by value (DispatchStats merges side-owned counters;
-     *  read it quiescent). */
+    /** Snapshots by value. */
     BufferStats bufferStats(unsigned lane) const;
-    lifeguard::DispatchStats dispatchStats(unsigned lane) const
-        LBA_COORDINATOR_ONLY;
-    lifeguard::Lifeguard& lifeguard(unsigned lane) const
-        LBA_COORDINATOR_ONLY;
+    lifeguard::DispatchStats dispatchStats(unsigned lane) const;
+    lifeguard::Lifeguard& lifeguard(unsigned lane) const;
 
     /** Lane clock: finish time of the lane's last consumed record. */
-    Cycles laneLastFinish(unsigned lane) const LBA_COORDINATOR_ONLY;
+    Cycles laneLastFinish(unsigned lane) const;
     /** Cycles the lane's core spent consuming (and finishing). */
-    Cycles laneBusyCycles(unsigned lane) const LBA_COORDINATOR_ONLY;
+    Cycles laneBusyCycles(unsigned lane) const;
     /** Records this lane consumed (broadcasts count in every lane). */
-    std::uint64_t laneRecords(unsigned lane) const LBA_COORDINATOR_ONLY;
+    std::uint64_t laneRecords(unsigned lane) const;
     /** Mean produce-to-consume lag of this lane's records. */
-    double laneMeanConsumeLag(unsigned lane) const LBA_COORDINATOR_ONLY;
+    double laneMeanConsumeLag(unsigned lane) const;
     /** Bytes that crossed this lane's transport link. */
-    double laneTransportBytes(unsigned lane) const LBA_COORDINATOR_ONLY;
+    double laneTransportBytes(unsigned lane) const;
     /** Cycles this lane's consumption waited on its transport. */
-    Cycles laneTransportWaitCycles(unsigned lane) const
-        LBA_COORDINATOR_ONLY;
+    Cycles laneTransportWaitCycles(unsigned lane) const;
 
     /** Producer 0's log-stream encoder (single-app runs). */
     const compress::Encoder& encoder() const
@@ -495,13 +454,10 @@ class PipelineTimer
         LbaRunStats stats;
     };
 
-    /** Shared lane construction for both constructor modes (the
-     *  constructing thread is the coordinator by definition; the
-     *  constructors assume the role before calling in). */
+    /** Shared lane construction for both constructor modes. */
     void buildLanes(unsigned nlanes,
                     const std::vector<lifeguard::Lifeguard*>& lifeguards,
-                    const std::vector<LaneLimits>& lane_limits)
-        LBA_COORDINATOR_ONLY;
+                    const std::vector<LaneLimits>& lane_limits);
 
     /** Build a fresh per-producer encoder from LbaConfig::codec. */
     std::unique_ptr<compress::Encoder> makeEncoder() const;
@@ -515,8 +471,7 @@ class PipelineTimer
 
     /** Free @p needed slots in @p lane, stalling @p producer if
      *  needed. */
-    void reserveSlots(Producer& producer, Lane& lane,
-                      std::size_t needed) LBA_COORDINATOR_ONLY;
+    void reserveSlots(Producer& producer, Lane& lane, std::size_t needed);
 
     /**
      * Deliver one record to one lane: take its slot and queue it for
@@ -525,7 +480,7 @@ class PipelineTimer
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,
                    const log::EventRecord& record, Cycles produced_at,
-                   double record_bytes) LBA_COORDINATOR_ONLY;
+                   double record_bytes);
 
     /**
      * Fold one consumed record's @p cost into the timing recurrence:
@@ -535,49 +490,26 @@ class PipelineTimer
     void applyRecordTiming(Producer& producer, Lane& lane,
                            const log::EventRecord& record,
                            Cycles produced_at, double record_bytes,
-                           Cycles cost) LBA_COORDINATOR_ONLY;
+                           Cycles cost);
 
     /**
      * Drain the deferred dispatch queue: run every queued handler in
      * arrival order (one consumeBatch per engine run), then apply the timing
      * recurrence per record in the same order.
      */
-    void flushPending() LBA_COORDINATOR_ONLY;
-
-    /**
-     * Threaded phase 1: fan the first @p n queued records out to the
-     * worker threads as per-engine runs, barrier on the round, then
-     * replay the recorded costs through the shared hierarchy in global
-     * arrival order, filling pending_costs_[0, n).
-     */
-    void runPendingThreaded(std::size_t n) LBA_COORDINATOR_ONLY;
-
-    /** Threaded mode confines the timer to the thread that built it:
-     *  every mutating entry point asserts it (the mid-run-read guard
-     *  the TSan CI job backs up). No-op in serial mode. The
-     *  ASSERT_CAPABILITY is the static twin of the runtime trap: a
-     *  passed check *proves* the coordinator role to the analysis —
-     *  tools/lba_lint.py keeps the two in lockstep. */
-    void
-    assertCoordinator() const
-        LBA_ASSERT_CAPABILITY(::lba::threading::coordinator_role)
-    {
-        LBA_ASSERT(!executor_ ||
-                       std::this_thread::get_id() == coordinator_,
-                   "PipelineTimer used off the coordinating thread");
-    }
+    void flushPending();
 
     /** flushPending() from a const accessor: catching up lazily-
      *  deferred state does not change observable results. */
     void
-    syncConst() const LBA_COORDINATOR_ONLY
+    syncConst() const
     {
         const_cast<PipelineTimer*>(this)->flushPending();
     }
 
     /** Shared filtering + compression prologue of both log() variants. */
     bool admitRecord(Producer& producer, const log::EventRecord& record,
-                     double* record_bytes) LBA_COORDINATOR_ONLY;
+                     double* record_bytes);
 
     mem::CacheHierarchy& hierarchy_;
     LbaConfig config_;
@@ -585,13 +517,11 @@ class PipelineTimer
     std::vector<Producer> producers_;
 
     /** Scratch: per-lane slot demand of one multi-target record. */
-    std::vector<std::pair<unsigned, std::size_t>> lane_demand_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
+    std::vector<std::pair<unsigned, std::size_t>> lane_demand_;
 
     /** Deferred dispatch: records awaiting consumption, in
      *  arrival order (contiguous so engine runs batch directly). */
-    std::vector<log::EventRecord> pending_records_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
+    std::vector<log::EventRecord> pending_records_;
     /** Per-record routing/timing inputs parallel to pending_records_. */
     struct PendingMeta
     {
@@ -601,36 +531,17 @@ class PipelineTimer
         Cycles produced_at = 0;
         double bytes = 0.0;
     };
-    std::vector<PendingMeta> pending_meta_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
+    std::vector<PendingMeta> pending_meta_;
     /** Scratch: per-record handler costs of one flush. */
-    std::vector<Cycles> pending_costs_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
-    /** Threaded mode only: the worker pool (null in serial mode).
-     *  The pointer is read by assertCoordinator() from any thread (a
-     *  stale read can only soften a trap into a pass for a timer
-     *  mid-construction, which no correct program observes); the
-     *  executor itself is driven by the coordinator alone. */
-    std::unique_ptr<ThreadedExecutor> executor_
-        LBA_PT_GUARDED_BY(::lba::threading::coordinator_role);
-    /** Scratch: one deferred-cost batch per engine run of one flush
-     *  (address-stable from enqueue to replay — resized up front). */
-    std::vector<lifeguard::DeferredBatch> batch_scratch_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
-    /** The thread the timer was built on (threaded-mode guard). */
-    std::thread::id coordinator_;
+    std::vector<Cycles> pending_costs_;
     /** Re-entrancy guard: a flush is in progress (observer callbacks
      *  may reach a syncing accessor). */
-    bool flushing_ LBA_GUARDED_BY(::lba::threading::coordinator_role) =
-        false;
+    bool flushing_ = false;
 
     ConsumeObserver consume_observer_;
-    stats::Summary consume_lag_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
-    LbaRunStats stats_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
-    bool finished_ LBA_GUARDED_BY(::lba::threading::coordinator_role) =
-        false;
+    stats::Summary consume_lag_;
+    LbaRunStats stats_;
+    bool finished_ = false;
 };
 
 } // namespace lba::core

@@ -120,10 +120,6 @@ Experiment::runLba(const LifeguardFactory& factory,
                    const LbaConfig& lba_config,
                    const replay::ContainmentConfig& containment)
 {
-    // This thread builds and drives the whole platform below: it is
-    // the coordinator by construction (the timer inside records it
-    // for the runtime checks).
-    threading::assumeCoordinatorRole();
     const PlatformResult& base = unmonitored();
 
     sim::Process process = makeProcess();
@@ -206,7 +202,6 @@ Experiment::runParallelLba(const LifeguardFactory& factory,
                            const ParallelLbaConfig& config,
                            const replay::ContainmentConfig& containment)
 {
-    threading::assumeCoordinatorRole();
     const PlatformResult& base = unmonitored();
 
     sim::Process process = makeProcess();

@@ -276,9 +276,6 @@ ContainmentManager::finalize()
 ContainedRun
 runContained(sim::Process& process, ContainmentManager& manager)
 {
-    // The driving thread is the coordinator: it owns the process, the
-    // manager and (transitively) the timer the manager charges.
-    threading::assumeCoordinatorRole();
     ContainedRun out;
     for (;;) {
         out.result = process.run(&manager);

@@ -174,13 +174,9 @@ class ContainmentManager : public sim::RetireObserver,
 
     // RetireObserver: forward through the checkpointer to the platform,
     // then detect new findings and take interval checkpoints.
-    // Coordinator-confined like the platforms it wraps (the timer
-    // underneath traps off-thread use at runtime).
-    void onRetire(const sim::Retired& retired) override
-        LBA_COORDINATOR_ONLY;
-    void onOsEvent(const sim::OsEvent& event) override
-        LBA_COORDINATOR_ONLY;
-    void onSyscallComplete(ThreadId tid) override LBA_COORDINATOR_ONLY;
+    void onRetire(const sim::Retired& retired) override;
+    void onOsEvent(const sim::OsEvent& event) override;
+    void onSyscallComplete(ThreadId tid) override;
 
     // StoreInterceptor: undo logging.
     void onPreStore(ThreadId tid, Addr addr, unsigned bytes,
@@ -195,7 +191,7 @@ class ContainmentManager : public sim::RetireObserver,
      * apply the repair policy.
      * @return False when the policy terminates the run (abort).
      */
-    bool containAndRepair() LBA_COORDINATOR_ONLY;
+    bool containAndRepair();
 
     /** Fold end-of-run window state into the statistics. Idempotent. */
     void finalize();
@@ -204,13 +200,13 @@ class ContainmentManager : public sim::RetireObserver,
 
   private:
     /** Scan the watched lifeguards for new findings; arm a stop. */
-    void checkFindings() LBA_COORDINATOR_ONLY;
+    void checkFindings();
 
     /** True when @p finding must not trigger (another) containment. */
     bool isSuppressed(const lifeguard::Finding& finding) const;
 
     /** Drain + snapshot between syscalls (checkpoint_interval). */
-    void intervalCheckpoint() LBA_COORDINATOR_ONLY;
+    void intervalCheckpoint();
 
     sim::Process& process_;
     core::PipelineTimer& timer_;

@@ -240,10 +240,6 @@ LifeguardPool::run()
 {
     LBA_ASSERT(!ran_, "run() called twice");
     LBA_ASSERT(!tenants_.empty(), "pool needs at least one tenant");
-    // The thread driving the pool is the coordinator by construction:
-    // it builds the timer below (which records it as such for the
-    // runtime checks) and drives every slice from here.
-    threading::assumeCoordinatorRole();
     ran_ = true;
     unsigned ntenants = static_cast<unsigned>(tenants_.size());
 

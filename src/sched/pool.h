@@ -23,11 +23,12 @@
  *    demand against the pool's drain bandwidth and queues (or rejects)
  *    tenants that would oversubscribe it.
  *
- * Execution is deterministic: tenants are driven round-robin in slices
- * of `slice_instructions` retired instructions; a lone tenant runs to
- * completion unsliced, which (together with identity lane maps) makes a
- * one-tenant pool cycle-identical to ParallelLbaSystem with M shards —
- * the invariant asserted by tests/sched_test.cpp.
+ * Execution is deterministic and stays on the calling thread: tenants
+ * are driven round-robin in slices of `slice_instructions` retired
+ * instructions; a lone tenant runs to completion unsliced, which
+ * (together with identity lane maps) makes a one-tenant pool
+ * cycle-identical to ParallelLbaSystem with M shards — the invariant
+ * asserted by tests/sched_test.cpp.
  */
 
 #include <memory>
@@ -92,13 +93,7 @@ enum class AdmissionMode
 struct PoolConfig
 {
     /** Platform knobs shared by every lane/tenant (buffer size,
-     *  transport bandwidth, compression, containment, filtering).
-     *  `lba.execution = kThreaded` runs the pool's lanes on one host
-     *  worker thread each: tenant shard engines pin to the worker of
-     *  the lane they first deliver on, and the scheduler itself stays
-     *  on the coordinating thread, so every slice decision — and every
-     *  simulated cycle — is identical to serial execution
-     *  (tests/threaded_test.cpp asserts the pool differential). */
+     *  transport bandwidth, compression, containment, filtering). */
     core::LbaConfig lba;
     /** Optional per-lane overrides (empty = uniform lanes). */
     std::vector<core::LaneLimits> lane_limits;
@@ -224,13 +219,9 @@ class LifeguardPool : public sim::RetireObserver
     PoolResult run();
 
     // sim::RetireObserver (driver internals; the pool observes the
-    // currently-scheduled tenant's process). Coordinator-confined:
-    // run() is the coordinator by construction (it builds the timer)
-    // and assumes the role once at its top.
-    void onRetire(const sim::Retired& retired) override
-        LBA_COORDINATOR_ONLY;
-    void onOsEvent(const sim::OsEvent& event) override
-        LBA_COORDINATOR_ONLY;
+    // currently-scheduled tenant's process).
+    void onRetire(const sim::Retired& retired) override;
+    void onOsEvent(const sim::OsEvent& event) override;
 
   private:
     struct Tenant;
@@ -245,8 +236,7 @@ class LifeguardPool : public sim::RetireObserver
     unsigned routeShard(Tenant& tenant, const log::EventRecord& record);
 
     /** Deliver one record of the current tenant through the engine. */
-    void deliver(Tenant& tenant, const log::EventRecord& record)
-        LBA_COORDINATOR_ONLY;
+    void deliver(Tenant& tenant, const log::EventRecord& record);
 
     /** Scheduling epoch: feed recent lag to the policy, reset windows. */
     void epoch();

@@ -4,10 +4,9 @@
  * workloads they were built for (workload::serverSuite): BoundsCheck
  * flags use-after-free reads as tag mismatches, MemLeak flags untouched
  * blocks as leak suspects during sweeps and unfreed blocks as definite
- * leaks at finish, containment routes leak-kind findings to quarantine
- * instead of patching the allocation site, and threaded execution
- * matches serial. Their simulated cycles are pinned by the golden
- * corpus (tests/golden_cycles_test.cpp).
+ * leaks at finish, and containment routes leak-kind findings to
+ * quarantine instead of patching the allocation site. Their simulated
+ * cycles are pinned by the golden corpus (tests/golden_cycles_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -52,69 +51,6 @@ makeProgram(const char* profile, std::uint64_t instrs,
     return workload::generate(*workload::findProfile(profile), bugs,
                               instrs);
 }
-
-void
-expectStatsEqual(const LbaRunStats& threaded, const LbaRunStats& serial)
-{
-    EXPECT_EQ(threaded.app_instructions, serial.app_instructions);
-    EXPECT_EQ(threaded.records_logged, serial.records_logged);
-    EXPECT_EQ(threaded.records_filtered, serial.records_filtered);
-    EXPECT_EQ(threaded.total_cycles, serial.total_cycles);
-    EXPECT_EQ(threaded.app_cycles, serial.app_cycles);
-    EXPECT_EQ(threaded.backpressure_stall_cycles,
-              serial.backpressure_stall_cycles);
-    EXPECT_EQ(threaded.syscall_stall_cycles, serial.syscall_stall_cycles);
-    EXPECT_EQ(threaded.lifeguard_busy_cycles, serial.lifeguard_busy_cycles);
-    EXPECT_EQ(threaded.bytes_per_record, serial.bytes_per_record);
-    EXPECT_EQ(threaded.mean_consume_lag, serial.mean_consume_lag);
-    EXPECT_EQ(threaded.syscall_drains, serial.syscall_drains);
-    EXPECT_EQ(threaded.transport_bytes, serial.transport_bytes);
-    EXPECT_EQ(threaded.transport_wait_cycles, serial.transport_wait_cycles);
-    EXPECT_EQ(threaded.containment_cycles, serial.containment_cycles);
-}
-
-void
-expectFindingsEqual(const std::vector<lifeguard::Finding>& threaded,
-                    const std::vector<lifeguard::Finding>& serial)
-{
-    ASSERT_EQ(threaded.size(), serial.size());
-    for (std::size_t i = 0; i < threaded.size(); ++i) {
-        EXPECT_EQ(threaded[i].kind, serial[i].kind);
-        EXPECT_EQ(threaded[i].pc, serial[i].pc);
-        EXPECT_EQ(threaded[i].addr, serial[i].addr);
-        EXPECT_EQ(threaded[i].tid, serial[i].tid);
-        EXPECT_EQ(threaded[i].message, serial[i].message);
-    }
-}
-
-class BoundsMemLeakThreaded : public ::testing::TestWithParam<const char*>
-{
-  protected:
-    LifeguardFactory
-    factory() const
-    {
-        return std::string(GetParam()) == "bounds" ? boundscheck()
-                                                   : memleak();
-    }
-};
-
-TEST_P(BoundsMemLeakThreaded, ThreadedMatchesSerial)
-{
-    auto gen = makeProgram("req_serve", 40000, /*with_bugs=*/true);
-    Experiment exp(gen.program);
-    LbaConfig lba;
-    lba.execution = ExecutionMode::kThreaded;
-    PlatformResult threaded = exp.runLba(factory(), lba);
-    lba.execution = ExecutionMode::kSerial;
-    PlatformResult serial = exp.runLba(factory(), lba);
-
-    EXPECT_EQ(threaded.cycles, serial.cycles);
-    expectStatsEqual(threaded.lba, serial.lba);
-    expectFindingsEqual(threaded.findings, serial.findings);
-}
-
-INSTANTIATE_TEST_SUITE_P(BothGuards, BoundsMemLeakThreaded,
-                         ::testing::Values("bounds", "memleak"));
 
 TEST(BoundsMemLeak, BoundsContainmentRewindsOnMistag)
 {

@@ -99,7 +99,6 @@ class FixedCostLifeguard : public Lifeguard
 Cycles
 consumeOne(DispatchEngine& engine, const log::EventRecord& record)
 {
-    engine.assumeFunctionalOwner();
     return engine.consumeBatch(&record, 1);
 }
 
@@ -163,7 +162,6 @@ TEST(Dispatch, FinishRunsLifeguardHook)
     FixedCostLifeguard guard;
     mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
     DispatchEngine engine(guard, hierarchy, {1, 1});
-    engine.assumeFunctionalOwner();
     EXPECT_EQ(engine.finish(), 100u);
 }
 
@@ -276,7 +274,6 @@ TEST(HandlerTable, ConsumeBatchIsSplitInvariant)
     mem::CacheHierarchy whole_hierarchy(mem::HierarchyConfig{});
     DispatchEngine whole(whole_guard, whole_hierarchy, {1, 1});
     std::vector<Cycles> costs(records.size());
-    whole.assumeFunctionalOwner();
     Cycles total = whole.consumeBatch(records.data(), records.size(),
                                       costs.data());
 

@@ -12,21 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/pipeline_timer.h"
 #include "lifeguard/lifeguard.h"
-
-// Death tests fork, which ThreadSanitizer's runtime does not support
-// in a multithreaded process (the threaded timer owns worker threads);
-// the TSan CI job runs this suite, so compile them out under TSan.
-#if defined(__SANITIZE_THREAD__)
-#define LBA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define LBA_TSAN_BUILD 1
-#endif
-#endif
 
 namespace lba::core {
 namespace {
@@ -376,65 +363,6 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     EXPECT_EQ(timer.producerStats(0).syscall_drains, 1u);
     EXPECT_EQ(timer.producerStats(1).syscall_drains, 0u);
 }
-
-#ifndef LBA_TSAN_BUILD
-
-/**
- * Threaded-mode coordinator confinement: the runtime twin of the
- * LBA_COORDINATOR_ONLY annotations (docs/STATIC_ANALYSIS.md). A
- * foreign thread touching a mutating entry point must trap in
- * assertCoordinator() — these tests pin the trap's existence and its
- * message, which tools/lba_lint.py keeps paired with the annotations.
- */
-class PipelineTimerDeathTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        // The threaded timer is multithreaded before the death
-        // statement runs; fork-after-spawn needs the threadsafe style
-        // (re-exec) to be reliable.
-        ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    }
-};
-
-TEST_F(PipelineTimerDeathTest, OffCoordinatorRetireTraps)
-{
-    mem::CacheHierarchy hierarchy(cores(2));
-    LbaConfig config;
-    config.execution = ExecutionMode::kThreaded;
-    FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
-    sim::Retired retired;
-    retired.pc = 0x1000;
-    EXPECT_DEATH(std::thread([&] { timer.retire(0, retired); }).join(),
-                 "off the coordinating thread");
-}
-
-TEST_F(PipelineTimerDeathTest, OffCoordinatorLogTraps)
-{
-    mem::CacheHierarchy hierarchy(cores(2));
-    LbaConfig config;
-    config.execution = ExecutionMode::kThreaded;
-    FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
-    EXPECT_DEATH(std::thread([&] { timer.log(aluRecord(), 0); }).join(),
-                 "off the coordinating thread");
-}
-
-TEST_F(PipelineTimerDeathTest, OffCoordinatorSyncTraps)
-{
-    mem::CacheHierarchy hierarchy(cores(2));
-    LbaConfig config;
-    config.execution = ExecutionMode::kThreaded;
-    FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
-    EXPECT_DEATH(std::thread([&] { timer.sync(); }).join(),
-                 "off the coordinating thread");
-}
-
-#endif // LBA_TSAN_BUILD
 
 } // namespace
 } // namespace lba::core

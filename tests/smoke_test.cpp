@@ -75,6 +75,15 @@ TEST_F(SmokeTest, LbaRunRejectsUnknownBenchmark)
     std::string cmd = std::string(LBA_RUN_PATH) +
                       " no-such-benchmark addrcheck >/dev/null 2>&1";
     EXPECT_NE(runCommand(cmd), 0);
+    // A --json report that cannot be written is an I/O error (exit 1)
+    // on both report paths.
+    for (const char* mode : {"", " --tenants 2"}) {
+        std::string unwritable = std::string(LBA_RUN_PATH) +
+                                 " gzip addrcheck --instrs 5000" + mode +
+                                 " --json /nonexistent/dir/x.json"
+                                 " >/dev/null 2>&1";
+        EXPECT_EQ(runCommand(unwritable), 1) << "mode:" << mode;
+    }
 }
 
 TEST_F(SmokeTest, LbaRunContainmentReportsAndExitsZero)
@@ -160,7 +169,8 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
           " --transport-bw 2x", " --containment patch"
                                 " --checkpoint-interval -1",
           " --containment patch --checkpoint-interval=1e3",
-          " --no-such-flag 1", " --no-such-flag=1"}) {
+          " --no-such-flag 1", " --no-such-flag=1", " --platform xyz",
+          " --bugs bogus", " --bugs uaf,nope", " --execution serial"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
                           args + " >" + out + " 2>/dev/null";
         EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;

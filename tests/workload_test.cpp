@@ -56,10 +56,10 @@ recordStream(const std::vector<isa::Instruction>& program)
 
 /**
  * Same seed + profile => identical *event stream*, not just an
- * identical program: every differential test in the tree (threaded vs
- * serial execution, serial vs parallel, pool vs parallel) silently
- * relies on the two runs it compares observing the exact same records
- * in the exact same order.
+ * identical program: every differential test in the tree (serial vs
+ * parallel, pool vs parallel) and the golden corpus silently rely on
+ * the runs they compare observing the exact same records in the exact
+ * same order.
  */
 TEST(Generator, DeterministicEventStream)
 {

@@ -11,26 +11,24 @@
  *           [--tenants N] [--lanes M] [--sched static|rr|lag]
  *           [--containment abort|skip|patch|quarantine]
  *           [--checkpoint-interval N] [--json PATH]
- *           [--execution serial|threaded]
  *
  * With --tenants N the benchmark argument may be a comma-separated
  * list of profiles; the N tenants cycle through it and share an M-lane
  * lifeguard pool under the chosen scheduling policy (src/sched/).
  * --containment enables rewind-and-repair containment under the chosen
  * repair policy (src/replay/containment.h); the `--containment=policy`
- * spelling is accepted too. --execution selects the host execution
- * mode: `threaded` runs lifeguard handlers on one worker thread per
- * lane while every simulated cycle count stays bit-identical to
- * `serial` (docs/ARCHITECTURE.md "Threaded execution"). --codec
- * selects the registered log codec the transport accounting runs
- * (`predictor` is the default; see `lba_trace codecs` for the
- * registry). --json writes a machine-readable copy of the report to
- * PATH.
+ * spelling is accepted too. --codec selects the registered log codec
+ * the transport accounting runs (`predictor` is the default; see
+ * `lba_trace codecs` for the registry). --json writes a
+ * machine-readable copy of the report to PATH.
  *
  * Numeric values must be plain decimals with nothing else in the
  * token: --instrs is at least 1, --shards and --lanes are 1..64,
- * --tenants is at most 256, --transport-bw is a finite number >= 0. Anything else is a usage
- * error (exit 2) before any output.
+ * --tenants is at most 256, --transport-bw is a finite number >= 0.
+ * --platform must be exactly lba, dbi or both, and every
+ * comma-separated --bugs token must be one of the five bug names.
+ * Anything else is a usage error (exit 2) before any output. An
+ * unknown benchmark, or a --json file that cannot be written, exits 1.
  */
 
 #include <cerrno>
@@ -101,6 +99,33 @@ parseBandwidth(const char* text, double* out)
     return true;
 }
 
+/** Parse a comma-separated --bugs list; every token must name a bug. */
+bool
+parseBugs(const std::string& list, workload::BugInjection* bugs)
+{
+    *bugs = workload::BugInjection();
+    std::size_t start = 0;
+    for (;;) {
+        std::size_t comma = list.find(',', start);
+        std::string name = list.substr(start, comma - start);
+        if (name == "uaf") {
+            bugs->use_after_free = true;
+        } else if (name == "double-free") {
+            bugs->double_free = true;
+        } else if (name == "leak") {
+            bugs->leak = true;
+        } else if (name == "tainted-jump") {
+            bugs->tainted_jump = true;
+        } else if (name == "race") {
+            bugs->race = true;
+        } else {
+            return false;
+        }
+        if (comma == std::string::npos) return true;
+        start = comma + 1;
+    }
+}
+
 int
 usage()
 {
@@ -115,8 +140,7 @@ usage()
         "               [--tenants N] [--lanes M] "
         "[--sched static|rr|lag]\n"
         "               [--containment abort|skip|patch|quarantine]\n"
-        "               [--checkpoint-interval N] [--json PATH]\n"
-        "               [--execution serial|threaded]\n");
+        "               [--checkpoint-interval N] [--json PATH]\n");
     return 2;
 }
 
@@ -261,18 +285,19 @@ appendResultJson(stats::JsonWriter& json,
     json.endObject();
 }
 
-/** Write @p json to @p path ("" = disabled). */
-void
+/**
+ * Write @p json to @p path ("" = disabled).
+ * @return False when the file could not be opened, written or closed.
+ */
+bool
 writeJson(const std::string& path, const stats::JsonWriter& json)
 {
-    if (path.empty()) return;
+    if (path.empty()) return true;
     std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(file, "%s\n", json.str().c_str());
-    std::fclose(file);
+    bool ok = file && std::fprintf(file, "%s\n", json.str().c_str()) >= 0;
+    if (file && std::fclose(file) != 0) ok = false;
+    if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok;
 }
 
 /** Split a comma-separated benchmark list. */
@@ -296,7 +321,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
                const core::LifeguardFactory& factory,
                std::uint64_t instrs, unsigned tenants, unsigned lanes,
                sched::Policy policy, double transport_bw,
-               const std::string& codec, core::ExecutionMode execution,
+               const std::string& codec,
                const workload::BugInjection& bugs,
                const replay::ContainmentConfig& containment,
                const std::string& json_path)
@@ -306,7 +331,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     config.policy = policy;
     config.lba.transport_bytes_per_cycle = transport_bw;
     config.lba.codec = codec;
-    config.lba.execution = execution;
     config.containment = containment;
     sched::LifeguardPool pool(config, factory);
 
@@ -397,8 +421,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     }
     json.endArray();
     json.endObject();
-    writeJson(json_path, json);
-    return 0;
+    return writeJson(json_path, json) ? 0 : 1;
 }
 
 } // namespace
@@ -423,17 +446,6 @@ main(int argc, char** argv)
     replay::ContainmentConfig containment;
     constexpr std::uint64_t kUnbounded =
         std::numeric_limits<std::uint64_t>::max();
-    core::ExecutionMode execution = core::ExecutionMode::kSerial;
-    auto parse_execution = [&](const std::string& value) {
-        if (value == "serial") {
-            execution = core::ExecutionMode::kSerial;
-        } else if (value == "threaded") {
-            execution = core::ExecutionMode::kThreaded;
-        } else {
-            return false;
-        }
-        return true;
-    };
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
         // The containment flags also accept the `--flag=value`
@@ -458,10 +470,6 @@ main(int argc, char** argv)
                 }
                 continue;
             }
-            if (arg == "--execution") {
-                if (!parse_execution(value)) return usage();
-                continue;
-            }
             return usage();
         }
         if (arg == "--instrs" && i + 1 < argc) {
@@ -470,6 +478,10 @@ main(int argc, char** argv)
             }
         } else if (arg == "--platform" && i + 1 < argc) {
             platform = argv[++i];
+            if (platform != "lba" && platform != "dbi" &&
+                platform != "both") {
+                return usage();
+            }
         } else if (arg == "--shards" && i + 1 < argc) {
             if (!parseCount(argv[++i], 1, kMaxLanes, &shards)) {
                 return usage();
@@ -499,19 +511,10 @@ main(int argc, char** argv)
                             &containment.checkpoint_interval)) {
                 return usage();
             }
-        } else if (arg == "--execution" && i + 1 < argc) {
-            if (!parse_execution(argv[++i])) return usage();
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--bugs" && i + 1 < argc) {
-            std::string list = argv[++i];
-            bugs.use_after_free = list.find("uaf") != std::string::npos;
-            bugs.double_free =
-                list.find("double-free") != std::string::npos;
-            bugs.leak = list.find("leak") != std::string::npos;
-            bugs.tainted_jump =
-                list.find("tainted-jump") != std::string::npos;
-            bugs.race = list.find("race") != std::string::npos;
+            if (!parseBugs(argv[++i], &bugs)) return usage();
         } else {
             return usage();
         }
@@ -569,8 +572,8 @@ main(int argc, char** argv)
         if (benchmarks.empty()) return usage();
         return runMultiTenant(benchmarks, lifeguard_name, factory,
                               instrs, tenants, lanes, policy,
-                              transport_bw, codec, execution, bugs,
-                              containment, json_path);
+                              transport_bw, codec, bugs, containment,
+                              json_path);
     }
 
     const workload::Profile* profile = workload::findProfile(benchmark);
@@ -586,7 +589,6 @@ main(int argc, char** argv)
     // Experiment::runParallelLba (one timing engine under both).
     config.lba.transport_bytes_per_cycle = transport_bw;
     config.lba.codec = codec;
-    config.lba.execution = execution;
     config.containment = containment;
     core::Experiment experiment(generated.program, config);
     const auto& base = experiment.unmonitored();
@@ -627,6 +629,5 @@ main(int argc, char** argv)
     }
     json.endArray();
     json.endObject();
-    writeJson(json_path, json);
-    return 0;
+    return writeJson(json_path, json) ? 0 : 1;
 }

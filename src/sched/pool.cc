@@ -466,6 +466,7 @@ LifeguardPool::run()
     for (unsigned lane = 0; lane < config_.lanes; ++lane) {
         result.lane_busy_cycles.push_back(timer_->laneBusyCycles(lane));
         result.lane_records.push_back(timer_->laneRecords(lane));
+        result.lane_buffers.push_back(timer_->bufferStats(lane));
     }
     for (auto& tenant : tenants_) {
         TenantStats stats;

@@ -181,6 +181,8 @@ struct PoolResult
     std::vector<Cycles> lane_busy_cycles;
     /** Per-lane consumed records. */
     std::vector<std::uint64_t> lane_records;
+    /** Per-lane log-buffer occupancy. */
+    std::vector<core::BufferStats> lane_buffers;
     std::string policy;
 };
 

@@ -197,6 +197,23 @@ u64Array(const std::vector<T>& values)
     return json.str();
 }
 
+/** Per-lane log-buffer occupancy, one object per lane. */
+std::string
+bufferArray(const std::vector<BufferStats>& lanes)
+{
+    stats::JsonWriter json;
+    json.beginArray();
+    for (const BufferStats& buffer : lanes) {
+        json.beginObject();
+        json.field("pushes", buffer.pushes);
+        json.field("pops", buffer.pops);
+        json.field("max_occupancy", buffer.max_occupancy);
+        json.endObject();
+    }
+    json.endArray();
+    return json.str();
+}
+
 /** The run-stats fields every line carries (total_cycles aside). */
 void
 addRunStats(LineWriter& line, const LbaRunStats& stats)
@@ -295,21 +312,13 @@ runLba(const std::string& name, const workload::GeneratedProgram& gen,
     line.u64("total_cycles", stats.total_cycles);
     addRunStats(line, stats);
     std::vector<Cycles> busy;
-    stats::JsonWriter buffers;
-    buffers.beginArray();
+    std::vector<BufferStats> buffers;
     for (unsigned l = 0; l < timer->lanes(); ++l) {
         busy.push_back(timer->laneBusyCycles(l));
-        auto buffer = timer->bufferStats(l);
-        buffers.beginObject();
-        buffers.field("pushes", static_cast<std::uint64_t>(buffer.pushes));
-        buffers.field("pops", static_cast<std::uint64_t>(buffer.pops));
-        buffers.field("max_occupancy",
-                      static_cast<std::uint64_t>(buffer.max_occupancy));
-        buffers.endObject();
+        buffers.push_back(timer->bufferStats(l));
     }
-    buffers.endArray();
     line.raw("lane_busy_cycles", u64Array(busy));
-    line.raw("lane_buffers", buffers.str());
+    line.raw("lane_buffers", bufferArray(buffers));
     line.raw("findings", findingsByKind(findings));
     if (contained) addContainment(line, *contained);
     return line.finish();
@@ -334,6 +343,7 @@ runPool(const std::string& name, const sched::PoolConfig& config,
     addRunStats(line, result.aggregate);
     line.raw("lane_busy_cycles", u64Array(result.lane_busy_cycles));
     line.raw("lane_records", u64Array(result.lane_records));
+    line.raw("lane_buffers", bufferArray(result.lane_buffers));
     line.u64("lane_steals", result.lane_steals);
     stats::JsonWriter json;
     json.beginArray();

@@ -40,11 +40,6 @@ class StopOnFinding : public sim::RetireObserver
     onRetire(const sim::Retired& retired) override
     {
         system_.onRetire(retired);
-        // Dispatch defers handler execution to the next flush
-        // boundary; sync before polling findings so detection happens
-        // at this retirement (replay/containment.h does the same
-        // before its finding checks).
-        system_.timer().sync();
         if (guard_.findings().size() > seen_) {
             seen_ = guard_.findings().size();
             process_.requestStop();

@@ -17,16 +17,104 @@
  *                      effective addresses.
  *  - TargetPredictor:  pc-indexed last taken-target for control transfers.
  *  - LastValue:        per-annotation-type last address/size values.
+ *
+ * The pc- and tid-keyed banks share one flat hash table (PredictorTable).
  */
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/types.h"
 #include "isa/isa.h"
 
 namespace lba::compress {
+
+/**
+ * Open-addressing hash table with exact 64-bit keys: linear probing over
+ * a power-of-two slot array that doubles before it becomes more than
+ * half full, so it has no size cap. Entries are never erased. A pointer
+ * or reference into the table is valid until the next insertion.
+ */
+template <typename Value>
+class PredictorTable
+{
+  public:
+    /** @return The value stored for @p key, or nullptr. */
+    const Value*
+    find(std::uint64_t key) const
+    {
+        if (slots_.empty()) return nullptr;
+        for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+            const Slot& slot = slots_[i];
+            if (!slot.used) return nullptr;
+            if (slot.key == key) return &slot.value;
+        }
+    }
+
+    Value*
+    find(std::uint64_t key)
+    {
+        return const_cast<Value*>(std::as_const(*this).find(key));
+    }
+
+    /** The value for @p key, value-initialized on first use. */
+    Value&
+    operator[](std::uint64_t key)
+    {
+        if (2 * (size_ + 1) > slots_.size()) grow();
+        for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+            Slot& slot = slots_[i];
+            if (!slot.used) {
+                slot.used = true;
+                slot.key = key;
+                ++size_;
+                return slot.value;
+            }
+            if (slot.key == key) return slot.value;
+        }
+    }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        Value value{};
+        bool used = false;
+    };
+
+    static constexpr std::size_t kInitialSlots = 64;
+
+    std::size_t mask() const { return slots_.size() - 1; }
+
+    /** Fibonacci hashing: the top bits of key * 2^64/phi. */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                        shift_);
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+        size_ = 0;
+        for (const Slot& slot : old) {
+            if (slot.used) (*this)[slot.key] = slot.value;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;
+};
 
 /** Sequential + finite-context-method program-counter predictor. */
 class PcPredictor
@@ -39,15 +127,15 @@ class PcPredictor
     Source
     predict(ThreadId tid, Addr actual) const
     {
-        auto it = last_pc_.find(tid);
-        if (it == last_pc_.end()) {
+        const Addr* last = last_pc_.find(tid);
+        if (last == nullptr) {
             return Source::kMiss;
         }
-        if (it->second + isa::kInstrBytes == actual) {
+        if (*last + isa::kInstrBytes == actual) {
             return Source::kSequential;
         }
-        auto ctx = context_.find(it->second);
-        if (ctx != context_.end() && ctx->second == actual) {
+        const Addr* next = context_.find(*last);
+        if (next != nullptr && *next == actual) {
             return Source::kContext;
         }
         return Source::kMiss;
@@ -72,16 +160,16 @@ class PcPredictor
     bool
     tryResolve(ThreadId tid, Source source, Addr* out) const
     {
-        auto it = last_pc_.find(tid);
-        if (it == last_pc_.end()) return false;
+        const Addr* last = last_pc_.find(tid);
+        if (last == nullptr) return false;
         if (source == Source::kSequential) {
-            *out = it->second + isa::kInstrBytes;
+            *out = *last + isa::kInstrBytes;
             return true;
         }
         // kContext
-        auto ctx = context_.find(it->second);
-        if (ctx == context_.end()) return false;
-        *out = ctx->second;
+        const Addr* next = context_.find(*last);
+        if (next == nullptr) return false;
+        *out = *next;
         return true;
     }
 
@@ -89,26 +177,28 @@ class PcPredictor
     Addr
     missBase(ThreadId tid) const
     {
-        auto it = last_pc_.find(tid);
-        return it == last_pc_.end() ? 0
-                                    : it->second + isa::kInstrBytes;
+        const Addr* last = last_pc_.find(tid);
+        return last == nullptr ? 0 : *last + isa::kInstrBytes;
     }
 
     /** Record the actual pc (both sides call this after every record). */
     void
     update(ThreadId tid, Addr actual)
     {
-        auto it = last_pc_.find(tid);
-        if (it != last_pc_.end() &&
-            it->second + isa::kInstrBytes != actual) {
-            context_[it->second] = actual;
+        Addr* last = last_pc_.find(tid);
+        if (last == nullptr) {
+            last_pc_[tid] = actual;
+            return;
         }
-        last_pc_[tid] = actual;
+        if (*last + isa::kInstrBytes != actual) context_[*last] = actual;
+        *last = actual;
     }
 
   private:
-    std::unordered_map<ThreadId, Addr> last_pc_;
-    std::unordered_map<Addr, Addr> context_;
+    /** tid -> last pc. */
+    PredictorTable<Addr> last_pc_;
+    /** pc -> the pc that last followed it non-sequentially. */
+    PredictorTable<Addr> context_;
 };
 
 /** Static per-pc instruction fields. */
@@ -127,17 +217,12 @@ class StaticPredictor
 {
   public:
     /** @return Pointer to the prediction for @p pc, or nullptr. */
-    const StaticInfo*
-    predict(Addr pc) const
-    {
-        auto it = table_.find(pc);
-        return it == table_.end() ? nullptr : &it->second;
-    }
+    const StaticInfo* predict(Addr pc) const { return table_.find(pc); }
 
     void update(Addr pc, const StaticInfo& info) { table_[pc] = info; }
 
   private:
-    std::unordered_map<Addr, StaticInfo> table_;
+    PredictorTable<StaticInfo> table_;
 };
 
 /** pc-indexed last-address + stride predictor for effective addresses. */
@@ -149,13 +234,12 @@ class StridePredictor
     Source
     predict(Addr pc, Addr actual) const
     {
-        auto it = table_.find(pc);
-        if (it == table_.end()) return Source::kMiss;
-        if (static_cast<Addr>(it->second.last + it->second.stride) ==
-            actual) {
+        const Entry* e = table_.find(pc);
+        if (e == nullptr) return Source::kMiss;
+        if (static_cast<Addr>(e->last + e->stride) == actual) {
             return Source::kStride;
         }
-        if (it->second.last == actual) return Source::kLast;
+        if (e->last == actual) return Source::kLast;
         return Source::kMiss;
     }
 
@@ -174,12 +258,11 @@ class StridePredictor
     bool
     tryResolve(Addr pc, Source source, Addr* out) const
     {
-        auto it = table_.find(pc);
-        if (it == table_.end()) return false;
-        const Entry& e = it->second;
+        const Entry* e = table_.find(pc);
+        if (e == nullptr) return false;
         *out = source == Source::kStride
-                   ? static_cast<Addr>(e.last + e.stride)
-                   : e.last;
+                   ? static_cast<Addr>(e->last + e->stride)
+                   : e->last;
         return true;
     }
 
@@ -187,8 +270,8 @@ class StridePredictor
     Addr
     missBase(Addr pc) const
     {
-        auto it = table_.find(pc);
-        return it == table_.end() ? 0 : it->second.last;
+        const Entry* e = table_.find(pc);
+        return e == nullptr ? 0 : e->last;
     }
 
     void
@@ -213,7 +296,7 @@ class StridePredictor
         bool seen = false;
     };
 
-    std::unordered_map<Addr, Entry> table_;
+    PredictorTable<Entry> table_;
 };
 
 /** pc-indexed last taken-target predictor for control transfers. */
@@ -224,22 +307,22 @@ class TargetPredictor
     bool
     predict(Addr pc, Addr actual) const
     {
-        auto it = table_.find(pc);
-        return it != table_.end() && it->second == actual;
+        const Addr* target = table_.find(pc);
+        return target != nullptr && *target == actual;
     }
 
     /** Stored target for @p pc (0 when unseen). */
     Addr
     resolve(Addr pc) const
     {
-        auto it = table_.find(pc);
-        return it == table_.end() ? 0 : it->second;
+        const Addr* target = table_.find(pc);
+        return target == nullptr ? 0 : *target;
     }
 
     void update(Addr pc, Addr actual) { table_[pc] = actual; }
 
   private:
-    std::unordered_map<Addr, Addr> table_;
+    PredictorTable<Addr> table_;
 };
 
 } // namespace lba::compress

@@ -144,13 +144,6 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // contexts may need multiple slots for one logical record.
     LBA_ASSERT(needed <= lane.capacity,
                "lane buffer smaller than one record's consumptions");
-    if (lane.slot_finish.size() + lane.pending + needed > lane.capacity) {
-        // A queued-but-unconsumed record occupies a slot whose finish
-        // time is not known yet: catch the whole queue up first, in
-        // arrival order (a record-at-a-time consumer would have
-        // consumed them before this point too).
-        flushPending();
-    }
     while (lane.slot_finish.size() + needed > lane.capacity) {
         Cycles freed_at = lane.slot_finish.front();
         lane.slot_finish.pop_front();
@@ -169,26 +162,8 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
                          const EventRecord& record, Cycles produced_at,
                          double record_bytes)
 {
-    PendingMeta meta;
-    meta.producer = static_cast<unsigned>(&producer - producers_.data());
-    meta.lane = static_cast<unsigned>(&lane - lanes_.data());
-    meta.engine = &engine;
-    meta.produced_at = produced_at;
-    meta.bytes = record_bytes;
-    pending_records_.push_back(record);
-    pending_meta_.push_back(meta);
-    ++lane.pending;
-    lane.max_occupancy =
-        std::max<std::uint64_t>(lane.max_occupancy,
-                                lane.slot_finish.size() + lane.pending);
-}
+    Cycles cost = engine.consumeBatch(&record, 1);
 
-void
-PipelineTimer::applyRecordTiming(Producer& producer, Lane& lane,
-                                 const EventRecord& record,
-                                 Cycles produced_at, double record_bytes,
-                                 Cycles cost)
-{
     lane.transport_bytes += record_bytes;
     stats_.transport_bytes += record_bytes;
     producer.stats.transport_bytes += record_bytes;
@@ -222,6 +197,8 @@ PipelineTimer::applyRecordTiming(Producer& producer, Lane& lane,
     producer.stats.lifeguard_busy_cycles += cost;
     producer.drain_clock = std::max(producer.drain_clock, lane.last_finish);
     lane.slot_finish.push_back(lane.last_finish);
+    lane.max_occupancy =
+        std::max<std::uint64_t>(lane.max_occupancy, lane.slot_finish.size());
     ++lane.records;
 
     if (consume_observer_) {
@@ -231,54 +208,6 @@ PipelineTimer::applyRecordTiming(Producer& producer, Lane& lane,
         consume_observer_(producer_idx, lane_idx, record,
                           static_cast<Cycles>(lag), cost, record_bytes);
     }
-}
-
-void
-PipelineTimer::flushPending()
-{
-    // The consume observer runs inside phase 2 and may call back into
-    // a syncing accessor (stats(), sync(), ...); re-entering the flush
-    // would re-run every queued handler. The guard makes re-entry a
-    // no-op.
-    if (pending_meta_.empty() || flushing_) return;
-    flushing_ = true;
-    std::size_t n = pending_meta_.size();
-    pending_costs_.resize(n);
-
-    // Phase 1: handler execution, in arrival order, with maximal runs
-    // that share an engine drained through one consumeBatch call each
-    // (the whole queue, for single-lane systems).
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i + 1;
-        while (j < n && pending_meta_[j].engine == pending_meta_[i].engine) {
-            ++j;
-        }
-        lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
-        engine->consumeBatch(pending_records_.data() + i, j - i,
-                             pending_costs_.data() + i);
-        i = j;
-    }
-
-    // Phase 2: the timing recurrence, same order. Handler costs never
-    // depend on the recurrence, so the split is exact.
-    for (std::size_t k = 0; k < n; ++k) {
-        const PendingMeta& meta = pending_meta_[k];
-        Lane& lane = lanes_[meta.lane];
-        applyRecordTiming(producers_[meta.producer], lane,
-                          pending_records_[k], meta.produced_at,
-                          meta.bytes, pending_costs_[k]);
-        --lane.pending;
-    }
-    // Erase only what this flush consumed: an observer that logged
-    // records mid-flush (none in-tree do) must not lose them.
-    pending_records_.erase(pending_records_.begin(),
-                           pending_records_.begin() +
-                               static_cast<std::ptrdiff_t>(n));
-    pending_meta_.erase(pending_meta_.begin(),
-                        pending_meta_.begin() +
-                            static_cast<std::ptrdiff_t>(n));
-    flushing_ = false;
 }
 
 bool
@@ -372,9 +301,6 @@ void
 PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
 {
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
-    // Flush boundary: consume everything the previous interval logged
-    // before this retirement's drain check and cache accesses.
-    flushPending();
     Producer& producer = producers_[producer_idx];
     if (producer.pending_drain) {
         // Applied before this retirement's own cost, so the drain covers
@@ -418,7 +344,6 @@ Cycles
 PipelineTimer::drainProducer(unsigned producer_idx)
 {
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
-    flushPending();
     Producer& producer = producers_[producer_idx];
     if (producer.app_time >= producer.drain_clock) return 0;
     Cycles stall = producer.drain_clock - producer.app_time;
@@ -452,7 +377,6 @@ PipelineTimer::finishShard(unsigned producer_idx, unsigned lane_idx,
     LBA_ASSERT(!finished_, "finishShard() after seal()");
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     LBA_ASSERT(lane_idx < lanes_.size(), "bad lane index");
-    flushPending();
     Producer& producer = producers_[producer_idx];
     Lane& lane = lanes_[lane_idx];
     // The final pass runs once the producer's application has exited and
@@ -471,7 +395,6 @@ void
 PipelineTimer::seal()
 {
     LBA_ASSERT(!finished_, "seal() called twice");
-    flushPending();
     finished_ = true;
 
     Cycles end = 0;
@@ -518,7 +441,6 @@ PipelineTimer::finishAll()
 const LbaRunStats&
 PipelineTimer::producerStats(unsigned producer) const
 {
-    syncConst();
     LBA_ASSERT(producer < producers_.size(), "bad producer index");
     return producers_[producer].stats;
 }
@@ -534,11 +456,11 @@ BufferStats
 PipelineTimer::bufferStats(unsigned lane_idx) const
 {
     LBA_ASSERT(lane_idx < lanes_.size(), "bad lane index");
-    // Every delivered record is consumed (records) or queued (pending);
-    // the consumed ones not yet reclaimed still hold slots.
+    // Every delivered record is consumed at once; the ones whose slots
+    // are not reclaimed yet still hold them.
     const Lane& lane = lanes_[lane_idx];
     BufferStats stats;
-    stats.pushes = lane.records + lane.pending;
+    stats.pushes = lane.records;
     stats.pops = lane.records - lane.slot_finish.size();
     stats.max_occupancy = lane.max_occupancy;
     return stats;
@@ -547,7 +469,6 @@ PipelineTimer::bufferStats(unsigned lane_idx) const
 lifeguard::DispatchStats
 PipelineTimer::dispatchStats(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     LBA_ASSERT(lanes_[lane].dispatch, "lane has no dispatch engine");
     return lanes_[lane].dispatch->stats();
@@ -558,15 +479,12 @@ PipelineTimer::lifeguard(unsigned lane) const
 {
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     LBA_ASSERT(lanes_[lane].lifeguard, "lane has no intrinsic lifeguard");
-    // Callers read mid-run lifeguard state (findings); catch it up.
-    syncConst();
     return *lanes_[lane].lifeguard;
 }
 
 Cycles
 PipelineTimer::laneLastFinish(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].last_finish;
 }
@@ -574,7 +492,6 @@ PipelineTimer::laneLastFinish(unsigned lane) const
 Cycles
 PipelineTimer::laneBusyCycles(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].busy_cycles;
 }
@@ -582,7 +499,6 @@ PipelineTimer::laneBusyCycles(unsigned lane) const
 std::uint64_t
 PipelineTimer::laneRecords(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].records;
 }
@@ -590,7 +506,6 @@ PipelineTimer::laneRecords(unsigned lane) const
 double
 PipelineTimer::laneMeanConsumeLag(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].consume_lag.mean();
 }
@@ -598,7 +513,6 @@ PipelineTimer::laneMeanConsumeLag(unsigned lane) const
 double
 PipelineTimer::laneTransportBytes(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].transport_bytes;
 }
@@ -606,7 +520,6 @@ PipelineTimer::laneTransportBytes(unsigned lane) const
 Cycles
 PipelineTimer::laneTransportWaitCycles(unsigned lane) const
 {
-    syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].transport_wait_cycles;
 }

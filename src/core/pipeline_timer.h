@@ -32,23 +32,20 @@
  * special case by construction, which the shards=1 differential tests
  * assert cycle-for-cycle.
  *
- * Dispatch at flush boundaries. The recurrence above is *what* is
- * computed; the flush queue decides *when* the host computes it.
- * Records are queued as they are logged and drained at the next flush
- * boundary — the following retirement (before its drain check and
- * cache accesses), a containment drain, a slot-reservation squeeze, or
- * end of run — first running every queued handler in arrival order
- * through the lifeguards' handler tables (DispatchEngine::consumeBatch),
- * then folding the per-record costs into the recurrence in the same
- * order. Every flush boundary precedes the next application-core cache
- * access, so the shared-L2 access interleaving is the one a
- * record-at-a-time consumer would produce; handler costs never depend
- * on the recurrence, so the split is exact. The golden cycle corpus
- * (tests/golden/) pins the resulting cycles.
+ * Dispatch at log time. The recurrence above is *what* is computed;
+ * the host computes it for each record inside log(): the target lane's
+ * handler runs (DispatchEngine::consumeBatch over that one record) and
+ * its cost folds into the recurrence at once. Records are logged right
+ * after their retirement, so a record's handler cache accesses land
+ * after that retirement's application accesses and before the next
+ * one's, in arrival order — the shared-L2 interleaving of a
+ * record-at-a-time consumer. Handler costs never read the recurrence,
+ * so computing it eagerly on the host changes no simulated cycle. The
+ * golden cycle corpus (tests/golden/) pins the resulting cycles.
  *
  * The lane buffer is its slot accounting: the finish times of the
- * records occupying slots plus the records queued for the next flush.
- * Occupancy statistics (bufferStats) come from the same two counts.
+ * records occupying slots. Occupancy statistics (bufferStats) come from
+ * the same count.
  *
  * Multi-tenant generalisation (src/sched/). The timer also supports
  * multiple *producers*: independent monitored applications, each with its
@@ -148,7 +145,7 @@ struct LaneLimits
 /**
  * Occupancy of one lane's log buffer. pushes - pops is the number of
  * records holding slots (consumed records whose slots have not been
- * reclaimed yet, plus records queued for the next flush).
+ * reclaimed yet).
  */
 struct BufferStats
 {
@@ -309,15 +306,6 @@ class PipelineTimer
      */
     void chargeContainment(unsigned producer, Cycles cycles);
 
-    /**
-     * Drain the deferred dispatch queue now (a no-op at every natural
-     * flush boundary). External
-     * drivers call this before inspecting mid-run lifeguard state —
-     * e.g. the containment manager before checking findings, and the
-     * pool at slice boundaries so scheduling sees up-to-date lag.
-     */
-    void sync() { flushPending(); }
-
     /** The shared cache hierarchy (rewind cost modelling). */
     mem::CacheHierarchy& hierarchy() { return hierarchy_; }
 
@@ -348,15 +336,8 @@ class PipelineTimer
      */
     void seal();
 
-    /** Aggregate statistics (totals valid after finishAll()/seal()).
-     *  Flushes deferred dispatch first (as does every accessor below
-     *  that syncs). */
-    const LbaRunStats&
-    stats() const
-    {
-        syncConst();
-        return stats_;
-    }
+    /** Aggregate statistics (totals valid after finishAll()/seal()). */
+    const LbaRunStats& stats() const { return stats_; }
 
     /**
      * One producer's slice of the run: its own app/stall cycles, its
@@ -426,9 +407,7 @@ class PipelineTimer
         double transport_bytes = 0.0;
         Cycles transport_wait_cycles = 0;
         std::uint64_t records = 0;
-        /** Records queued for the next flush but not yet consumed. */
-        std::size_t pending = 0;
-        /** Peak of slot_finish.size() + pending (BufferStats). */
+        /** Peak of slot_finish.size() (BufferStats). */
         std::uint64_t max_occupancy = 0;
 
         explicit Lane(std::size_t slots) : capacity(slots)
@@ -474,38 +453,15 @@ class PipelineTimer
     void reserveSlots(Producer& producer, Lane& lane, std::size_t needed);
 
     /**
-     * Deliver one record to one lane: take its slot and queue it for
-     * the next flush.
+     * Deliver one record to one lane whose slot is reserved: run its
+     * handler on @p engine, then fold the cost into the timing
+     * recurrence (transport delivery, start/finish, lag and busy
+     * accounting, slot bookkeeping, and the consume observer).
      */
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,
                    const log::EventRecord& record, Cycles produced_at,
                    double record_bytes);
-
-    /**
-     * Fold one consumed record's @p cost into the timing recurrence:
-     * transport delivery, start/finish, lag and busy accounting, slot
-     * bookkeeping, and the consume observer.
-     */
-    void applyRecordTiming(Producer& producer, Lane& lane,
-                           const log::EventRecord& record,
-                           Cycles produced_at, double record_bytes,
-                           Cycles cost);
-
-    /**
-     * Drain the deferred dispatch queue: run every queued handler in
-     * arrival order (one consumeBatch per engine run), then apply the timing
-     * recurrence per record in the same order.
-     */
-    void flushPending();
-
-    /** flushPending() from a const accessor: catching up lazily-
-     *  deferred state does not change observable results. */
-    void
-    syncConst() const
-    {
-        const_cast<PipelineTimer*>(this)->flushPending();
-    }
 
     /** Shared filtering + compression prologue of both log() variants. */
     bool admitRecord(Producer& producer, const log::EventRecord& record,
@@ -518,25 +474,6 @@ class PipelineTimer
 
     /** Scratch: per-lane slot demand of one multi-target record. */
     std::vector<std::pair<unsigned, std::size_t>> lane_demand_;
-
-    /** Deferred dispatch: records awaiting consumption, in
-     *  arrival order (contiguous so engine runs batch directly). */
-    std::vector<log::EventRecord> pending_records_;
-    /** Per-record routing/timing inputs parallel to pending_records_. */
-    struct PendingMeta
-    {
-        unsigned producer = 0;
-        unsigned lane = 0;
-        lifeguard::DispatchEngine* engine = nullptr;
-        Cycles produced_at = 0;
-        double bytes = 0.0;
-    };
-    std::vector<PendingMeta> pending_meta_;
-    /** Scratch: per-record handler costs of one flush. */
-    std::vector<Cycles> pending_costs_;
-    /** Re-entrancy guard: a flush is in progress (observer callbacks
-     *  may reach a syncing accessor). */
-    bool flushing_ = false;
 
     ConsumeObserver consume_observer_;
     stats::Summary consume_lag_;

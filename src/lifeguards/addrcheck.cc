@@ -79,17 +79,21 @@ AddrCheck::checkAccess(const EventRecord& record, CostSink& cost)
     cost.instrs(6);
     cost.memAccess(valid_.shadowAddr(addr), false);
 
+    // One probe per granule the access touches, testing all of its
+    // bytes in that granule with one mask.
     bool ok = true;
-    for (unsigned b = 0; b < bytes; ++b) {
-        Addr byte = addr + b;
-        if (b > 0 && (byte & 7) == 0) {
+    Addr end = addr + bytes;
+    for (Addr g = addr & ~7ull; g < end; g += 8) {
+        if (g > addr) {
             // Access crosses into the next granule: second shadow probe.
             cost.instrs(2);
-            cost.memAccess(valid_.shadowAddr(byte), false);
+            cost.memAccess(valid_.shadowAddr(g), false);
         }
-        const std::uint8_t* entry = valid_.find(byte);
-        std::uint8_t mask = static_cast<std::uint8_t>(1u << (byte & 7));
-        if (!entry || !(*entry & mask)) {
+        unsigned lo = g < addr ? static_cast<unsigned>(addr - g) : 0;
+        unsigned hi = end - g < 8 ? static_cast<unsigned>(end - g) : 8;
+        auto mask = static_cast<std::uint8_t>((1u << hi) - (1u << lo));
+        const std::uint8_t* entry = valid_.find(g);
+        if (!entry || (*entry & mask) != mask) {
             ok = false;
         }
     }

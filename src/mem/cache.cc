@@ -34,11 +34,23 @@ bool
 Cache::access(Addr addr, bool is_write)
 {
     std::uint64_t line_addr = addr >> line_shift_;
+    ++tick_;
+    Line& last = lines_[memo_index_];
+    if (line_addr == memo_line_ && last.valid) {
+        // Same line as the previous access: the hit the set scan below
+        // would find.
+        last.lru_tick = tick_;
+        last.dirty = last.dirty || is_write;
+        ++stats_.hits;
+        return true;
+    }
+
     std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
     std::uint64_t tag = line_addr >> std::countr_zero(sets_);
-    Line* base = &lines_[set * config_.associativity];
+    std::size_t first = set * config_.associativity;
+    Line* base = &lines_[first];
 
-    ++tick_;
+    memo_line_ = line_addr;
     Line* victim = base;
     for (std::size_t w = 0; w < config_.associativity; ++w) {
         Line& line = base[w];
@@ -46,6 +58,7 @@ Cache::access(Addr addr, bool is_write)
             line.lru_tick = tick_;
             line.dirty = line.dirty || is_write;
             ++stats_.hits;
+            memo_index_ = first + w;
             return true;
         }
         if (!line.valid) {
@@ -64,6 +77,7 @@ Cache::access(Addr addr, bool is_write)
     victim->tag = tag;
     victim->lru_tick = tick_;
     victim->dirty = is_write;
+    memo_index_ = static_cast<std::size_t>(victim - lines_.data());
     return false;
 }
 
@@ -87,6 +101,8 @@ Cache::flush()
         line = Line{};
     }
     tick_ = 0;
+    memo_index_ = 0;
+    memo_line_ = 0;
 }
 
 } // namespace lba::mem

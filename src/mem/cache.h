@@ -92,6 +92,14 @@ class Cache
     std::vector<Line> lines_; // sets_ * associativity, row-major by set
     std::uint64_t tick_ = 0;
     CacheStats stats_;
+    /**
+     * Memo of the previous access: the index in lines_ of the line it
+     * hit or installed, and that line's address. It cannot go stale:
+     * only a miss in the same set can evict the line, and that miss
+     * moves the memo to the line it installs; flush() resets it.
+     */
+    std::size_t memo_index_ = 0;
+    std::uint64_t memo_line_ = 0;
 };
 
 } // namespace lba::mem

@@ -5,77 +5,129 @@
 
 #include "mem/memory.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/assert.h"
 
 namespace lba::mem {
 
+namespace {
+
+constexpr Addr kOffsetMask = Memory::kPageBytes - 1;
+
+} // namespace
+
 const std::uint8_t*
 Memory::findPage(Addr addr) const
 {
-    auto it = pages_.find(addr >> kPageShift);
-    return it == pages_.end() ? nullptr : it->second.get();
+    Addr page = addr >> kPageShift;
+    if (page == memo_page_) return memo_data_;
+    auto it = pages_.find(page);
+    if (it == pages_.end()) return nullptr;
+    memo_page_ = page;
+    memo_data_ = it->second.get();
+    return memo_data_;
 }
 
 std::uint8_t*
 Memory::touchPage(Addr addr)
 {
-    Page& page = pages_[addr >> kPageShift];
-    if (!page) {
-        page = std::make_unique<std::uint8_t[]>(kPageBytes);
-        std::memset(page.get(), 0, kPageBytes);
+    Addr page = addr >> kPageShift;
+    if (page == memo_page_) return memo_data_;
+    Page& data = pages_[page];
+    if (!data) {
+        // make_unique of an array value-initializes: untouched bytes
+        // read as zero.
+        data = std::make_unique<std::uint8_t[]>(kPageBytes);
     }
-    return page.get();
+    memo_page_ = page;
+    memo_data_ = data.get();
+    return memo_data_;
+}
+
+template <typename Word>
+Word
+Memory::readWord(Addr addr) const
+{
+    Word value = 0;
+    Addr offset = addr & kOffsetMask;
+    if (offset + sizeof(Word) <= kPageBytes) {
+        const std::uint8_t* page = findPage(addr);
+        if (page == nullptr) return 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&value, page + offset, sizeof(Word));
+        } else {
+            for (unsigned b = 0; b < sizeof(Word); ++b) {
+                value |= static_cast<Word>(page[offset + b]) << (8 * b);
+            }
+        }
+        return value;
+    }
+    // Page-straddling access: byte by byte.
+    for (unsigned b = 0; b < sizeof(Word); ++b) {
+        value |= static_cast<Word>(read8(addr + b)) << (8 * b);
+    }
+    return value;
+}
+
+template <typename Word>
+void
+Memory::writeWord(Addr addr, Word value)
+{
+    Addr offset = addr & kOffsetMask;
+    if (offset + sizeof(Word) <= kPageBytes) {
+        std::uint8_t* page = touchPage(addr);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(page + offset, &value, sizeof(Word));
+        } else {
+            for (unsigned b = 0; b < sizeof(Word); ++b) {
+                page[offset + b] = static_cast<std::uint8_t>(value >> (8 * b));
+            }
+        }
+        return;
+    }
+    for (unsigned b = 0; b < sizeof(Word); ++b) {
+        write8(addr + b, static_cast<std::uint8_t>(value >> (8 * b)));
+    }
 }
 
 std::uint8_t
 Memory::read8(Addr addr) const
 {
     const std::uint8_t* page = findPage(addr);
-    return page ? page[addr & (kPageBytes - 1)] : 0;
+    return page ? page[addr & kOffsetMask] : 0;
 }
 
 void
 Memory::write8(Addr addr, std::uint8_t value)
 {
-    touchPage(addr)[addr & (kPageBytes - 1)] = value;
+    touchPage(addr)[addr & kOffsetMask] = value;
 }
 
 std::uint32_t
 Memory::read32(Addr addr) const
 {
-    std::uint32_t value = 0;
-    for (unsigned b = 0; b < 4; ++b) {
-        value |= static_cast<std::uint32_t>(read8(addr + b)) << (8 * b);
-    }
-    return value;
+    return readWord<std::uint32_t>(addr);
 }
 
 std::uint64_t
 Memory::read64(Addr addr) const
 {
-    std::uint64_t value = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-        value |= static_cast<std::uint64_t>(read8(addr + b)) << (8 * b);
-    }
-    return value;
+    return readWord<std::uint64_t>(addr);
 }
 
 void
 Memory::write32(Addr addr, std::uint32_t value)
 {
-    for (unsigned b = 0; b < 4; ++b) {
-        write8(addr + b, static_cast<std::uint8_t>(value >> (8 * b)));
-    }
+    writeWord(addr, value);
 }
 
 void
 Memory::write64(Addr addr, std::uint64_t value)
 {
-    for (unsigned b = 0; b < 8; ++b) {
-        write8(addr + b, static_cast<std::uint8_t>(value >> (8 * b)));
-    }
+    writeWord(addr, value);
 }
 
 std::uint64_t
@@ -110,8 +162,15 @@ Memory::writeValue(Addr addr, std::uint64_t value, unsigned bytes)
 void
 Memory::writeBytes(Addr addr, const std::uint8_t* data, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i) {
-        write8(addr + i, data[i]);
+    // One page-sized (or smaller) copy at a time.
+    while (len > 0) {
+        Addr offset = addr & kOffsetMask;
+        std::size_t chunk =
+            std::min<std::size_t>(len, kPageBytes - offset);
+        std::memcpy(touchPage(addr) + offset, data, chunk);
+        addr += chunk;
+        data += chunk;
+        len -= chunk;
     }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/types.h"
 
@@ -23,6 +24,19 @@ class Memory
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr std::size_t kPageBytes = 1ull << kPageShift;
+
+    Memory() = default;
+    /** A move hands the pages and the page memo over; the source
+     *  forgets its memo, which pointed into the moved pages. */
+    Memory(Memory&& other) noexcept { *this = std::move(other); }
+    Memory&
+    operator=(Memory&& other) noexcept
+    {
+        pages_ = std::move(other.pages_);
+        memo_page_ = std::exchange(other.memo_page_, ~Addr{0});
+        memo_data_ = std::exchange(other.memo_data_, nullptr);
+        return *this;
+    }
 
     /** Read one byte (0 for untouched memory). */
     std::uint8_t read8(Addr addr) const;
@@ -63,7 +77,18 @@ class Memory
     /** Find or create the page containing @p addr. */
     std::uint8_t* touchPage(Addr addr);
 
+    /** Little-endian word read/write of sizeof(Word) bytes. */
+    template <typename Word> Word readWord(Addr addr) const;
+    template <typename Word> void writeWord(Addr addr, Word value);
+
     std::unordered_map<Addr, Page> pages_;
+    /**
+     * Last-page memo: the page number and data of the most recently
+     * found or touched page. It cannot go stale: pages are never freed,
+     * their arrays never move, and an untouched page is never memoized.
+     */
+    mutable Addr memo_page_ = ~Addr{0};
+    mutable std::uint8_t* memo_data_ = nullptr;
 };
 
 } // namespace lba::mem

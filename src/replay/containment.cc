@@ -100,10 +100,6 @@ void
 ContainmentManager::checkFindings()
 {
     if (pending_) return;
-    // Dispatch defers handler execution to the next flush boundary;
-    // detection latency must not depend on where it falls, so catch
-    // the engine up before reading findings.
-    timer_.sync();
     for (std::size_t g = 0; g < watched_.size(); ++g) {
         const auto& findings = watched_[g]->findings();
         while (seen_[g] < findings.size()) {

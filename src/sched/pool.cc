@@ -392,11 +392,6 @@ LifeguardPool::run()
                                  tenant.manager.get())
                            : this;
         tenant.run_result = tenant.process->run(observer);
-        // Catch up deferred consumption so this slice's lag window (fed
-        // by the consume observer) is complete before the scheduler
-        // reads it: steal decisions must not depend on where the flush
-        // boundaries fall.
-        timer_->sync();
 
         // Fold this slice into the tenant's recent-lag measurement (a
         // slice may log no records, e.g. all-filtered; keep the last

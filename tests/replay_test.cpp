@@ -347,9 +347,6 @@ TEST(Integration, DetectRewindRepairResume)
         onRetire(const sim::Retired& r) override
         {
             system_.onRetire(r);
-            // Sync batch-deferred dispatch before polling findings so
-            // the stop fires at the same retirement as per-record.
-            system_.timer().sync();
             if (guard_.findings().size() > seen_) {
                 seen_ = guard_.findings().size();
                 process_.requestStop();

@@ -198,6 +198,30 @@ TEST_F(SmokeTest, LbaTraceMissingArgumentsAreUsageErrors)
     EXPECT_EQ(runCommand(base + " >/dev/null 2>&1"), 2);
 }
 
+TEST_F(SmokeTest, LbaTraceRejectsMalformedNumbersBeforeAnyOutput)
+{
+    // [instructions] and [count] follow lba_run's rule: exit 2 with
+    // nothing on stdout, never a wrapped budget or a silent default.
+    std::string trace = ::testing::TempDir() + "smoke_malformed.lbat";
+    std::string out = ::testing::TempDir() + "smoke_malformed_trace.out";
+    std::string base = std::string(LBA_TRACE_PATH);
+    ASSERT_EQ(runCommand(base + " gen gzip " + trace +
+                         " 2000 >/dev/null 2>&1"),
+              0);
+    for (const std::string& args :
+         {" gen mcf " + trace + " -5", " gen mcf " + trace + " abc",
+          " dump " + trace + " abc", " dump " + trace + " -1"}) {
+        std::string cmd = base + args + " >" + out + " 2>/dev/null";
+        EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;
+        std::FILE* file = std::fopen(out.c_str(), "r");
+        ASSERT_NE(file, nullptr);
+        EXPECT_EQ(std::fgetc(file), EOF) << "stdout not empty:" << args;
+        std::fclose(file);
+    }
+    std::remove(out.c_str());
+    std::remove(trace.c_str());
+}
+
 TEST_F(SmokeTest, LbaTraceGenInfoDumpRoundTrip)
 {
     std::string trace = ::testing::TempDir() + "smoke_test.lbat";

@@ -31,7 +31,6 @@
  * unknown benchmark, or a --json file that cannot be written, exits 1.
  */
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +47,7 @@
 #include "lifeguards/lockset.h"
 #include "lifeguards/memleak.h"
 #include "lifeguards/taintcheck.h"
+#include "parse_count.h"
 #include "replay/containment.h"
 #include "sched/pool.h"
 #include "stats/json.h"
@@ -57,6 +57,7 @@
 namespace {
 
 using namespace lba;
+using cli::parseCount;
 
 /** Largest --shards / --lanes value: one simulated lifeguard core each. */
 constexpr std::uint64_t kMaxLanes = 64;
@@ -66,26 +67,6 @@ constexpr std::uint64_t kMaxLanes = 64;
  * tenant is a generated program held in memory for the whole run.
  */
 constexpr std::uint64_t kMaxTenants = 4 * kMaxLanes;
-
-/**
- * Parse all of @p text as an unsigned decimal in [@p min, @p max]:
- * digits only (no sign, blank or suffix) and no overflow.
- */
-template <typename T>
-bool
-parseCount(const char* text, std::uint64_t min, std::uint64_t max,
-           T* out)
-{
-    if (*text < '0' || *text > '9') return false;
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0' || value < min || value > max) {
-        return false;
-    }
-    *out = static_cast<T>(value);
-    return true;
-}
 
 /** Parse all of @p text as a finite, non-negative bytes/cycle value. */
 bool

@@ -10,17 +10,23 @@
  *   lba_trace dump <trace.lbat> [count]
  *   lba_trace list
  *   lba_trace codecs
+ *
+ * [instructions] (at least 1, default 250000) and [count] (default 20)
+ * must be plain decimals with nothing else in the token; anything else
+ * is a usage error (exit 2) before any output.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "compress/registry.h"
 #include "compress/trace_file.h"
 #include "log/capture.h"
+#include "parse_count.h"
 #include "sim/process.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -28,6 +34,10 @@
 namespace {
 
 using namespace lba;
+using cli::parseCount;
+
+constexpr std::uint64_t kUnbounded =
+    std::numeric_limits<std::uint64_t>::max();
 
 int
 usage()
@@ -186,19 +196,20 @@ main(int argc, char** argv)
     if (cmd == "list") return cmdList();
     if (cmd == "codecs") return cmdCodecs();
     if (cmd == "gen" && (args.size() == 3 || args.size() == 4)) {
-        std::uint64_t instrs =
-            args.size() == 4
-                ? std::strtoull(args[3].c_str(), nullptr, 10)
-                : 250000;
-        return cmdGen(args[1], args[2], instrs ? instrs : 250000,
-                      codec);
+        std::uint64_t instrs = 250000;
+        if (args.size() == 4 &&
+            !parseCount(args[3].c_str(), 1, kUnbounded, &instrs)) {
+            return usage();
+        }
+        return cmdGen(args[1], args[2], instrs, codec);
     }
     if (cmd == "info" && args.size() == 2) return cmdInfo(args[1]);
     if (cmd == "dump" && (args.size() == 2 || args.size() == 3)) {
-        std::uint64_t count =
-            args.size() == 3
-                ? std::strtoull(args[2].c_str(), nullptr, 10)
-                : 20;
+        std::uint64_t count = 20;
+        if (args.size() == 3 &&
+            !parseCount(args[2].c_str(), 0, kUnbounded, &count)) {
+            return usage();
+        }
         return cmdDump(args[1], count);
     }
     return usage();

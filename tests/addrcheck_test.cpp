@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "lifeguards/addrcheck.h"
 
 namespace lba::lifeguards {
@@ -150,6 +152,86 @@ TEST_F(AddrCheckTest, StraddlingAccessChecksBothGranules)
     // 4-byte access starting at offset 6 spills into the next granule.
     feed(access(kHeap + 6, false, 4));
     EXPECT_EQ(guard.findings().size(), 1u);
+}
+
+/** Sink that records every charge, in order. */
+class RecordingSink : public lifeguard::CostSink
+{
+  public:
+    void instrs(std::uint32_t n) override { instr_total += n; }
+    void
+    memAccess(Addr addr, bool is_write) override
+    {
+        EXPECT_FALSE(is_write);
+        shadow_reads.push_back(addr);
+    }
+
+    std::uint64_t instr_total = 0;
+    std::vector<Addr> shadow_reads;
+};
+
+/** Shadow address of the validity byte covering @p addr. */
+Addr
+shadowOf(Addr addr)
+{
+    return lifeguard::kShadowBase + addr / 8;
+}
+
+TEST_F(AddrCheckTest, PartiallyAllocatedGranuleChecksEveryByte)
+{
+    // 12 bytes: granule 0 fully valid, granule 1 valid in bytes 8..11.
+    feed(allocEvent(kHeap, 12));
+
+    RecordingSink inside;
+    guard.handleEvent(access(kHeap + 8, false, 4), inside);
+    EXPECT_TRUE(guard.findings().empty());
+    EXPECT_EQ(inside.instr_total, 8u);
+    EXPECT_EQ(inside.shadow_reads, std::vector<Addr>{shadowOf(kHeap + 8)});
+
+    // Bytes 4..11 span both granules, all allocated: a second probe,
+    // no finding.
+    RecordingSink spanning;
+    guard.handleEvent(access(kHeap + 4, false, 8), spanning);
+    EXPECT_TRUE(guard.findings().empty());
+    EXPECT_EQ(spanning.instr_total, 10u);
+    EXPECT_EQ(spanning.shadow_reads,
+              (std::vector<Addr>{shadowOf(kHeap), shadowOf(kHeap + 8)}));
+
+    // Bytes 10..13: the last two are past the allocation.
+    RecordingSink partial;
+    guard.handleEvent(access(kHeap + 10, false, 4, 0x1080), partial);
+    ASSERT_EQ(guard.findings().size(), 1u);
+    EXPECT_EQ(guard.findings()[0].kind, FindingKind::kUnallocatedAccess);
+    EXPECT_EQ(guard.findings()[0].addr, kHeap + 10);
+    EXPECT_EQ(guard.findings()[0].pc, 0x1080u);
+    EXPECT_EQ(partial.instr_total, 8u);
+    EXPECT_EQ(partial.shadow_reads,
+              std::vector<Addr>{shadowOf(kHeap + 8)});
+}
+
+TEST_F(AddrCheckTest, LoadAcrossBlockEndIsReportedAndChargedTwoProbes)
+{
+    // A 16-byte block at +0x100; an 8-byte load at +0x10c reads four
+    // bytes of it and four past its end, in the next granule.
+    feed(allocEvent(kHeap + 0x100, 16));
+    RecordingSink sink_across;
+    guard.handleEvent(access(kHeap + 0x10c, false, 8, 0x10c0), sink_across);
+    ASSERT_EQ(guard.findings().size(), 1u);
+    EXPECT_EQ(guard.findings()[0].kind, FindingKind::kUnallocatedAccess);
+    EXPECT_EQ(guard.findings()[0].addr, kHeap + 0x10c);
+    EXPECT_EQ(guard.findings()[0].pc, 0x10c0u);
+    EXPECT_EQ(sink_across.instr_total, 10u);
+    EXPECT_EQ(sink_across.shadow_reads,
+              (std::vector<Addr>{shadowOf(kHeap + 0x108),
+                                 shadowOf(kHeap + 0x110)}));
+
+    // The block's last 8 bytes: one probe, no finding.
+    RecordingSink sink_last;
+    guard.handleEvent(access(kHeap + 0x108, false, 8), sink_last);
+    EXPECT_EQ(guard.findings().size(), 1u);
+    EXPECT_EQ(sink_last.instr_total, 8u);
+    EXPECT_EQ(sink_last.shadow_reads,
+              std::vector<Addr>{shadowOf(kHeap + 0x108)});
 }
 
 TEST_F(AddrCheckTest, DedupeSuppressesRepeats)

@@ -208,6 +208,62 @@ TEST(Compressor, RandomRecordsStillRoundTrip)
     }
 }
 
+TEST(PredictorTable, GrowsWithoutLosingExactKeys)
+{
+    PredictorTable<Addr> table;
+    EXPECT_EQ(table.find(0), nullptr);
+    // Keys that share low bits, plus 0 and the all-ones key.
+    std::vector<std::uint64_t> keys = {0, ~0ull};
+    for (std::uint64_t i = 1; i <= 20000; ++i) keys.push_back(i << 12);
+    for (std::uint64_t key : keys) table[key] = key ^ 0x5a5a;
+    EXPECT_EQ(table.size(), keys.size());
+    for (std::uint64_t key : keys) {
+        const Addr* value = table.find(key);
+        ASSERT_NE(value, nullptr) << key;
+        EXPECT_EQ(*value, key ^ 0x5a5a);
+    }
+    EXPECT_EQ(table.find(1), nullptr);
+    EXPECT_EQ(table.find(20001ull << 12), nullptr);
+    table[0] = 7;
+    EXPECT_EQ(*table.find(0), 7u);
+    EXPECT_EQ(table.size(), keys.size());
+}
+
+TEST(Compressor, RoundTripOverManyDistinctPcs)
+{
+    // 12k distinct pcs (pc 0 among them) force every pc-keyed predictor
+    // table to grow several times; the second pass revisits them all,
+    // so hits come from grown tables. tid 0xffff is the largest tid.
+    constexpr std::uint64_t kPcs = 12000;
+    std::vector<EventRecord> trace;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t i = 0; i < kPcs; ++i) {
+            Addr pc = ((i * 7919) % kPcs) * isa::kInstrBytes;
+            ThreadId tid = i % 3 == 0 ? 0xffff : 0;
+            if (i % 4 == 3) {
+                EventRecord br;
+                br.pc = pc;
+                br.tid = tid;
+                br.type = EventType::kBranch;
+                br.opcode = static_cast<std::uint8_t>(isa::Opcode::kBne);
+                br.rs1 = 1;
+                br.addr = pc + 0x40 * (i % 5);
+                br.aux = 1;
+                trace.push_back(br);
+            } else {
+                trace.push_back(
+                    loadRecord(pc, 0x200000 + i * 24 + pass * 8, tid));
+            }
+        }
+    }
+    LogCompressor c;
+    for (const auto& r : trace) c.append(r);
+    LogDecompressor d(c.bytes());
+    for (const auto& r : trace) {
+        ASSERT_EQ(d.next(), r);
+    }
+}
+
 TEST(Compressor, ControlTransferRecordsRoundTrip)
 {
     std::vector<EventRecord> trace;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
+#include <utility>
+#include <vector>
 
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
@@ -65,6 +68,72 @@ TEST(Memory, WriteBytesBulk)
     for (unsigned i = 0; i < 5; ++i) {
         EXPECT_EQ(m.read8(0x3000 + i), i + 1);
     }
+}
+
+TEST(Memory, WordsAtEveryOffsetNearAPageEnd)
+{
+    // Offsets 4088..4095 cover in-page 4- and 8-byte accesses, the last
+    // in-page ones and every page-straddling one.
+    constexpr Addr kPage = 5 * Memory::kPageBytes;
+    for (unsigned width : {4u, 8u}) {
+        for (Addr offset = 4088; offset < Memory::kPageBytes; ++offset) {
+            Memory m;
+            Addr addr = kPage + offset;
+            std::uint64_t value = 0x8877665544332211ull;
+            if (width == 4) value &= 0xffffffffull;
+            m.writeValue(addr, value, width);
+            EXPECT_EQ(m.readValue(addr, width), value)
+                << "width " << width << " offset " << offset;
+            for (unsigned b = 0; b < width; ++b) {
+                EXPECT_EQ(m.read8(addr + b), 0x11 * (b + 1))
+                    << "width " << width << " offset " << offset
+                    << " byte " << b;
+            }
+            EXPECT_EQ(m.read8(addr - 1), 0u);
+            EXPECT_EQ(m.read8(addr + width), 0u);
+            bool straddles = offset + width > Memory::kPageBytes;
+            EXPECT_EQ(m.numPages(), straddles ? 2u : 1u);
+            if (width == 4) {
+                EXPECT_EQ(m.read32(addr), value);
+            } else {
+                EXPECT_EQ(m.read64(addr), value);
+            }
+        }
+    }
+}
+
+TEST(Memory, UntouchedPageBetweenTouchedOnesReadsZero)
+{
+    Memory m;
+    constexpr Addr kPage = Memory::kPageBytes;
+    m.write64(1 * kPage + 8, 0x0102030405060708ull);
+    m.write64(3 * kPage + 8, 0x1112131415161718ull);
+    EXPECT_EQ(m.read64(1 * kPage + 8), 0x0102030405060708ull);
+    EXPECT_EQ(m.read64(2 * kPage + 8), 0u);
+    EXPECT_EQ(m.read32(2 * kPage + 8), 0u);
+    EXPECT_EQ(m.read8(2 * kPage + 8), 0u);
+    EXPECT_EQ(m.read64(3 * kPage + 8), 0x1112131415161718ull);
+    EXPECT_EQ(m.read64(1 * kPage + 8), 0x0102030405060708ull);
+    EXPECT_EQ(m.numPages(), 2u);
+    // Writing the page right after reading it untouched materializes
+    // it.
+    EXPECT_EQ(m.read64(2 * kPage + 8), 0u);
+    m.write32(2 * kPage + 8, 0xa1a2a3a4u);
+    EXPECT_EQ(m.read32(2 * kPage + 8), 0xa1a2a3a4u);
+    EXPECT_EQ(m.read8(2 * kPage + 8), 0xa4u);
+    EXPECT_EQ(m.read64(3 * kPage + 8), 0x1112131415161718ull);
+    EXPECT_EQ(m.read64(1 * kPage + 8), 0x0102030405060708ull);
+    EXPECT_EQ(m.numPages(), 3u);
+}
+
+TEST(Memory, MoveKeepsContents)
+{
+    Memory a;
+    a.write64(0x5000, 42);
+    Memory b(std::move(a));
+    EXPECT_EQ(b.read64(0x5000), 42u);
+    b.write64(0x5008, 7);
+    EXPECT_EQ(b.read64(0x5008), 7u);
 }
 
 TEST(Cache, FirstAccessMissesThenHits)
@@ -160,6 +229,96 @@ TEST_P(LruProperty, MatchesReferenceModel)
         bool hit = cache.access(addr, false);
         ASSERT_EQ(hit, ref_hit) << "access " << i << " addr " << addr;
     }
+}
+
+/**
+ * A naive write-back true-LRU cache: per set, a list of lines most
+ * recent first. The reference for Cache, repeat-line accesses included.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::size_t sets, std::size_t ways)
+        : sets_(sets), ways_(ways)
+    {
+    }
+
+    bool
+    access(Addr addr, bool is_write)
+    {
+        std::uint64_t line = addr >> 6;
+        auto& set = sets_[line % sets_.size()];
+        auto it = std::find_if(set.begin(), set.end(),
+                               [&](const Entry& e) { return e.line == line; });
+        if (it != set.end()) {
+            Entry entry{line, it->dirty || is_write};
+            set.erase(it);
+            set.push_front(entry);
+            ++stats.hits;
+            return true;
+        }
+        ++stats.misses;
+        if (set.size() == ways_) {
+            ++stats.evictions;
+            if (set.back().dirty) ++stats.writebacks;
+            set.pop_back();
+        }
+        set.push_front({line, is_write});
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto& set : sets_) set.clear();
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Entry
+    {
+        std::uint64_t line;
+        bool dirty;
+    };
+    std::vector<std::list<Entry>> sets_;
+    std::size_t ways_;
+};
+
+TEST(Cache, MatchesNaiveLruOnConflictingReadWriteStream)
+{
+    // 4 sets x 4 ways. Ten lines compete for sets 0 and 1, and one
+    // access in three repeats the previous line, so the stream mixes
+    // repeat hits, scanned hits, evictions and dirty writebacks.
+    Cache cache({"t", 1024, 64, 4});
+    ReferenceLru ref(cache.numSets(), 4);
+    std::uint64_t state = 0x5eed;
+    auto next = [&] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    Addr addr = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (i == 10000) {
+            cache.flush();
+            ref.flush();
+        }
+        if (next() % 3 != 0) {
+            std::uint64_t line = (next() % 5) * 4 + next() % 2;
+            addr = line * 64 + next() % 64;
+        }
+        bool is_write = next() % 4 == 0;
+        bool expected = ref.access(addr, is_write);
+        ASSERT_EQ(cache.access(addr, is_write), expected)
+            << "access " << i << " addr " << addr;
+    }
+    EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+    EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+    EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+    EXPECT_EQ(cache.stats().writebacks, ref.stats.writebacks);
+    EXPECT_GT(ref.stats.writebacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

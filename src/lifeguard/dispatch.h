@@ -14,8 +14,8 @@
  * Host-side dispatch mirrors that table. At construction the engine
  * *resolves* the lifeguard's handler table (an unregistered event type
  * resolves to dispatch cost only); consumeBatch() drains record spans
- * through it. The timing engine calls it at flush boundaries
- * (core/pipeline_timer.h).
+ * through it. The timing engine calls it once per delivered record,
+ * inside PipelineTimer::log() (core/pipeline_timer.h).
  *
  * Handler work is charged through a CostSink that routes metadata accesses
  * through the lifeguard core's caches.

@@ -16,7 +16,7 @@
  * every heap access and never discarded) plus periodic whole-table
  * sweeps make MemLeak's overhead grow with the live heap footprint and
  * the syscall rate — it deliberately stresses shadow-memory footprint
- * and flush-boundary costs in the dispatch engines.
+ * and the syscall drains of the timing engine.
  */
 
 #include <map>

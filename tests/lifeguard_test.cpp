@@ -258,9 +258,10 @@ TEST(HandlerTable, UnregisteredTypeCostsDispatchOnly)
 
 TEST(HandlerTable, ConsumeBatchIsSplitInvariant)
 {
-    // The timing engine's flush sizes vary with the run; the cycles a
-    // record costs must not. One batch of 64 charges exactly what 64
-    // batches of one charge, record by record.
+    // Callers cut batches differently (the timing engine passes one
+    // record at a time); the cycles a record costs must not depend on
+    // it. One batch of 64 charges exactly what 64 batches of one
+    // charge, record by record.
     std::vector<log::EventRecord> records;
     for (int i = 0; i < 64; ++i) {
         log::EventRecord rec;

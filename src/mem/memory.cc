@@ -5,7 +5,6 @@
 
 #include "mem/memory.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -38,9 +37,8 @@ Memory::touchPage(Addr addr)
     if (page == memo_page_) return memo_data_;
     Page& data = pages_[page];
     if (!data) {
-        // make_unique of an array value-initializes: untouched bytes
-        // read as zero.
         data = std::make_unique<std::uint8_t[]>(kPageBytes);
+        std::memset(data.get(), 0, kPageBytes);
     }
     memo_page_ = page;
     memo_data_ = data.get();
@@ -162,15 +160,8 @@ Memory::writeValue(Addr addr, std::uint64_t value, unsigned bytes)
 void
 Memory::writeBytes(Addr addr, const std::uint8_t* data, std::size_t len)
 {
-    // One page-sized (or smaller) copy at a time.
-    while (len > 0) {
-        Addr offset = addr & kOffsetMask;
-        std::size_t chunk =
-            std::min<std::size_t>(len, kPageBytes - offset);
-        std::memcpy(touchPage(addr) + offset, data, chunk);
-        addr += chunk;
-        data += chunk;
-        len -= chunk;
+    for (std::size_t i = 0; i < len; ++i) {
+        write8(addr + i, data[i]);
     }
 }
 

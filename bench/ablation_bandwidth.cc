@@ -39,10 +39,10 @@ main()
         off.transport_bytes_per_cycle = bw;
         auto without = exp.runLba(bench::makeAddrCheck(), off);
 
-        // Same knob through the unified engine's parallel face: each
-        // shard gets its own bw-limited transport link.
-        auto split = exp.runParallelLba(
-            bench::makeAddrCheck(), core::ParallelLbaConfig(on, 2));
+        // Same knob on two shards: each gets its own bw-limited
+        // transport link.
+        auto split = exp.runLba(bench::makeAddrCheck(), on,
+                                exp.config().containment, 2);
 
         table.addRow({stats::formatDouble(bw, 1),
                       stats::formatSlowdown(with.slowdown),
@@ -51,7 +51,7 @@ main()
     }
     core::LbaConfig unlimited = exp.config().lba;
     auto free_bw = exp.runLba(bench::makeAddrCheck(), unlimited);
-    auto free_split = exp.runParallelLba(bench::makeAddrCheck(), 2);
+    auto free_split = exp.runLba(bench::makeAddrCheck(), 2);
     table.addRow({"unlimited", stats::formatSlowdown(free_bw.slowdown),
                   stats::formatSlowdown(free_bw.slowdown),
                   stats::formatSlowdown(free_split.slowdown)});

@@ -3,8 +3,9 @@
  * Ablation ABL-PAR: parallelizing lifeguards across cores (paper
  * Section 1: "the lifeguard functionality can be split across multiple
  * cores"; Section 3 lists it as an overhead-reduction direction).
- * Address-sharded AddrCheck and LockSet; TaintCheck is excluded because
- * its register state serializes the stream (see core/parallel.h).
+ * Address-sharded AddrCheck and LockSet through Experiment::runLba's
+ * shard count; TaintCheck is excluded because its register state
+ * serializes the stream (see core/lba_system.h).
  */
 
 #include <cstdio>
@@ -39,20 +40,16 @@ main()
                             "per-shard occupancy"});
         double base = 0;
         for (unsigned shards : {1u, 2u, 4u}) {
-            auto result =
-                exp.runParallelLba(c.factory, shards);
+            auto result = exp.runLba(c.factory, shards);
             if (shards == 1) base = result.slowdown;
             // Occupancy: the fraction of the run each shard's core
-            // spent consuming records (unified-engine per-lane stats).
+            // spent consuming records.
             std::string occupancy;
             for (unsigned s = 0; s < shards; ++s) {
                 if (s) occupancy += "/";
                 occupancy += stats::formatDouble(
-                    100.0 *
-                        static_cast<double>(
-                            result.parallel.shard_busy_cycles[s]) /
-                        static_cast<double>(
-                            result.parallel.total_cycles),
+                    100.0 * static_cast<double>(result.shards[s].busy_cycles) /
+                        static_cast<double>(result.lba.total_cycles),
                     0);
                 occupancy += "%";
             }
@@ -60,8 +57,7 @@ main()
                           stats::formatSlowdown(result.slowdown),
                           stats::formatDouble(base / result.slowdown,
                                               2),
-                          stats::formatDouble(
-                              result.parallel.bytes_per_record, 3),
+                          stats::formatDouble(result.lba.bytes_per_record, 3),
                           occupancy});
         }
         std::printf("%s on %s\n%s\n", c.lifeguard, c.benchmark,

@@ -15,31 +15,12 @@ namespace lba::core {
 using log::EventRecord;
 using log::EventType;
 
-PipelineTimer::PipelineTimer(
-    mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-    const std::vector<lifeguard::Lifeguard*>& lifeguards,
-    const std::vector<LaneLimits>& lane_limits)
-    : hierarchy_(hierarchy), config_(config)
-{
-    LBA_ASSERT(!lifeguards.empty(), "timer needs at least one lane");
-    buildLanes(static_cast<unsigned>(lifeguards.size()), lifeguards,
-               lane_limits);
-}
-
 PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
                              const LbaConfig& config, unsigned nlanes,
                              const std::vector<LaneLimits>& lane_limits)
     : hierarchy_(hierarchy), config_(config)
 {
     LBA_ASSERT(nlanes >= 1, "timer needs at least one lane");
-    buildLanes(nlanes, {}, lane_limits);
-}
-
-void
-PipelineTimer::buildLanes(
-    unsigned nlanes, const std::vector<lifeguard::Lifeguard*>& lifeguards,
-    const std::vector<LaneLimits>& lane_limits)
-{
     LBA_ASSERT(hierarchy_.config().num_cores >=
                    config_.dispatch.core + nlanes,
                "hierarchy must provide one core per lane plus the app");
@@ -64,14 +45,6 @@ PipelineTimer::buildLanes(
         }
         Lane lane(capacity);
         lane.bytes_per_cycle = bandwidth;
-        if (!lifeguards.empty()) {
-            LBA_ASSERT(lifeguards[i] != nullptr, "lane lifeguard is null");
-            lane.lifeguard = lifeguards[i];
-            lifeguard::DispatchConfig dc = config_.dispatch;
-            dc.core = config_.dispatch.core + i;
-            lane.dispatch = std::make_unique<lifeguard::DispatchEngine>(
-                *lane.lifeguard, hierarchy_, dc);
-        }
         lanes_.push_back(std::move(lane));
     }
 
@@ -79,6 +52,16 @@ PipelineTimer::buildLanes(
     primary.app_core = config_.app_core;
     primary.encoder = makeEncoder();
     producers_.push_back(std::move(primary));
+}
+
+std::unique_ptr<lifeguard::DispatchEngine>
+PipelineTimer::makeEngine(lifeguard::Lifeguard& guard, unsigned lane)
+{
+    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
+    lifeguard::DispatchConfig dc = config_.dispatch;
+    dc.core = config_.dispatch.core + lane;
+    return std::make_unique<lifeguard::DispatchEngine>(guard, hierarchy_,
+                                                       dc);
 }
 
 unsigned
@@ -211,80 +194,34 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
 }
 
 bool
-PipelineTimer::admitRecord(Producer& producer, const EventRecord& record,
-                           double* record_bytes)
+PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
+                   std::span<const Target> targets)
 {
+    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
+    LBA_ASSERT(!targets.empty(), "record needs at least one target");
+    Producer& producer = producers_[producer_idx];
     if (filtered(record)) {
         ++stats_.records_filtered;
         ++producer.stats.records_filtered;
         return false;
     }
-    *record_bytes = transportCost(producer, record);
-    return true;
-}
+    double record_bytes = transportCost(producer, record);
 
-bool
-PipelineTimer::log(const EventRecord& record, unsigned lane)
-{
-    Producer& producer = producers_.front();
-    double record_bytes = 0.0;
-    if (!admitRecord(producer, record, &record_bytes)) return false;
-
-    // Reserve a slot in every target lane first: the application can
-    // only append the record once all of its consumers have room, so
-    // produce(i) reflects the back-pressure of the slowest target lane.
-    if (lane == kBroadcast) {
-        for (Lane& l : lanes_) reserveSlots(producer, l, 1);
-        Cycles produced_at = producer.app_time;
-        for (Lane& l : lanes_) {
-            LBA_ASSERT(l.dispatch, "broadcast lane has no dispatch engine");
-            consumeOn(producer, l, *l.dispatch, record, produced_at,
-                      record_bytes);
-        }
-    } else {
-        LBA_ASSERT(lane < lanes_.size(), "record routed to bad lane");
-        Lane& l = lanes_[lane];
-        LBA_ASSERT(l.dispatch, "lane has no dispatch engine; use the "
-                               "external-dispatch log() overload");
-        reserveSlots(producer, l, 1);
-        consumeOn(producer, l, *l.dispatch, record, producer.app_time,
-                  record_bytes);
-    }
-    ++stats_.records_logged;
-    ++producer.stats.records_logged;
-    return true;
-}
-
-bool
-PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
-                   const std::vector<Target>& targets)
-{
-    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
-    LBA_ASSERT(!targets.empty(), "record needs at least one target");
-    Producer& producer = producers_[producer_idx];
-    double record_bytes = 0.0;
-    if (!admitRecord(producer, record, &record_bytes)) return false;
-
-    // Same ordering as the broadcast path: all slots first, so
-    // produce(i) reflects the slowest target lane, then consume in
-    // target order. A lane takes one slot per target folded onto it,
-    // so count per-lane demand first (first-seen lane order).
-    lane_demand_.clear();
+    // Reserve every target's slot first: the application can only
+    // append the record once all of its consumers have room, so
+    // produce(i) reflects the back-pressure of the slowest target
+    // lane. A lane takes one slot per target folded onto it, all
+    // reserved when the lane is first seen.
     for (const Target& target : targets) {
         LBA_ASSERT(target.lane < lanes_.size(),
                    "record routed to bad lane");
-        bool found = false;
-        for (auto& [lane, count] : lane_demand_) {
-            if (lane == target.lane) {
-                ++count;
-                found = true;
-                break;
-            }
-        }
-        if (!found) lane_demand_.emplace_back(target.lane, 1);
+        ++lanes_[target.lane].demand;
     }
-    for (const auto& [lane, count] : lane_demand_) {
-        reserveSlots(producer, lanes_[lane], count);
+    for (const Target& target : targets) {
+        Lane& lane = lanes_[target.lane];
+        if (lane.demand == 0) continue;
+        reserveSlots(producer, lane, lane.demand);
+        lane.demand = 0;
     }
     Cycles produced_at = producer.app_time;
     for (const Target& target : targets) {
@@ -427,17 +364,6 @@ PipelineTimer::seal()
     stats_.mean_consume_lag = consume_lag_.mean();
 }
 
-void
-PipelineTimer::finishAll()
-{
-    for (unsigned i = 0; i < lanes(); ++i) {
-        LBA_ASSERT(lanes_[i].dispatch,
-                   "finishAll() needs intrinsic dispatch engines");
-        finishShard(0, i, *lanes_[i].dispatch);
-    }
-    seal();
-}
-
 const LbaRunStats&
 PipelineTimer::producerStats(unsigned producer) const
 {
@@ -452,76 +378,24 @@ PipelineTimer::producerTime(unsigned producer) const
     return producers_[producer].app_time;
 }
 
-BufferStats
-PipelineTimer::bufferStats(unsigned lane_idx) const
+LaneStats
+PipelineTimer::laneStats(unsigned lane_idx) const
 {
     LBA_ASSERT(lane_idx < lanes_.size(), "bad lane index");
+    const Lane& lane = lanes_[lane_idx];
+    LaneStats stats;
+    stats.last_finish = lane.last_finish;
+    stats.busy_cycles = lane.busy_cycles;
+    stats.records = lane.records;
+    stats.mean_consume_lag = lane.consume_lag.mean();
+    stats.transport_bytes = lane.transport_bytes;
+    stats.transport_wait_cycles = lane.transport_wait_cycles;
     // Every delivered record is consumed at once; the ones whose slots
     // are not reclaimed yet still hold them.
-    const Lane& lane = lanes_[lane_idx];
-    BufferStats stats;
-    stats.pushes = lane.records;
-    stats.pops = lane.records - lane.slot_finish.size();
-    stats.max_occupancy = lane.max_occupancy;
+    stats.buffer.pushes = lane.records;
+    stats.buffer.pops = lane.records - lane.slot_finish.size();
+    stats.buffer.max_occupancy = lane.max_occupancy;
     return stats;
-}
-
-lifeguard::DispatchStats
-PipelineTimer::dispatchStats(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    LBA_ASSERT(lanes_[lane].dispatch, "lane has no dispatch engine");
-    return lanes_[lane].dispatch->stats();
-}
-
-lifeguard::Lifeguard&
-PipelineTimer::lifeguard(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    LBA_ASSERT(lanes_[lane].lifeguard, "lane has no intrinsic lifeguard");
-    return *lanes_[lane].lifeguard;
-}
-
-Cycles
-PipelineTimer::laneLastFinish(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].last_finish;
-}
-
-Cycles
-PipelineTimer::laneBusyCycles(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].busy_cycles;
-}
-
-std::uint64_t
-PipelineTimer::laneRecords(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].records;
-}
-
-double
-PipelineTimer::laneMeanConsumeLag(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].consume_lag.mean();
-}
-
-double
-PipelineTimer::laneTransportBytes(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].transport_bytes;
-}
-
-Cycles
-PipelineTimer::laneTransportWaitCycles(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].transport_wait_cycles;
 }
 
 } // namespace lba::core

@@ -1,15 +1,15 @@
 #pragma once
 /**
  * @file
- * The shared LBA timing engine: one implementation of the
- * produce/start/finish recurrence used by the serial (LbaSystem), the
- * parallel (ParallelLbaSystem) and the multi-tenant (sched::LifeguardPool)
- * platforms.
+ * The LBA timing engine: one implementation of the
+ * produce/start/finish recurrence under every LBA platform — the
+ * sharded LbaSystem (core/lba_system.h) and the multi-tenant
+ * sched::LifeguardPool.
  *
  * A PipelineTimer owns one or more *lanes*. Each lane models one
- * lifeguard core with its own dispatch engine, its own bounded log
- * buffer, and its own bandwidth-limited transport link. For every record
- * delivered to lane L we compute
+ * lifeguard core with its own bounded log buffer and its own
+ * bandwidth-limited transport link. For every record delivered to
+ * lane L we compute
  *
  *   produce(i)   = app core time after the instruction retires, delayed
  *                  while any target lane's buffer is full (back-pressure);
@@ -26,14 +26,16 @@
  * logged so far has been consumed — including the annotation records the
  * syscall itself emitted.
  *
- * With a single lane this is exactly the paper's dual-core recurrence
- * (core/lba_system.h); with N lanes it is the parallel-lifeguard
- * extension (core/parallel.h). The serial system is the lane-count-1
- * special case by construction, which the shards=1 differential tests
- * assert cycle-for-cycle.
+ * With a single lane this is exactly the paper's dual-core recurrence;
+ * with N lanes it is the paper's lifeguard work split across cores.
+ *
+ * Every log() call names its targets: for each, the lane that
+ * serializes the record and the dispatch engine (a lifeguard shard)
+ * that consumes it. The timer owns no lifeguard; the platform on top
+ * routes records and owns its shards' engines (makeEngine()).
  *
  * Dispatch at log time. The recurrence above is *what* is computed;
- * the host computes it for each record inside log(): the target lane's
+ * the host computes it for each record inside log(): each target's
  * handler runs (DispatchEngine::consumeBatch over that one record) and
  * its cost folds into the recurrence at once. Records are logged right
  * after their retirement, so a record's handler cache accesses land
@@ -44,26 +46,25 @@
  * golden cycle corpus (tests/golden/) pins the resulting cycles.
  *
  * The lane buffer is its slot accounting: the finish times of the
- * records occupying slots. Occupancy statistics (bufferStats) come from
- * the same count.
+ * records occupying slots. Occupancy statistics (LaneStats::buffer)
+ * come from the same count.
  *
- * Multi-tenant generalisation (src/sched/). The timer also supports
- * multiple *producers*: independent monitored applications, each with its
- * own application-core clock, log stream (compressor), back-pressure and
- * containment state. Lanes are shared — records from different producers
- * serialize on each lane's clock, which is how lifeguard capacity becomes
- * a scheduled resource. In this mode the caller supplies the dispatch
- * engine per delivery (a lane context-switches between tenants' lifeguard
- * shards), so lanes are constructed without intrinsic lifeguards. With
- * one producer whose targets are the identity shard->lane map, the
- * recurrence is bit-for-bit the single-producer engine, which the
- * one-tenant differential tests in tests/sched_test.cpp assert.
+ * Multiple producers (src/sched/). The timer also supports several
+ * independent monitored applications, each with its own
+ * application-core clock, log stream (compressor), back-pressure and
+ * containment state. Lanes are shared — records from different
+ * producers serialize on each lane's clock, which is how lifeguard
+ * capacity becomes a scheduled resource. With one producer whose
+ * targets are the identity shard->lane map, the recurrence is
+ * bit-for-bit the LbaSystem's, which the one-tenant differential tests
+ * in tests/sched_test.cpp assert.
  */
 
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,7 @@ assumeCoordinatorRole()
 
 namespace lba::core {
 
-/** LBA platform configuration (shared by the serial and parallel systems). */
+/** LBA platform configuration (every shard count, and the pool's lanes). */
 struct LbaConfig
 {
     /** Log buffer capacity, in records (per lane). */
@@ -95,8 +96,8 @@ struct LbaConfig
     unsigned app_core = 0;
     /**
      * Dispatch configuration. `dispatch.core` is the first lifeguard
-     * core; lane L of a multi-lane timer consumes on core
-     * `dispatch.core + L`.
+     * core; lane L consumes on core `dispatch.core + L`
+     * (PipelineTimer::makeEngine).
      */
     lifeguard::DispatchConfig dispatch{1, 1};
     /** Stall syscalls until the log drains (error containment). */
@@ -157,6 +158,25 @@ struct BufferStats
     std::uint64_t max_occupancy = 0;
 };
 
+/** One lane's share of a run (PipelineTimer::laneStats). */
+struct LaneStats
+{
+    /** Lane clock: finish time of the lane's last consumed record. */
+    Cycles last_finish = 0;
+    /** Cycles the lane's core spent consuming (and finishing). */
+    Cycles busy_cycles = 0;
+    /** Records this lane consumed (broadcasts count in every lane). */
+    std::uint64_t records = 0;
+    /** Mean produce-to-consume lag of this lane's records. */
+    double mean_consume_lag = 0.0;
+    /** Bytes that crossed this lane's transport link. */
+    double transport_bytes = 0.0;
+    /** Cycles this lane's consumption waited on its transport. */
+    Cycles transport_wait_cycles = 0;
+    /** The lane's log-buffer occupancy. */
+    BufferStats buffer;
+};
+
 /** Timing/traffic statistics of one LBA run (aggregated over lanes). */
 struct LbaRunStats
 {
@@ -192,23 +212,23 @@ struct LbaRunStats
      * containment is off or never triggered.
      */
     Cycles containment_cycles = 0;
+
+    friend bool operator==(const LbaRunStats&,
+                           const LbaRunStats&) = default;
 };
 
 /**
  * The shared timing engine. Owns the per-producer compressors, the
- * per-lane buffers and dispatch engines, and the application-core
- * clocks; the systems on top only decide routing (which lane a record
- * goes to).
+ * per-lane buffers and the application-core clocks; the platforms on
+ * top decide routing (which targets a record goes to) and own the
+ * dispatch engines.
  */
 class PipelineTimer
 {
   public:
-    /** Lane index meaning "deliver to every lane". */
-    static constexpr unsigned kBroadcast = ~0u;
-
-    /** One delivery target of a multi-tenant record: the physical lane
-     *  that serializes it and the dispatch engine (tenant lifeguard
-     *  shard context) that consumes it. */
+    /** One delivery target of a record: the physical lane that
+     *  serializes it and the dispatch engine (lifeguard shard) that
+     *  consumes it. */
     struct Target
     {
         unsigned lane = 0;
@@ -221,28 +241,23 @@ class PipelineTimer
         Cycles lag, Cycles cost, double bytes)>;
 
     /**
-     * Intrinsic-dispatch mode: one lifeguard per lane, as used by the
-     * serial and parallel systems.
-     *
      * @param hierarchy   Shared cache hierarchy; needs a core for the
      *                    application plus one per lane.
      * @param config      Platform configuration (see LbaConfig).
-     * @param lifeguards  One lifeguard per lane (not owned; must outlive
-     *                    the timer).
+     * @param nlanes      Number of lanes (lifeguard cores), >= 1.
      * @param lane_limits Optional per-lane overrides (empty = uniform).
-     */
-    PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-                  const std::vector<lifeguard::Lifeguard*>& lifeguards,
-                  const std::vector<LaneLimits>& lane_limits = {});
-
-    /**
-     * External-dispatch mode (multi-tenant pools): @p nlanes lanes with
-     * no intrinsic lifeguard; every log() call must carry the dispatch
-     * engine consuming on the target lane.
      */
     PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
                   unsigned nlanes,
                   const std::vector<LaneLimits>& lane_limits = {});
+
+    /**
+     * A dispatch engine running @p guard on lane @p lane's core,
+     * `config.dispatch.core + lane`. The caller owns it; it must
+     * outlive every log() and finishShard() call that names it.
+     */
+    std::unique_ptr<lifeguard::DispatchEngine>
+    makeEngine(lifeguard::Lifeguard& guard, unsigned lane);
 
     /**
      * Register one more producer (monitored application) with its own
@@ -265,23 +280,17 @@ class PipelineTimer
     }
 
     /**
-     * Deliver one record to @p lane (or every lane with kBroadcast):
+     * Deliver one record of @p producer to each target in order:
      * filtering, compression accounting, back-pressure, transport and
-     * dispatch timing. Intrinsic-dispatch mode only.
-     * @return False when the filter dropped the record.
-     */
-    bool log(const log::EventRecord& record, unsigned lane);
-
-    /**
-     * Deliver one record of @p producer to each target in order
-     * (external-dispatch mode). All target slots are reserved before any
-     * consumption, so produce(i) reflects the slowest target lane; a
-     * lane may appear more than once when several lifeguard shards fold
-     * onto it.
+     * dispatch timing. All target slots are reserved before any
+     * consumption, so produce(i) reflects the slowest target lane. A
+     * lane may appear more than once when several lifeguard shards
+     * fold onto it; it then reserves one slot per target at once,
+     * in first-seen lane order.
      * @return False when the filter dropped the record.
      */
     bool log(unsigned producer, const log::EventRecord& record,
-             const std::vector<Target>& targets);
+             std::span<const Target> targets);
 
     /**
      * Arm the containment drain: @p producer stalls at its next
@@ -313,16 +322,8 @@ class PipelineTimer
     unsigned producerCore(unsigned producer) const;
 
     /**
-     * Complete an intrinsic-dispatch run: run each lane's end-of-program
-     * hook after the application has exited and the lane has drained,
-     * charge it to that lane, and seal the aggregate stats. Call exactly
-     * once.
-     */
-    void finishAll();
-
-    /**
-     * External-dispatch end-of-program hook: run @p engine's finish pass
-     * once @p producer's application has exited and @p lane has drained;
+     * End-of-program hook: run @p engine's finish pass once
+     * @p producer's application has exited and @p lane has drained;
      * the cost lands on that lane's clock.
      * @return The lane's new last-finish time.
      */
@@ -331,12 +332,11 @@ class PipelineTimer
 
     /**
      * Seal the aggregate and per-producer statistics after every
-     * finishShard() call. finishAll() = per-lane finishShard + seal().
-     * Call exactly once.
+     * finishShard() call. Call exactly once.
      */
     void seal();
 
-    /** Aggregate statistics (totals valid after finishAll()/seal()). */
+    /** Aggregate statistics (totals valid after seal()). */
     const LbaRunStats& stats() const { return stats_; }
 
     /**
@@ -362,35 +362,12 @@ class PipelineTimer
         consume_observer_ = std::move(observer);
     }
 
-    /** Snapshots by value. */
-    BufferStats bufferStats(unsigned lane) const;
-    lifeguard::DispatchStats dispatchStats(unsigned lane) const;
-    lifeguard::Lifeguard& lifeguard(unsigned lane) const;
-
-    /** Lane clock: finish time of the lane's last consumed record. */
-    Cycles laneLastFinish(unsigned lane) const;
-    /** Cycles the lane's core spent consuming (and finishing). */
-    Cycles laneBusyCycles(unsigned lane) const;
-    /** Records this lane consumed (broadcasts count in every lane). */
-    std::uint64_t laneRecords(unsigned lane) const;
-    /** Mean produce-to-consume lag of this lane's records. */
-    double laneMeanConsumeLag(unsigned lane) const;
-    /** Bytes that crossed this lane's transport link. */
-    double laneTransportBytes(unsigned lane) const;
-    /** Cycles this lane's consumption waited on its transport. */
-    Cycles laneTransportWaitCycles(unsigned lane) const;
-
-    /** Producer 0's log-stream encoder (single-app runs). */
-    const compress::Encoder& encoder() const
-    {
-        return *producers_.front().encoder;
-    }
+    /** One lane's statistics (snapshot). */
+    LaneStats laneStats(unsigned lane) const;
 
   private:
     struct Lane
     {
-        lifeguard::Lifeguard* lifeguard = nullptr;
-        std::unique_ptr<lifeguard::DispatchEngine> dispatch;
         /** Buffer capacity, in records (slots). */
         std::size_t capacity = 0;
         /** finish times of consumed records still occupying slots. */
@@ -409,6 +386,9 @@ class PipelineTimer
         std::uint64_t records = 0;
         /** Peak of slot_finish.size() (BufferStats). */
         std::uint64_t max_occupancy = 0;
+        /** Scratch inside log(): slots the record being logged still
+         *  has to reserve here (0 outside log()). */
+        std::size_t demand = 0;
 
         explicit Lane(std::size_t slots) : capacity(slots)
         {
@@ -432,11 +412,6 @@ class PipelineTimer
         stats::Summary consume_lag;
         LbaRunStats stats;
     };
-
-    /** Shared lane construction for both constructor modes. */
-    void buildLanes(unsigned nlanes,
-                    const std::vector<lifeguard::Lifeguard*>& lifeguards,
-                    const std::vector<LaneLimits>& lane_limits);
 
     /** Build a fresh per-producer encoder from LbaConfig::codec. */
     std::unique_ptr<compress::Encoder> makeEncoder() const;
@@ -463,17 +438,10 @@ class PipelineTimer
                    const log::EventRecord& record, Cycles produced_at,
                    double record_bytes);
 
-    /** Shared filtering + compression prologue of both log() variants. */
-    bool admitRecord(Producer& producer, const log::EventRecord& record,
-                     double* record_bytes);
-
     mem::CacheHierarchy& hierarchy_;
     LbaConfig config_;
     std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
-
-    /** Scratch: per-lane slot demand of one multi-target record. */
-    std::vector<std::pair<unsigned, std::size_t>> lane_demand_;
 
     ConsumeObserver consume_observer_;
     stats::Summary consume_lag_;

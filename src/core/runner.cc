@@ -5,6 +5,8 @@
 
 #include "core/runner.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace lba::core {
@@ -103,9 +105,9 @@ Experiment::unmonitored()
 }
 
 PlatformResult
-Experiment::runLba(const LifeguardFactory& factory)
+Experiment::runLba(const LifeguardFactory& factory, unsigned shards)
 {
-    return runLba(factory, config_.lba);
+    return runLba(factory, config_.lba, config_.containment, shards);
 }
 
 PlatformResult
@@ -118,23 +120,37 @@ Experiment::runLba(const LifeguardFactory& factory,
 PlatformResult
 Experiment::runLba(const LifeguardFactory& factory,
                    const LbaConfig& lba_config,
-                   const replay::ContainmentConfig& containment)
+                   const replay::ContainmentConfig& containment,
+                   unsigned shards)
 {
+    LBA_ASSERT(shards >= 1, "LBA needs at least one shard");
     const PlatformResult& base = unmonitored();
 
     sim::Process process = makeProcess();
     mem::HierarchyConfig hc = config_.hierarchy;
-    if (hc.num_cores < 2) hc.num_cores = 2;
+    hc.num_cores = std::max({hc.num_cores, lba_config.dispatch.core + shards,
+                             lba_config.app_core + 1});
     mem::CacheHierarchy hierarchy(hc);
-    std::unique_ptr<lifeguard::Lifeguard> guard = factory();
-    LBA_ASSERT(guard != nullptr, "lifeguard factory returned null");
+    std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
+    std::vector<lifeguard::Lifeguard*> shard_guards;
+    for (unsigned s = 0; s < shards; ++s) {
+        guards.push_back(factory());
+        LBA_ASSERT(guards.back() != nullptr,
+                   "lifeguard factory returned null");
+        shard_guards.push_back(guards.back().get());
+    }
 
-    LbaSystem system(*guard, hierarchy, lba_config);
+    LbaSystem system(shard_guards, hierarchy, lba_config);
     PlatformResult result;
     sim::RunResult run;
     if (containment.enabled) {
+        // Watch every shard: a finding on any lane triggers the same
+        // coordinated drain-rewind-repair (the producer drain clock
+        // spans all lanes, so the rewind point is consistent).
+        std::vector<const lifeguard::Lifeguard*> watched(
+            shard_guards.begin(), shard_guards.end());
         run = runWithContainment(process, system.timer(), system,
-                                 {guard.get()}, containment, &result);
+                                 std::move(watched), containment, &result);
     } else {
         run = process.run(&system);
     }
@@ -147,8 +163,12 @@ Experiment::runLba(const LifeguardFactory& factory,
                           ? static_cast<double>(result.cycles) /
                                 static_cast<double>(base.cycles)
                           : 0.0;
-    result.findings = guard->findings();
+    result.findings = shards == 1 ? guards.front()->findings()
+                                  : mergeShardFindings(guards);
     result.lba = system.stats();
+    for (unsigned s = 0; s < shards; ++s) {
+        result.shards.push_back(system.timer().laneStats(s));
+    }
     result.run = run;
     return result;
 }
@@ -178,63 +198,6 @@ Experiment::runDbi(const LifeguardFactory& factory)
                           : 0.0;
     result.findings = guard->findings();
     result.dbi = system.stats();
-    result.run = run;
-    return result;
-}
-
-PlatformResult
-Experiment::runParallelLba(const LifeguardFactory& factory,
-                           unsigned shards)
-{
-    return runParallelLba(factory,
-                          ParallelLbaConfig(config_.lba, shards));
-}
-
-PlatformResult
-Experiment::runParallelLba(const LifeguardFactory& factory,
-                           const ParallelLbaConfig& config)
-{
-    return runParallelLba(factory, config, config_.containment);
-}
-
-PlatformResult
-Experiment::runParallelLba(const LifeguardFactory& factory,
-                           const ParallelLbaConfig& config,
-                           const replay::ContainmentConfig& containment)
-{
-    const PlatformResult& base = unmonitored();
-
-    sim::Process process = makeProcess();
-    mem::HierarchyConfig hc = config_.hierarchy;
-    unsigned needed = config.dispatch.core + config.shards;
-    if (needed < config.app_core + 1) needed = config.app_core + 1;
-    if (hc.num_cores < needed) hc.num_cores = needed;
-    mem::CacheHierarchy hierarchy(hc);
-
-    ParallelLbaSystem system(factory, hierarchy, config);
-    PlatformResult result;
-    sim::RunResult run;
-    if (containment.enabled) {
-        // Watch every shard: a finding on any lane triggers the same
-        // coordinated drain-rewind-repair (the producer drain clock
-        // spans all lanes, so the rewind point is consistent).
-        run = runWithContainment(process, system.timer(), system,
-                                 system.shardLifeguards(), containment,
-                                 &result);
-    } else {
-        run = process.run(&system);
-    }
-    system.finish();
-
-    result.platform = "lba-parallel";
-    result.instructions = run.instructions;
-    result.cycles = system.stats().total_cycles;
-    result.slowdown = base.cycles
-                          ? static_cast<double>(result.cycles) /
-                                static_cast<double>(base.cycles)
-                          : 0.0;
-    result.findings = system.allFindings();
-    result.parallel = system.stats();
     result.run = run;
     return result;
 }

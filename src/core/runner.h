@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/lba_system.h"
-#include "core/parallel.h"
 #include "dbi/dbi_system.h"
 #include "isa/isa.h"
 #include "lifeguard/lifeguard.h"
@@ -57,12 +56,12 @@ struct PlatformResult
     /** Execution time normalized to the unmonitored run. */
     double slowdown = 1.0;
     std::vector<lifeguard::Finding> findings;
-    /** Valid when platform == "lba". */
+    /** Valid when platform == "lba"; aggregated over shards. */
     LbaRunStats lba;
+    /** Valid when platform == "lba": one entry per shard. */
+    std::vector<LaneStats> shards;
     /** Valid when platform == "dbi". */
     dbi::DbiStats dbi;
-    /** Valid when platform == "lba-parallel". */
-    ParallelLbaStats parallel;
     sim::RunResult run;
 
     /** True when the run executed under rewind-and-repair containment. */
@@ -87,37 +86,31 @@ class Experiment
     /** Unmonitored baseline (computed once, cached). */
     const PlatformResult& unmonitored();
 
-    /** Run under LBA with a fresh lifeguard from @p factory. */
-    PlatformResult runLba(const LifeguardFactory& factory);
+    /**
+     * Run under LBA with the experiment's configuration, on @p shards
+     * lifeguard cores (a fresh lifeguard from @p factory per shard).
+     */
+    PlatformResult runLba(const LifeguardFactory& factory,
+                          unsigned shards = 1);
 
-    /** Run under LBA with explicit configuration overrides. */
+    /** Run under LBA, one shard, with explicit configuration overrides. */
     PlatformResult runLba(const LifeguardFactory& factory,
                           const LbaConfig& lba_config);
 
-    /** Run under LBA with explicit containment configuration. */
+    /**
+     * Run under LBA with explicit configuration and containment on
+     * @p shards lifeguard cores. Shard s consumes on core
+     * `lba_config.dispatch.core + s`; the hierarchy grows to hold those
+     * cores and the application's. With one shard the findings are the
+     * lifeguard's own list; with more, mergeShardFindings() of them.
+     */
     PlatformResult runLba(const LifeguardFactory& factory,
                           const LbaConfig& lba_config,
-                          const replay::ContainmentConfig& containment);
+                          const replay::ContainmentConfig& containment,
+                          unsigned shards = 1);
 
     /** Run under the Valgrind-style DBI baseline. */
     PlatformResult runDbi(const LifeguardFactory& factory);
-
-    /**
-     * Run under parallel LBA with @p shards lifeguard cores, inheriting
-     * every other knob (filtering, transport bandwidth, compression,
-     * containment) from the experiment's LbaConfig.
-     */
-    PlatformResult runParallelLba(const LifeguardFactory& factory,
-                                  unsigned shards);
-
-    /** Run under parallel LBA with explicit configuration overrides. */
-    PlatformResult runParallelLba(const LifeguardFactory& factory,
-                                  const ParallelLbaConfig& config);
-
-    /** Run under parallel LBA with explicit containment configuration. */
-    PlatformResult runParallelLba(
-        const LifeguardFactory& factory, const ParallelLbaConfig& config,
-        const replay::ContainmentConfig& containment);
 
     const ExperimentConfig& config() const { return config_; }
 

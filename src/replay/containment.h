@@ -11,7 +11,7 @@
  * loop with the timing platform:
  *
  *  - A ContainmentManager wraps a monitoring platform's RetireObserver
- *    (LbaSystem, ParallelLbaSystem, or the pool driver) and watches its
+ *    (LbaSystem at any shard count, or the pool driver) and watches its
  *    lifeguards. When a lifeguard raises a finding, the application is
  *    stopped at that retirement.
  *  - Containment drain: before the rewind point is trusted, every lane
@@ -162,8 +162,7 @@ class ContainmentManager : public sim::RetireObserver,
      * @param producer The engine producer index of this application.
      * @param platform Downstream observer (the monitoring platform).
      * @param watched  Lifeguards whose findings trigger containment
-     *                 (one for the serial system, one per shard for the
-     *                 parallel system / pool tenants).
+     *                 (one per shard of the LbaSystem or pool tenant).
      * @param config   Containment configuration (enabled is ignored
      *                 here; constructing a manager means "on").
      */

@@ -8,13 +8,12 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "core/parallel.h"
+#include "core/lba_system.h"
 #include "log/capture.h"
 
 namespace lba::sched {
 
 using log::EventRecord;
-using log::EventType;
 
 /** One tenant's full runtime state. */
 struct LifeguardPool::Tenant
@@ -139,37 +138,13 @@ LifeguardPool::activate(unsigned tenant)
     load_ += t.demand;
 }
 
-unsigned
-LifeguardPool::routeShard(Tenant& tenant, const EventRecord& record)
-{
-    // Mirrors ParallelLbaSystem::route over the pool's lane count so a
-    // lone tenant's functional sharding (and therefore its timing) is
-    // identical to the parallel system's.
-    switch (record.type) {
-      case EventType::kLoad:
-      case EventType::kStore:
-        return static_cast<unsigned>((record.addr >> 6) % config_.lanes);
-      case EventType::kAlloc:
-      case EventType::kFree:
-      case EventType::kInput:
-      case EventType::kOutput:
-      case EventType::kLock:
-      case EventType::kUnlock:
-      case EventType::kThreadSpawn:
-      case EventType::kThreadExit:
-        return core::PipelineTimer::kBroadcast;
-      default:
-        return static_cast<unsigned>(tenant.round_robin++ %
-                                     config_.lanes);
-    }
-}
-
 void
 LifeguardPool::deliver(Tenant& tenant, const EventRecord& record)
 {
-    unsigned shard = routeShard(tenant, record);
+    unsigned shard =
+        core::routeRecord(record, config_.lanes, tenant.round_robin);
     targets_.clear();
-    if (shard == core::PipelineTimer::kBroadcast) {
+    if (shard == core::kBroadcast) {
         for (unsigned s = 0; s < config_.lanes; ++s) {
             targets_.push_back({scheduler_->laneFor(tenant.index, s),
                                 tenant.engines[s].get()});
@@ -188,7 +163,7 @@ LifeguardPool::onRetire(const sim::Retired& retired)
     timer_->retire(current_, retired);
     deliver(tenant, log::CaptureUnit::makeRecord(retired));
     if (retired.is_syscall) {
-        // Same containment ordering as the serial system: the drain is
+        // Same containment ordering as LbaSystem: the drain is
         // armed after the syscall record itself is logged and applied
         // before the next retirement, so the annotation records emitted
         // by this syscall's onOsEvent are drained too.
@@ -254,8 +229,8 @@ LifeguardPool::run()
     }
 
     // The monitored platform: tenant t's application runs on core t,
-    // lane L consumes on core dispatch.core + L. With one tenant this
-    // is exactly the layout Experiment::runParallelLba builds.
+    // lanes start at core dispatch.core. With one tenant this is
+    // exactly the layout Experiment::runLba builds.
     core::LbaConfig lba = config_.lba;
     lba.app_core = 0;
     lba.dispatch.core = std::max(lba.dispatch.core, ntenants);
@@ -318,11 +293,10 @@ LifeguardPool::run()
             tenant->shards.push_back(factory_());
             LBA_ASSERT(tenant->shards.back() != nullptr,
                        "lifeguard factory returned null");
-            lifeguard::DispatchConfig dc = lba.dispatch;
-            dc.core = lba.dispatch.core + s;
+            // Shard context s's engine runs on lane s's core wherever
+            // the scheduler places it.
             tenant->engines.push_back(
-                std::make_unique<lifeguard::DispatchEngine>(
-                    *tenant->shards.back(), *hierarchy_, dc));
+                timer_->makeEngine(*tenant->shards.back(), s));
         }
         if (config_.containment.enabled) {
             // Per-tenant containment: the manager watches this tenant's
@@ -459,9 +433,10 @@ LifeguardPool::run()
     result.total_cycles = result.aggregate.total_cycles;
     result.capacity_bytes_per_cycle = capacity_;
     for (unsigned lane = 0; lane < config_.lanes; ++lane) {
-        result.lane_busy_cycles.push_back(timer_->laneBusyCycles(lane));
-        result.lane_records.push_back(timer_->laneRecords(lane));
-        result.lane_buffers.push_back(timer_->bufferStats(lane));
+        core::LaneStats stats = timer_->laneStats(lane);
+        result.lane_busy_cycles.push_back(stats.busy_cycles);
+        result.lane_records.push_back(stats.records);
+        result.lane_buffers.push_back(stats.buffer);
     }
     for (auto& tenant : tenants_) {
         TenantStats stats;

@@ -12,10 +12,10 @@
  *  - Each tenant is a sim::Process plus its own log stream (producer):
  *    its own application-core clock, compressor, back-pressure and
  *    syscall-containment state.
- *  - Each tenant's log is address-hash sharded over `lanes` lifeguard
- *    shard contexts exactly like ParallelLbaSystem (annotations
- *    broadcast, instruction records round-robin), so per-address
- *    lifeguards keep their semantics.
+ *  - Each tenant's log is sharded over `lanes` lifeguard shard
+ *    contexts by core::routeRecord, the rule core::LbaSystem uses
+ *    (address hash, annotations broadcast, other instruction records
+ *    round-robin), so per-address lifeguards keep their semantics.
  *  - A TenantScheduler maps shard contexts to physical lanes. Lanes
  *    serialize whatever is folded onto them, which is how one tenant's
  *    burst degrades (only) whoever shares its lanes.
@@ -27,7 +27,7 @@
  * are driven round-robin in slices of `slice_instructions` retired
  * instructions; a lone tenant runs to completion unsliced, which
  * (together with identity lane maps) makes a one-tenant pool
- * cycle-identical to ParallelLbaSystem with M shards — the invariant
+ * cycle-identical to core::LbaSystem with M shards — the invariant
  * asserted by tests/sched_test.cpp.
  */
 
@@ -233,9 +233,6 @@ class LifeguardPool : public sim::RetireObserver
 
     /** Admit @p tenant: activate it and rebalance the lane map. */
     void activate(unsigned tenant);
-
-    /** Functional shard for a record (mirrors ParallelLbaSystem). */
-    unsigned routeShard(Tenant& tenant, const log::EventRecord& record);
 
     /** Deliver one record of the current tenant through the engine. */
     void deliver(Tenant& tenant, const log::EventRecord& record);

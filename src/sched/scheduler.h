@@ -5,8 +5,8 @@
  *
  * A TenantScheduler owns the map from (tenant, lifeguard shard) to the
  * physical pool lane that consumes that shard's records. Functional
- * sharding is fixed (every tenant's log is address-hashed over
- * `lanes` lifeguard shard contexts, exactly like ParallelLbaSystem);
+ * sharding is fixed (every tenant's log is sharded over `lanes`
+ * lifeguard shard contexts by core::routeRecord, as in LbaSystem);
  * the scheduler only decides *where* each shard context runs, so lane
  * reassignment never migrates shadow state — a lane context-switches
  * between the shard contexts folded onto it.
@@ -23,7 +23,7 @@
  *
  * Every policy maps a lone tenant to the identity shard->lane map over
  * the whole pool, which is what makes one tenant on an M-lane pool
- * cycle-identical to ParallelLbaSystem with M shards (asserted by
+ * cycle-identical to core::LbaSystem with M shards (asserted by
  * tests/sched_test.cpp).
  */
 

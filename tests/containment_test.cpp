@@ -6,9 +6,9 @@
  *
  * Two proof obligations:
  *  1. Differential: containment enabled with zero findings is
- *     cycle-identical to the baseline — for the serial system, the
- *     parallel system at shards in {1,2,4}, and one tenant on an
- *     M-lane pool (the no-findings path makes no timer calls at all).
+ *     cycle-identical to the baseline — for LbaSystem at shards in
+ *     {1,2,4}, and one tenant on an M-lane pool (the no-findings path
+ *     makes no timer calls at all).
  *  2. An injected finding rewinds exactly as far as the program ran
  *     past the last checkpoint, repairs under every policy, and the
  *     repaired run completes (the rewind_repair example's scenario,
@@ -131,20 +131,22 @@ TEST(ContainmentDifferential, ZeroFindingsParallelMatchesBaseline)
     core::Experiment exp(generated.program);
     for (unsigned shards : {1u, 2u, 4u}) {
         SCOPED_TRACE(shards);
-        core::ParallelLbaConfig config(exp.config().lba, shards);
-        auto baseline = exp.runParallelLba(addrcheck(), config, {});
-        auto contained = exp.runParallelLba(
-            addrcheck(), config, containment(RepairPolicy::kSkip));
+        const core::LbaConfig& lba = exp.config().lba;
+        auto baseline = exp.runLba(addrcheck(), lba, {}, shards);
+        auto contained = exp.runLba(
+            addrcheck(), lba, containment(RepairPolicy::kSkip), shards);
 
         ASSERT_TRUE(baseline.findings.empty());
         EXPECT_EQ(contained.containment.rewinds, 0u);
         EXPECT_EQ(baseline.cycles, contained.cycles);
-        expectStatsIdentical(baseline.parallel, contained.parallel);
+        expectStatsIdentical(baseline.lba, contained.lba);
+        ASSERT_EQ(baseline.shards.size(), shards);
+        ASSERT_EQ(contained.shards.size(), shards);
         for (unsigned s = 0; s < shards; ++s) {
-            EXPECT_EQ(baseline.parallel.shard_busy_cycles[s],
-                      contained.parallel.shard_busy_cycles[s]);
-            EXPECT_EQ(baseline.parallel.shard_records[s],
-                      contained.parallel.shard_records[s]);
+            EXPECT_EQ(baseline.shards[s].busy_cycles,
+                      contained.shards[s].busy_cycles);
+            EXPECT_EQ(baseline.shards[s].records,
+                      contained.shards[s].records);
         }
     }
 }
@@ -156,9 +158,7 @@ TEST(ContainmentDifferential, ZeroFindingsOneTenantPoolMatchesParallel)
     core::Experiment exp(generated.program);
     for (unsigned lanes : {1u, 2u, 4u}) {
         SCOPED_TRACE(lanes);
-        auto par = exp.runParallelLba(
-            addrcheck(),
-            core::ParallelLbaConfig(exp.config().lba, lanes), {});
+        auto par = exp.runLba(addrcheck(), exp.config().lba, {}, lanes);
 
         sched::PoolConfig pool_config;
         pool_config.lanes = lanes;
@@ -172,8 +172,8 @@ TEST(ContainmentDifferential, ZeroFindingsOneTenantPoolMatchesParallel)
         ASSERT_TRUE(tenant.containment_enabled);
         EXPECT_EQ(tenant.containment.rewinds, 0u);
         EXPECT_FALSE(tenant.aborted);
-        EXPECT_EQ(tenant.total_cycles, par.parallel.total_cycles);
-        expectStatsIdentical(tenant.lba, par.parallel);
+        EXPECT_EQ(tenant.total_cycles, par.lba.total_cycles);
+        expectStatsIdentical(tenant.lba, par.lba);
     }
 }
 
@@ -285,12 +285,12 @@ TEST(ContainmentRepair, RewindReplaysUndoLogThroughAppCaches)
 
 TEST(ContainmentRepair, ParallelShardsContainTheSameBug)
 {
-    // The same scenario through the multi-lane platform: any shard's
-    // finding triggers the coordinated drain + rewind.
+    // The same scenario on two shards: any shard's finding triggers
+    // the coordinated drain + rewind.
     core::ExperimentConfig config;
     config.containment = containment(RepairPolicy::kPatch);
     core::Experiment exp(uafServiceLoop(5, 2), config);
-    auto result = exp.runParallelLba(addrcheck(), 2);
+    auto result = exp.runLba(addrcheck(), 2);
 
     EXPECT_TRUE(result.run.all_exited);
     EXPECT_FALSE(result.aborted);

@@ -1,17 +1,16 @@
 /**
  * @file
  * Tests for the LBA system: decoupled timing, back-pressure, syscall
- * containment, filtering, and the parallel-lifeguard extension.
+ * containment, filtering, core placement, and sharding across
+ * lifeguard cores.
  */
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.h"
 #include "core/lba_system.h"
-#include "core/parallel.h"
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
-#include "lifeguards/lockset.h"
 #include "lifeguards/taintcheck.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -205,7 +204,7 @@ TEST(ParallelLba, ShardingPreservesAddrCheckFindings)
     Experiment exp(generated.program);
 
     auto single = exp.runLba(addrcheck());
-    auto sharded = exp.runParallelLba(addrcheck(), 4);
+    auto sharded = exp.runLba(addrcheck(), 4);
 
     // Same finding kinds/addresses (order may differ across shards).
     auto key = [](const lifeguard::Finding& f) {
@@ -224,98 +223,26 @@ TEST(ParallelLba, MoreShardsReduceLifeguardBottleneck)
     auto generated =
         workload::generate(*workload::findProfile("mcf"), {}, 80000);
     Experiment exp(generated.program);
-    auto one = exp.runParallelLba(addrcheck(), 1);
-    auto four = exp.runParallelLba(addrcheck(), 4);
+    auto one = exp.runLba(addrcheck(), 1);
+    auto four = exp.runLba(addrcheck(), 4);
     EXPECT_LT(four.cycles, one.cycles);
-    EXPECT_EQ(four.parallel.shard_busy_cycles.size(), 4u);
+    EXPECT_EQ(four.shards.size(), 4u);
 }
 
-/**
- * The refactor's proof obligation: a shards=1 parallel run is the
- * serial system, cycle for cycle — both are the same PipelineTimer
- * instantiation, so every stat must match exactly.
- */
-void
-expectSingleShardMatchesSerial(Experiment& exp,
-                               const LifeguardFactory& factory,
-                               const LbaConfig& config)
+TEST(LbaSystem, LifeguardCoreCanMove)
 {
-    auto serial = exp.runLba(factory, config);
-    auto par =
-        exp.runParallelLba(factory, ParallelLbaConfig(config, 1));
-
-    EXPECT_EQ(serial.lba.total_cycles, par.parallel.total_cycles);
-    EXPECT_EQ(serial.lba.app_cycles, par.parallel.app_cycles);
-    EXPECT_EQ(serial.lba.backpressure_stall_cycles,
-              par.parallel.backpressure_stall_cycles);
-    EXPECT_EQ(serial.lba.syscall_stall_cycles,
-              par.parallel.syscall_stall_cycles);
-    EXPECT_EQ(serial.lba.syscall_drains, par.parallel.syscall_drains);
-    EXPECT_EQ(serial.lba.records_logged, par.parallel.records_logged);
-    EXPECT_EQ(serial.lba.records_filtered,
-              par.parallel.records_filtered);
-    EXPECT_EQ(serial.lba.lifeguard_busy_cycles,
-              par.parallel.lifeguard_busy_cycles);
-    EXPECT_EQ(serial.lba.transport_wait_cycles,
-              par.parallel.transport_wait_cycles);
-    EXPECT_EQ(serial.lba.transport_bytes, par.parallel.transport_bytes);
-    EXPECT_EQ(serial.lba.bytes_per_record,
-              par.parallel.bytes_per_record);
-    EXPECT_EQ(serial.lba.mean_consume_lag,
-              par.parallel.mean_consume_lag);
-    ASSERT_EQ(par.parallel.shard_busy_cycles.size(), 1u);
-    EXPECT_EQ(serial.lba.lifeguard_busy_cycles,
-              par.parallel.shard_busy_cycles[0]);
-    EXPECT_EQ(serial.lba.records_logged,
-              par.parallel.shard_records[0]);
-    EXPECT_EQ(serial.lba.transport_wait_cycles,
-              par.parallel.shard_transport_wait_cycles[0]);
-
-    ASSERT_EQ(serial.findings.size(), par.findings.size());
-    for (std::size_t i = 0; i < serial.findings.size(); ++i) {
-        EXPECT_EQ(serial.findings[i].kind, par.findings[i].kind);
-        EXPECT_EQ(serial.findings[i].addr, par.findings[i].addr);
-    }
-}
-
-TEST(ParallelLba, SingleShardMatchesSerialDefaultConfig)
-{
-    workload::BugInjection bugs;
-    bugs.use_after_free = true;
-    bugs.leak = true;
+    // The hierarchy grows to hold the lifeguard core wherever it is;
+    // cores have private L1s over a shared L2, so moving the lifeguard
+    // from core 1 to core 2 changes no simulated number.
     auto generated =
-        workload::generate(*workload::findProfile("bc"), bugs, 40000);
+        workload::generate(*workload::findProfile("gzip"), {}, 20000);
     Experiment exp(generated.program);
-    expectSingleShardMatchesSerial(exp, addrcheck(), exp.config().lba);
-}
+    LbaConfig moved = exp.config().lba;
+    moved.dispatch.core = 2;
 
-TEST(ParallelLba, SingleShardMatchesSerialConstrainedConfig)
-{
-    // Filtering + fractional transport bandwidth + tiny buffer: every
-    // engine feature the old hand-copied parallel path was missing.
-    auto generated =
-        workload::generate(*workload::findProfile("mcf"), {}, 40000);
-    Experiment exp(generated.program);
-    LbaConfig config = exp.config().lba;
-    config.buffer_capacity = 64;
-    config.filter_enabled = true;
-    config.filter_base = 0x10000000;
-    config.filter_bytes = 64ull << 20;
-    config.transport_bytes_per_cycle = 0.75;
-    expectSingleShardMatchesSerial(exp, addrcheck(), config);
-}
-
-TEST(ParallelLba, SingleShardMatchesSerialLockSetUncompressed)
-{
-    auto generated =
-        workload::generate(*workload::findProfile("water"), {}, 40000);
-    Experiment exp(generated.program);
-    LbaConfig config = exp.config().lba;
-    config.compress = false;
-    config.transport_bytes_per_cycle = 6.0;
-    expectSingleShardMatchesSerial(
-        exp, [] { return std::make_unique<lifeguards::LockSet>(); },
-        config);
+    auto base = exp.runLba(addrcheck());
+    auto run = exp.runLba(addrcheck(), moved);
+    EXPECT_EQ(run.lba, base.lba);
 }
 
 TEST(LbaSystem, BandwidthLimitedTransportThrottles)

@@ -13,30 +13,27 @@
  * the test-only LBA_GOLDEN_REGEN switch) and ships the reviewed diff.
  *
  * Matrix: each lifeguard on a bug-injected profile it catches and on a
- * clean profile, serial and with 4 shards; a constrained config (64-
- * record buffer, address filter, 0.75 B/cycle); the varint and dict
- * codecs at a finite bandwidth; lag-aware pools with 1 and 3 tenants;
- * and containment with real rewinds, serial and in a 1-tenant pool.
+ * clean profile, with one shard ("serial") and with 4; a constrained
+ * config (64-record buffer, address filter, 0.75 B/cycle); the varint
+ * and dict codecs at a finite bandwidth; lag-aware pools with 1 and 3
+ * tenants; and containment with real rewinds, with one shard and in a
+ * 1-tenant pool.
  * Every config runs at most 30k instructions.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/lba_system.h"
-#include "core/parallel.h"
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/boundscheck.h"
@@ -251,76 +248,33 @@ program(const char* profile, const workload::BugInjection& bugs = {},
 }
 
 /**
- * One LBA run, rendered: serial LbaSystem when @p shards is 0, else a
- * ParallelLbaSystem with that many shards; contained when
- * @p containment is enabled. Drives the platform directly (not through
- * Experiment) so the per-lane timer counters are in reach.
+ * One LBA run on @p shards lifeguard cores (Experiment::runLba),
+ * rendered; contained when @p containment is enabled.
  */
 GoldenLine
 runLba(const std::string& name, const workload::GeneratedProgram& gen,
        const LifeguardFactory& factory, const LbaConfig& lba,
        unsigned shards, const replay::ContainmentConfig& containment = {})
 {
-    sim::Process process{sim::ProcessConfig{}};
-    process.load(gen.program);
-    mem::HierarchyConfig hc;
-    hc.num_cores = 1 + std::max(shards, 1u);
-    mem::CacheHierarchy hierarchy(hc);
+    Experiment experiment(gen.program);
+    PlatformResult result =
+        experiment.runLba(factory, lba, containment, shards);
 
-    std::unique_ptr<lifeguard::Lifeguard> guard;
-    std::unique_ptr<LbaSystem> serial;
-    std::unique_ptr<ParallelLbaSystem> parallel;
-    sim::RetireObserver* platform = nullptr;
-    PipelineTimer* timer = nullptr;
-    std::vector<const lifeguard::Lifeguard*> watched;
-    if (shards == 0) {
-        guard = factory();
-        serial = std::make_unique<LbaSystem>(*guard, hierarchy, lba);
-        platform = serial.get();
-        timer = &serial->timer();
-        watched = {guard.get()};
-    } else {
-        parallel = std::make_unique<ParallelLbaSystem>(
-            factory, hierarchy, ParallelLbaConfig(lba, shards));
-        platform = parallel.get();
-        timer = &parallel->timer();
-        watched = parallel->shardLifeguards();
-    }
-
-    std::optional<replay::ContainmentStats> contained;
-    if (containment.enabled) {
-        replay::ContainmentManager manager(process, *timer, 0, *platform,
-                                           watched, containment);
-        process.setStoreInterceptor(&manager);
-        replay::runContained(process, manager);
-        process.setStoreInterceptor(nullptr);
-        contained = manager.stats();
-    } else {
-        process.run(platform);
-    }
-    std::vector<lifeguard::Finding> findings;
-    if (serial) {
-        serial->finish();
-        findings = guard->findings();
-    } else {
-        parallel->finish();
-        findings = parallel->allFindings();
-    }
-
-    const LbaRunStats& stats = timer->stats();
     LineWriter line(name);
-    line.u64("total_cycles", stats.total_cycles);
-    addRunStats(line, stats);
+    line.u64("total_cycles", result.lba.total_cycles);
+    addRunStats(line, result.lba);
     std::vector<Cycles> busy;
     std::vector<BufferStats> buffers;
-    for (unsigned l = 0; l < timer->lanes(); ++l) {
-        busy.push_back(timer->laneBusyCycles(l));
-        buffers.push_back(timer->bufferStats(l));
+    for (const LaneStats& lane : result.shards) {
+        busy.push_back(lane.busy_cycles);
+        buffers.push_back(lane.buffer);
     }
     line.raw("lane_busy_cycles", u64Array(busy));
     line.raw("lane_buffers", bufferArray(buffers));
-    line.raw("findings", findingsByKind(findings));
-    if (contained) addContainment(line, *contained);
+    line.raw("findings", findingsByKind(result.findings));
+    if (result.containment_enabled) {
+        addContainment(line, result.containment);
+    }
     return line.finish();
 }
 
@@ -446,9 +400,9 @@ corpus()
                      c.bugs.tainted_jump || c.bugs.race;
         std::string base = std::string(c.guard) + "/" + c.profile +
                            (buggy ? "+bugs" : "");
-        for (unsigned shards : {0u, kShards}) {
+        for (unsigned shards : {1u, kShards}) {
             configs.push_back(
-                {base + (shards ? "/shards4" : "/serial"),
+                {base + (shards > 1 ? "/shards4" : "/serial"),
                  [c, shards](const std::string& name) {
                      return runLba(name, program(c.profile, c.bugs),
                                    c.factory, LbaConfig{}, shards);
@@ -465,7 +419,7 @@ corpus()
         lba.filter_bytes = 64ull << 20;
         lba.transport_bytes_per_cycle = 0.75;
         return runLba(name, program("mcf"), make<lifeguards::AddrCheck>(),
-                      lba, 0);
+                      lba, 1);
     }});
 
     for (const char* codec : {"varint", "dict"}) {
@@ -476,7 +430,7 @@ corpus()
                  lba.codec = codec;
                  lba.transport_bytes_per_cycle = 1.0;
                  return runLba(name, program("gzip"),
-                               make<lifeguards::TaintCheck>(), lba, 0);
+                               make<lifeguards::TaintCheck>(), lba, 1);
              }});
     }
 
@@ -509,7 +463,7 @@ corpus()
         {"containment/addrcheck/bc+bugs/serial",
          [containment, uaf_leak](const std::string& name) {
              return runLba(name, program("bc", uaf_leak),
-                           make<lifeguards::AddrCheck>(), LbaConfig{}, 0,
+                           make<lifeguards::AddrCheck>(), LbaConfig{}, 1,
                            containment);
          }});
     configs.push_back(

@@ -147,7 +147,7 @@ TEST(Integration, FindingsAgreeAcrossAllPlatforms)
     Experiment exp(generated.program);
     auto lba = exp.runLba(addrcheck());
     auto dbi = exp.runDbi(addrcheck());
-    auto par = exp.runParallelLba(addrcheck(), 2);
+    auto par = exp.runLba(addrcheck(), 2);
 
     auto kinds = [](const std::vector<lifeguard::Finding>& fs) {
         std::vector<int> v;

@@ -6,8 +6,7 @@
  *
  * These tests drive the engine with hand-built records and a
  * fixed-cost lifeguard so every cycle count is computable by hand; the
- * serial/parallel differential tests in core_test.cpp cover the same
- * engine from the system level.
+ * golden cycle corpus covers the same engine from the system level.
  */
 
 #include <gtest/gtest.h>
@@ -68,6 +67,13 @@ aluRecord(Addr pc = 0x1000)
     return record;
 }
 
+/** The one-target list "lane @p lane, consumed by @p engine". */
+std::vector<PipelineTimer::Target>
+on(unsigned lane, lifeguard::DispatchEngine& engine)
+{
+    return {{lane, &engine}};
+}
+
 log::EventRecord
 allocRecord(Addr base, std::uint64_t size)
 {
@@ -90,16 +96,18 @@ TEST(PipelineTimer, FractionalTransportDeliversOnCeiling)
     config.raw_record_bytes = 3;
     config.transport_bytes_per_cycle = 2.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine = timer.makeEngine(guard, 0);
 
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
+    timer.log(0, aluRecord(), on(0, *engine));
+    timer.log(0, aluRecord(), on(0, *engine));
 
     // Waits: (2 - 0) + (3 - 0) = 5. Truncation would report 1 + 3 = 4.
     EXPECT_EQ(timer.stats().transport_wait_cycles, 5u);
     EXPECT_EQ(timer.stats().transport_bytes, 6.0);
     // start(1) = 2, start(2) = max(3, finish(1)=3) = 3.
-    timer.finishAll();
+    timer.finishShard(0, 0, *engine);
+    timer.seal();
     EXPECT_EQ(timer.stats().total_cycles, 4u);
     EXPECT_DOUBLE_EQ(timer.stats().mean_consume_lag, 2.5);
 }
@@ -112,7 +120,8 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     LbaConfig config;
     config.syscall_stall = true;
     FixedCostLifeguard guard(4); // consume cost = 1 dispatch + 4
-    PipelineTimer timer(hierarchy, config, {&guard});
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine = timer.makeEngine(guard, 0);
 
     sim::Retired retired;
     retired.pc = 0x1000;
@@ -120,9 +129,9 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     Cycles app_before = timer.stats().app_cycles;
 
     // Syscall record, then its annotation, both produced at app_before.
-    timer.log(aluRecord(), 0);
+    timer.log(0, aluRecord(), on(0, *engine));
     timer.noteSyscall();
-    timer.log(allocRecord(0x10000000, 64), 0);
+    timer.log(0, allocRecord(0x10000000, 64), on(0, *engine));
     // finish(syscall) = app_before + 5; finish(alloc) = app_before + 10.
 
     retired.pc = 0x1008;
@@ -145,18 +154,22 @@ TEST(PipelineTimer, FinishCostLandsOnEachLane)
     LbaConfig config;
     FixedCostLifeguard cheap_finish(0, 3);
     FixedCostLifeguard dear_finish(0, 10);
-    PipelineTimer timer(hierarchy, config, {&cheap_finish, &dear_finish});
+    PipelineTimer timer(hierarchy, config, 2);
+    auto cheap = timer.makeEngine(cheap_finish, 0);
+    auto dear = timer.makeEngine(dear_finish, 1);
 
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
-    timer.finishAll();
+    timer.log(0, aluRecord(), on(0, *cheap));
+    timer.log(0, aluRecord(), on(0, *cheap));
+    timer.finishShard(0, 0, *cheap);
+    timer.finishShard(0, 1, *dear);
+    timer.seal();
 
     EXPECT_EQ(timer.stats().total_cycles, 10u);
-    EXPECT_EQ(timer.laneLastFinish(0), 5u);
-    EXPECT_EQ(timer.laneLastFinish(1), 10u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 5u);
+    EXPECT_EQ(timer.laneStats(1).last_finish, 10u);
     // Busy cycles include the lane's own finish pass.
-    EXPECT_EQ(timer.laneBusyCycles(0), 5u);
-    EXPECT_EQ(timer.laneBusyCycles(1), 10u);
+    EXPECT_EQ(timer.laneStats(0).busy_cycles, 5u);
+    EXPECT_EQ(timer.laneStats(1).busy_cycles, 10u);
     EXPECT_EQ(timer.stats().lifeguard_busy_cycles, 15u);
 }
 
@@ -166,16 +179,17 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     LbaConfig config;
     config.buffer_capacity = 2;
     FixedCostLifeguard guard(10); // consume cost = 11
-    PipelineTimer timer(hierarchy, config, {&guard});
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine = timer.makeEngine(guard, 0);
 
-    timer.log(aluRecord(), 0); // finish = 11
-    timer.log(aluRecord(), 0); // finish = 22
+    timer.log(0, aluRecord(), on(0, *engine)); // finish = 11
+    timer.log(0, aluRecord(), on(0, *engine)); // finish = 22
     // Third record: both slots taken; the app stalls until the first
     // record finishes at 11.
-    timer.log(aluRecord(), 0);
+    timer.log(0, aluRecord(), on(0, *engine));
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
 
-    BufferStats bstats = timer.bufferStats(0);
+    BufferStats bstats = timer.laneStats(0).buffer;
     EXPECT_EQ(bstats.pushes, 3u);
     EXPECT_EQ(bstats.pops, 1u);
     EXPECT_EQ(bstats.max_occupancy, 2u);
@@ -186,18 +200,51 @@ TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     FixedCostLifeguard a(2), b(7);
-    PipelineTimer timer(hierarchy, config, {&a, &b});
+    PipelineTimer timer(hierarchy, config, 2);
+    auto engine_a = timer.makeEngine(a, 0);
+    auto engine_b = timer.makeEngine(b, 1);
 
-    timer.log(allocRecord(0x10000000, 64), PipelineTimer::kBroadcast);
+    timer.log(0, allocRecord(0x10000000, 64),
+              std::vector<PipelineTimer::Target>{{0, engine_a.get()},
+                                                 {1, engine_b.get()}});
     // One logical record, one slot (and one consumption) per lane.
     EXPECT_EQ(timer.stats().records_logged, 1u);
-    EXPECT_EQ(timer.laneRecords(0), 1u);
-    EXPECT_EQ(timer.laneRecords(1), 1u);
-    EXPECT_EQ(timer.bufferStats(0).pushes, 1u);
-    EXPECT_EQ(timer.bufferStats(1).pushes, 1u);
+    EXPECT_EQ(timer.laneStats(0).records, 1u);
+    EXPECT_EQ(timer.laneStats(1).records, 1u);
+    EXPECT_EQ(timer.laneStats(0).buffer.pushes, 1u);
+    EXPECT_EQ(timer.laneStats(1).buffer.pushes, 1u);
     // Each lane's clock advances by its own consume cost.
-    EXPECT_EQ(timer.laneLastFinish(0), 3u);
-    EXPECT_EQ(timer.laneLastFinish(1), 8u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 3u);
+    EXPECT_EQ(timer.laneStats(1).last_finish, 8u);
+}
+
+TEST(PipelineTimer, TwoTargetsOnOneLaneReserveBothSlotsAtOnce)
+{
+    // Two shard contexts folded onto one lane of capacity 2: each
+    // record takes both slots. The first record's consumptions finish
+    // at 3 and 6; the second record must wait until both have freed,
+    // not just one — 6 back-pressure cycles (reserving one slot per
+    // target separately would stall only 3).
+    mem::CacheHierarchy hierarchy(cores(2));
+    LbaConfig config;
+    config.buffer_capacity = 2;
+    FixedCostLifeguard a(2), b(2); // consume cost = 3
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine_a = timer.makeEngine(a, 0);
+    auto engine_b = timer.makeEngine(b, 0);
+    const std::vector<PipelineTimer::Target> folded = {
+        {0, engine_a.get()}, {0, engine_b.get()}};
+
+    timer.log(0, aluRecord(), folded);
+    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 0u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 6u);
+
+    timer.log(0, aluRecord(), folded);
+    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 6u);
+    EXPECT_EQ(timer.producerTime(0), 6u);
+    EXPECT_EQ(timer.laneStats(0).records, 4u);
+    EXPECT_EQ(timer.laneStats(0).buffer.max_occupancy, 2u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 12u);
 }
 
 TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
@@ -211,21 +258,22 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     config.raw_record_bytes = 8;
     config.transport_bytes_per_cycle = 1.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine = timer.makeEngine(guard, 0);
 
     log::EventRecord out_of_range;
     out_of_range.type = log::EventType::kLoad;
     out_of_range.addr = 0x2000; // below the filter window
-    EXPECT_FALSE(timer.log(out_of_range, 0));
+    EXPECT_FALSE(timer.log(0, out_of_range, on(0, *engine)));
     EXPECT_EQ(timer.stats().records_filtered, 1u);
     EXPECT_EQ(timer.stats().records_logged, 0u);
     EXPECT_EQ(timer.stats().transport_bytes, 0.0);
-    EXPECT_EQ(timer.bufferStats(0).pushes, 0u);
+    EXPECT_EQ(timer.laneStats(0).buffer.pushes, 0u);
 
     log::EventRecord in_range;
     in_range.type = log::EventType::kLoad;
     in_range.addr = 0x10000010;
-    EXPECT_TRUE(timer.log(in_range, 0));
+    EXPECT_TRUE(timer.log(0, in_range, on(0, *engine)));
     EXPECT_EQ(timer.stats().records_logged, 1u);
     EXPECT_EQ(timer.stats().transport_bytes, 8.0);
 }
@@ -244,17 +292,19 @@ TEST(PipelineTimer, MixedLaneTransportBandwidths)
     std::vector<LaneLimits> limits(2);
     limits[0].transport_bytes_per_cycle = 2.0;
     limits[1].transport_bytes_per_cycle = 1.0;
-    PipelineTimer timer(hierarchy, config, {&a, &b}, limits);
+    PipelineTimer timer(hierarchy, config, 2, limits);
+    auto engine_a = timer.makeEngine(a, 0);
+    auto engine_b = timer.makeEngine(b, 1);
 
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 1);
+    timer.log(0, aluRecord(), on(0, *engine_a));
+    timer.log(0, aluRecord(), on(1, *engine_b));
 
-    EXPECT_EQ(timer.laneTransportWaitCycles(0), 2u);
-    EXPECT_EQ(timer.laneTransportWaitCycles(1), 4u);
+    EXPECT_EQ(timer.laneStats(0).transport_wait_cycles, 2u);
+    EXPECT_EQ(timer.laneStats(1).transport_wait_cycles, 4u);
     EXPECT_EQ(timer.stats().transport_wait_cycles, 6u);
     // start = deliver, so per-lane lag equals the transport wait.
-    EXPECT_DOUBLE_EQ(timer.laneMeanConsumeLag(0), 2.0);
-    EXPECT_DOUBLE_EQ(timer.laneMeanConsumeLag(1), 4.0);
+    EXPECT_DOUBLE_EQ(timer.laneStats(0).mean_consume_lag, 2.0);
+    EXPECT_DOUBLE_EQ(timer.laneStats(1).mean_consume_lag, 4.0);
 }
 
 TEST(PipelineTimer, MixedLaneBufferCapacities)
@@ -267,55 +317,56 @@ TEST(PipelineTimer, MixedLaneBufferCapacities)
     FixedCostLifeguard a(10), b(10); // consume cost = 11
     std::vector<LaneLimits> limits(2);
     limits[0].buffer_capacity = 1;
-    PipelineTimer timer(hierarchy, config, {&a, &b}, limits);
+    PipelineTimer timer(hierarchy, config, 2, limits);
+    auto engine_a = timer.makeEngine(a, 0);
+    auto engine_b = timer.makeEngine(b, 1);
 
     // Lane 1 first: two records fit without stalling.
-    timer.log(aluRecord(), 1);
-    timer.log(aluRecord(), 1);
+    timer.log(0, aluRecord(), on(1, *engine_b));
+    timer.log(0, aluRecord(), on(1, *engine_b));
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 0u);
 
     // Lane 0: the second record must wait for the first to finish at
     // cycle 11 before its slot frees.
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
+    timer.log(0, aluRecord(), on(0, *engine_a));
+    timer.log(0, aluRecord(), on(0, *engine_a));
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
-    EXPECT_EQ(timer.bufferStats(0).max_occupancy, 1u);
-    EXPECT_EQ(timer.bufferStats(1).max_occupancy, 2u);
+    EXPECT_EQ(timer.laneStats(0).buffer.max_occupancy, 1u);
+    EXPECT_EQ(timer.laneStats(1).buffer.max_occupancy, 2u);
     // The stalled producer's clock moved to 11, so lane 0's second
     // record starts there and finishes at 22.
-    EXPECT_EQ(timer.laneLastFinish(0), 22u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 22u);
 }
 
 TEST(PipelineTimer, MultiProducerSharedLaneSerializes)
 {
-    // Two producers (apps on cores 0 and 2) share one lane (core 1)
-    // through the external-dispatch API: the lane serializes their
-    // records, each producer keeps its own clock, lag and busy slice.
+    // Two producers (apps on cores 0 and 2) share one lane (core 1):
+    // the lane serializes their records, each producer keeps its own
+    // clock, lag and busy slice.
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     config.compress = false;
-    PipelineTimer timer(hierarchy, config, 1u);
+    PipelineTimer timer(hierarchy, config, 1);
     unsigned p1 = timer.addProducer(2);
     EXPECT_EQ(p1, 1u);
     EXPECT_EQ(timer.producers(), 2u);
 
     // Consume costs 3 and 6; finish passes cost 1 and 2.
     FixedCostLifeguard cheap(2, 1), dear(5, 2);
-    lifeguard::DispatchConfig dc{1, 1};
-    lifeguard::DispatchEngine engine_a(cheap, hierarchy, dc);
-    lifeguard::DispatchEngine engine_b(dear, hierarchy, dc);
+    auto engine_a = timer.makeEngine(cheap, 0);
+    auto engine_b = timer.makeEngine(dear, 0);
 
     // P0 consumes [0,3); P1's record, produced at 0, queues behind it:
     // start 3, finish 9.
-    timer.log(0, aluRecord(), {{0, &engine_a}});
-    timer.log(1, aluRecord(), {{0, &engine_b}});
-    EXPECT_EQ(timer.laneLastFinish(0), 9u);
-    EXPECT_EQ(timer.laneRecords(0), 2u);
+    timer.log(0, aluRecord(), on(0, *engine_a));
+    timer.log(1, aluRecord(), on(0, *engine_b));
+    EXPECT_EQ(timer.laneStats(0).last_finish, 9u);
+    EXPECT_EQ(timer.laneStats(0).records, 2u);
 
     // The final passes serialize on the shared lane too: P0's ends at
     // 9 + 1, P1's at 10 + 2.
-    timer.finishShard(0, 0, engine_a);
-    timer.finishShard(1, 0, engine_b);
+    timer.finishShard(0, 0, *engine_a);
+    timer.finishShard(1, 0, *engine_b);
     timer.seal();
 
     EXPECT_EQ(timer.producerStats(0).total_cycles, 10u);
@@ -342,17 +393,16 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     // backlog.
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
-    PipelineTimer timer(hierarchy, config, 1u);
+    PipelineTimer timer(hierarchy, config, 1);
     timer.addProducer(2);
 
     FixedCostLifeguard cheap(2), dear(40); // costs 3 and 41
-    lifeguard::DispatchConfig dc{1, 1};
-    lifeguard::DispatchEngine engine_a(cheap, hierarchy, dc);
-    lifeguard::DispatchEngine engine_b(dear, hierarchy, dc);
+    auto engine_a = timer.makeEngine(cheap, 0);
+    auto engine_b = timer.makeEngine(dear, 0);
 
     // P0's record finishes at 3; P1's queues behind it until 44.
-    timer.log(0, aluRecord(), {{0, &engine_a}});
-    timer.log(1, aluRecord(), {{0, &engine_b}});
+    timer.log(0, aluRecord(), on(0, *engine_a));
+    timer.log(1, aluRecord(), on(0, *engine_b));
 
     timer.noteSyscall(0);
     sim::Retired retired;

@@ -3,10 +3,9 @@
  * Multi-tenant lifeguard pool tests.
  *
  * The central proof obligation: ONE tenant scheduled on an M-lane pool
- * is cycle-identical to ParallelLbaSystem with M shards, for every
- * policy — the pool is the same PipelineTimer recurrence, so every stat
- * must match exactly (extending the shards=1 serial/parallel
- * equivalence from tests/core_test.cpp one level up).
+ * is cycle-identical to core::LbaSystem with M shards, for every
+ * policy — the pool is the same PipelineTimer recurrence and the same
+ * sharding rule, so every stat must match exactly.
  *
  * The behavioural tests cover admission control (queue and reject),
  * lane sharing across tenants, the lag policy's stealing, and
@@ -47,7 +46,7 @@ makeProgram(const char* profile, std::uint64_t instrs,
 
 /**
  * One tenant on an M-lane pool under @p policy must be cycle-identical
- * to ParallelLbaSystem with M shards.
+ * to LbaSystem with M shards.
  */
 void
 expectSingleTenantMatchesParallel(const workload::GeneratedProgram& gen,
@@ -57,8 +56,7 @@ expectSingleTenantMatchesParallel(const workload::GeneratedProgram& gen,
     core::ExperimentConfig exp_config;
     exp_config.lba = lba;
     core::Experiment exp(gen.program, exp_config);
-    auto par = exp.runParallelLba(
-        addrcheck(), core::ParallelLbaConfig(lba, lanes));
+    auto par = exp.runLba(addrcheck(), lanes);
 
     PoolConfig pool_config;
     pool_config.lba = lba;
@@ -73,7 +71,7 @@ expectSingleTenantMatchesParallel(const workload::GeneratedProgram& gen,
     EXPECT_TRUE(tenant.admitted);
     EXPECT_FALSE(tenant.was_queued);
 
-    const core::ParallelLbaStats& ps = par.parallel;
+    const core::LbaRunStats& ps = par.lba;
     EXPECT_EQ(tenant.total_cycles, ps.total_cycles);
     EXPECT_EQ(result.total_cycles, ps.total_cycles);
     EXPECT_EQ(tenant.lba.app_cycles, ps.app_cycles);

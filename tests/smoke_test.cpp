@@ -116,6 +116,34 @@ TEST_F(SmokeTest, LbaRunContainmentReportsAndExitsZero)
     EXPECT_EQ(runCommand(pool_cmd), 0);
 }
 
+TEST_F(SmokeTest, LbaRunReportsOneLbaResultShape)
+{
+    // A one-shard and a four-shard run report the same LBA fields.
+    for (const char* shards : {"", " --shards 4"}) {
+        std::string json = ::testing::TempDir() + "smoke_shape.json";
+        std::string cmd = std::string(LBA_RUN_PATH) +
+                          " gzip addrcheck --instrs 5000 --platform lba" +
+                          shards + " --json " + json + " >/dev/null 2>&1";
+        ASSERT_EQ(runCommand(cmd), 0) << "args:" << shards;
+        std::FILE* file = std::fopen(json.c_str(), "r");
+        ASSERT_NE(file, nullptr);
+        std::string text(1 << 16, '\0');
+        text.resize(std::fread(text.data(), 1, text.size(), file));
+        std::fclose(file);
+        std::remove(json.c_str());
+        EXPECT_NE(text.find(*shards ? "\"shards\":4" : "\"shards\":1"),
+                  std::string::npos)
+            << text;
+        for (const char* field :
+             {"\"platform\":\"lba\"", "\"bytes_per_record\"",
+              "\"codec\"", "\"transport_bytes\"",
+              "\"mean_consume_lag\""}) {
+            EXPECT_NE(text.find(field), std::string::npos)
+                << field << " missing:" << shards;
+        }
+    }
+}
+
 TEST_F(SmokeTest, LbaRunTrailingValueFlagIsUsageErrorNotCrash)
 {
     // A value flag as the last argument must print usage and exit 2 —
@@ -170,7 +198,9 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
                                 " --checkpoint-interval -1",
           " --containment patch --checkpoint-interval=1e3",
           " --no-such-flag 1", " --no-such-flag=1", " --platform xyz",
-          " --bugs bogus", " --bugs uaf,nope", " --execution serial"}) {
+          " --bugs bogus", " --bugs uaf,nope", " --execution serial",
+          // A flag of the other mode is rejected, not ignored.
+          " --tenants 2 --shards 4", " --lanes 4", " --sched lag"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
                           args + " >" + out + " 2>/dev/null";
         EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;

@@ -12,9 +12,13 @@
  *           [--containment abort|skip|patch|quarantine]
  *           [--checkpoint-interval N] [--json PATH]
  *
- * With --tenants N the benchmark argument may be a comma-separated
- * list of profiles; the N tenants cycle through it and share an M-lane
- * lifeguard pool under the chosen scheduling policy (src/sched/).
+ * Without --tenants, one application runs on an LBA platform with
+ * --shards lifeguard cores (default 1). With --tenants N the benchmark
+ * argument may be a comma-separated list of profiles; the N tenants
+ * cycle through it and share an M-lane lifeguard pool (--lanes,
+ * default 2) under the chosen scheduling policy (src/sched/).
+ * --shards applies only without --tenants, and --lanes and --sched
+ * only with it; a flag given for the other mode is a usage error.
  * --containment enables rewind-and-repair containment under the chosen
  * repair policy (src/replay/containment.h); the `--containment=policy`
  * spelling is accepted too. --codec selects the registered log codec
@@ -197,34 +201,19 @@ printResult(const core::PlatformResult& result)
                     static_cast<unsigned long long>(
                         result.lba.syscall_drains));
     }
-    if (result.platform == "lba-parallel") {
-        std::printf("   (%.3f B/record via %s, %llu drains)",
-                    result.parallel.bytes_per_record,
-                    result.parallel.codec.c_str(),
-                    static_cast<unsigned long long>(
-                        result.parallel.syscall_drains));
-    }
     std::printf("\n");
     if (result.containment_enabled) {
         printContainment(result.containment, result.aborted);
     }
-    if (result.platform == "lba-parallel") {
-        for (std::size_t s = 0;
-             s < result.parallel.shard_busy_cycles.size(); ++s) {
-            std::printf(
-                "    shard %zu: %llu records, %llu busy cycles "
-                "(%.0f%% occupancy), lag %.1f\n",
-                s,
-                static_cast<unsigned long long>(
-                    result.parallel.shard_records[s]),
-                static_cast<unsigned long long>(
-                    result.parallel.shard_busy_cycles[s]),
-                100.0 *
-                    static_cast<double>(
-                        result.parallel.shard_busy_cycles[s]) /
-                    static_cast<double>(result.parallel.total_cycles),
-                result.parallel.shard_consume_lag[s]);
-        }
+    for (std::size_t s = 0; s < result.shards.size(); ++s) {
+        const core::LaneStats& shard = result.shards[s];
+        std::printf("    shard %zu: %llu records, %llu busy cycles "
+                    "(%.0f%% occupancy), lag %.1f\n",
+                    s, static_cast<unsigned long long>(shard.records),
+                    static_cast<unsigned long long>(shard.busy_cycles),
+                    100.0 * static_cast<double>(shard.busy_cycles) /
+                        static_cast<double>(result.lba.total_cycles),
+                    shard.mean_consume_lag);
     }
     for (const auto& finding : result.findings) {
         std::printf("    %s\n", lifeguard::toString(finding).c_str());
@@ -244,20 +233,12 @@ appendResultJson(stats::JsonWriter& json,
     json.field("findings",
                static_cast<std::uint64_t>(result.findings.size()));
     if (result.platform == "lba") {
+        json.field("shards",
+                   static_cast<std::uint64_t>(result.shards.size()));
         json.field("bytes_per_record", result.lba.bytes_per_record);
         json.field("codec", result.lba.codec);
         json.field("transport_bytes", result.lba.transport_bytes);
         json.field("mean_consume_lag", result.lba.mean_consume_lag);
-    }
-    if (result.platform == "lba-parallel") {
-        json.field("bytes_per_record",
-                   result.parallel.bytes_per_record);
-        json.field("codec", result.parallel.codec);
-        json.field("transport_bytes",
-                   result.parallel.transport_bytes);
-        json.field("shards",
-                   static_cast<std::uint64_t>(
-                       result.parallel.shard_busy_cycles.size()));
     }
     if (result.containment_enabled) {
         appendContainmentJson(json, policy, result.containment,
@@ -416,10 +397,14 @@ main(int argc, char** argv)
 
     std::uint64_t instrs = 250000;
     std::string platform = "both";
-    unsigned shards = 0;
+    unsigned shards = 1;
     unsigned tenants = 0;
     unsigned lanes = 2;
     sched::Policy policy = sched::Policy::kStatic;
+    // Set by --shards (single-application runs only) and by --lanes or
+    // --sched (pool runs only).
+    bool single_flag = false;
+    bool pool_flag = false;
     double transport_bw = 0.0;
     std::string codec = compress::kDefaultCodec;
     std::string json_path;
@@ -467,6 +452,7 @@ main(int argc, char** argv)
             if (!parseCount(argv[++i], 1, kMaxLanes, &shards)) {
                 return usage();
             }
+            single_flag = true;
         } else if (arg == "--tenants" && i + 1 < argc) {
             if (!parseCount(argv[++i], 0, kMaxTenants, &tenants)) {
                 return usage();
@@ -475,8 +461,10 @@ main(int argc, char** argv)
             if (!parseCount(argv[++i], 1, kMaxLanes, &lanes)) {
                 return usage();
             }
+            pool_flag = true;
         } else if (arg == "--sched" && i + 1 < argc) {
             if (!sched::parsePolicy(argv[++i], &policy)) return usage();
+            pool_flag = true;
         } else if (arg == "--transport-bw" && i + 1 < argc) {
             if (!parseBandwidth(argv[++i], &transport_bw)) return usage();
         } else if (arg == "--codec" && i + 1 < argc) {
@@ -499,6 +487,11 @@ main(int argc, char** argv)
         } else {
             return usage();
         }
+    }
+    if (tenants > 0 ? single_flag : pool_flag) {
+        std::fprintf(stderr, "--shards applies without --tenants; "
+                             "--lanes and --sched require it\n");
+        return usage();
     }
     if (containment.checkpoint_interval > 0 && !containment.enabled) {
         std::fprintf(stderr, "--checkpoint-interval requires "
@@ -566,8 +559,6 @@ main(int argc, char** argv)
 
     auto generated = workload::generate(*profile, bugs, instrs);
     core::ExperimentConfig config;
-    // The parallel platform inherits the same knob through
-    // Experiment::runParallelLba (one timing engine under both).
     config.lba.transport_bytes_per_cycle = transport_bw;
     config.lba.codec = codec;
     config.containment = containment;
@@ -583,12 +574,7 @@ main(int argc, char** argv)
     printResult(base);
     results.push_back(base);
     if (platform == "lba" || platform == "both") {
-        if (shards > 1) {
-            results.push_back(
-                experiment.runParallelLba(factory, shards));
-        } else {
-            results.push_back(experiment.runLba(factory));
-        }
+        results.push_back(experiment.runLba(factory, shards));
         printResult(results.back());
     }
     if (platform == "dbi" || platform == "both") {

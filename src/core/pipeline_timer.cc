@@ -43,9 +43,7 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
                 bandwidth = limits.transport_bytes_per_cycle;
             }
         }
-        Lane lane(capacity);
-        lane.bytes_per_cycle = bandwidth;
-        lanes_.push_back(std::move(lane));
+        lanes_.emplace_back(capacity, bandwidth);
     }
 
     Producer primary;
@@ -154,14 +152,20 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     // The record is visible to the dispatch engine only after its bytes
     // have crossed the (possibly bandwidth-limited) transport. Ceiling:
     // the last byte must have fully arrived, so delivery lands on the
-    // first cycle boundary at or after the transport completes.
+    // first cycle boundary at or after the transport completes. A
+    // starved link saturates at kDeliveryCeiling rather than converting
+    // an out-of-range double, and never delivers before production.
     Cycles delivered_at = produced_at;
     if (lane.bytes_per_cycle > 0.0) {
         lane.transport_free =
             std::max(lane.transport_free,
                      static_cast<double>(produced_at)) +
             record_bytes / lane.bytes_per_cycle;
-        delivered_at = static_cast<Cycles>(std::ceil(lane.transport_free));
+        Cycles arrives =
+            lane.transport_free < static_cast<double>(kDeliveryCeiling)
+                ? static_cast<Cycles>(std::ceil(lane.transport_free))
+                : kDeliveryCeiling;
+        delivered_at = std::max(produced_at, arrives);
         if (delivered_at > produced_at) {
             Cycles wait = delivered_at - produced_at;
             lane.transport_wait_cycles += wait;

@@ -15,7 +15,8 @@
  *                  while any target lane's buffer is full (back-pressure);
  *   deliver(i,L) = first cycle at or after the record's last (compressed)
  *                  byte has crossed lane L's transport (ceiling — a record
- *                  is never consumed before its bytes have arrived);
+ *                  is never consumed before its bytes have arrived),
+ *                  capped at max(produce(i), kDeliveryCeiling);
  *   start(i,L)   = max(deliver(i,L), finish(i-1,L));
  *   finish(i,L)  = start(i,L) + dispatch + handler cycles.
  *
@@ -123,12 +124,21 @@ struct LbaConfig
      * crossed the transport — this is where the < 1 byte/instruction
      * compression pays off (paper Section 2: compression "reduce[s] the
      * bandwidth pressure and buffer requirements on the log transport
-     * medium").
+     * medium"). Must not be negative or NaN. A link so slow that
+     * delivery would pass kDeliveryCeiling delivers there instead.
      */
     double transport_bytes_per_cycle = 0.0;
     /** Record size on the transport when compression is disabled. */
     unsigned raw_record_bytes = 24;
 };
+
+/**
+ * Latest cycle at which a bandwidth-limited transport delivers a record.
+ * A link too slow to deliver by then delivers here instead, because its
+ * delivery time would not fit in Cycles. 2^62 leaves room for every
+ * later start + cost and application clock sum of a run.
+ */
+inline constexpr Cycles kDeliveryCeiling = Cycles{1} << 62;
 
 /**
  * Per-lane overrides for heterogeneous pools: a lane may have its own
@@ -390,9 +400,13 @@ class PipelineTimer
          *  has to reserve here (0 outside log()). */
         std::size_t demand = 0;
 
-        explicit Lane(std::size_t slots) : capacity(slots)
+        Lane(std::size_t slots, double bandwidth)
+            : capacity(slots), bytes_per_cycle(bandwidth)
         {
             LBA_ASSERT(slots > 0, "log buffer capacity must be positive");
+            // Also false for NaN, which would otherwise mean unlimited.
+            LBA_ASSERT(bandwidth >= 0.0,
+                       "transport bandwidth must be >= 0 (0 = unlimited)");
         }
     };
 

@@ -14,6 +14,7 @@
  * @tparam GranuleBytes Application bytes covered by one entry.
  */
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 
@@ -23,6 +24,22 @@ namespace lba::lifeguard {
 
 /** Base of the simulated shadow region (outside application space). */
 inline constexpr Addr kShadowBase = 0x4000000000ull;
+
+/**
+ * Mask of the bytes of [begin, end) in the 8-byte granule at @p granule
+ * (bit i is byte granule + i), for shadows with one bit per application
+ * byte. Requires begin <= end, granule < end and begin < granule + 8;
+ * only a range's two end granules are partial.
+ */
+inline std::uint8_t
+granuleByteMask(Addr granule, Addr begin, Addr end)
+{
+    unsigned lo = begin > granule ? static_cast<unsigned>(begin - granule)
+                                  : 0;
+    unsigned hi = end - granule < 8 ? static_cast<unsigned>(end - granule)
+                                    : 8;
+    return static_cast<std::uint8_t>((1u << hi) - (1u << lo));
+}
 
 template <typename Entry, unsigned GranuleBytes>
 class ShadowMemory

@@ -43,13 +43,7 @@ AddrCheck::markRange(Addr base, std::uint64_t size, bool allocated,
     // Functional update: per-granule validity masks.
     Addr end = base + size;
     for (Addr g = base & ~7ull; g < end; g += 8) {
-        std::uint8_t mask = 0;
-        for (unsigned b = 0; b < 8; ++b) {
-            Addr byte = g + b;
-            if (byte >= base && byte < end) {
-                mask |= static_cast<std::uint8_t>(1u << b);
-            }
-        }
+        std::uint8_t mask = lifeguard::granuleByteMask(g, base, end);
         std::uint8_t& entry = valid_.entry(g);
         entry = allocated ? (entry | mask)
                           : static_cast<std::uint8_t>(entry & ~mask);
@@ -89,9 +83,7 @@ AddrCheck::checkAccess(const EventRecord& record, CostSink& cost)
             cost.instrs(2);
             cost.memAccess(valid_.shadowAddr(g), false);
         }
-        unsigned lo = g < addr ? static_cast<unsigned>(addr - g) : 0;
-        unsigned hi = end - g < 8 ? static_cast<unsigned>(end - g) : 8;
-        auto mask = static_cast<std::uint8_t>((1u << hi) - (1u << lo));
+        std::uint8_t mask = lifeguard::granuleByteMask(g, addr, end);
         const std::uint8_t* entry = valid_.find(g);
         if (!entry || (*entry & mask) != mask) {
             ok = false;

@@ -17,6 +17,7 @@
 
 #include "lifeguards/taintcheck.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace lba::lifeguards {
@@ -83,15 +84,21 @@ bool
 TaintCheck::readMemTaint(Addr addr, unsigned bytes, CostSink& cost)
 {
     cost.memAccess(taint_.shadowAddr(addr), false);
+    // One probe per granule the access touches, testing all of its
+    // bytes in that granule at once; each granule after the first costs
+    // another shadow read.
     bool tainted = false;
-    for (unsigned b = 0; b < bytes; ++b) {
-        Addr byte = addr + b;
-        if (b > 0 && (byte & 7) == 0) {
+    for (unsigned done = 0; done < bytes;) {
+        Addr byte = addr + done;
+        unsigned lo = static_cast<unsigned>(byte & 7);
+        unsigned n = std::min(8 - lo, bytes - done);
+        if (done > 0) {
             cost.instrs(1);
             cost.memAccess(taint_.shadowAddr(byte), false);
         }
         const std::uint8_t* entry = taint_.find(byte);
-        if (entry && (*entry >> (byte & 7)) & 1u) tainted = true;
+        if (entry && (*entry >> lo) & ((1u << n) - 1)) tainted = true;
+        done += n;
     }
     return tainted;
 }
@@ -103,13 +110,7 @@ TaintCheck::writeMemTaint(Addr addr, unsigned bytes, bool tainted,
     // Functional update: per-granule taint masks.
     Addr end = addr + bytes;
     for (Addr g = addr & ~7ull; g < end; g += 8) {
-        std::uint8_t mask = 0;
-        for (unsigned b = 0; b < 8; ++b) {
-            Addr byte = g + b;
-            if (byte >= addr && byte < end) {
-                mask |= static_cast<std::uint8_t>(1u << b);
-            }
-        }
+        std::uint8_t mask = lifeguard::granuleByteMask(g, addr, end);
         std::uint8_t& entry = taint_.entry(g);
         entry = tainted ? (entry | mask)
                         : static_cast<std::uint8_t>(entry & ~mask);

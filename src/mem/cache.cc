@@ -5,6 +5,7 @@
 
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/assert.h"
@@ -26,58 +27,46 @@ Cache::Cache(const CacheConfig& config)
                                   config_.associativity);
     LBA_ASSERT(sets_ > 0 && std::has_single_bit(sets_),
                "number of sets must be a power of two");
+    ways_ = config_.associativity;
     line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
-    lines_.resize(sets_ * config_.associativity);
+    set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
+    tags_.resize(sets_ * ways_);
+    states_.resize(sets_ * ways_);
 }
 
 bool
-Cache::access(Addr addr, bool is_write)
+Cache::accessSet(std::uint64_t line_addr, std::uint64_t touched)
 {
-    std::uint64_t line_addr = addr >> line_shift_;
-    ++tick_;
-    Line& last = lines_[memo_index_];
-    if (line_addr == memo_line_ && last.valid) {
-        // Same line as the previous access: the hit the set scan below
-        // would find.
-        last.lru_tick = tick_;
-        last.dirty = last.dirty || is_write;
-        ++stats_.hits;
-        return true;
-    }
-
-    std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    std::uint64_t tag = line_addr >> std::countr_zero(sets_);
-    std::size_t first = set * config_.associativity;
-    Line* base = &lines_[first];
+    std::size_t first = (static_cast<std::size_t>(line_addr) & (sets_ - 1)) *
+                        ways_;
+    std::uint64_t tag = line_addr >> set_shift_;
+    const std::uint64_t* tags = &tags_[first];
+    std::uint64_t* states = &states_[first];
 
     memo_line_ = line_addr;
-    Line* victim = base;
-    for (std::size_t w = 0; w < config_.associativity; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru_tick = tick_;
-            line.dirty = line.dirty || is_write;
+    for (std::size_t w = 0; w < ways_; ++w) {
+        if (tags[w] == tag && states[w] != 0) {
+            states[w] = touched | (states[w] & kDirty);
             ++stats_.hits;
             memo_index_ = first + w;
             return true;
         }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lru_tick < victim->lru_tick) {
-            victim = &line;
-        }
     }
 
-    ++stats_.misses;
-    if (victim->valid) {
-        ++stats_.evictions;
-        if (victim->dirty) ++stats_.writebacks;
+    // Valid ticks are distinct and an invalid way's word is 0, so the
+    // smallest word is an invalid way if there is one, else the LRU way.
+    std::size_t victim = 0;
+    for (std::size_t w = 1; w < ways_; ++w) {
+        if (states[w] < states[victim]) victim = w;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru_tick = tick_;
-    victim->dirty = is_write;
-    memo_index_ = static_cast<std::size_t>(victim - lines_.data());
+    ++stats_.misses;
+    if (states[victim] != 0) {
+        ++stats_.evictions;
+        if (states[victim] & kDirty) ++stats_.writebacks;
+    }
+    tags_[first + victim] = tag;
+    states[victim] = touched;
+    memo_index_ = first + victim;
     return false;
 }
 
@@ -85,11 +74,11 @@ bool
 Cache::probe(Addr addr) const
 {
     std::uint64_t line_addr = addr >> line_shift_;
-    std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    std::uint64_t tag = line_addr >> std::countr_zero(sets_);
-    const Line* base = &lines_[set * config_.associativity];
-    for (std::size_t w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag) return true;
+    std::size_t first = (static_cast<std::size_t>(line_addr) & (sets_ - 1)) *
+                        ways_;
+    std::uint64_t tag = line_addr >> set_shift_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+        if (tags_[first + w] == tag && states_[first + w] != 0) return true;
     }
     return false;
 }
@@ -97,9 +86,7 @@ Cache::probe(Addr addr) const
 void
 Cache::flush()
 {
-    for (Line& line : lines_) {
-        line = Line{};
-    }
+    std::fill(states_.begin(), states_.end(), 0);
     tick_ = 0;
     memo_index_ = 0;
     memo_line_ = 0;

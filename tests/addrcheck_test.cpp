@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "lifeguards/addrcheck.h"
@@ -232,6 +233,48 @@ TEST_F(AddrCheckTest, LoadAcrossBlockEndIsReportedAndChargedTwoProbes)
     EXPECT_EQ(sink_last.instr_total, 8u);
     EXPECT_EQ(sink_last.shadow_reads,
               std::vector<Addr>{shadowOf(kHeap + 0x108)});
+}
+
+TEST(AddrCheckRanges, UnalignedBlocksMarkExactlyTheirBytes)
+{
+    // Blocks of 1 to 17 bytes at every unaligned offset. Every byte of
+    // the block is addressable, and a 1-byte access one byte before or
+    // one byte after it is flagged. With neighbours on both sides,
+    // freeing the block clears exactly its own bytes.
+    AddrCheckConfig cfg;
+    cfg.dedupe_reports = false;
+    NullCostSink sink;
+    for (std::uint64_t size = 1; size <= 17; ++size) {
+        for (Addr offset = 1; offset < 8; ++offset) {
+            Addr base = kHeap + 0x100 + offset;
+            std::string label = std::to_string(size) + " bytes at +" +
+                                std::to_string(offset);
+
+            AddrCheck alone(cfg);
+            alone.handleEvent(allocEvent(base, size), sink);
+            for (Addr a = base; a < base + size; ++a) {
+                alone.handleEvent(access(a, a % 2 == 0, 1), sink);
+            }
+            EXPECT_TRUE(alone.findings().empty()) << label;
+            alone.handleEvent(access(base - 1, false, 1), sink);
+            alone.handleEvent(access(base + size, true, 1), sink);
+            ASSERT_EQ(alone.findings().size(), 2u) << label;
+            EXPECT_EQ(alone.findings()[0].addr, base - 1) << label;
+            EXPECT_EQ(alone.findings()[1].addr, base + size) << label;
+
+            AddrCheck packed(cfg);
+            packed.handleEvent(allocEvent(base - 5, 5), sink);
+            packed.handleEvent(allocEvent(base, size), sink);
+            packed.handleEvent(allocEvent(base + size, 5), sink);
+            packed.handleEvent(freeEvent(base), sink);
+            packed.handleEvent(access(base - 1, false, 1), sink);
+            packed.handleEvent(access(base + size, false, 1), sink);
+            EXPECT_TRUE(packed.findings().empty()) << label;
+            packed.handleEvent(access(base, false, 1), sink);
+            packed.handleEvent(access(base + size - 1, false, 1), sink);
+            EXPECT_EQ(packed.findings().size(), 2u) << label;
+        }
+    }
 }
 
 TEST_F(AddrCheckTest, DedupeSuppressesRepeats)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "asm/assembler.h"
 #include "core/lba_system.h"
 #include "core/runner.h"
@@ -315,6 +317,42 @@ TEST(LbaSystem, FractionalBandwidthUsesCeilingDelivery)
     // consuming records before their final byte had crossed the wire.
     EXPECT_EQ(run.lba.transport_wait_cycles, 24u);
     EXPECT_DOUBLE_EQ(run.lba.mean_consume_lag, 6.0);
+}
+
+TEST(LbaSystem, StarvedTransportSaturatesInsteadOfWrapping)
+{
+    // At these bandwidths a record's delivery time does not fit in
+    // Cycles. Delivery saturates at kDeliveryCeiling, so a starved link
+    // is never faster than an unlimited one and the clocks never wrap.
+    auto generated =
+        workload::generate(*workload::findProfile("gzip"), {}, 20000);
+    Experiment exp(generated.program);
+    auto unlimited = exp.runLba(addrcheck());
+    for (double bandwidth : {1e-300, 1e-18}) {
+        LbaConfig starved = exp.config().lba;
+        starved.transport_bytes_per_cycle = bandwidth;
+        auto run = exp.runLba(addrcheck(), starved);
+        EXPECT_GE(run.lba.total_cycles, unlimited.lba.total_cycles)
+            << bandwidth;
+        EXPECT_GE(run.lba.total_cycles, kDeliveryCeiling) << bandwidth;
+        EXPECT_LT(run.lba.total_cycles,
+                  kDeliveryCeiling + unlimited.lba.total_cycles)
+            << bandwidth;
+        EXPECT_EQ(run.lba.records_logged, unlimited.lba.records_logged);
+    }
+}
+
+TEST(LbaSystemDeathTest, NegativeOrNanBandwidthIsRejected)
+{
+    // Neither is a bandwidth; 0 is the only way to ask for unlimited.
+    Experiment exp(program("li r1, 1\nhalt\n"));
+    for (double bandwidth : {-1.0, std::nan("")}) {
+        LbaConfig bad = exp.config().lba;
+        bad.transport_bytes_per_cycle = bandwidth;
+        EXPECT_DEATH(exp.runLba(addrcheck(), bad),
+                     "transport bandwidth must be >= 0")
+            << bandwidth;
+    }
 }
 
 TEST(LbaSystem, TransportBytesMatchCompressorOutput)

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <list>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,14 @@
 #include "mem/memory.h"
 
 namespace lba::mem {
+
+/** Names a cache geometry in test output (found by argument lookup). */
+void
+PrintTo(const CacheConfig& config, std::ostream* os)
+{
+    *os << config.name;
+}
+
 namespace {
 
 TEST(Memory, UntouchedReadsZero)
@@ -191,62 +201,24 @@ TEST(Cache, MissRatio)
 }
 
 /**
- * Property: the cache agrees with a reference true-LRU model across a
- * pseudo-random access stream, for several geometries.
- */
-class LruProperty
-    : public ::testing::TestWithParam<std::tuple<int, int>>
-{
-};
-
-TEST_P(LruProperty, MatchesReferenceModel)
-{
-    auto [size_kb, assoc] = GetParam();
-    CacheConfig cfg{"t", static_cast<std::size_t>(size_kb) * 1024, 64,
-                    static_cast<std::size_t>(assoc)};
-    Cache cache(cfg);
-    std::size_t sets = cache.numSets();
-
-    // Reference: per-set list of line addresses, most recent first.
-    std::vector<std::list<std::uint64_t>> ref(sets);
-
-    std::uint64_t state = 99;
-    for (int i = 0; i < 20000; ++i) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        Addr addr = (state % (1 << 22)); // 4MB address space
-        std::uint64_t line = addr >> 6;
-        std::size_t set = line & (sets - 1);
-
-        auto& lru = ref[set];
-        auto it = std::find(lru.begin(), lru.end(), line);
-        bool ref_hit = it != lru.end();
-        if (ref_hit) lru.erase(it);
-        lru.push_front(line);
-        if (lru.size() > cfg.associativity) lru.pop_back();
-
-        bool hit = cache.access(addr, false);
-        ASSERT_EQ(hit, ref_hit) << "access " << i << " addr " << addr;
-    }
-}
-
-/**
  * A naive write-back true-LRU cache: per set, a list of lines most
  * recent first. The reference for Cache, repeat-line accesses included.
  */
 class ReferenceLru
 {
   public:
-    ReferenceLru(std::size_t sets, std::size_t ways)
-        : sets_(sets), ways_(ways)
+    explicit ReferenceLru(const CacheConfig& config)
+        : line_shift_(std::countr_zero(config.line_bytes)),
+          sets_(config.size_bytes /
+                (config.line_bytes * config.associativity)),
+          ways_(config.associativity)
     {
     }
 
     bool
     access(Addr addr, bool is_write)
     {
-        std::uint64_t line = addr >> 6;
+        std::uint64_t line = addr >> line_shift_;
         auto& set = sets_[line % sets_.size()];
         auto it = std::find_if(set.begin(), set.end(),
                                [&](const Entry& e) { return e.line == line; });
@@ -267,6 +239,15 @@ class ReferenceLru
         return false;
     }
 
+    bool
+    contains(Addr addr) const
+    {
+        std::uint64_t line = addr >> line_shift_;
+        const auto& set = sets_[line % sets_.size()];
+        return std::any_of(set.begin(), set.end(),
+                           [&](const Entry& e) { return e.line == line; });
+    }
+
     void
     flush()
     {
@@ -281,50 +262,131 @@ class ReferenceLru
         std::uint64_t line;
         bool dirty;
     };
+    unsigned line_shift_;
     std::vector<std::list<Entry>> sets_;
     std::size_t ways_;
 };
 
-TEST(Cache, MatchesNaiveLruOnConflictingReadWriteStream)
+/**
+ * Property: the cache agrees with the naive write-back true-LRU
+ * reference on a read/write stream with a mid-stream flush, for several
+ * geometries: hit or miss on every access, probe() membership after
+ * every access, and all four stats. The stream mixes repeat-line
+ * accesses, random lines of a 4 MB space, and a pool of lines that
+ * conflict in the first and last sets, so it has repeat hits, scanned
+ * hits, evictions and dirty writebacks. The pool holds the lines at
+ * address 0 and at ~0ull, and tags that differ only in their top bits.
+ */
+class LruProperty : public ::testing::TestWithParam<CacheConfig>
 {
-    // 4 sets x 4 ways. Ten lines compete for sets 0 and 1, and one
-    // access in three repeats the previous line, so the stream mixes
-    // repeat hits, scanned hits, evictions and dirty writebacks.
-    Cache cache({"t", 1024, 64, 4});
-    ReferenceLru ref(cache.numSets(), 4);
-    std::uint64_t state = 0x5eed;
+};
+
+TEST_P(LruProperty, MatchesNaiveLruOnConflictingReadWriteStream)
+{
+    const CacheConfig& cfg = GetParam();
+    Cache cache(cfg);
+    ReferenceLru ref(cfg);
+    std::size_t sets = cache.numSets();
+    unsigned line_shift = std::countr_zero(cfg.line_bytes);
+    unsigned set_shift = std::countr_zero(sets);
+
+    std::uint64_t top_tag = ~0ull >> (line_shift + set_shift);
+    std::vector<std::uint64_t> tags = {top_tag, top_tag - 1, top_tag >> 1,
+                                       top_tag >> 2};
+    for (std::uint64_t t = 0; t < cfg.associativity + 2; ++t) {
+        tags.push_back(t);
+    }
+    std::vector<Addr> pool;
+    for (std::uint64_t set : {std::uint64_t{0}, sets - 1}) {
+        for (std::uint64_t tag : tags) {
+            pool.push_back(((tag << set_shift) | set) << line_shift);
+        }
+    }
+
+    std::uint64_t state = 0x5eed ^ cfg.size_bytes ^ cfg.associativity;
     auto next = [&] {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
         return state;
     };
+    auto lineAddr = [&](Addr line_base) {
+        return line_base | (next() & (cfg.line_bytes - 1));
+    };
     Addr addr = 0;
-    for (int i = 0; i < 20000; ++i) {
-        if (i == 10000) {
+    for (int i = 0; i < 40000; ++i) {
+        if (i == 20000) {
             cache.flush();
             ref.flush();
         }
-        if (next() % 3 != 0) {
-            std::uint64_t line = (next() % 5) * 4 + next() % 2;
-            addr = line * 64 + next() % 64;
-        }
+        std::uint64_t pick = next() % 6;
+        if (pick == 0 || pick == 1) {
+            addr = next() % (1 << 22);
+        } else if (pick < 5) {
+            addr = lineAddr(pool[next() % pool.size()]);
+        } // else: repeat the previous address
         bool is_write = next() % 4 == 0;
         bool expected = ref.access(addr, is_write);
         ASSERT_EQ(cache.access(addr, is_write), expected)
-            << "access " << i << " addr " << addr;
+            << cfg.name << " access " << i << " addr " << addr;
+        ASSERT_TRUE(cache.probe(addr)) << cfg.name << " access " << i;
+        Addr other = lineAddr(pool[next() % pool.size()]);
+        ASSERT_EQ(cache.probe(other), ref.contains(other))
+            << cfg.name << " access " << i << " probe " << other;
     }
     EXPECT_EQ(cache.stats().hits, ref.stats.hits);
     EXPECT_EQ(cache.stats().misses, ref.stats.misses);
     EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
     EXPECT_EQ(cache.stats().writebacks, ref.stats.writebacks);
+    EXPECT_GT(ref.stats.evictions, 0u);
     EXPECT_GT(ref.stats.writebacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, LruProperty,
-    ::testing::Values(std::make_tuple(16, 4), std::make_tuple(16, 1),
-                      std::make_tuple(64, 8), std::make_tuple(4, 2)));
+    ::testing::Values(CacheConfig{"c1k_4way", 1024, 64, 4},
+                      CacheConfig{"l1_16k_4way", 16 * 1024, 64, 4},
+                      CacheConfig{"l1_16k_1way", 16 * 1024, 64, 1},
+                      CacheConfig{"c64k_8way", 64 * 1024, 64, 8},
+                      CacheConfig{"c4k_2way", 4 * 1024, 64, 2},
+                      CacheConfig{"l2_512k_8way", 512 * 1024, 64, 8},
+                      CacheConfig{"byte_lines_1set", 4, 1, 4},
+                      CacheConfig{"byte_lines_2sets", 8, 1, 4},
+                      CacheConfig{"halfword_lines_1set", 8, 2, 4}),
+    [](const ::testing::TestParamInfo<CacheConfig>& info) {
+        return info.param.name;
+    });
+
+TEST(Cache, WholeAddressTagsNeverAliasAnInvalidWay)
+{
+    // 1-byte lines and one set: the tag is the whole 64-bit address, so
+    // no tag value is free to mean "invalid". A fresh or flushed way
+    // must not match tag 0, and ~0ull must stay distinct from tags that
+    // differ from it only in the top bits.
+    Cache c({"t", 4, 1, 4});
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_FALSE(c.access(~0ull, false));
+    EXPECT_TRUE(c.access(~0ull, false));
+    EXPECT_FALSE(c.access(0, true));
+    EXPECT_TRUE(c.access(0, false));
+    EXPECT_FALSE(c.access(~0ull >> 1, false));
+    EXPECT_FALSE(c.access(~0ull >> 2, false));
+    EXPECT_TRUE(c.access(~0ull, false));
+    EXPECT_EQ(c.stats().hits, 3u);
+    EXPECT_EQ(c.stats().misses, 4u);
+    EXPECT_EQ(c.stats().evictions, 0u);
+
+    // A fifth line evicts the LRU one, the dirty line at 0.
+    EXPECT_FALSE(c.access(1, false));
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_EQ(c.stats().writebacks, 1u);
+
+    c.flush();
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_FALSE(c.probe(~0ull));
+    EXPECT_FALSE(c.access(0, false));
+    EXPECT_TRUE(c.access(0, false));
+}
 
 TEST(Hierarchy, PaperConfiguration)
 {

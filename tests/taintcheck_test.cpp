@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "lifeguards/taintcheck.h"
 
 namespace lba::lifeguards {
@@ -175,6 +177,104 @@ TEST_F(TaintCheckTest, PartialByteGranularity)
     EXPECT_FALSE(guard.regTainted(0, 1));
     feed(instr(isa::Opcode::kLb, 1, 9, 0, 0x20004, 1));
     EXPECT_TRUE(guard.regTainted(0, 1));
+}
+
+/** Sink that records every charge, in order. */
+class RecordingSink : public lifeguard::CostSink
+{
+  public:
+    void instrs(std::uint32_t n) override { instr_total += n; }
+    void
+    memAccess(Addr addr, bool is_write) override
+    {
+        EXPECT_FALSE(is_write);
+        shadow_reads.push_back(addr);
+    }
+
+    std::uint64_t instr_total = 0;
+    std::vector<Addr> shadow_reads;
+};
+
+/** Shadow address of the taint byte covering @p addr. */
+Addr
+shadowOf(Addr addr)
+{
+    return TaintCheckConfig{}.shadow_base + addr / 8;
+}
+
+TEST(TaintCheckLoads, EveryLoadReadsExactlyItsBytesAtOneProbePerGranule)
+{
+    // One tainted byte at every position of three granules, against
+    // loads of every size at every offset of two granules. A load is
+    // tainted exactly when it covers the byte; among them are loads
+    // that straddle a granule with the taint only in the far one. Each
+    // is charged 6 instructions and a shadow read of its first
+    // granule, plus 1 instruction and a read per further granule.
+    constexpr Addr kBuf = 0x20000;
+    NullCostSink sink;
+    for (unsigned size : {1u, 2u, 4u, 8u}) {
+        for (Addr off = 0; off < 16; ++off) {
+            for (Addr t = 0; t < 24; ++t) {
+                TaintCheck guard;
+                guard.handleEvent(inputEvent(kBuf + t, 1), sink);
+                RecordingSink charged;
+                guard.handleEvent(instr(isa::Opcode::kLd, 3, 5, 0,
+                                        kBuf + off, size),
+                                  charged);
+                EXPECT_EQ(guard.regTainted(0, 3),
+                          t >= off && t < off + size)
+                    << size << "-byte load at +" << off << ", taint at +"
+                    << t;
+                std::vector<Addr> reads{shadowOf(kBuf + off)};
+                for (Addr g = (kBuf + off + 8) & ~7ull;
+                     g < kBuf + off + size; g += 8) {
+                    reads.push_back(shadowOf(g));
+                }
+                EXPECT_EQ(charged.instr_total, 6 + reads.size() - 1);
+                EXPECT_EQ(charged.shadow_reads, reads);
+            }
+        }
+    }
+}
+
+TEST(TaintCheckRanges, UnalignedInputsAndAllocationsMarkExactlyTheirBytes)
+{
+    // Blocks of 1 to 17 bytes at every unaligned offset: an input taints
+    // exactly its bytes, and an allocation inside a tainted span clears
+    // exactly its bytes. Each byte is checked through memTainted() and
+    // through a 1-byte load.
+    NullCostSink sink;
+    for (std::uint64_t size = 1; size <= 17; ++size) {
+        for (Addr offset = 1; offset < 8; ++offset) {
+            Addr base = 0x10000100 + offset;
+            auto expectTaint = [&](TaintCheck& guard, bool inside) {
+                for (Addr a = base - 1; a <= base + size; ++a) {
+                    bool expected = (a >= base && a < base + size) == inside;
+                    EXPECT_EQ(guard.memTainted(a, 1), expected)
+                        << size << " bytes at +" << offset << ", byte "
+                        << a - base;
+                    guard.handleEvent(
+                        instr(isa::Opcode::kLb, 3, 5, 0, a, 1), sink);
+                    EXPECT_EQ(guard.regTainted(0, 3), expected)
+                        << size << " bytes at +" << offset << ", byte "
+                        << a - base;
+                }
+            };
+
+            TaintCheck input;
+            input.handleEvent(inputEvent(base, size), sink);
+            expectTaint(input, true);
+
+            TaintCheck alloc;
+            alloc.handleEvent(inputEvent(base - 9, size + 18), sink);
+            EventRecord block;
+            block.type = EventType::kAlloc;
+            block.addr = base;
+            block.aux = size;
+            alloc.handleEvent(block, sink);
+            expectTaint(alloc, false);
+        }
+    }
 }
 
 TEST_F(TaintCheckTest, PerThreadRegisterTaint)

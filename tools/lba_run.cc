@@ -208,7 +208,7 @@ printResult(const core::PlatformResult& result)
     for (std::size_t s = 0; s < result.shards.size(); ++s) {
         const core::LaneStats& shard = result.shards[s];
         std::printf("    shard %zu: %llu records, %llu busy cycles "
-                    "(%.0f%% occupancy), lag %.1f\n",
+                    "(%.0f%% busy), lag %.1f\n",
                     s, static_cast<unsigned long long>(shard.records),
                     static_cast<unsigned long long>(shard.busy_cycles),
                     100.0 * static_cast<double>(shard.busy_cycles) /

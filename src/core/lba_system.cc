@@ -31,20 +31,14 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
 }
 
 void
-LbaSystem::deliver(const log::EventRecord& record)
+LbaSystem::consume(const log::EventRecord& record, double bytes)
 {
+    if (!log::isAnnotation(record.type)) timer_.retire(0, record);
     unsigned shard = routeRecord(record, shards(), round_robin_);
     std::span<const PipelineTimer::Target> targets(targets_);
-    timer_.log(0, record,
+    timer_.log(0, record, bytes,
                shard == kBroadcast ? targets : targets.subspan(shard, 1));
-}
-
-void
-LbaSystem::onRetire(const sim::Retired& retired)
-{
-    timer_.retire(retired);
-    deliver(log::CaptureUnit::makeRecord(retired));
-    if (retired.is_syscall) {
+    if (record.type == log::EventType::kSyscall) {
         // The OS stalls the syscall until the lifeguards have checked
         // all prior log entries; applied before the next retirement so
         // the annotation records emitted by this syscall are drained
@@ -54,9 +48,17 @@ LbaSystem::onRetire(const sim::Retired& retired)
 }
 
 void
+LbaSystem::onRetire(const sim::Retired& retired)
+{
+    log::EventRecord record = log::CaptureUnit::makeRecord(retired);
+    consume(record, produce(record));
+}
+
+void
 LbaSystem::onOsEvent(const sim::OsEvent& event)
 {
-    deliver(log::CaptureUnit::makeRecord(event));
+    log::EventRecord record = log::CaptureUnit::makeRecord(event);
+    consume(record, produce(record));
 }
 
 void

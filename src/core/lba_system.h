@@ -129,8 +129,33 @@ class LbaSystem : public sim::RetireObserver
     LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
               mem::CacheHierarchy& hierarchy, const LbaConfig& config = {});
 
+    /** Both halves of the retirement's record, back to back. */
     void onRetire(const sim::Retired& retired) override;
+    /** Both halves of the OS event's record, back to back. */
     void onOsEvent(const sim::OsEvent& event) override;
+
+    /**
+     * The producer half of one captured record: the address filter
+     * and the codec (PipelineTimer::encode). It writes nothing
+     * consume() reads, so the two-thread schedule of Experiment::runLba
+     * runs it ahead of consume() on another host thread.
+     * @return The record's transport bytes, or
+     *         PipelineTimer::kFiltered.
+     */
+    double
+    produce(const log::EventRecord& record)
+    {
+        return timer_.encode(0, record);
+    }
+
+    /**
+     * The consumer half of one captured record, given produce()'s
+     * answer @p bytes, in capture order: for a retirement's record the
+     * application core's retire timing first, then routing, slot
+     * reservation, transport and lifeguard dispatch, and for a
+     * syscall the containment drain armed last.
+     */
+    void consume(const log::EventRecord& record, double bytes);
 
     /**
      * Complete the run: run every shard's end-of-program hook once its
@@ -162,9 +187,6 @@ class LbaSystem : public sim::RetireObserver
     PipelineTimer& timer() { return timer_; }
 
   private:
-    /** Route @p record and log it to its shard(s). */
-    void deliver(const log::EventRecord& record);
-
     PipelineTimer timer_;
     std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines_;
     /** targets_[s] = lane s consumed by engines_[s]; a broadcast

@@ -16,8 +16,7 @@ using log::EventRecord;
 using log::EventType;
 
 PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
-                             const LbaConfig& config, unsigned nlanes,
-                             const std::vector<LaneLimits>& lane_limits)
+                             const LbaConfig& config, unsigned nlanes)
     : hierarchy_(hierarchy), config_(config)
 {
     LBA_ASSERT(nlanes >= 1, "timer needs at least one lane");
@@ -27,28 +26,16 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
     LBA_ASSERT(config_.app_core < config_.dispatch.core ||
                    config_.app_core >= config_.dispatch.core + nlanes,
                "application and lifeguard must use different cores");
-    LBA_ASSERT(lane_limits.empty() || lane_limits.size() == nlanes,
-               "lane limits must cover every lane or none");
 
     lanes_.reserve(nlanes);
     for (unsigned i = 0; i < nlanes; ++i) {
-        std::size_t capacity = config_.buffer_capacity;
-        double bandwidth = config_.transport_bytes_per_cycle;
-        if (!lane_limits.empty()) {
-            const LaneLimits& limits = lane_limits[i];
-            if (limits.buffer_capacity > 0) {
-                capacity = limits.buffer_capacity;
-            }
-            if (limits.transport_bytes_per_cycle >= 0.0) {
-                bandwidth = limits.transport_bytes_per_cycle;
-            }
-        }
-        lanes_.emplace_back(capacity, bandwidth);
+        lanes_.emplace_back(config_.buffer_capacity,
+                            config_.transport_bytes_per_cycle);
     }
 
     Producer primary;
     primary.app_core = config_.app_core;
-    primary.encoder = makeEncoder();
+    encoders_.push_back({makeEncoder()});
     producers_.push_back(std::move(primary));
 }
 
@@ -73,7 +60,7 @@ PipelineTimer::addProducer(unsigned app_core)
                "producer and lifeguard must use different cores");
     Producer producer;
     producer.app_core = app_core;
-    producer.encoder = makeEncoder();
+    encoders_.push_back({makeEncoder()});
     producers_.push_back(std::move(producer));
     return static_cast<unsigned>(producers_.size() - 1);
 }
@@ -101,17 +88,19 @@ PipelineTimer::filtered(const EventRecord& record) const
 }
 
 double
-PipelineTimer::transportCost(Producer& producer, const EventRecord& record)
+PipelineTimer::encode(unsigned producer, const EventRecord& record)
 {
+    LBA_ASSERT(producer < encoders_.size(), "bad producer index");
+    if (filtered(record)) return kFiltered;
     // Bandwidth accounting: compressed records cost their true encoded
     // size; uncompressed transport pays the full record width. Each
     // producer is its own log stream, so its encoder sees only its
     // own record sequence.
     if (!config_.compress) return config_.raw_record_bytes;
-    std::uint64_t before = producer.encoder->bitsWritten();
-    producer.encoder->append(record);
-    return static_cast<double>(producer.encoder->bitsWritten() - before) /
-           8.0;
+    compress::Encoder& encoder = *encoders_[producer].encoder;
+    std::uint64_t before = encoder.bitsWritten();
+    encoder.append(record);
+    return static_cast<double>(encoder.bitsWritten() - before) / 8.0;
 }
 
 void
@@ -199,17 +188,16 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
 
 bool
 PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
-                   std::span<const Target> targets)
+                   double record_bytes, std::span<const Target> targets)
 {
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     LBA_ASSERT(!targets.empty(), "record needs at least one target");
     Producer& producer = producers_[producer_idx];
-    if (filtered(record)) {
+    if (record_bytes == kFiltered) {
         ++stats_.records_filtered;
         ++producer.stats.records_filtered;
         return false;
     }
-    double record_bytes = transportCost(producer, record);
 
     // Reserve every target's slot first: the application can only
     // append the record once all of its consumers have room, so
@@ -239,7 +227,7 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
 }
 
 void
-PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
+PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
 {
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     Producer& producer = producers_[producer_idx];
@@ -263,11 +251,13 @@ PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
 
     ++stats_.app_instructions;
     ++producer.stats.app_instructions;
-    Cycles cost =
-        1 + hierarchy_.instrFetch(producer.app_core, retired.pc);
-    if (retired.mem_bytes > 0) {
-        cost += hierarchy_.dataAccess(producer.app_core, retired.mem_addr,
-                                      retired.mem_is_write);
+    // A retirement's record is a load or store exactly when the
+    // instruction accessed memory, at record.addr.
+    Cycles cost = 1 + hierarchy_.instrFetch(producer.app_core, record.pc);
+    if (record.type == EventType::kLoad ||
+        record.type == EventType::kStore) {
+        cost += hierarchy_.dataAccess(producer.app_core, record.addr,
+                                      record.type == EventType::kStore);
     }
     producer.app_time += cost;
     stats_.app_cycles += cost;
@@ -341,18 +331,18 @@ PipelineTimer::seal()
     Cycles end = 0;
     std::uint64_t compressed_records = 0;
     double compressed_bytes = 0.0;
-    for (Producer& producer : producers_) {
+    for (std::size_t p = 0; p < producers_.size(); ++p) {
+        Producer& producer = producers_[p];
+        compress::Encoder& encoder = *encoders_[p].encoder;
         producer.stats.total_cycles =
             std::max(producer.app_time, producer.drain_clock);
         end = std::max(end, producer.stats.total_cycles);
-        producer.encoder->finishStream();
-        producer.stats.bytes_per_record =
-            producer.encoder->bytesPerRecord();
+        encoder.finishStream();
+        producer.stats.bytes_per_record = encoder.bytesPerRecord();
         producer.stats.codec = config_.codec;
         producer.stats.mean_consume_lag = producer.consume_lag.mean();
-        compressed_records += producer.encoder->records();
-        compressed_bytes +=
-            static_cast<double>(producer.encoder->bitsWritten()) / 8.0;
+        compressed_records += encoder.records();
+        compressed_bytes += static_cast<double>(encoder.bitsWritten()) / 8.0;
     }
     stats_.lifeguard_busy_cycles = 0;
     for (Lane& lane : lanes_) {

@@ -46,6 +46,14 @@
  * so computing it eagerly on the host changes no simulated cycle. The
  * golden cycle corpus (tests/golden/) pins the resulting cycles.
  *
+ * Two steps. log() is encode(), the producer step (the address
+ * filter and the producer's codec, which yield the record's transport
+ * bytes), then the consumer step (everything else). No consumer-step
+ * state feeds encode(), and every simulated number depends only on
+ * record order and each record's bytes, so the steps of different
+ * records may run on two host threads, which is what core/runner.cc's
+ * runLba does, with the results of running them back to back.
+ *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
  * come from the same count.
@@ -72,8 +80,8 @@
 #include "common/assert.h"
 #include "compress/registry.h"
 #include "lifeguard/dispatch.h"
+#include "log/event.h"
 #include "mem/hierarchy.h"
-#include "sim/process.h"
 #include "stats/counter.h"
 
 namespace lba::threading {
@@ -139,19 +147,6 @@ struct LbaConfig
  * later start + cost and application clock sum of a run.
  */
 inline constexpr Cycles kDeliveryCeiling = Cycles{1} << 62;
-
-/**
- * Per-lane overrides for heterogeneous pools: a lane may have its own
- * buffer size and transport bandwidth (e.g. one fat lane plus several
- * thin ones). Values <= 0 inherit the LbaConfig-wide setting.
- */
-struct LaneLimits
-{
-    /** Log buffer capacity in records (0 = LbaConfig::buffer_capacity). */
-    std::size_t buffer_capacity = 0;
-    /** Transport bytes/cycle (< 0 = LbaConfig value; 0 = unlimited). */
-    double transport_bytes_per_cycle = -1.0;
-};
 
 /**
  * Occupancy of one lane's log buffer. pushes - pops is the number of
@@ -250,16 +245,17 @@ class PipelineTimer
         unsigned producer, unsigned lane, const log::EventRecord& record,
         Cycles lag, Cycles cost, double bytes)>;
 
+    /** encode()'s answer for a record the address filter drops. */
+    static constexpr double kFiltered = -1.0;
+
     /**
-     * @param hierarchy   Shared cache hierarchy; needs a core for the
-     *                    application plus one per lane.
-     * @param config      Platform configuration (see LbaConfig).
-     * @param nlanes      Number of lanes (lifeguard cores), >= 1.
-     * @param lane_limits Optional per-lane overrides (empty = uniform).
+     * @param hierarchy Shared cache hierarchy; needs a core for the
+     *                  application plus one per lane.
+     * @param config    Platform configuration (see LbaConfig).
+     * @param nlanes    Number of lanes (lifeguard cores), >= 1.
      */
     PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-                  unsigned nlanes,
-                  const std::vector<LaneLimits>& lane_limits = {});
+                  unsigned nlanes);
 
     /**
      * A dispatch engine running @p guard on lane @p lane's core,
@@ -278,29 +274,46 @@ class PipelineTimer
     unsigned addProducer(unsigned app_core);
 
     /**
-     * Account one retirement on @p producer's application core: apply
-     * any pending syscall-containment drain, then charge fetch/memory
-     * cost.
+     * Account one retirement on @p producer's application core from
+     * its record (log::CaptureUnit::makeRecord): apply any pending
+     * syscall-containment drain, then charge the fetch at record.pc
+     * and, for a load or store, the data access at record.addr.
      */
-    void retire(unsigned producer, const sim::Retired& retired);
-    void
-    retire(const sim::Retired& retired)
-    {
-        retire(0, retired);
-    }
+    void retire(unsigned producer, const log::EventRecord& record);
 
     /**
-     * Deliver one record of @p producer to each target in order:
-     * filtering, compression accounting, back-pressure, transport and
-     * dispatch timing. All target slots are reserved before any
-     * consumption, so produce(i) reflects the slowest target lane. A
-     * lane may appear more than once when several lifeguard shards
-     * fold onto it; it then reserves one slot per target at once,
-     * in first-seen lane order.
-     * @return False when the filter dropped the record.
+     * The producer step of log(): the address filter and @p producer's
+     * codec. It touches only the configuration and that producer's
+     * encoder, which the consumer step never reads, so one host thread
+     * may run it while another runs the consumer step on earlier
+     * records (the two-thread schedule of core/runner.cc). seal()
+     * reads the encoders once both threads are done.
+     * @return The bytes @p record costs on a transport link, or
+     *         kFiltered when the filter drops it.
+     */
+    double encode(unsigned producer, const log::EventRecord& record);
+
+    /**
+     * The consumer step of log(): deliver one record of @p producer,
+     * whose encode() answer is @p bytes, to each target in order:
+     * back-pressure, transport and dispatch timing. All target slots
+     * are reserved before any consumption, so produce(i) reflects the
+     * slowest target lane. A lane may appear more than once when
+     * several lifeguard shards fold onto it; it then reserves one slot
+     * per target at once, in first-seen lane order.
+     * @return False when @p bytes is kFiltered (the record is only
+     *         counted).
      */
     bool log(unsigned producer, const log::EventRecord& record,
-             std::span<const Target> targets);
+             double bytes, std::span<const Target> targets);
+
+    /** Both steps of one record, back to back. */
+    bool
+    log(unsigned producer, const log::EventRecord& record,
+        std::span<const Target> targets)
+    {
+        return log(producer, record, encode(producer, record), targets);
+    }
 
     /**
      * Arm the containment drain: @p producer stalls at its next
@@ -376,7 +389,10 @@ class PipelineTimer
     LaneStats laneStats(unsigned lane) const;
 
   private:
-    struct Lane
+    /** Lanes and producers take whole host cache lines: the consumer
+     *  step writes them on every record, and no encode() state may
+     *  share their lines (see config_). */
+    struct alignas(64) Lane
     {
         /** Buffer capacity, in records (slots). */
         std::size_t capacity = 0;
@@ -410,8 +426,9 @@ class PipelineTimer
         }
     };
 
-    /** One monitored application feeding the shared lanes. */
-    struct Producer
+    /** One monitored application feeding the shared lanes (its log
+     *  stream is encoders_[index].encoder). */
+    struct alignas(64) Producer
     {
         unsigned app_core = 0;
         /** Application core clock. */
@@ -420,11 +437,15 @@ class PipelineTimer
         bool pending_drain = false;
         /** Latest finish time over this producer's consumed records. */
         Cycles drain_clock = 0;
-        /** This producer's log stream (per-tenant codec state, built
-         *  from LbaConfig::codec by the registry). */
-        std::unique_ptr<compress::Encoder> encoder;
         stats::Summary consume_lag;
         LbaRunStats stats;
+    };
+
+    /** A producer's log stream (per-tenant codec state, built from
+     *  LbaConfig::codec by the registry), alone on its cache line. */
+    struct alignas(64) EncoderSlot
+    {
+        std::unique_ptr<compress::Encoder> encoder;
     };
 
     /** Build a fresh per-producer encoder from LbaConfig::codec. */
@@ -432,10 +453,6 @@ class PipelineTimer
 
     /** True when the filter drops this record. */
     bool filtered(const log::EventRecord& record) const;
-
-    /** Bytes this record costs on a transport link. */
-    double transportCost(Producer& producer,
-                         const log::EventRecord& record);
 
     /** Free @p needed slots in @p lane, stalling @p producer if
      *  needed. */
@@ -453,8 +470,16 @@ class PipelineTimer
                    double record_bytes);
 
     mem::CacheHierarchy& hierarchy_;
-    LbaConfig config_;
-    std::vector<Lane> lanes_;
+    /**
+     * encode() reads only config_ and encoders_, on host cache lines of
+     * their own: a line both threads of the two-thread schedule
+     * touched, one of them writing it on every record, would move
+     * between their cores every time.
+     */
+    alignas(64) LbaConfig config_;
+    /** encoders_[p] is producer p's log stream. */
+    std::vector<EncoderSlot> encoders_;
+    alignas(64) std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
 
     ConsumeObserver consume_observer_;

@@ -72,27 +72,18 @@ LifeguardPool::LifeguardPool(const PoolConfig& config,
     : config_(config), factory_(std::move(factory))
 {
     LBA_ASSERT(config_.lanes >= 1, "pool needs at least one lane");
+    LBA_ASSERT(config_.slice_instructions >= 1,
+               "pool slice must be at least one instruction");
     LBA_ASSERT(config_.max_load > 0.0, "max_load must be positive");
     LBA_ASSERT(factory_ != nullptr, "pool needs a lifeguard factory");
     scheduler_ = makeScheduler(config_.policy, config_.lanes);
 
-    // Pool drain bandwidth: the sum of the lanes' transport links. Any
-    // unlimited lane makes the pool bandwidth unlimited (capacity 0).
-    bool unlimited = false;
-    double capacity = 0.0;
-    for (unsigned lane = 0; lane < config_.lanes; ++lane) {
-        double bw = config_.lba.transport_bytes_per_cycle;
-        if (lane < config_.lane_limits.size() &&
-            config_.lane_limits[lane].transport_bytes_per_cycle >= 0.0) {
-            bw = config_.lane_limits[lane].transport_bytes_per_cycle;
-        }
-        if (bw <= 0.0) {
-            unlimited = true;
-            break;
-        }
-        capacity += bw;
+    // Pool drain bandwidth: the sum of the lanes' transport links, or
+    // 0 when they are unlimited.
+    double bw = config_.lba.transport_bytes_per_cycle;
+    for (unsigned lane = 0; bw > 0.0 && lane < config_.lanes; ++lane) {
+        capacity_ += bw;
     }
-    capacity_ = unlimited ? 0.0 : capacity;
 }
 
 LifeguardPool::~LifeguardPool() = default;
@@ -160,8 +151,9 @@ void
 LifeguardPool::onRetire(const sim::Retired& retired)
 {
     Tenant& tenant = *tenants_[current_];
-    timer_->retire(current_, retired);
-    deliver(tenant, log::CaptureUnit::makeRecord(retired));
+    EventRecord record = log::CaptureUnit::makeRecord(retired);
+    timer_->retire(current_, record);
+    deliver(tenant, record);
     if (retired.is_syscall) {
         // Same containment ordering as LbaSystem: the drain is
         // armed after the syscall record itself is logged and applied
@@ -238,8 +230,8 @@ LifeguardPool::run()
     unsigned needed = lba.dispatch.core + config_.lanes;
     if (hc.num_cores < needed) hc.num_cores = needed;
     hierarchy_ = std::make_unique<mem::CacheHierarchy>(hc);
-    timer_ = std::make_unique<core::PipelineTimer>(
-        *hierarchy_, lba, config_.lanes, config_.lane_limits);
+    timer_ = std::make_unique<core::PipelineTimer>(*hierarchy_, lba,
+                                                   config_.lanes);
     for (unsigned t = 1; t < ntenants; ++t) {
         unsigned producer = timer_->addProducer(t);
         LBA_ASSERT(producer == t, "producer/tenant index drift");

@@ -95,14 +95,12 @@ struct PoolConfig
     /** Platform knobs shared by every lane/tenant (buffer size,
      *  transport bandwidth, compression, containment, filtering). */
     core::LbaConfig lba;
-    /** Optional per-lane overrides (empty = uniform lanes). */
-    std::vector<core::LaneLimits> lane_limits;
     mem::HierarchyConfig hierarchy;
     /** Number of shared lifeguard lanes (cores). */
     unsigned lanes = 2;
     Policy policy = Policy::kStatic;
-    /** Tenant execution slice, in retired instructions. A lone tenant
-     *  runs unsliced. */
+    /** Tenant execution slice, in retired instructions (>= 1). A lone
+     *  tenant runs unsliced. */
     std::uint64_t slice_instructions = 20'000;
     AdmissionMode admission = AdmissionMode::kQueue;
     /** Admissible fraction of the pool drain bandwidth. */

@@ -1,38 +1,12 @@
 #pragma once
 /**
  * @file
- * Named statistic counters and scalar summaries.
- *
- * Simulation components expose their measurements as StatSet groups so
- * benches and reports can print them uniformly.
+ * Scalar summaries of double-valued samples.
  */
 
 #include <cstdint>
-#include <map>
-#include <string>
-
-#include "common/assert.h"
 
 namespace lba::stats {
-
-/** A monotonically increasing named counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    /** Add @p delta to the counter. */
-    void add(std::uint64_t delta = 1) { value_ += delta; }
-
-    /** Current value. */
-    std::uint64_t value() const { return value_; }
-
-    /** Reset to zero. */
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * An online mean/min/max accumulator for double-valued samples.
@@ -67,35 +41,6 @@ class Summary
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * A registry of named counters, so a component can expose all of its
- * statistics by name for report printing.
- */
-class StatSet
-{
-  public:
-    /** Get (creating if absent) the counter named @p name. */
-    Counter& counter(const std::string& name) { return counters_[name]; }
-
-    /** Read-only view of all counters. */
-    const std::map<std::string, Counter>& counters() const
-    {
-        return counters_;
-    }
-
-    /** Reset every counter in the set. */
-    void
-    reset()
-    {
-        for (auto& [name, c] : counters_) {
-            c.reset();
-        }
-    }
-
-  private:
-    std::map<std::string, Counter> counters_;
 };
 
 } // namespace lba::stats

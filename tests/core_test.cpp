@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the LBA system: decoupled timing, back-pressure, syscall
- * containment, filtering, core placement, and sharding across
- * lifeguard cores.
+ * containment, filtering, core placement, sharding across lifeguard
+ * cores, and runLba's two-thread schedule against the inline one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "asm/assembler.h"
@@ -365,6 +366,131 @@ TEST(LbaSystem, TransportBytesMatchCompressorOutput)
                       static_cast<double>(result.lba.records_logged);
     EXPECT_NEAR(result.lba.transport_bytes, expected,
                 expected * 0.01 + 1.0);
+}
+
+/**
+ * Run @p prog through runLba, which uses its two-thread schedule
+ * without containment, and through LbaSystem driven inline on the
+ * same setup; every statistic, lane and finding must agree.
+ * @return The runLba result.
+ */
+PlatformResult
+expectMatchesInline(const std::vector<isa::Instruction>& prog,
+                    const ExperimentConfig& config, unsigned shards = 1)
+{
+    Experiment exp(prog, config);
+    PlatformResult threaded =
+        exp.runLba(addrcheck(), config.lba, config.containment, shards);
+
+    sim::Process process(config.process);
+    process.load(prog);
+    mem::HierarchyConfig hc = config.hierarchy;
+    hc.num_cores = std::max({hc.num_cores, config.lba.dispatch.core + shards,
+                             config.lba.app_core + 1});
+    mem::CacheHierarchy hierarchy(hc);
+    std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
+    std::vector<lifeguard::Lifeguard*> shard_guards;
+    for (unsigned s = 0; s < shards; ++s) {
+        guards.push_back(addrcheck()());
+        shard_guards.push_back(guards.back().get());
+    }
+    LbaSystem system(shard_guards, hierarchy, config.lba);
+    sim::RunResult run = process.run(&system);
+    system.finish();
+
+    EXPECT_EQ(threaded.instructions, run.instructions);
+    EXPECT_EQ(threaded.lba, system.stats());
+    EXPECT_EQ(threaded.shards.size(), shards);
+    for (unsigned s = 0; s < std::min<std::size_t>(shards,
+                                                   threaded.shards.size());
+         ++s) {
+        const LaneStats& got = threaded.shards[s];
+        LaneStats want = system.timer().laneStats(s);
+        EXPECT_EQ(got.last_finish, want.last_finish) << "shard " << s;
+        EXPECT_EQ(got.busy_cycles, want.busy_cycles) << "shard " << s;
+        EXPECT_EQ(got.records, want.records) << "shard " << s;
+        EXPECT_EQ(got.mean_consume_lag, want.mean_consume_lag)
+            << "shard " << s;
+        EXPECT_EQ(got.transport_bytes, want.transport_bytes)
+            << "shard " << s;
+        EXPECT_EQ(got.transport_wait_cycles, want.transport_wait_cycles)
+            << "shard " << s;
+        EXPECT_EQ(got.buffer.pushes, want.buffer.pushes) << "shard " << s;
+        EXPECT_EQ(got.buffer.pops, want.buffer.pops) << "shard " << s;
+        EXPECT_EQ(got.buffer.max_occupancy, want.buffer.max_occupancy)
+            << "shard " << s;
+    }
+    std::vector<lifeguard::Finding> findings =
+        shards == 1 ? guards.front()->findings() : mergeShardFindings(guards);
+    EXPECT_EQ(threaded.findings.size(), findings.size());
+    for (std::size_t i = 0;
+         i < std::min(threaded.findings.size(), findings.size()); ++i) {
+        EXPECT_EQ(lifeguard::toString(threaded.findings[i]),
+                  lifeguard::toString(findings[i]));
+    }
+    return threaded;
+}
+
+TEST(TwoThreadSchedule, MatchesInlineAtWindowBoundaries)
+{
+    // A syscall-free loop logs one record per retirement, and a run cut
+    // by the instruction limit logs no exit annotation, so the limit
+    // sets the record count: below one window, exactly two, and two
+    // plus one.
+    auto prog = program(R"(
+        li r5, 0x100000
+    loop:
+        ld r2, 0(r5)
+        sd r2, 8(r5)
+        addi r5, r5, 8
+        jmp loop
+    )");
+    for (std::uint64_t records :
+         {kWindowRecords - 1, 2 * kWindowRecords, 2 * kWindowRecords + 1}) {
+        ExperimentConfig config;
+        config.process.max_instructions = records;
+        PlatformResult run = expectMatchesInline(prog, config);
+        EXPECT_EQ(run.lba.records_logged, records);
+    }
+}
+
+TEST(TwoThreadSchedule, MatchesInlineWithBugsOnOneAndFourShards)
+{
+    // Many more windows than the ring holds, and findings to compare.
+    workload::BugInjection bugs;
+    bugs.use_after_free = true;
+    bugs.double_free = true;
+    bugs.leak = true;
+    auto generated =
+        workload::generate(*workload::findProfile("tidy"), bugs, 60000);
+    for (unsigned shards : {1u, 4u}) {
+        PlatformResult run =
+            expectMatchesInline(generated.program, {}, shards);
+        EXPECT_GT(run.lba.records_logged, kWindows * kWindowRecords);
+        EXPECT_FALSE(run.findings.empty());
+    }
+}
+
+TEST(TwoThreadSchedule, MatchesInlineWithTheFilterOn)
+{
+    auto generated =
+        workload::generate(*workload::findProfile("gzip"), {}, 30000);
+    ExperimentConfig config;
+    config.lba.filter_enabled = true;
+    config.lba.filter_base = 0x10000000; // heap only
+    config.lba.filter_bytes = 64ull << 20;
+    PlatformResult run = expectMatchesInline(generated.program, config);
+    EXPECT_GT(run.lba.records_filtered, 0u);
+}
+
+TEST(TwoThreadSchedule, MatchesInlineWithFiniteBandwidth)
+{
+    auto generated =
+        workload::generate(*workload::findProfile("mcf"), {}, 30000);
+    ExperimentConfig config;
+    config.lba.transport_bytes_per_cycle = 0.25;
+    PlatformResult run = expectMatchesInline(generated.program, config);
+    EXPECT_GT(run.lba.transport_wait_cycles, 0u);
 }
 
 TEST(Experiment, UnmonitoredIsCached)

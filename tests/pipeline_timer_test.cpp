@@ -123,9 +123,7 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     PipelineTimer timer(hierarchy, config, 1);
     auto engine = timer.makeEngine(guard, 0);
 
-    sim::Retired retired;
-    retired.pc = 0x1000;
-    timer.retire(retired);
+    timer.retire(0, aluRecord(0x1000));
     Cycles app_before = timer.stats().app_cycles;
 
     // Syscall record, then its annotation, both produced at app_before.
@@ -134,8 +132,7 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     timer.log(0, allocRecord(0x10000000, 64), on(0, *engine));
     // finish(syscall) = app_before + 5; finish(alloc) = app_before + 10.
 
-    retired.pc = 0x1008;
-    timer.retire(retired);
+    timer.retire(0, aluRecord(0x1008));
     // The drain stalls the app from app_before to app_before + 10 —
     // covering the annotation, not just the syscall record.
     EXPECT_EQ(timer.stats().syscall_drains, 1u);
@@ -278,66 +275,6 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     EXPECT_EQ(timer.stats().transport_bytes, 8.0);
 }
 
-TEST(PipelineTimer, MixedLaneTransportBandwidths)
-{
-    // Heterogeneous pool: lane 0 drains 2 B/cycle, lane 1 only 1
-    // B/cycle, in one timer. 4-byte raw records: lane 0 delivers at
-    // t=2 (wait 2), lane 1 at t=4 (wait 4).
-    mem::CacheHierarchy hierarchy(cores(3));
-    LbaConfig config;
-    config.compress = false;
-    config.raw_record_bytes = 4;
-    config.transport_bytes_per_cycle = 9.0; // overridden per lane
-    FixedCostLifeguard a(0), b(0);
-    std::vector<LaneLimits> limits(2);
-    limits[0].transport_bytes_per_cycle = 2.0;
-    limits[1].transport_bytes_per_cycle = 1.0;
-    PipelineTimer timer(hierarchy, config, 2, limits);
-    auto engine_a = timer.makeEngine(a, 0);
-    auto engine_b = timer.makeEngine(b, 1);
-
-    timer.log(0, aluRecord(), on(0, *engine_a));
-    timer.log(0, aluRecord(), on(1, *engine_b));
-
-    EXPECT_EQ(timer.laneStats(0).transport_wait_cycles, 2u);
-    EXPECT_EQ(timer.laneStats(1).transport_wait_cycles, 4u);
-    EXPECT_EQ(timer.stats().transport_wait_cycles, 6u);
-    // start = deliver, so per-lane lag equals the transport wait.
-    EXPECT_DOUBLE_EQ(timer.laneStats(0).mean_consume_lag, 2.0);
-    EXPECT_DOUBLE_EQ(timer.laneStats(1).mean_consume_lag, 4.0);
-}
-
-TEST(PipelineTimer, MixedLaneBufferCapacities)
-{
-    // Lane 0 holds a single record while lane 1 inherits the
-    // config-wide capacity of 2: only the small lane back-pressures.
-    mem::CacheHierarchy hierarchy(cores(3));
-    LbaConfig config;
-    config.buffer_capacity = 2;
-    FixedCostLifeguard a(10), b(10); // consume cost = 11
-    std::vector<LaneLimits> limits(2);
-    limits[0].buffer_capacity = 1;
-    PipelineTimer timer(hierarchy, config, 2, limits);
-    auto engine_a = timer.makeEngine(a, 0);
-    auto engine_b = timer.makeEngine(b, 1);
-
-    // Lane 1 first: two records fit without stalling.
-    timer.log(0, aluRecord(), on(1, *engine_b));
-    timer.log(0, aluRecord(), on(1, *engine_b));
-    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 0u);
-
-    // Lane 0: the second record must wait for the first to finish at
-    // cycle 11 before its slot frees.
-    timer.log(0, aluRecord(), on(0, *engine_a));
-    timer.log(0, aluRecord(), on(0, *engine_a));
-    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
-    EXPECT_EQ(timer.laneStats(0).buffer.max_occupancy, 1u);
-    EXPECT_EQ(timer.laneStats(1).buffer.max_occupancy, 2u);
-    // The stalled producer's clock moved to 11, so lane 0's second
-    // record starts there and finishes at 22.
-    EXPECT_EQ(timer.laneStats(0).last_finish, 22u);
-}
-
 TEST(PipelineTimer, MultiProducerSharedLaneSerializes)
 {
     // Two producers (apps on cores 0 and 2) share one lane (core 1):
@@ -405,9 +342,7 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     timer.log(1, aluRecord(), on(0, *engine_b));
 
     timer.noteSyscall(0);
-    sim::Retired retired;
-    retired.pc = 0x1000;
-    timer.retire(0, retired);
+    timer.retire(0, aluRecord(0x1000));
     // P0 drains to its own record's finish (3), not to P1's 44.
     EXPECT_EQ(timer.producerStats(0).syscall_stall_cycles, 3u);
     EXPECT_EQ(timer.producerStats(0).syscall_drains, 1u);

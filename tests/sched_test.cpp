@@ -303,6 +303,15 @@ TEST(SchedPool, TenantStatsReportLagPercentiles)
     EXPECT_LE(tenant.lag_p95, tenant.lag_p99);
 }
 
+TEST(SchedPoolDeathTest, ZeroSliceIsRejected)
+{
+    // The slice countdown would wrap and run every tenant unsliced.
+    PoolConfig config;
+    config.slice_instructions = 0;
+    EXPECT_DEATH({ LifeguardPool pool(config, addrcheck()); },
+                 "pool slice must be at least one instruction");
+}
+
 TEST(SchedScheduler, PoliciesGiveLoneTenantTheWholePool)
 {
     for (Policy policy :

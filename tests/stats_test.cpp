@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the stats library: counters, summaries, histograms and
- * table formatting.
+ * Unit tests for the stats library: summaries, histograms and table
+ * formatting.
  */
 
 #include <gtest/gtest.h>
@@ -12,17 +12,6 @@
 
 namespace lba::stats {
 namespace {
-
-TEST(Counter, StartsAtZeroAndAccumulates)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Summary, EmptySummaryIsAllZero)
 {
@@ -53,18 +42,6 @@ TEST(Summary, NegativeSamples)
     EXPECT_DOUBLE_EQ(s.min(), -5.0);
     EXPECT_DOUBLE_EQ(s.max(), 5.0);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(StatSet, CreatesCountersOnDemand)
-{
-    StatSet set;
-    set.counter("a").add(3);
-    set.counter("a").add(4);
-    set.counter("b").add(1);
-    EXPECT_EQ(set.counters().size(), 2u);
-    EXPECT_EQ(set.counter("a").value(), 7u);
-    set.reset();
-    EXPECT_EQ(set.counter("a").value(), 0u);
 }
 
 TEST(Histogram, BucketsAndOverflow)

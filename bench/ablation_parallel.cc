@@ -37,28 +37,28 @@ main()
         core::Experiment exp(generated.program);
         stats::Table table({"lifeguard cores", "slowdown",
                             "speedup vs 1 core", "B/record",
-                            "per-shard occupancy"});
+                            "per-shard busy"});
         double base = 0;
         for (unsigned shards : {1u, 2u, 4u}) {
             auto result = exp.runLba(c.factory, shards);
             if (shards == 1) base = result.slowdown;
-            // Occupancy: the fraction of the run each shard's core
-            // spent consuming records.
-            std::string occupancy;
+            // Busy: the fraction of the run each shard's core spent
+            // consuming records.
+            std::string busy;
             for (unsigned s = 0; s < shards; ++s) {
-                if (s) occupancy += "/";
-                occupancy += stats::formatDouble(
+                if (s) busy += "/";
+                busy += stats::formatDouble(
                     100.0 * static_cast<double>(result.shards[s].busy_cycles) /
                         static_cast<double>(result.lba.total_cycles),
                     0);
-                occupancy += "%";
+                busy += "%";
             }
             table.addRow({std::to_string(shards),
                           stats::formatSlowdown(result.slowdown),
                           stats::formatDouble(base / result.slowdown,
                                               2),
                           stats::formatDouble(result.lba.bytes_per_record, 3),
-                          occupancy});
+                          busy});
         }
         std::printf("%s on %s\n%s\n", c.lifeguard, c.benchmark,
                     table.toString().c_str());

@@ -33,18 +33,7 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
 void
 LbaSystem::consume(const log::EventRecord& record, double bytes)
 {
-    if (!log::isAnnotation(record.type)) timer_.retire(0, record);
-    unsigned shard = routeRecord(record, shards(), round_robin_);
-    std::span<const PipelineTimer::Target> targets(targets_);
-    timer_.log(0, record, bytes,
-               shard == kBroadcast ? targets : targets.subspan(shard, 1));
-    if (record.type == log::EventType::kSyscall) {
-        // The OS stalls the syscall until the lifeguards have checked
-        // all prior log entries; applied before the next retirement so
-        // the annotation records emitted by this syscall are drained
-        // too.
-        timer_.noteSyscall();
-    }
+    consumeRecord(timer_, 0, record, bytes, targets_, round_robin_);
 }
 
 void

@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/pipeline_timer.h"
@@ -89,6 +90,37 @@ routeRecord(const log::EventRecord& record, unsigned shards,
         return kBroadcast;
       default:
         return static_cast<unsigned>(round_robin++ % shards);
+    }
+}
+
+/**
+ * The consumer half of one captured record of @p producer, given its
+ * PipelineTimer::encode() answer @p bytes, in capture order: for a
+ * retirement's record the application core's retire timing first, then
+ * routing (routeRecord over @p shard_targets, shard s delivering to
+ * shard_targets[s], with the producer's @p round_robin cursor), slot
+ * reservation, transport and lifeguard dispatch, and for a syscall the
+ * containment drain armed last. LbaSystem and every tenant of
+ * sched::LifeguardPool consume their records through it.
+ */
+inline void
+consumeRecord(PipelineTimer& timer, unsigned producer,
+              const log::EventRecord& record, double bytes,
+              std::span<const PipelineTimer::Target> shard_targets,
+              std::uint64_t& round_robin)
+{
+    if (!log::isAnnotation(record.type)) timer.retire(producer, record);
+    unsigned shard = routeRecord(
+        record, static_cast<unsigned>(shard_targets.size()), round_robin);
+    timer.log(producer, record, bytes,
+              shard == kBroadcast ? shard_targets
+                                  : shard_targets.subspan(shard, 1));
+    if (record.type == log::EventType::kSyscall) {
+        // The OS stalls the syscall until the lifeguards have checked
+        // all prior log entries; applied before the next retirement so
+        // the annotation records emitted by this syscall are drained
+        // too.
+        timer.noteSyscall(producer);
     }
 }
 

@@ -51,8 +51,9 @@
  * bytes), then the consumer step (everything else). No consumer-step
  * state feeds encode(), and every simulated number depends only on
  * record order and each record's bytes, so the steps of different
- * records may run on two host threads, which is what core/runner.cc's
- * runLba does, with the results of running them back to back.
+ * records may run on two host threads, which is what runLba and the
+ * pool do (core/two_thread_run.h), with the results of running them
+ * back to back.
  *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
@@ -286,7 +287,7 @@ class PipelineTimer
      * codec. It touches only the configuration and that producer's
      * encoder, which the consumer step never reads, so one host thread
      * may run it while another runs the consumer step on earlier
-     * records (the two-thread schedule of core/runner.cc). seal()
+     * records (the two-thread schedule, core/two_thread_run.h). seal()
      * reads the encoders once both threads are done.
      * @return The bytes @p record costs on a transport link, or
      *         kFiltered when the filter drops it.

@@ -6,10 +6,6 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <exception>
-#include <thread>
 
 #include "common/assert.h"
 #include "log/capture.h"
@@ -18,41 +14,46 @@ namespace lba::core {
 
 namespace {
 
-/** Host cache line size. */
-constexpr std::size_t kLine = 64;
+/** runLba's entry: one record and its transport bytes (40 bytes). */
+struct RecordEntry
+{
+    log::EventRecord record;
+    double bytes = 0.0;
+};
+
+/** runLba's consumer half: LbaSystem::consume over each entry. */
+struct ConsumeRecord
+{
+    LbaSystem& system;
+
+    void
+    operator()(const RecordEntry& entry) const
+    {
+        system.consume(entry.record, entry.bytes);
+    }
+};
 
 /**
  * The two-thread schedule of runLba without containment. The calling
  * thread runs the producer half of every record: Process::run, capture
- * and LbaSystem::produce (the address filter and the codec). One worker
- * thread runs LbaSystem::consume over whole windows of (record, bytes)
+ * and LbaSystem::produce (the address filter and the codec). The
+ * worker runs LbaSystem::consume over whole windows of (record, bytes)
  * pairs, in capture order: the application core's retire timing,
  * routing, slot reservation, transport, lifeguard dispatch and the
  * syscall drain.
  *
  * The results are those of LbaSystem driven inline: every simulated
  * number depends only on record order and each record's bytes, and
- * without containment the simulator reads no timing state. So the
- * threads need only one release/acquire handoff per window each way:
- * the producer publishes a filled window, and the worker hands back
- * the one it consumed. State one thread writes and the other reads
- * sits on cache lines of its own.
+ * without containment the simulator reads no timing state.
  */
-class TwoThreadRun final : public sim::RetireObserver
+class ProduceRecords final : public sim::RetireObserver
 {
   public:
     /** Start the worker, which consumes into @p system. */
-    explicit TwoThreadRun(LbaSystem& system)
-        : system_(system), windows_(std::make_unique<Window[]>(kWindows)),
-          worker_([this] { work(); })
+    explicit ProduceRecords(LbaSystem& system)
+        : system_(system), run_(ConsumeRecord{system})
     {
     }
-
-    /** Close the ring and join the worker, if finish() did not. */
-    ~TwoThreadRun() override { close(); }
-
-    TwoThreadRun(const TwoThreadRun&) = delete;
-    TwoThreadRun& operator=(const TwoThreadRun&) = delete;
 
     void
     onRetire(const sim::Retired& retired) override
@@ -66,124 +67,18 @@ class TwoThreadRun final : public sim::RetireObserver
         push(log::CaptureUnit::makeRecord(event));
     }
 
-    /**
-     * Hand over the last partial window, close the ring and join the
-     * worker. Rethrows what the worker threw.
-     */
-    void
-    finish()
-    {
-        close();
-        if (error_) std::rethrow_exception(error_);
-    }
+    /** Join the worker (TwoThreadRun::finish). */
+    void finish() { run_.finish(); }
 
   private:
-    struct Entry
-    {
-        log::EventRecord record;
-        double bytes = 0.0;
-    };
-
-    struct alignas(kLine) Window
-    {
-        /** Entries the producer filled, set before it publishes. */
-        std::size_t count = 0;
-        alignas(kLine) std::array<Entry, kWindowRecords> entries;
-    };
-
     void
     push(const log::EventRecord& record)
     {
-        Window& window = windows_[published_windows_ % kWindows];
-        window.entries[fill_] = {record, system_.produce(record)};
-        if (++fill_ == kWindowRecords) publish(false);
-    }
-
-    /**
-     * Publish the window being filled, if it holds any entries; with
-     * @p closing, mark the ring closed in the same store, so the worker
-     * cannot see the mark without the final window. Otherwise wait
-     * until the next window's slot is free: the worker consumed the
-     * window that used it kWindows ago, or failed.
-     */
-    void
-    publish(bool closing)
-    {
-        if (fill_ > 0) {
-            windows_[published_windows_ % kWindows].count = fill_;
-            ++published_windows_;
-            fill_ = 0;
-        }
-        published_.store(published_windows_ << 1 | (closing ? 1 : 0),
-                         std::memory_order_release);
-        published_.notify_one();
-        if (closing) return;
-        std::uint64_t consumed = consumed_.load(std::memory_order_acquire);
-        while (!(consumed & 1) &&
-               (consumed >> 1) + kWindows <= published_windows_) {
-            consumed_.wait(consumed, std::memory_order_acquire);
-            consumed = consumed_.load(std::memory_order_acquire);
-        }
-    }
-
-    /** The worker: consume published windows until the ring closes. */
-    void
-    work()
-    {
-        std::uint64_t done = 0;
-        try {
-            for (;;) {
-                std::uint64_t word =
-                    published_.load(std::memory_order_acquire);
-                if (word >> 1 == done) {
-                    if (word & 1) return;
-                    published_.wait(word, std::memory_order_acquire);
-                    continue;
-                }
-                for (; done < word >> 1; ++done) {
-                    const Window& window = windows_[done % kWindows];
-                    for (std::size_t i = 0; i < window.count; ++i) {
-                        system_.consume(window.entries[i].record,
-                                        window.entries[i].bytes);
-                    }
-                    consumed_.store((done + 1) << 1,
-                                    std::memory_order_release);
-                    consumed_.notify_one();
-                }
-            }
-        } catch (...) {
-            // Forwarded to finish(); the failed bit stops the producer
-            // from waiting on a worker that is gone.
-            error_ = std::current_exception();
-            consumed_.store(done << 1 | 1, std::memory_order_release);
-            consumed_.notify_one();
-        }
-    }
-
-    void
-    close()
-    {
-        if (!worker_.joinable()) return;
-        publish(true);
-        worker_.join();
+        run_.push({record, system_.produce(record)});
     }
 
     LbaSystem& system_;
-    std::unique_ptr<Window[]> windows_;
-
-    /** Producer thread only: windows published, entries in the one
-     *  being filled. */
-    alignas(kLine) std::uint64_t published_windows_ = 0;
-    std::size_t fill_ = 0;
-
-    /** (windows published << 1) | ring closed. */
-    alignas(kLine) std::atomic<std::uint64_t> published_{0};
-    /** (windows consumed << 1) | worker failed. */
-    alignas(kLine) std::atomic<std::uint64_t> consumed_{0};
-    /** What the worker threw (read after the join). */
-    std::exception_ptr error_;
-    /** Last member: it starts once everything it uses exists. */
-    std::thread worker_;
+    TwoThreadRun<RecordEntry, ConsumeRecord> run_;
 };
 
 /** Observer charging only the application's own cost (no monitoring). */
@@ -328,7 +223,7 @@ Experiment::runLba(const LifeguardFactory& factory,
         // Declared after system, so its worker is joined before the
         // system, hierarchy and lifeguards it uses are destroyed, on
         // every exit path.
-        TwoThreadRun schedule(system);
+        ProduceRecords schedule(system);
         run = process.run(&schedule);
         schedule.finish();
     }

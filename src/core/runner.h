@@ -16,7 +16,6 @@
  * being compared are described in docs/ARCHITECTURE.md.
  */
 
-#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "core/lba_system.h"
+#include "core/two_thread_run.h"
 #include "dbi/dbi_system.h"
 #include "isa/isa.h"
 #include "lifeguard/lifeguard.h"
@@ -32,17 +32,6 @@
 #include "sim/process.h"
 
 namespace lba::core {
-
-/**
- * Experiment::runLba without containment runs on two host threads: the
- * simulator, capture and codec on the calling thread, the rest of the
- * platform on a worker that takes the records in windows of this many,
- * in order, with the same results as LbaSystem driven inline.
- */
-inline constexpr std::size_t kWindowRecords = 2048;
-/** Windows in flight between those threads: how far the simulator may
- *  run ahead of the lifeguards. */
-inline constexpr std::size_t kWindows = 4;
 
 /** Creates a fresh lifeguard instance (one per platform run / shard). */
 using LifeguardFactory =
@@ -102,7 +91,8 @@ class Experiment
      * Run under LBA with the experiment's configuration, on @p shards
      * lifeguard cores (a fresh lifeguard from @p factory per shard).
      * Without containment the lifeguards' handlers run on a worker
-     * thread (kWindowRecords); read their state after the call returns.
+     * thread (core::TwoThreadRun); read their state after the call
+     * returns, and expect what a handler throws to be rethrown here.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           unsigned shards = 1);

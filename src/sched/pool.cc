@@ -6,6 +6,8 @@
 #include "sched/pool.h"
 
 #include <algorithm>
+#include <exception>
+#include <thread>
 
 #include "common/assert.h"
 #include "core/lba_system.h"
@@ -15,39 +17,46 @@ namespace lba::sched {
 
 using log::EventRecord;
 
-/** One tenant's full runtime state. */
+/**
+ * One tenant's full runtime state. Under the two-thread schedule the
+ * driver and the worker each write one group of fields on every record,
+ * so each group starts a host cache line, apart from the fields set up
+ * before the drive that both threads read.
+ */
 struct LifeguardPool::Tenant
 {
     TenantConfig config;
     unsigned index;
     /** Admission-control demand (bytes/cycle). */
     double demand = 0.0;
-    bool admitted = false;
-    bool was_queued = false;
-    bool rejected = false;
-    bool finished = false;
-    Cycles unmonitored_cycles = 0;
-
-    /** Retired instructions observed by the pool (detach clock). */
-    std::uint64_t observed_instructions = 0;
-    /** The detach threshold fired; the current slice is the last. */
-    bool detach_requested = false;
-    /** Tenant was removed by its detach threshold. */
-    bool detached = false;
 
     std::unique_ptr<sim::Process> process;
     /** One lifeguard shard context per pool lane (fixed functional
      *  sharding; the scheduler only moves contexts between lanes). */
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> shards;
     std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines;
-    /** Round-robin cursor for non-memory instruction records. */
-    std::uint64_t round_robin = 0;
-
     /** Rewind-and-repair driver (set when containment is enabled). */
     std::unique_ptr<replay::ContainmentManager> manager;
+
+    /** Driver state (the calling thread), from a line of its own. */
+    alignas(64) bool admitted = false;
+    bool was_queued = false;
+    bool rejected = false;
     /** The abort repair policy terminated this tenant. */
     bool aborted = false;
+    /** The detach threshold fired; the current slice is the last. */
+    bool detach_requested = false;
+    /** Tenant was removed by its detach threshold. */
+    bool detached = false;
+    /** Retired instructions observed by the pool (detach clock). */
+    std::uint64_t observed_instructions = 0;
 
+    /** Consumer state (the thread applying entries), from a line of
+     *  its own. targets[s] delivers to shard context s on the lane
+     *  hosting it, rebuilt when the lane map changes (placeShards). */
+    alignas(64) std::vector<core::PipelineTimer::Target> targets;
+    /** Round-robin cursor for non-memory instruction records. */
+    std::uint64_t round_robin = 0;
     stats::Histogram lag_hist;
     /** Lag accumulated during the tenant's current execution slice. */
     double window_lag_sum = 0.0;
@@ -56,8 +65,6 @@ struct LifeguardPool::Tenant
     double recent_lag = 0.0;
     /** recent_lag holds a real measurement (>= 1 slice with records). */
     bool lag_valid = false;
-
-    sim::RunResult run_result;
 
     Tenant(TenantConfig cfg, unsigned idx, const PoolConfig& pool)
         : config(std::move(cfg)),
@@ -127,42 +134,16 @@ LifeguardPool::activate(unsigned tenant)
     t.admitted = true;
     active_.push_back(tenant);
     load_ += t.demand;
-}
-
-void
-LifeguardPool::deliver(Tenant& tenant, const EventRecord& record)
-{
-    unsigned shard =
-        core::routeRecord(record, config_.lanes, tenant.round_robin);
-    targets_.clear();
-    if (shard == core::kBroadcast) {
-        for (unsigned s = 0; s < config_.lanes; ++s) {
-            targets_.push_back({scheduler_->laneFor(tenant.index, s),
-                                tenant.engines[s].get()});
-        }
-    } else {
-        targets_.push_back({scheduler_->laneFor(tenant.index, shard),
-                            tenant.engines[shard].get()});
-    }
-    timer_->log(tenant.index, record, targets_);
+    step(Op::Kind::kActivate, tenant);
 }
 
 void
 LifeguardPool::onRetire(const sim::Retired& retired)
 {
-    Tenant& tenant = *tenants_[current_];
-    EventRecord record = log::CaptureUnit::makeRecord(retired);
-    timer_->retire(current_, record);
-    deliver(tenant, record);
-    if (retired.is_syscall) {
-        // Same containment ordering as LbaSystem: the drain is
-        // armed after the syscall record itself is logged and applied
-        // before the next retirement, so the annotation records emitted
-        // by this syscall's onOsEvent are drained too.
-        timer_->noteSyscall(current_);
-    }
+    submitRecord(log::CaptureUnit::makeRecord(retired));
     // Detach clock: mirror the instruction-limit completion exactly —
     // the threshold retirement is the last one the platform observes.
+    Tenant& tenant = *tenants_[current_];
     ++tenant.observed_instructions;
     if (tenant.config.detach_after_instructions > 0 &&
         !tenant.detach_requested &&
@@ -179,7 +160,86 @@ LifeguardPool::onRetire(const sim::Retired& retired)
 void
 LifeguardPool::onOsEvent(const sim::OsEvent& event)
 {
-    deliver(*tenants_[current_], log::CaptureUnit::makeRecord(event));
+    submitRecord(log::CaptureUnit::makeRecord(event));
+}
+
+void
+LifeguardPool::submitRecord(const EventRecord& record)
+{
+    submit({record, timer_->encode(current_, record), current_,
+            Op::Kind::kRecord});
+}
+
+void
+LifeguardPool::step(Op::Kind kind, unsigned tenant)
+{
+    submit({{}, 0.0, tenant, kind});
+}
+
+void
+LifeguardPool::submit(const Op& op)
+{
+    if (ring_) {
+        ring_->push(op);
+    } else {
+        apply(op);
+    }
+}
+
+void
+LifeguardPool::apply(const Op& op)
+{
+    switch (op.kind) {
+      case Op::Kind::kRecord: {
+        Tenant& tenant = *tenants_[op.tenant];
+        core::consumeRecord(*timer_, op.tenant, op.record, op.bytes,
+                            tenant.targets, tenant.round_robin);
+        return;
+      }
+      case Op::Kind::kActivate:
+        scheduled_.push_back(op.tenant);
+        return;
+      case Op::Kind::kDeactivate: {
+        auto it = std::find(scheduled_.begin(), scheduled_.end(), op.tenant);
+        LBA_ASSERT(it != scheduled_.end(), "deactivating an idle tenant");
+        scheduled_.erase(it);
+        return;
+      }
+      case Op::Kind::kRebalance:
+        scheduler_->rebalance(scheduled_);
+        placeShards();
+        return;
+      case Op::Kind::kSliceEnd: {
+        // Fold this slice into the tenant's recent-lag measurement (a
+        // slice may log no records, e.g. all-filtered; keep the last
+        // real measurement then).
+        Tenant& tenant = *tenants_[op.tenant];
+        if (tenant.window_lag_count > 0) {
+            tenant.recent_lag =
+                tenant.window_lag_sum /
+                static_cast<double>(tenant.window_lag_count);
+            tenant.lag_valid = true;
+            tenant.window_lag_sum = 0.0;
+            tenant.window_lag_count = 0;
+        }
+        return;
+      }
+      case Op::Kind::kEpoch:
+        epoch();
+        placeShards();
+        return;
+    }
+}
+
+void
+LifeguardPool::placeShards()
+{
+    for (unsigned index : scheduled_) {
+        Tenant& tenant = *tenants_[index];
+        for (unsigned s = 0; s < config_.lanes; ++s) {
+            tenant.targets[s].lane = scheduler_->laneFor(index, s);
+        }
+    }
 }
 
 void
@@ -190,16 +250,15 @@ LifeguardPool::epoch()
     // tenant executes per slice and everyone else's window would read
     // as a phantom zero. Rebalance only once every active tenant has a
     // real measurement, so nobody is robbed for having not run yet.
-    for (unsigned index : active_) {
-        Tenant& t = *tenants_[index];
-        if (!t.lag_valid) return;
+    for (unsigned index : scheduled_) {
+        if (!tenants_[index]->lag_valid) return;
     }
     std::vector<double> recent;
-    recent.reserve(active_.size());
-    for (unsigned index : active_) {
+    recent.reserve(scheduled_.size());
+    for (unsigned index : scheduled_) {
         recent.push_back(tenants_[index]->recent_lag);
     }
-    scheduler_->onEpoch(active_, recent);
+    scheduler_->onEpoch(scheduled_, recent);
 }
 
 PoolResult
@@ -211,14 +270,25 @@ LifeguardPool::run()
     unsigned ntenants = static_cast<unsigned>(tenants_.size());
 
     // Unmonitored baselines (per-tenant slowdown denominators), each on
-    // its own private hierarchy via the experiment runner.
-    for (auto& tenant : tenants_) {
-        core::ExperimentConfig base_config;
-        base_config.process = tenant->config.process;
-        base_config.hierarchy = config_.hierarchy;
-        core::Experiment experiment(tenant->config.program, base_config);
-        tenant->unmonitored_cycles = experiment.unmonitored().cycles;
-    }
+    // its own private hierarchy via the experiment runner. They share
+    // nothing with the monitored drive, so a thread of their own runs
+    // them meanwhile; its destructor joins it on every exit path.
+    std::vector<Cycles> baselines(ntenants);
+    std::exception_ptr baseline_error;
+    std::jthread baseline_thread([&] {
+        try {
+            for (unsigned t = 0; t < ntenants; ++t) {
+                core::ExperimentConfig base_config;
+                base_config.process = tenants_[t]->config.process;
+                base_config.hierarchy = config_.hierarchy;
+                core::Experiment experiment(tenants_[t]->config.program,
+                                            base_config);
+                baselines[t] = experiment.unmonitored().cycles;
+            }
+        } catch (...) {
+            baseline_error = std::current_exception();
+        }
+    });
 
     // The monitored platform: tenant t's application runs on core t,
     // lanes start at core dispatch.core. With one tenant this is
@@ -248,6 +318,11 @@ LifeguardPool::run()
             ++t.window_lag_count;
         });
 
+    // Without containment a worker applies the records and scheduler
+    // steps; with it, submit() applies each at once, because the
+    // managers read the lifeguards' findings after every record.
+    if (!config_.containment.enabled) ring_.emplace(Apply{this});
+
     // Admission, in arrival order. Tenants with a later arrival round
     // go to the pending list and face admission when their round comes
     // up mid-drive.
@@ -271,7 +346,6 @@ LifeguardPool::run()
                          return tenants_[a]->config.arrival_round <
                                 tenants_[b]->config.arrival_round;
                      });
-    scheduler_->rebalance(active_);
 
     // Tenant runtime state — only for tenants that will actually run
     // (a rejected tenant never needs its process, shard contexts, or
@@ -286,9 +360,10 @@ LifeguardPool::run()
             LBA_ASSERT(tenant->shards.back() != nullptr,
                        "lifeguard factory returned null");
             // Shard context s's engine runs on lane s's core wherever
-            // the scheduler places it.
+            // the scheduler places it (placeShards sets the lane).
             tenant->engines.push_back(
                 timer_->makeEngine(*tenant->shards.back(), s));
+            tenant->targets.push_back({s, tenant->engines.back().get()});
         }
         if (config_.containment.enabled) {
             // Per-tenant containment: the manager watches this tenant's
@@ -306,6 +381,7 @@ LifeguardPool::run()
             tenant->process->setStoreInterceptor(tenant->manager.get());
         }
     }
+    step(Op::Kind::kRebalance);
 
     // Drive: round-robin slices over the active tenants. A lone tenant
     // with an empty queue and no pending arrivals runs to completion
@@ -337,7 +413,7 @@ LifeguardPool::run()
             queued_.erase(queued_.begin());
             membership_changed = true;
         }
-        if (membership_changed) scheduler_->rebalance(active_);
+        if (membership_changed) step(Op::Kind::kRebalance);
         if (active_.empty()) {
             if (pending.empty()) break;
             // Nothing runnable: fast-forward to the next arrival.
@@ -357,19 +433,8 @@ LifeguardPool::run()
             tenant.manager ? static_cast<sim::RetireObserver*>(
                                  tenant.manager.get())
                            : this;
-        tenant.run_result = tenant.process->run(observer);
-
-        // Fold this slice into the tenant's recent-lag measurement (a
-        // slice may log no records, e.g. all-filtered; keep the last
-        // real measurement then).
-        if (tenant.window_lag_count > 0) {
-            tenant.recent_lag =
-                tenant.window_lag_sum /
-                static_cast<double>(tenant.window_lag_count);
-            tenant.lag_valid = true;
-            tenant.window_lag_sum = 0.0;
-            tenant.window_lag_count = 0;
-        }
+        sim::RunResult slice = tenant.process->run(observer);
+        step(Op::Kind::kSliceEnd, index);
 
         // A stop can mean "slice exhausted" or "finding detected".
         // Containment handles the finding inline: drain this tenant's
@@ -378,14 +443,13 @@ LifeguardPool::run()
         // completion path below.
         ++round;
         bool abort_tenant = false;
-        if (tenant.run_result.stopped && tenant.manager &&
+        if (slice.stopped && tenant.manager &&
             tenant.manager->pendingFinding()) {
             abort_tenant = !tenant.manager->containAndRepair();
             tenant.aborted = abort_tenant;
         }
-        if (tenant.run_result.stopped && !abort_tenant &&
-            !tenant.detach_requested) {
-            epoch();
+        if (slice.stopped && !abort_tenant && !tenant.detach_requested) {
+            step(Op::Kind::kEpoch);
             ++cursor;
             continue;
         }
@@ -396,15 +460,18 @@ LifeguardPool::run()
         if (tenant.detach_requested && !abort_tenant) {
             tenant.detached = true;
         }
-        tenant.finished = true;
         load_ -= tenant.demand;
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(cursor));
+        step(Op::Kind::kDeactivate, index);
         while (!queued_.empty() && fits(*tenants_[queued_.front()])) {
             activate(queued_.front());
             queued_.erase(queued_.begin());
         }
-        if (!active_.empty()) scheduler_->rebalance(active_);
+        if (!active_.empty()) step(Op::Kind::kRebalance);
     }
+    // The worker has applied every entry once finish() returns, which
+    // rethrows what it threw.
+    if (ring_) ring_->finish();
 
     // End-of-program lifeguard passes: every admitted tenant's every
     // shard context finishes on the lane currently hosting it.
@@ -417,6 +484,8 @@ LifeguardPool::run()
         }
     }
     timer_->seal();
+    baseline_thread.join();
+    if (baseline_error) std::rethrow_exception(baseline_error);
 
     PoolResult result;
     result.policy = scheduler_->name();
@@ -438,15 +507,15 @@ LifeguardPool::run()
         stats.rejected = tenant->rejected;
         stats.detached = tenant->detached;
         stats.demand_bytes_per_cycle = tenant->demand;
-        stats.unmonitored_cycles = tenant->unmonitored_cycles;
+        stats.unmonitored_cycles = baselines[tenant->index];
         if (tenant->admitted) {
             stats.lba = timer_->producerStats(tenant->index);
             stats.instructions = stats.lba.app_instructions;
             stats.total_cycles = stats.lba.total_cycles;
             stats.slowdown =
-                tenant->unmonitored_cycles
+                stats.unmonitored_cycles
                     ? static_cast<double>(stats.total_cycles) /
-                          static_cast<double>(tenant->unmonitored_cycles)
+                          static_cast<double>(stats.unmonitored_cycles)
                     : 0.0;
             stats.lag_p50 = tenant->lag_hist.p50();
             stats.lag_p95 = tenant->lag_hist.p95();

@@ -23,20 +23,33 @@
  *    demand against the pool's drain bandwidth and queues (or rejects)
  *    tenants that would oversubscribe it.
  *
- * Execution is deterministic and stays on the calling thread: tenants
- * are driven round-robin in slices of `slice_instructions` retired
- * instructions; a lone tenant runs to completion unsliced, which
- * (together with identity lane maps) makes a one-tenant pool
- * cycle-identical to core::LbaSystem with M shards — the invariant
- * asserted by tests/sched_test.cpp.
+ * Execution is deterministic: tenants are driven round-robin in slices
+ * of `slice_instructions` retired instructions; a lone tenant runs to
+ * completion unsliced, which (together with identity lane maps) makes
+ * a one-tenant pool cycle-identical to core::LbaSystem with M shards —
+ * the invariant asserted by tests/sched_test.cpp.
+ *
+ * Without containment run() splits the work between host threads the
+ * way core::Experiment::runLba does (core::TwoThreadRun). The calling
+ * thread runs the driver (admission, slicing, arrivals, detach) and
+ * each record's producer half: the simulator, capture and the tenant's
+ * codec. A worker applies, in the order the driver made them, each
+ * record's consumer half and each scheduler step: lane-map changes,
+ * the slice-end lag fold and the epoch. The driver reads no simulated
+ * time, so the results are those of applying every step at once, which
+ * is what run() does under containment. A third thread computes the
+ * tenants' unmonitored baselines meanwhile.
  */
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline_timer.h"
 #include "core/runner.h"
+#include "core/two_thread_run.h"
 #include "replay/containment.h"
 #include "sched/scheduler.h"
 #include "stats/histogram.h"
@@ -209,12 +222,17 @@ class LifeguardPool : public sim::RetireObserver
                   core::LifeguardFactory factory);
     ~LifeguardPool() override;
 
+    LifeguardPool(const LifeguardPool&) = delete;
+    LifeguardPool& operator=(const LifeguardPool&) = delete;
+
     /** Register a tenant. @return Its index. */
     unsigned addTenant(TenantConfig tenant);
 
     /**
      * Admit, schedule and run every tenant to completion, then finish
-     * all lifeguards and collect statistics. Call exactly once.
+     * all lifeguards and collect statistics. Call exactly once. Without
+     * containment the lifeguards' handlers run on a worker thread, and
+     * what one throws is rethrown here.
      */
     PoolResult run();
 
@@ -226,41 +244,95 @@ class LifeguardPool : public sim::RetireObserver
   private:
     struct Tenant;
 
+    /**
+     * One entry of the stream the driver hands to apply(): a tenant's
+     * record, or a scheduler step at its place among the records.
+     */
+    struct Op
+    {
+        enum class Kind : std::uint8_t
+        {
+            /** Consume `record` of `tenant`, whose encode() answer is
+             *  `bytes`. */
+            kRecord,
+            /** `tenant` joined the active set. */
+            kActivate,
+            /** `tenant` left it (finished, detached or aborted). */
+            kDeactivate,
+            /** Recompute the lane map of the active set. */
+            kRebalance,
+            /** `tenant`'s slice ended: fold its lag window. */
+            kSliceEnd,
+            /** Scheduling epoch: feed recent lag to the policy. */
+            kEpoch,
+        };
+
+        log::EventRecord record;
+        double bytes = 0.0;
+        unsigned tenant = 0;
+        Kind kind = Kind::kRecord;
+    };
+
+    /** The worker's consumer: apply() each entry. */
+    struct Apply
+    {
+        LifeguardPool* pool;
+
+        void operator()(const Op& op) const { pool->apply(op); }
+    };
+
     /** Admission decision for @p tenant against the current load. */
     bool fits(const Tenant& tenant) const;
 
-    /** Admit @p tenant: activate it and rebalance the lane map. */
+    /** Admit @p tenant: add it to the active set. */
     void activate(unsigned tenant);
 
-    /** Deliver one record of the current tenant through the engine. */
-    void deliver(Tenant& tenant, const log::EventRecord& record);
+    /** Encode the current tenant's @p record and hand it on. */
+    void submitRecord(const log::EventRecord& record);
 
-    /** Scheduling epoch: feed recent lag to the policy, reset windows. */
+    /** Hand a scheduler step to apply(). */
+    void step(Op::Kind kind, unsigned tenant = 0);
+
+    /** Hand @p op to the worker, or apply it now under containment. */
+    void submit(const Op& op);
+
+    /** Apply one entry of the stream (the consumer half). */
+    void apply(const Op& op);
+
+    /** Point every active tenant's targets at its lanes' current map. */
+    void placeShards();
+
+    /** Scheduling epoch: feed recent lag to the policy. */
     void epoch();
 
+    /** Set up before the drive and read by both threads. */
     PoolConfig config_;
     core::LifeguardFactory factory_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
-
     std::unique_ptr<mem::CacheHierarchy> hierarchy_;
     std::unique_ptr<core::PipelineTimer> timer_;
     std::unique_ptr<TenantScheduler> scheduler_;
+    double capacity_ = 0.0;
+    bool ran_ = false;
 
+    /** The driver's state: the calling thread's alone, on host cache
+     *  lines of its own. The per-record fields come first. */
+    alignas(64) unsigned current_ = 0;
+    std::uint64_t slice_remaining_ = 0;
+    bool sliced_ = false;
     /** Indices of running tenants, admission order. */
     std::vector<unsigned> active_;
     /** FIFO of admitted-later tenants (kQueue admission). */
     std::vector<unsigned> queued_;
-    double capacity_ = 0.0;
     double load_ = 0.0;
 
-    /** Driver state while a slice is executing. */
-    unsigned current_ = 0;
-    std::uint64_t slice_remaining_ = 0;
-    bool sliced_ = false;
-    bool ran_ = false;
+    /** apply()'s copy of active_, kept by the kActivate and
+     *  kDeactivate entries. */
+    alignas(64) std::vector<unsigned> scheduled_;
 
-    /** Reused target scratch buffer (routing hot path). */
-    std::vector<core::PipelineTimer::Target> targets_;
+    /** The worker (run() without containment). Last member, so it is
+     *  joined before anything it uses is destroyed. */
+    std::optional<core::TwoThreadRun<Op, Apply>> ring_;
 };
 
 } // namespace lba::sched

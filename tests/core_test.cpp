@@ -15,6 +15,7 @@
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/taintcheck.h"
+#include "throwing_lifeguard.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -491,6 +492,28 @@ TEST(TwoThreadSchedule, MatchesInlineWithFiniteBandwidth)
     config.lba.transport_bytes_per_cycle = 0.25;
     PlatformResult run = expectMatchesInline(generated.program, config);
     EXPECT_GT(run.lba.transport_wait_cycles, 0u);
+}
+
+TEST(TwoThreadSchedule, RethrowsAHandlerExceptionOnTheCaller)
+{
+    // The handler throws in the second window, and the program logs
+    // four times what the ring holds: the producer must neither wait
+    // on the failed worker nor lose its exception.
+    auto prog = program(R"(
+        li r5, 0x100000
+    loop:
+        ld r2, 0(r5)
+        addi r5, r5, 8
+        jmp loop
+    )");
+    ExperimentConfig config;
+    config.process.max_instructions = 4 * kWindows * kWindowRecords;
+    Experiment exp(prog, config);
+    LifeguardFactory throwing = [] {
+        return std::make_unique<testing::ThrowsOnNthRecord>(
+            kWindowRecords + 5);
+    };
+    EXPECT_THROW(exp.runLba(throwing), std::runtime_error);
 }
 
 TEST(Experiment, UnmonitoredIsCached)

@@ -19,6 +19,7 @@
 #include "lifeguards/lockset.h"
 #include "sched/pool.h"
 #include "sched/scheduler.h"
+#include "throwing_lifeguard.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -301,6 +302,131 @@ TEST(SchedPool, TenantStatsReportLagPercentiles)
     EXPECT_GT(tenant.lag_p50, 0.0);
     EXPECT_LE(tenant.lag_p50, tenant.lag_p95);
     EXPECT_LE(tenant.lag_p95, tenant.lag_p99);
+}
+
+/** Every field of two pool results except the containment ones. */
+void
+expectSameOutsideContainment(const PoolResult& a, const PoolResult& b)
+{
+    EXPECT_EQ(a.total_cycles, b.total_cycles);
+    EXPECT_EQ(a.aggregate, b.aggregate);
+    EXPECT_EQ(a.capacity_bytes_per_cycle, b.capacity_bytes_per_cycle);
+    EXPECT_EQ(a.lane_steals, b.lane_steals);
+    EXPECT_EQ(a.lane_busy_cycles, b.lane_busy_cycles);
+    EXPECT_EQ(a.lane_records, b.lane_records);
+    ASSERT_EQ(a.lane_buffers.size(), b.lane_buffers.size());
+    for (std::size_t lane = 0; lane < a.lane_buffers.size(); ++lane) {
+        EXPECT_EQ(a.lane_buffers[lane].pushes, b.lane_buffers[lane].pushes)
+            << "lane " << lane;
+        EXPECT_EQ(a.lane_buffers[lane].pops, b.lane_buffers[lane].pops)
+            << "lane " << lane;
+        EXPECT_EQ(a.lane_buffers[lane].max_occupancy,
+                  b.lane_buffers[lane].max_occupancy)
+            << "lane " << lane;
+    }
+    EXPECT_EQ(a.policy, b.policy);
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+        const TenantStats& x = a.tenants[t];
+        const TenantStats& y = b.tenants[t];
+        SCOPED_TRACE(x.name);
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.admitted, y.admitted);
+        EXPECT_EQ(x.was_queued, y.was_queued);
+        EXPECT_EQ(x.rejected, y.rejected);
+        EXPECT_EQ(x.detached, y.detached);
+        EXPECT_EQ(x.demand_bytes_per_cycle, y.demand_bytes_per_cycle);
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.total_cycles, y.total_cycles);
+        EXPECT_EQ(x.unmonitored_cycles, y.unmonitored_cycles);
+        EXPECT_EQ(x.slowdown, y.slowdown);
+        EXPECT_EQ(x.lba, y.lba);
+        EXPECT_EQ(x.lag_p50, y.lag_p50);
+        EXPECT_EQ(x.lag_p95, y.lag_p95);
+        EXPECT_EQ(x.lag_p99, y.lag_p99);
+        ASSERT_EQ(x.findings.size(), y.findings.size());
+        for (std::size_t i = 0; i < x.findings.size(); ++i) {
+            EXPECT_EQ(lifeguard::toString(x.findings[i]),
+                      lifeguard::toString(y.findings[i]));
+        }
+    }
+}
+
+TEST(PoolTwoThreadSchedule, MatchesApplyingEachStepAtOnce)
+{
+    // Without containment a worker applies the records and scheduler
+    // steps a window behind the driver; with it, run() applies each at
+    // once. Containment with no finding and no interval checkpoint
+    // changes no simulated number, so the results must be identical.
+    // The population takes every scheduler step: lane steals, a queued
+    // tenant, a late arrival and a detach. Slices of 1 and 7
+    // instructions put many steps inside each window and across the
+    // window boundaries.
+    auto heavy = makeProgram("bc", 6000);
+    auto light = makeProgram("gzip", 6000);
+    for (std::uint64_t slice : {1u, 7u}) {
+        SCOPED_TRACE(slice);
+        auto runPool = [&](bool contained) {
+            PoolConfig config;
+            config.lanes = 4;
+            config.policy = Policy::kLagAware;
+            config.slice_instructions = slice;
+            // 4 lanes x 2 B/cycle: an admission capacity of 8.
+            config.lba.transport_bytes_per_cycle = 2.0;
+            config.containment.enabled = contained;
+            config.containment.policy = replay::RepairPolicy::kPatch;
+            LifeguardPool pool(config, addrcheck());
+            pool.addTenant({"heavy", heavy.program, {}, 3.0});
+            TenantConfig detaching{"light", light.program, {}, 3.0};
+            detaching.detach_after_instructions = 2500;
+            pool.addTenant(std::move(detaching));
+            pool.addTenant({"queued", light.program, {}, 3.0}); // 9 > 8
+            TenantConfig late{"late", heavy.program, {}, 1.0};
+            late.arrival_round = 300;
+            pool.addTenant(std::move(late));
+            return pool.run();
+        };
+        PoolResult threaded = runPool(false);
+        PoolResult applied = runPool(true);
+
+        EXPECT_GT(threaded.lane_steals, 0u);
+        ASSERT_EQ(threaded.tenants.size(), 4u);
+        EXPECT_TRUE(threaded.tenants[1].detached);
+        EXPECT_TRUE(threaded.tenants[2].was_queued);
+        EXPECT_TRUE(threaded.tenants[2].admitted);
+        EXPECT_TRUE(threaded.tenants[3].admitted);
+        EXPECT_FALSE(threaded.tenants[3].was_queued);
+        // The detached tenant's end-of-program leak scan reports its
+        // live blocks, after the drive, so nothing is ever rewound.
+        for (const TenantStats& tenant : applied.tenants) {
+            EXPECT_TRUE(tenant.containment_enabled) << tenant.name;
+            EXPECT_EQ(tenant.containment.rewinds, 0u) << tenant.name;
+            EXPECT_EQ(tenant.containment.interval_checkpoints, 0u)
+                << tenant.name;
+        }
+        expectSameOutsideContainment(threaded, applied);
+    }
+}
+
+TEST(PoolTwoThreadSchedule, RethrowsAHandlerExceptionOnTheCaller)
+{
+    // Every shard context throws at its record kWindowRecords + 5, and
+    // the tenants log several times what the ring holds: run() must
+    // neither hang nor lose the exception, and must join its baselines
+    // thread on the way out.
+    auto a = makeProgram("gzip", 20000);
+    auto b = makeProgram("mcf", 20000);
+    PoolConfig config;
+    config.lanes = 2;
+    config.policy = Policy::kLagAware;
+    config.slice_instructions = 3000;
+    LifeguardPool pool(config, [] {
+        return std::make_unique<testing::ThrowsOnNthRecord>(
+            core::kWindowRecords + 5);
+    });
+    pool.addTenant({"gzip", a.program, {}, 0.0});
+    pool.addTenant({"mcf", b.program, {}, 0.0});
+    EXPECT_THROW(pool.run(), std::runtime_error);
 }
 
 TEST(SchedPoolDeathTest, ZeroSliceIsRejected)

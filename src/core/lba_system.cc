@@ -1,14 +1,50 @@
 /**
  * @file
  * LBA system implementation: routing on top of the shared timing
- * engine (core::PipelineTimer), one engine lane per shard.
+ * engine (core::PipelineTimer), each shard on one of its lanes.
  */
 
 #include "core/lba_system.h"
 
-#include "common/assert.h"
+#include <span>
 
 namespace lba::core {
+
+namespace {
+
+/**
+ * The sharding rule: the entries of @p targets (one per shard) that
+ * consume @p record. Loads and stores go to one shard by a hash of
+ * their 64-byte region; annotations are broadcast to every shard;
+ * every other record goes to the next shard of the @p round_robin
+ * cursor. One shard takes every record.
+ */
+std::span<const PipelineTimer::Target>
+routeRecord(const log::EventRecord& record,
+            std::span<const PipelineTimer::Target> targets,
+            std::uint64_t& round_robin)
+{
+    // Keeps the one-shard hot path free of 64-bit divisions.
+    if (targets.size() == 1) return targets;
+    switch (record.type) {
+      case log::EventType::kLoad:
+      case log::EventType::kStore:
+        return targets.subspan((record.addr >> 6) % targets.size(), 1);
+      case log::EventType::kAlloc:
+      case log::EventType::kFree:
+      case log::EventType::kInput:
+      case log::EventType::kOutput:
+      case log::EventType::kLock:
+      case log::EventType::kUnlock:
+      case log::EventType::kThreadSpawn:
+      case log::EventType::kThreadExit:
+        return targets;
+      default:
+        return targets.subspan(round_robin++ % targets.size(), 1);
+    }
+}
+
+} // namespace
 
 LbaSystem::LbaSystem(lifeguard::Lifeguard& lifeguard,
                      mem::CacheHierarchy& hierarchy,
@@ -21,8 +57,25 @@ LbaSystem::LbaSystem(lifeguard::Lifeguard& lifeguard,
 LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
                      mem::CacheHierarchy& hierarchy,
                      const LbaConfig& config)
-    : timer_(hierarchy, config, static_cast<unsigned>(shards.size()))
+    : LbaSystem(shards,
+                std::make_unique<PipelineTimer>(
+                    hierarchy, config, static_cast<unsigned>(shards.size())))
 {
+}
+
+LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
+                     std::unique_ptr<PipelineTimer> timer)
+    : LbaSystem(shards, *timer, 0)
+{
+    owned_timer_ = std::move(timer);
+}
+
+LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
+                     PipelineTimer& timer, unsigned producer)
+    : timer_(timer), producer_(producer)
+{
+    LBA_ASSERT(!shards.empty(), "LBA needs at least one shard");
+    LBA_ASSERT(producer < timer_.producers(), "bad producer index");
     for (unsigned s = 0; s < shards.size(); ++s) {
         LBA_ASSERT(shards[s] != nullptr, "shard lifeguard is null");
         engines_.push_back(timer_.makeEngine(*shards[s], s));
@@ -33,7 +86,16 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
 void
 LbaSystem::consume(const log::EventRecord& record, double bytes)
 {
-    consumeRecord(timer_, 0, record, bytes, targets_, round_robin_);
+    if (!log::isAnnotation(record.type)) timer_.retire(producer_, record);
+    timer_.log(producer_, record, bytes,
+               routeRecord(record, targets_, round_robin_));
+    if (record.type == log::EventType::kSyscall) {
+        // The OS stalls the syscall until the lifeguards have checked
+        // all prior log entries; applied before the next retirement so
+        // the annotation records emitted by this syscall are drained
+        // too.
+        timer_.noteSyscall(producer_);
+    }
 }
 
 void
@@ -54,9 +116,16 @@ void
 LbaSystem::finish()
 {
     for (unsigned s = 0; s < shards(); ++s) {
-        timer_.finishShard(0, s, *engines_[s]);
+        timer_.finishShard(producer_, targets_[s].lane, *engines_[s]);
     }
-    timer_.seal();
+    if (owned_timer_) owned_timer_->seal();
+}
+
+lifeguard::Lifeguard&
+LbaSystem::shardLifeguard(unsigned shard)
+{
+    LBA_ASSERT(shard < engines_.size(), "bad shard index");
+    return engines_[shard]->lifeguard();
 }
 
 lifeguard::DispatchStats

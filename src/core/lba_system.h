@@ -24,15 +24,17 @@
  * exactly the paper's decoupling semantics. Syscall containment stalls
  * the application at each syscall until the lifeguards have consumed
  * every record logged before it (Section 2). The recurrence itself
- * lives in core::PipelineTimer, one lane per shard.
+ * lives in core::PipelineTimer: a timer of the system's own, shard s
+ * on lane s, or one it shares as a producer, as every tenant of
+ * sched::LifeguardPool does.
  *
  * The value-prediction compressor runs over every logged record to
  * account transport bandwidth (< 1 byte/instruction claim); records are
  * handed to the dispatch engines functionally (the compressor's exact
  * invertibility is covered by tests and the compression benches).
  *
- * Sharding (routeRecord): memory-access records go by a hash of their
- * 64-byte region, so each shard owns a partition of the shadow space;
+ * Sharding: memory-access records go by a hash of their 64-byte
+ * region, so each shard owns a partition of the shadow space;
  * annotation records (alloc/free/input/lock/unlock/...) are broadcast
  * to every shard, so each keeps a complete view of allocation and lock
  * state; other instruction records go round-robin (their handlers for
@@ -50,79 +52,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "core/pipeline_timer.h"
 #include "log/capture.h"
 
 namespace lba::core {
-
-/** routeRecord's answer for records every shard consumes. */
-constexpr unsigned kBroadcast = ~0u;
-
-/**
- * The sharding rule of every LBA platform (LbaSystem and each tenant
- * of sched::LifeguardPool): which of @p shards lifeguard shards
- * consumes @p record, or kBroadcast. Loads and stores go by a hash of
- * their 64-byte region; annotations are broadcast; every other record
- * takes the next shard of the caller's @p round_robin cursor. One
- * shard takes every record, broadcasts included.
- */
-inline unsigned
-routeRecord(const log::EventRecord& record, unsigned shards,
-            std::uint64_t& round_robin)
-{
-    // Keeps the one-shard hot path free of 64-bit divisions.
-    if (shards == 1) return 0;
-    switch (record.type) {
-      case log::EventType::kLoad:
-      case log::EventType::kStore:
-        return static_cast<unsigned>((record.addr >> 6) % shards);
-      case log::EventType::kAlloc:
-      case log::EventType::kFree:
-      case log::EventType::kInput:
-      case log::EventType::kOutput:
-      case log::EventType::kLock:
-      case log::EventType::kUnlock:
-      case log::EventType::kThreadSpawn:
-      case log::EventType::kThreadExit:
-        return kBroadcast;
-      default:
-        return static_cast<unsigned>(round_robin++ % shards);
-    }
-}
-
-/**
- * The consumer half of one captured record of @p producer, given its
- * PipelineTimer::encode() answer @p bytes, in capture order: for a
- * retirement's record the application core's retire timing first, then
- * routing (routeRecord over @p shard_targets, shard s delivering to
- * shard_targets[s], with the producer's @p round_robin cursor), slot
- * reservation, transport and lifeguard dispatch, and for a syscall the
- * containment drain armed last. LbaSystem and every tenant of
- * sched::LifeguardPool consume their records through it.
- */
-inline void
-consumeRecord(PipelineTimer& timer, unsigned producer,
-              const log::EventRecord& record, double bytes,
-              std::span<const PipelineTimer::Target> shard_targets,
-              std::uint64_t& round_robin)
-{
-    if (!log::isAnnotation(record.type)) timer.retire(producer, record);
-    unsigned shard = routeRecord(
-        record, static_cast<unsigned>(shard_targets.size()), round_robin);
-    timer.log(producer, record, bytes,
-              shard == kBroadcast ? shard_targets
-                                  : shard_targets.subspan(shard, 1));
-    if (record.type == log::EventType::kSyscall) {
-        // The OS stalls the syscall until the lifeguards have checked
-        // all prior log entries; applied before the next retirement so
-        // the annotation records emitted by this syscall are drained
-        // too.
-        timer.noteSyscall(producer);
-    }
-}
 
 /**
  * Merge the findings of several lifeguard shards monitoring the same
@@ -136,8 +72,8 @@ std::vector<lifeguard::Finding> mergeShardFindings(
 
 /**
  * The LBA monitoring platform: a RetireObserver that owns the capture,
- * compression, buffering and dispatch pipeline for N lifeguard shards,
- * shard s consuming on lane s.
+ * compression, buffering and dispatch pipeline for N lifeguard shards
+ * of one producer (monitored application).
  */
 class LbaSystem : public sim::RetireObserver
 {
@@ -154,12 +90,19 @@ class LbaSystem : public sim::RetireObserver
 
     /**
      * One shard per lifeguard in @p shards (not owned; each must
-     * outlive the system). Shard s consumes on core
-     * `config.dispatch.core + s`, so the hierarchy needs those cores
-     * plus the application's.
+     * outlive the system), on a timer of its own with one lane per
+     * shard. Shard s consumes on core `config.dispatch.core + s`, so
+     * the hierarchy needs those cores plus the application's.
      */
     LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
               mem::CacheHierarchy& hierarchy, const LbaConfig& config = {});
+
+    /**
+     * The same shards as producer @p producer of @p timer (not owned;
+     * its owner seals it). Shard s starts on lane s; setLane() moves it.
+     */
+    LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
+              PipelineTimer& timer, unsigned producer);
 
     /** Both halves of the retirement's record, back to back. */
     void onRetire(const sim::Retired& retired) override;
@@ -169,15 +112,15 @@ class LbaSystem : public sim::RetireObserver
     /**
      * The producer half of one captured record: the address filter
      * and the codec (PipelineTimer::encode). It writes nothing
-     * consume() reads, so the two-thread schedule of Experiment::runLba
-     * runs it ahead of consume() on another host thread.
+     * consume() reads, so the drivers' two-thread schedules run it
+     * ahead of consume() on another host thread.
      * @return The record's transport bytes, or
      *         PipelineTimer::kFiltered.
      */
     double
     produce(const log::EventRecord& record)
     {
-        return timer_.encode(0, record);
+        return timer_.encode(producer_, record);
     }
 
     /**
@@ -190,40 +133,65 @@ class LbaSystem : public sim::RetireObserver
     void consume(const log::EventRecord& record, double bytes);
 
     /**
-     * Complete the run: run every shard's end-of-program hook once its
-     * lane has drained, and seal the statistics. Must be called exactly
-     * once, after run().
+     * Complete the run: run every shard's end-of-program hook on its
+     * lane once the lane has drained, and seal a timer the system owns.
+     * Must be called exactly once, after run().
      */
     void finish();
 
-    /** Statistics, aggregated over shards (valid after finish()). */
+    /** This producer's statistics, aggregated over its shards (valid
+     *  after finish() and, on a shared timer, the owner's seal()). */
     const LbaRunStats&
     stats() const
     {
-        return timer_.stats();
+        return timer_.producerStats(producer_);
     }
 
-    unsigned shards() const { return timer_.lanes(); }
+    unsigned shards() const { return static_cast<unsigned>(targets_.size()); }
 
-    /** One shard's log-buffer occupancy statistics (snapshot). */
+    /** Move @p shard's consumption onto @p lane. */
+    void
+    setLane(unsigned shard, unsigned lane)
+    {
+        LBA_ASSERT(shard < targets_.size(), "bad shard index");
+        targets_[shard].lane = lane;
+    }
+
+    /** One shard's log-buffer occupancy statistics (its lane's). */
     BufferStats
     bufferStats(unsigned shard = 0) const
     {
-        return timer_.laneStats(shard).buffer;
+        LBA_ASSERT(shard < targets_.size(), "bad shard index");
+        return timer_.laneStats(targets_[shard].lane).buffer;
     }
 
     /** One shard's per-event-type dispatch statistics (snapshot). */
     lifeguard::DispatchStats dispatchStats(unsigned shard = 0) const;
 
+    /** The lifeguard consuming @p shard's records. */
+    lifeguard::Lifeguard& shardLifeguard(unsigned shard);
+
     /** The underlying timing engine (containment integration). */
     PipelineTimer& timer() { return timer_; }
 
+    /** This system's producer index in timer(). */
+    unsigned producer() const { return producer_; }
+
   private:
-    PipelineTimer timer_;
+    /** The owning forms: producer 0 of @p timer, which it keeps. */
+    LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
+              std::unique_ptr<PipelineTimer> timer);
+
+    /** Set only when the system owns its timer. */
+    std::unique_ptr<PipelineTimer> owned_timer_;
+    /** produce() reads only these two. */
+    PipelineTimer& timer_;
+    unsigned producer_;
     std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines_;
-    /** targets_[s] = lane s consumed by engines_[s]; a broadcast
-     *  delivers to all of them. */
-    std::vector<PipelineTimer::Target> targets_;
+    /** consume()'s state, on a host cache line of its own:
+     *  targets_[s] is shard s's lane and engines_[s]. */
+    alignas(64) std::vector<PipelineTimer::Target> targets_;
+    /** Round-robin cursor for non-memory instruction records. */
     std::uint64_t round_robin_ = 0;
 };
 

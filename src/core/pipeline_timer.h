@@ -32,8 +32,8 @@
  *
  * Every log() call names its targets: for each, the lane that
  * serializes the record and the dispatch engine (a lifeguard shard)
- * that consumes it. The timer owns no lifeguard; the platform on top
- * routes records and owns its shards' engines (makeEngine()).
+ * that consumes it. The timer owns no lifeguard; each core::LbaSystem
+ * on top routes its records and owns its shards' engines (makeEngine()).
  *
  * Dispatch at log time. The recurrence above is *what* is computed;
  * the host computes it for each record inside log(): each target's
@@ -60,14 +60,14 @@
  * come from the same count.
  *
  * Multiple producers (src/sched/). The timer also supports several
- * independent monitored applications, each with its own
- * application-core clock, log stream (compressor), back-pressure and
- * containment state. Lanes are shared — records from different
- * producers serialize on each lane's clock, which is how lifeguard
- * capacity becomes a scheduled resource. With one producer whose
- * targets are the identity shard->lane map, the recurrence is
- * bit-for-bit the LbaSystem's, which the one-tenant differential tests
- * in tests/sched_test.cpp assert.
+ * independent monitored applications, each an LbaSystem attached as
+ * its own producer, with its own application-core clock, log stream
+ * (compressor), back-pressure and containment state. Lanes are shared
+ * — records from different producers serialize on each lane's clock,
+ * which is how lifeguard capacity becomes a scheduled resource. A lone
+ * producer on the identity shard->lane map is the recurrence of an
+ * LbaSystem with a timer of its own, bit for bit, which the one-tenant
+ * differential tests in tests/sched_test.cpp assert.
  */
 
 #include <cstddef>
@@ -225,7 +225,7 @@ struct LbaRunStats
 
 /**
  * The shared timing engine. Owns the per-producer compressors, the
- * per-lane buffers and the application-core clocks; the platforms on
+ * per-lane buffers and the application-core clocks; the LbaSystems on
  * top decide routing (which targets a record goes to) and own the
  * dispatch engines.
  */

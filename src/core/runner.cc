@@ -110,30 +110,6 @@ class AppTimingObserver : public sim::RetireObserver
     Cycles cycles_ = 0;
 };
 
-/**
- * Shared contained-run protocol of the LBA platforms: wire a manager
- * around @p platform, drive the process under it, and record the
- * containment outcome in @p result.
- * @return The run result (the process may have aborted mid-program).
- */
-sim::RunResult
-runWithContainment(sim::Process& process, core::PipelineTimer& timer,
-                   sim::RetireObserver& platform,
-                   std::vector<const lifeguard::Lifeguard*> watched,
-                   const replay::ContainmentConfig& containment,
-                   PlatformResult* result)
-{
-    replay::ContainmentManager manager(process, timer, 0, platform,
-                                       std::move(watched), containment);
-    process.setStoreInterceptor(&manager);
-    replay::ContainedRun contained = replay::runContained(process, manager);
-    process.setStoreInterceptor(nullptr);
-    result->containment_enabled = true;
-    result->aborted = contained.aborted;
-    result->containment = manager.stats();
-    return contained.result;
-}
-
 } // namespace
 
 Experiment::Experiment(std::vector<isa::Instruction> program,
@@ -212,13 +188,17 @@ Experiment::runLba(const LifeguardFactory& factory,
     PlatformResult result;
     sim::RunResult run;
     if (containment.enabled) {
-        // Watch every shard: a finding on any lane triggers the same
-        // coordinated drain-rewind-repair (the producer drain clock
-        // spans all lanes, so the rewind point is consistent).
-        std::vector<const lifeguard::Lifeguard*> watched(
-            shard_guards.begin(), shard_guards.end());
-        run = runWithContainment(process, system.timer(), system,
-                                 std::move(watched), containment, &result);
+        // A finding on any shard triggers the same coordinated
+        // drain-rewind-repair (the producer drain clock spans all
+        // lanes, so the rewind point is consistent).
+        replay::ContainmentManager manager(process, system, system,
+                                           containment);
+        replay::ContainedRun contained =
+            replay::runContained(process, manager);
+        run = contained.result;
+        result.containment_enabled = true;
+        result.aborted = contained.aborted;
+        result.containment = manager.stats();
     } else {
         // Declared after system, so its worker is joined before the
         // system, hierarchy and lifeguards it uses are destroyed, on

@@ -67,26 +67,29 @@ patchableSite(const lifeguard::Finding& finding)
 
 } // namespace
 
-ContainmentManager::ContainmentManager(
-    sim::Process& process, core::PipelineTimer& timer, unsigned producer,
-    sim::RetireObserver& platform,
-    std::vector<const lifeguard::Lifeguard*> watched,
-    const ContainmentConfig& config)
+ContainmentManager::ContainmentManager(sim::Process& process,
+                                       core::LbaSystem& system,
+                                       sim::RetireObserver& platform,
+                                       const ContainmentConfig& config)
     : process_(process),
-      timer_(timer),
-      producer_(producer),
-      watched_(std::move(watched)),
+      system_(system),
+      timer_(system.timer()),
+      producer_(system.producer()),
       config_(config),
       checkpointer_(process, &platform),
-      seen_(watched_.size(), 0)
+      seen_(system.shards(), 0)
 {
-    LBA_ASSERT(!watched_.empty(), "containment needs lifeguards to watch");
-    for (std::size_t g = 0; g < watched_.size(); ++g) {
-        LBA_ASSERT(watched_[g] != nullptr, "watched lifeguard is null");
-        seen_[g] = watched_[g]->findings().size();
+    for (unsigned g = 0; g < system_.shards(); ++g) {
+        seen_[g] = system_.shardLifeguard(g).findings().size();
     }
     stats_.rewind_distance = stats::Histogram(
         config_.rewind_hist_buckets, config_.rewind_hist_bucket_width);
+    process_.setStoreInterceptor(this);
+}
+
+ContainmentManager::~ContainmentManager()
+{
+    process_.setStoreInterceptor(nullptr);
 }
 
 bool
@@ -100,8 +103,8 @@ void
 ContainmentManager::checkFindings()
 {
     if (pending_) return;
-    for (std::size_t g = 0; g < watched_.size(); ++g) {
-        const auto& findings = watched_[g]->findings();
+    for (unsigned g = 0; g < system_.shards(); ++g) {
+        const auto& findings = system_.shardLifeguard(g).findings();
         while (seen_[g] < findings.size()) {
             const lifeguard::Finding& finding = findings[seen_[g]++];
             if (isSuppressed(finding)) {

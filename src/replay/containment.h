@@ -10,10 +10,9 @@
  * boundary snapshots plus a store undo log — and this module closes the
  * loop with the timing platform:
  *
- *  - A ContainmentManager wraps a monitoring platform's RetireObserver
- *    (LbaSystem at any shard count, or the pool driver) and watches its
- *    lifeguards. When a lifeguard raises a finding, the application is
- *    stopped at that retirement.
+ *  - A ContainmentManager wraps an LbaSystem's observer chain (the
+ *    system itself, or the pool driver) and watches its shard
+ *    lifeguards; a finding stops the application at that retirement.
  *  - Containment drain: before the rewind point is trusted, every lane
  *    the application's records targeted must have consumed them
  *    (PipelineTimer::drainProducer — the multi-lane generalisation of
@@ -45,7 +44,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/pipeline_timer.h"
+#include "core/lba_system.h"
 #include "replay/checkpoint.h"
 #include "sim/process.h"
 #include "stats/histogram.h"
@@ -140,15 +139,15 @@ struct ContainmentStats
 };
 
 /**
- * Drives detection, rewind and repair for one monitored application on
- * one timing engine producer.
+ * Drives detection, rewind and repair for one monitored application:
+ * one LbaSystem, whose producer it rewinds and whose shard lifeguards
+ * it watches.
  *
- * Wire it as the process's RetireObserver AND StoreInterceptor; it owns
- * a Checkpointer internally and forwards every event to @p platform:
+ * Wire it as the process's RetireObserver. It is the process's
+ * StoreInterceptor while it exists, owns a Checkpointer internally and
+ * forwards every event to @p platform:
  * @code
- *   replay::ContainmentManager manager(process, system.timer(), 0,
- *                                      system, {&guard}, config);
- *   process.setStoreInterceptor(&manager);
+ *   replay::ContainmentManager manager(process, system, system, config);
  *   auto contained = replay::runContained(process, manager);
  * @endcode
  */
@@ -158,18 +157,22 @@ class ContainmentManager : public sim::RetireObserver,
   public:
     /**
      * @param process  The monitored application (must outlive this).
-     * @param timer    The platform's timing engine.
-     * @param producer The engine producer index of this application.
-     * @param platform Downstream observer (the monitoring platform).
-     * @param watched  Lifeguards whose findings trigger containment
-     *                 (one per shard of the LbaSystem or pool tenant).
+     * @param system   Its platform (must outlive this): findings of any
+     *                 of its shard lifeguards trigger containment, which
+     *                 drains and charges its producer on its timer.
+     * @param platform Downstream observer: @p system, or the driver
+     *                 that feeds it.
      * @param config   Containment configuration (enabled is ignored
      *                 here; constructing a manager means "on").
      */
-    ContainmentManager(sim::Process& process, core::PipelineTimer& timer,
-                       unsigned producer, sim::RetireObserver& platform,
-                       std::vector<const lifeguard::Lifeguard*> watched,
+    ContainmentManager(sim::Process& process, core::LbaSystem& system,
+                       sim::RetireObserver& platform,
                        const ContainmentConfig& config);
+    /** Clear the process's store interceptor. */
+    ~ContainmentManager() override;
+
+    ContainmentManager(const ContainmentManager&) = delete;
+    ContainmentManager& operator=(const ContainmentManager&) = delete;
 
     // RetireObserver: forward through the checkpointer to the platform,
     // then detect new findings and take interval checkpoints.
@@ -198,7 +201,7 @@ class ContainmentManager : public sim::RetireObserver,
     const ContainmentStats& stats() const { return stats_; }
 
   private:
-    /** Scan the watched lifeguards for new findings; arm a stop. */
+    /** Scan the shard lifeguards for new findings; arm a stop. */
     void checkFindings();
 
     /** True when @p finding must not trigger (another) containment. */
@@ -208,13 +211,13 @@ class ContainmentManager : public sim::RetireObserver,
     void intervalCheckpoint();
 
     sim::Process& process_;
+    core::LbaSystem& system_;
     core::PipelineTimer& timer_;
     unsigned producer_;
-    std::vector<const lifeguard::Lifeguard*> watched_;
     ContainmentConfig config_;
 
     Checkpointer checkpointer_;
-    /** Per-watched-lifeguard count of findings already examined. */
+    /** Per-shard count of findings already examined. */
     std::vector<std::size_t> seen_;
     /** The finding that stopped the run, if any. */
     std::optional<lifeguard::Finding> pending_;

@@ -34,7 +34,8 @@ struct LifeguardPool::Tenant
     /** One lifeguard shard context per pool lane (fixed functional
      *  sharding; the scheduler only moves contexts between lanes). */
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> shards;
-    std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines;
+    /** Producer `index` of the pool's timer, placed by placeShards(). */
+    std::unique_ptr<core::LbaSystem> system;
     /** Rewind-and-repair driver (set when containment is enabled). */
     std::unique_ptr<replay::ContainmentManager> manager;
 
@@ -51,13 +52,8 @@ struct LifeguardPool::Tenant
     /** Retired instructions observed by the pool (detach clock). */
     std::uint64_t observed_instructions = 0;
 
-    /** Consumer state (the thread applying entries), from a line of
-     *  its own. targets[s] delivers to shard context s on the lane
-     *  hosting it, rebuilt when the lane map changes (placeShards). */
-    alignas(64) std::vector<core::PipelineTimer::Target> targets;
-    /** Round-robin cursor for non-memory instruction records. */
-    std::uint64_t round_robin = 0;
-    stats::Histogram lag_hist;
+    /** Consumer state (the thread applying entries), on a line of its own. */
+    alignas(64) stats::Histogram lag_hist;
     /** Lag accumulated during the tenant's current execution slice. */
     double window_lag_sum = 0.0;
     std::uint64_t window_lag_count = 0;
@@ -166,7 +162,7 @@ LifeguardPool::onOsEvent(const sim::OsEvent& event)
 void
 LifeguardPool::submitRecord(const EventRecord& record)
 {
-    submit({record, timer_->encode(current_, record), current_,
+    submit({record, tenants_[current_]->system->produce(record), current_,
             Op::Kind::kRecord});
 }
 
@@ -190,12 +186,9 @@ void
 LifeguardPool::apply(const Op& op)
 {
     switch (op.kind) {
-      case Op::Kind::kRecord: {
-        Tenant& tenant = *tenants_[op.tenant];
-        core::consumeRecord(*timer_, op.tenant, op.record, op.bytes,
-                            tenant.targets, tenant.round_robin);
+      case Op::Kind::kRecord:
+        tenants_[op.tenant]->system->consume(op.record, op.bytes);
         return;
-      }
       case Op::Kind::kActivate:
         scheduled_.push_back(op.tenant);
         return;
@@ -235,9 +228,9 @@ void
 LifeguardPool::placeShards()
 {
     for (unsigned index : scheduled_) {
-        Tenant& tenant = *tenants_[index];
+        core::LbaSystem& system = *tenants_[index]->system;
         for (unsigned s = 0; s < config_.lanes; ++s) {
-            tenant.targets[s].lane = scheduler_->laneFor(index, s);
+            system.setLane(s, scheduler_->laneFor(index, s));
         }
     }
 }
@@ -355,30 +348,21 @@ LifeguardPool::run()
         tenant->process =
             std::make_unique<sim::Process>(tenant->config.process);
         tenant->process->load(tenant->config.program);
+        std::vector<lifeguard::Lifeguard*> guards;
         for (unsigned s = 0; s < config_.lanes; ++s) {
             tenant->shards.push_back(factory_());
             LBA_ASSERT(tenant->shards.back() != nullptr,
                        "lifeguard factory returned null");
-            // Shard context s's engine runs on lane s's core wherever
-            // the scheduler places it (placeShards sets the lane).
-            tenant->engines.push_back(
-                timer_->makeEngine(*tenant->shards.back(), s));
-            tenant->targets.push_back({s, tenant->engines.back().get()});
+            guards.push_back(tenant->shards.back().get());
         }
+        tenant->system = std::make_unique<core::LbaSystem>(
+            guards, *timer_, tenant->index);
         if (config_.containment.enabled) {
             // Per-tenant containment: the manager watches this tenant's
-            // shard contexts and rewinds only this tenant's producer;
-            // the store interceptor feeds its private undo log.
-            std::vector<const lifeguard::Lifeguard*> watched;
-            watched.reserve(tenant->shards.size());
-            for (const auto& shard : tenant->shards) {
-                watched.push_back(shard.get());
-            }
-            tenant->manager =
-                std::make_unique<replay::ContainmentManager>(
-                    *tenant->process, *timer_, tenant->index, *this,
-                    std::move(watched), config_.containment);
-            tenant->process->setStoreInterceptor(tenant->manager.get());
+            // shard contexts and rewinds only this tenant's producer.
+            tenant->manager = std::make_unique<replay::ContainmentManager>(
+                *tenant->process, *tenant->system, *this,
+                config_.containment);
         }
     }
     step(Op::Kind::kRebalance);
@@ -476,12 +460,7 @@ LifeguardPool::run()
     // End-of-program lifeguard passes: every admitted tenant's every
     // shard context finishes on the lane currently hosting it.
     for (auto& tenant : tenants_) {
-        if (!tenant->admitted) continue;
-        for (unsigned s = 0; s < config_.lanes; ++s) {
-            timer_->finishShard(tenant->index,
-                                scheduler_->laneFor(tenant->index, s),
-                                *tenant->engines[s]);
-        }
+        if (tenant->admitted) tenant->system->finish();
     }
     timer_->seal();
     baseline_thread.join();
@@ -509,7 +488,7 @@ LifeguardPool::run()
         stats.demand_bytes_per_cycle = tenant->demand;
         stats.unmonitored_cycles = baselines[tenant->index];
         if (tenant->admitted) {
-            stats.lba = timer_->producerStats(tenant->index);
+            stats.lba = tenant->system->stats();
             stats.instructions = stats.lba.app_instructions;
             stats.total_cycles = stats.lba.total_cycles;
             stats.slowdown =

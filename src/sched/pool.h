@@ -9,13 +9,10 @@
  * statically-bound lane per application. The pool builds on the shared
  * timing engine (core::PipelineTimer) in its multi-producer form:
  *
- *  - Each tenant is a sim::Process plus its own log stream (producer):
- *    its own application-core clock, compressor, back-pressure and
- *    syscall-containment state.
- *  - Each tenant's log is sharded over `lanes` lifeguard shard
- *    contexts by core::routeRecord, the rule core::LbaSystem uses
- *    (address hash, annotations broadcast, other instruction records
- *    round-robin), so per-address lifeguards keep their semantics.
+ *  - Each tenant is a sim::Process monitored by one core::LbaSystem,
+ *    producer t of the pool's timer: its own application-core clock,
+ *    codec, back-pressure and syscall-containment state, and `lanes`
+ *    lifeguard shard contexts its records are sharded over.
  *  - A TenantScheduler maps shard contexts to physical lanes. Lanes
  *    serialize whatever is folded onto them, which is how one tenant's
  *    burst degrades (only) whoever shares its lanes.
@@ -26,19 +23,19 @@
  * Execution is deterministic: tenants are driven round-robin in slices
  * of `slice_instructions` retired instructions; a lone tenant runs to
  * completion unsliced, which (together with identity lane maps) makes
- * a one-tenant pool cycle-identical to core::LbaSystem with M shards —
- * the invariant asserted by tests/sched_test.cpp.
+ * a one-tenant pool cycle-identical to core::Experiment::runLba with M
+ * shards — the invariant asserted by tests/sched_test.cpp.
  *
  * Without containment run() splits the work between host threads the
  * way core::Experiment::runLba does (core::TwoThreadRun). The calling
  * thread runs the driver (admission, slicing, arrivals, detach) and
  * each record's producer half: the simulator, capture and the tenant's
- * codec. A worker applies, in the order the driver made them, each
- * record's consumer half and each scheduler step: lane-map changes,
- * the slice-end lag fold and the epoch. The driver reads no simulated
- * time, so the results are those of applying every step at once, which
- * is what run() does under containment. A third thread computes the
- * tenants' unmonitored baselines meanwhile.
+ * LbaSystem::produce. A worker applies, in the order the driver made
+ * them, each record's LbaSystem::consume and each scheduler step:
+ * lane-map changes, the slice-end lag fold and the epoch. The driver
+ * reads no simulated time, so the results are those of applying every
+ * step at once, which is what run() does under containment. A third
+ * thread computes the tenants' unmonitored baselines meanwhile.
  */
 
 #include <cstdint>

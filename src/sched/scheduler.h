@@ -5,11 +5,11 @@
  *
  * A TenantScheduler owns the map from (tenant, lifeguard shard) to the
  * physical pool lane that consumes that shard's records. Functional
- * sharding is fixed (every tenant's log is sharded over `lanes`
- * lifeguard shard contexts by core::routeRecord, as in LbaSystem);
- * the scheduler only decides *where* each shard context runs, so lane
- * reassignment never migrates shadow state — a lane context-switches
- * between the shard contexts folded onto it.
+ * sharding is fixed (each tenant's core::LbaSystem shards its log over
+ * `lanes` lifeguard shard contexts); the scheduler only decides *where*
+ * each context runs (LbaSystem::setLane), so lane reassignment never
+ * migrates shadow state — a lane context-switches between the shard
+ * contexts folded onto it.
  *
  * Policies:
  *  - static  — lanes are partitioned once per active-tenant set; a

@@ -8,7 +8,9 @@
  *  1. Differential: containment enabled with zero findings is
  *     cycle-identical to the baseline — for LbaSystem at shards in
  *     {1,2,4}, and one tenant on an M-lane pool (the no-findings path
- *     makes no timer calls at all).
+ *     makes no timer calls at all) — and with findings, one tenant on
+ *     an M-lane pool rewinds and repairs exactly as runLba on M shards
+ *     does, under every policy.
  *  2. An injected finding rewinds exactly as far as the program ran
  *     past the last checkpoint, repairs under every policy, and the
  *     repaired run completes (the rewind_repair example's scenario,
@@ -151,29 +153,76 @@ TEST(ContainmentDifferential, ZeroFindingsParallelMatchesBaseline)
     }
 }
 
-TEST(ContainmentDifferential, ZeroFindingsOneTenantPoolMatchesParallel)
+TEST(ContainmentDifferential, OneTenantPoolRewindsLikeRunLba)
 {
-    auto generated =
-        workload::generate(*workload::findProfile("bc"), {}, 40000);
-    core::Experiment exp(generated.program);
-    for (unsigned lanes : {1u, 2u, 4u}) {
-        SCOPED_TRACE(lanes);
-        auto par = exp.runLba(addrcheck(), exp.config().lba, {}, lanes);
+    // One tenant on an M-lane pool and runLba on M shards wire the same
+    // containment: every rewind, repair and cycle must agree, under
+    // every policy, with no findings (clean bc) and with real rewinds.
+    const workload::Profile& bc = *workload::findProfile("bc");
+    workload::BugInjection bugs;
+    bugs.use_after_free = true;
+    bugs.leak = true;
+    const struct
+    {
+        const char* name;
+        std::vector<isa::Instruction> program;
+        bool rewinds;
+    } programs[] = {
+        {"bc", workload::generate(bc, {}, 40000).program, false},
+        {"bc+bugs", workload::generate(bc, bugs, 40000).program, true},
+        {"uaf-loop", uafServiceLoop(5, 2), true},
+    };
+    for (const auto& [name, prog, rewinds] : programs) {
+        core::Experiment exp(prog);
+        for (RepairPolicy policy :
+             {RepairPolicy::kAbort, RepairPolicy::kSkip,
+              RepairPolicy::kPatch, RepairPolicy::kQuarantine}) {
+            for (unsigned lanes : {1u, 2u, 4u}) {
+                SCOPED_TRACE(std::string(name) + " " +
+                             repairPolicyName(policy) + " lanes " +
+                             std::to_string(lanes));
+                auto par = exp.runLba(addrcheck(), exp.config().lba,
+                                      containment(policy), lanes);
 
-        sched::PoolConfig pool_config;
-        pool_config.lanes = lanes;
-        pool_config.containment = containment(RepairPolicy::kPatch);
-        sched::LifeguardPool pool(pool_config, addrcheck());
-        pool.addTenant({"solo", generated.program, {}, 0.0});
-        sched::PoolResult result = pool.run();
+                sched::PoolConfig pool_config;
+                pool_config.lanes = lanes;
+                pool_config.containment = containment(policy);
+                sched::LifeguardPool pool(pool_config, addrcheck());
+                pool.addTenant({"solo", prog, {}, 0.0});
+                sched::PoolResult result = pool.run();
 
-        ASSERT_EQ(result.tenants.size(), 1u);
-        const sched::TenantStats& tenant = result.tenants[0];
-        ASSERT_TRUE(tenant.containment_enabled);
-        EXPECT_EQ(tenant.containment.rewinds, 0u);
-        EXPECT_FALSE(tenant.aborted);
-        EXPECT_EQ(tenant.total_cycles, par.lba.total_cycles);
-        expectStatsIdentical(tenant.lba, par.lba);
+                ASSERT_EQ(result.tenants.size(), 1u);
+                const sched::TenantStats& tenant = result.tenants[0];
+                ASSERT_TRUE(tenant.containment_enabled);
+                EXPECT_EQ(par.containment.rewinds > 0, rewinds);
+                EXPECT_EQ(tenant.total_cycles, par.lba.total_cycles);
+                expectStatsIdentical(tenant.lba, par.lba);
+                if (!rewinds) {
+                    // No findings: containment costs no cycle.
+                    expectStatsIdentical(
+                        tenant.lba,
+                        exp.runLba(addrcheck(), exp.config().lba, {}, lanes)
+                            .lba);
+                }
+                EXPECT_EQ(tenant.aborted, par.aborted);
+
+                const ContainmentStats& got = tenant.containment;
+                const ContainmentStats& want = par.containment;
+                EXPECT_EQ(got.rewinds, want.rewinds);
+                EXPECT_EQ(got.rewound_instructions,
+                          want.rewound_instructions);
+                EXPECT_EQ(got.rewind_cycles, want.rewind_cycles);
+                EXPECT_EQ(got.checkpoints, want.checkpoints);
+                EXPECT_EQ(got.repairs.patched, want.repairs.patched);
+                EXPECT_EQ(got.repairs.skipped, want.repairs.skipped);
+                EXPECT_EQ(got.repairs.quarantined,
+                          want.repairs.quarantined);
+                EXPECT_EQ(got.repairs.aborted, want.repairs.aborted);
+                EXPECT_EQ(got.repairs.suppressed, want.repairs.suppressed);
+                EXPECT_EQ(tenant.findings.size(), par.findings.size());
+                EXPECT_DOUBLE_EQ(tenant.slowdown, par.slowdown);
+            }
+        }
     }
 }
 
@@ -343,13 +392,14 @@ TEST(ContainmentPool, RewindsOneTenantWithoutDisturbingOthers)
     config.lanes = 2;
     config.containment = containment(RepairPolicy::kPatch);
     sched::LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}, 0.0});
+    // The clean tenant comes first, so the buggy one is not producer 0.
     pool.addTenant({"clean", clean.program, {}, 0.0});
+    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}, 0.0});
     sched::PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 2u);
-    const sched::TenantStats& buggy = result.tenants[0];
-    const sched::TenantStats& other = result.tenants[1];
+    const sched::TenantStats& other = result.tenants[0];
+    const sched::TenantStats& buggy = result.tenants[1];
 
     EXPECT_EQ(buggy.containment.rewinds, 1u);
     EXPECT_EQ(buggy.containment.rewound_instructions, 3u);

@@ -2,7 +2,8 @@
  * @file
  * Tests for the LBA system: decoupled timing, back-pressure, syscall
  * containment, filtering, core placement, sharding across lifeguard
- * cores, and runLba's two-thread schedule against the inline one.
+ * cores, systems sharing one timer, and runLba's two-thread schedule
+ * against the inline one.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "asm/assembler.h"
 #include "core/lba_system.h"
 #include "core/runner.h"
+#include "fixed_cost_lifeguard.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/taintcheck.h"
 #include "throwing_lifeguard.h"
@@ -367,6 +369,50 @@ TEST(LbaSystem, TransportBytesMatchCompressorOutput)
                       static_cast<double>(result.lba.records_logged);
     EXPECT_NEAR(result.lba.transport_bytes, expected,
                 expected * 0.01 + 1.0);
+}
+
+TEST(LbaSystem, AttachedSystemsShareOneTimer)
+{
+    // Producers 0 and 1 (applications on cores 0 and 1) of one 2-lane
+    // timer (lifeguard cores 2 and 3), one shard each; producer 1's
+    // shard moves to lane 1.
+    mem::HierarchyConfig hc;
+    hc.num_cores = 4;
+    mem::CacheHierarchy hierarchy(hc);
+    LbaConfig config;
+    config.dispatch.core = 2;
+    PipelineTimer timer(hierarchy, config, 2);
+    ASSERT_EQ(timer.addProducer(1), 1u);
+    testing::FixedCostLifeguard guard_a(0, 3), guard_b(0, 7);
+    LbaSystem a({&guard_a}, timer, 0);
+    LbaSystem b({&guard_b}, timer, 1);
+    b.setLane(0, 1);
+
+    log::EventRecord record;
+    record.pc = 0x1000;
+    record.type = log::EventType::kIntAlu;
+    for (int i = 0; i < 2; ++i) a.consume(record, a.produce(record));
+    for (int i = 0; i < 5; ++i) b.consume(record, b.produce(record));
+    EXPECT_EQ(timer.laneStats(0).records, 2u);
+    EXPECT_EQ(timer.laneStats(1).records, 5u);
+    EXPECT_EQ(b.bufferStats(0).pushes, 5u);
+    EXPECT_EQ(b.bufferStats(0).max_occupancy,
+              timer.laneStats(1).buffer.max_occupancy);
+
+    // Each final pass lands on its shard's current lane.
+    Cycles busy0 = timer.laneStats(0).busy_cycles;
+    Cycles busy1 = timer.laneStats(1).busy_cycles;
+    a.finish();
+    b.finish();
+    EXPECT_EQ(timer.laneStats(0).busy_cycles, busy0 + 3);
+    EXPECT_EQ(timer.laneStats(1).busy_cycles, busy1 + 7);
+
+    // Neither finish() sealed the shared timer, or this seal() would
+    // abort.
+    timer.seal();
+    EXPECT_EQ(a.stats().records_logged, 2u);
+    EXPECT_EQ(b.stats().records_logged, 5u);
+    EXPECT_EQ(b.stats().total_cycles, timer.laneStats(1).last_finish);
 }
 
 /**

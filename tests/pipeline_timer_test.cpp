@@ -12,43 +12,12 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline_timer.h"
-#include "lifeguard/lifeguard.h"
+#include "fixed_cost_lifeguard.h"
 
 namespace lba::core {
 namespace {
 
-/** Charges a fixed instruction count per record (and at finish). */
-class FixedCostLifeguard : public lifeguard::Lifeguard
-{
-  public:
-    explicit FixedCostLifeguard(std::uint32_t handler_instrs,
-                                std::uint32_t finish_instrs = 0)
-        : handler_instrs_(handler_instrs), finish_instrs_(finish_instrs)
-    {
-        for (unsigned t = 0; t < log::kNumEventTypes; ++t) {
-            onEvent<&FixedCostLifeguard::onAny>(
-                static_cast<log::EventType>(t));
-        }
-    }
-
-    const char* name() const override { return "FixedCost"; }
-
-    void
-    onAny(const log::EventRecord&, lifeguard::CostSink& cost)
-    {
-        cost.instrs(handler_instrs_);
-    }
-
-    void
-    finish(lifeguard::CostSink& cost) override
-    {
-        cost.instrs(finish_instrs_);
-    }
-
-  private:
-    std::uint32_t handler_instrs_;
-    std::uint32_t finish_instrs_;
-};
+using testing::FixedCostLifeguard;
 
 mem::HierarchyConfig
 cores(unsigned n)

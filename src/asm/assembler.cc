@@ -98,9 +98,9 @@ parseMemOperand(const std::string& text)
         close < open || close != text.size() - 1) {
         return std::nullopt;
     }
-    std::string off_text = text.substr(0, open);
-    if (off_text.empty()) off_text = "0";
-    auto off = parseImm(off_text);
+    // "(base)" has offset 0.
+    std::optional<std::int64_t> off =
+        open == 0 ? 0 : parseImm(text.substr(0, open));
     auto base = parseReg(text.substr(open + 1, close - open - 1));
     if (!off || !base) return std::nullopt;
     if (*off < INT32_MIN || *off > INT32_MAX) return std::nullopt;

@@ -6,6 +6,7 @@
 
 #include "core/lba_system.h"
 
+#include <algorithm>
 #include <span>
 
 namespace lba::core {
@@ -140,18 +141,18 @@ mergeShardFindings(
     const std::vector<std::unique_ptr<lifeguard::Lifeguard>>& shards)
 {
     std::vector<lifeguard::Finding> all;
-    auto seen = [&](const lifeguard::Finding& f) {
-        for (const auto& g : all) {
-            if (g.kind == f.kind && g.pc == f.pc && g.addr == f.addr &&
-                g.tid == f.tid && g.message == f.message) {
-                return true;
-            }
-        }
-        return false;
-    };
     for (const auto& guard : shards) {
+        // A shard's own repeats are its lifeguard's to keep or drop.
+        auto earlier = static_cast<std::ptrdiff_t>(all.size());
         for (const auto& f : guard->findings()) {
-            if (!seen(f)) all.push_back(f);
+            bool repeat = std::any_of(
+                all.begin(), all.begin() + earlier,
+                [&](const lifeguard::Finding& g) {
+                    return g.kind == f.kind && g.pc == f.pc &&
+                           g.addr == f.addr && g.tid == f.tid &&
+                           g.message == f.message;
+                });
+            if (!repeat) all.push_back(f);
         }
     }
     return all;

@@ -61,11 +61,13 @@
 namespace lba::core {
 
 /**
- * Merge the findings of several lifeguard shards monitoring the same
- * application: annotation records are broadcast, so state derived from
- * them (live-block tables, lock tables) is replicated per shard and
- * the same finding (double free, leak) surfaces in several of them;
- * identical findings are deduplicated preserving first-seen order.
+ * Merge the findings of the lifeguard shards monitoring one
+ * application, in shard order. Annotation records are broadcast, so
+ * state derived from them (live-block tables, lock tables) is
+ * replicated per shard and the same finding (double free, leak)
+ * surfaces in several of them: a finding is dropped only when an
+ * earlier shard reported an identical one, so one shard's list,
+ * repeats included, is returned unchanged.
  */
 std::vector<lifeguard::Finding> mergeShardFindings(
     const std::vector<std::unique_ptr<lifeguard::Lifeguard>>& shards);
@@ -146,6 +148,16 @@ class LbaSystem : public sim::RetireObserver
     {
         return timer_.producerStats(producer_);
     }
+
+    /** PipelineTimer::lagHistogram of this producer. */
+    const stats::Histogram&
+    lagHistogram() const
+    {
+        return timer_.lagHistogram(producer_);
+    }
+
+    /** PipelineTimer::takeLagWindow of this producer. */
+    stats::Summary takeLagWindow() { return timer_.takeLagWindow(producer_); }
 
     unsigned shards() const { return static_cast<unsigned>(targets_.size()); }
 

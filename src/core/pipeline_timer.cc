@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -26,12 +27,13 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
     LBA_ASSERT(config_.app_core < config_.dispatch.core ||
                    config_.app_core >= config_.dispatch.core + nlanes,
                "application and lifeguard must use different cores");
+    LBA_ASSERT(config_.buffer_capacity > 0,
+               "log buffer capacity must be positive");
+    // Also false for NaN, which would otherwise mean unlimited.
+    LBA_ASSERT(config_.transport_bytes_per_cycle >= 0.0,
+               "transport bandwidth must be >= 0 (0 = unlimited)");
 
-    lanes_.reserve(nlanes);
-    for (unsigned i = 0; i < nlanes; ++i) {
-        lanes_.emplace_back(config_.buffer_capacity,
-                            config_.transport_bytes_per_cycle);
-    }
+    lanes_.resize(nlanes);
 
     Producer primary;
     primary.app_core = config_.app_core;
@@ -112,14 +114,13 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // by the producing application, even when the occupying record
     // belongs to another tenant. A lane hosting several folded shard
     // contexts may need multiple slots for one logical record.
-    LBA_ASSERT(needed <= lane.capacity,
+    LBA_ASSERT(needed <= config_.buffer_capacity,
                "lane buffer smaller than one record's consumptions");
-    while (lane.slot_finish.size() + needed > lane.capacity) {
+    while (lane.slot_finish.size() + needed > config_.buffer_capacity) {
         Cycles freed_at = lane.slot_finish.front();
         lane.slot_finish.pop_front();
         if (producer.app_time < freed_at) {
             Cycles stall = freed_at - producer.app_time;
-            stats_.backpressure_stall_cycles += stall;
             producer.stats.backpressure_stall_cycles += stall;
             producer.app_time = freed_at;
         }
@@ -135,7 +136,6 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     Cycles cost = engine.consumeBatch(&record, 1);
 
     lane.transport_bytes += record_bytes;
-    stats_.transport_bytes += record_bytes;
     producer.stats.transport_bytes += record_bytes;
 
     // The record is visible to the dispatch engine only after its bytes
@@ -145,11 +145,12 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     // starved link saturates at kDeliveryCeiling rather than converting
     // an out-of-range double, and never delivers before production.
     Cycles delivered_at = produced_at;
-    if (lane.bytes_per_cycle > 0.0) {
+    double bytes_per_cycle = config_.transport_bytes_per_cycle;
+    if (bytes_per_cycle > 0.0) {
         lane.transport_free =
             std::max(lane.transport_free,
                      static_cast<double>(produced_at)) +
-            record_bytes / lane.bytes_per_cycle;
+            record_bytes / bytes_per_cycle;
         Cycles arrives =
             lane.transport_free < static_cast<double>(kDeliveryCeiling)
                 ? static_cast<Cycles>(std::ceil(lane.transport_free))
@@ -158,7 +159,6 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
         if (delivered_at > produced_at) {
             Cycles wait = delivered_at - produced_at;
             lane.transport_wait_cycles += wait;
-            stats_.transport_wait_cycles += wait;
             producer.stats.transport_wait_cycles += wait;
         }
     }
@@ -167,7 +167,8 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     double lag = static_cast<double>(start - produced_at);
     lane.consume_lag.record(lag);
     producer.consume_lag.record(lag);
-    consume_lag_.record(lag);
+    producer.lag_window.record(lag);
+    producer.lag_histogram.record(start - produced_at);
     lane.last_finish = start + cost;
     lane.busy_cycles += cost;
     producer.stats.lifeguard_busy_cycles += cost;
@@ -176,14 +177,6 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     lane.max_occupancy =
         std::max<std::uint64_t>(lane.max_occupancy, lane.slot_finish.size());
     ++lane.records;
-
-    if (consume_observer_) {
-        unsigned producer_idx = static_cast<unsigned>(
-            &producer - producers_.data());
-        unsigned lane_idx = static_cast<unsigned>(&lane - lanes_.data());
-        consume_observer_(producer_idx, lane_idx, record,
-                          static_cast<Cycles>(lag), cost, record_bytes);
-    }
 }
 
 bool
@@ -194,7 +187,6 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
     LBA_ASSERT(!targets.empty(), "record needs at least one target");
     Producer& producer = producers_[producer_idx];
     if (record_bytes == kFiltered) {
-        ++stats_.records_filtered;
         ++producer.stats.records_filtered;
         return false;
     }
@@ -221,7 +213,6 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
         consumeOn(producer, lanes_[target.lane], *target.engine, record,
                   produced_at, record_bytes);
     }
-    ++stats_.records_logged;
     ++producer.stats.records_logged;
     return true;
 }
@@ -239,17 +230,14 @@ PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
         // over its own records, so one tenant's drain does not wait on
         // another tenant's backlog.
         producer.pending_drain = false;
-        ++stats_.syscall_drains;
         ++producer.stats.syscall_drains;
         if (producer.app_time < producer.drain_clock) {
             Cycles stall = producer.drain_clock - producer.app_time;
-            stats_.syscall_stall_cycles += stall;
             producer.stats.syscall_stall_cycles += stall;
             producer.app_time = producer.drain_clock;
         }
     }
 
-    ++stats_.app_instructions;
     ++producer.stats.app_instructions;
     // A retirement's record is a load or store exactly when the
     // instruction accessed memory, at record.addr.
@@ -260,7 +248,6 @@ PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
                                       record.type == EventType::kStore);
     }
     producer.app_time += cost;
-    stats_.app_cycles += cost;
     producer.stats.app_cycles += cost;
 }
 
@@ -279,7 +266,6 @@ PipelineTimer::drainProducer(unsigned producer_idx)
     if (producer.app_time >= producer.drain_clock) return 0;
     Cycles stall = producer.drain_clock - producer.app_time;
     producer.app_time = producer.drain_clock;
-    stats_.containment_cycles += stall;
     producer.stats.containment_cycles += stall;
     return stall;
 }
@@ -290,7 +276,6 @@ PipelineTimer::chargeContainment(unsigned producer_idx, Cycles cycles)
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     Producer& producer = producers_[producer_idx];
     producer.app_time += cycles;
-    stats_.containment_cycles += cycles;
     producer.stats.containment_cycles += cycles;
 }
 
@@ -327,35 +312,56 @@ PipelineTimer::seal()
 {
     LBA_ASSERT(!finished_, "seal() called twice");
     finished_ = true;
-
-    Cycles end = 0;
-    std::uint64_t compressed_records = 0;
-    double compressed_bytes = 0.0;
     for (std::size_t p = 0; p < producers_.size(); ++p) {
         Producer& producer = producers_[p];
         compress::Encoder& encoder = *encoders_[p].encoder;
         producer.stats.total_cycles =
             std::max(producer.app_time, producer.drain_clock);
-        end = std::max(end, producer.stats.total_cycles);
         encoder.finishStream();
         producer.stats.bytes_per_record = encoder.bytesPerRecord();
         producer.stats.codec = config_.codec;
         producer.stats.mean_consume_lag = producer.consume_lag.mean();
+    }
+}
+
+LbaRunStats
+PipelineTimer::stats() const
+{
+    // Every count is an integer or a whole number of eighths of a byte,
+    // so the sums in producer order are the sums in record order.
+    LbaRunStats total;
+    double lag_sum = 0.0;
+    std::uint64_t lag_count = 0;
+    std::uint64_t compressed_records = 0;
+    double compressed_bytes = 0.0;
+    for (std::size_t p = 0; p < producers_.size(); ++p) {
+        const LbaRunStats& slice = producers_[p].stats;
+        total.app_instructions += slice.app_instructions;
+        total.records_logged += slice.records_logged;
+        total.records_filtered += slice.records_filtered;
+        total.total_cycles = std::max(total.total_cycles, slice.total_cycles);
+        total.app_cycles += slice.app_cycles;
+        total.backpressure_stall_cycles += slice.backpressure_stall_cycles;
+        total.syscall_stall_cycles += slice.syscall_stall_cycles;
+        total.lifeguard_busy_cycles += slice.lifeguard_busy_cycles;
+        total.codec = slice.codec;
+        total.syscall_drains += slice.syscall_drains;
+        total.transport_bytes += slice.transport_bytes;
+        total.transport_wait_cycles += slice.transport_wait_cycles;
+        total.containment_cycles += slice.containment_cycles;
+        lag_sum += producers_[p].consume_lag.sum();
+        lag_count += producers_[p].consume_lag.count();
+        const compress::Encoder& encoder = *encoders_[p].encoder;
         compressed_records += encoder.records();
         compressed_bytes += static_cast<double>(encoder.bitsWritten()) / 8.0;
     }
-    stats_.lifeguard_busy_cycles = 0;
-    for (Lane& lane : lanes_) {
-        end = std::max(end, lane.last_finish);
-        stats_.lifeguard_busy_cycles += lane.busy_cycles;
-    }
-    stats_.total_cycles = end;
-    stats_.codec = config_.codec;
-    stats_.bytes_per_record =
+    total.bytes_per_record =
         compressed_records
             ? compressed_bytes / static_cast<double>(compressed_records)
             : 0.0;
-    stats_.mean_consume_lag = consume_lag_.mean();
+    total.mean_consume_lag =
+        lag_count ? lag_sum / static_cast<double>(lag_count) : 0.0;
+    return total;
 }
 
 const LbaRunStats&
@@ -363,6 +369,20 @@ PipelineTimer::producerStats(unsigned producer) const
 {
     LBA_ASSERT(producer < producers_.size(), "bad producer index");
     return producers_[producer].stats;
+}
+
+const stats::Histogram&
+PipelineTimer::lagHistogram(unsigned producer) const
+{
+    LBA_ASSERT(producer < producers_.size(), "bad producer index");
+    return producers_[producer].lag_histogram;
+}
+
+stats::Summary
+PipelineTimer::takeLagWindow(unsigned producer)
+{
+    LBA_ASSERT(producer < producers_.size(), "bad producer index");
+    return std::exchange(producers_[producer].lag_window, {});
 }
 
 Cycles

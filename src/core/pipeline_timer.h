@@ -59,6 +59,11 @@
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
  * come from the same count.
  *
+ * Statistics. A count is written once, into its producer's slice
+ * (producerStats()) or its lane (laneStats()); stats() folds the
+ * slices. Each producer also keeps its consume-lag histogram and a
+ * slice window of that lag (lagHistogram(), takeLagWindow()).
+ *
  * Multiple producers (src/sched/). The timer also supports several
  * independent monitored applications, each an LbaSystem attached as
  * its own producer, with its own application-core clock, log stream
@@ -72,7 +77,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -84,6 +88,7 @@
 #include "log/event.h"
 #include "mem/hierarchy.h"
 #include "stats/counter.h"
+#include "stats/histogram.h"
 
 namespace lba::threading {
 
@@ -241,11 +246,6 @@ class PipelineTimer
         lifeguard::DispatchEngine* engine = nullptr;
     };
 
-    /** Observes every consumed record (multi-tenant stats hook). */
-    using ConsumeObserver = std::function<void(
-        unsigned producer, unsigned lane, const log::EventRecord& record,
-        Cycles lag, Cycles cost, double bytes)>;
-
     /** encode()'s answer for a record the address filter drops. */
     static constexpr double kFiltered = -1.0;
 
@@ -355,13 +355,14 @@ class PipelineTimer
                        lifeguard::DispatchEngine& engine);
 
     /**
-     * Seal the aggregate and per-producer statistics after every
-     * finishShard() call. Call exactly once.
+     * Seal the per-producer statistics after every finishShard() call.
+     * Call exactly once.
      */
     void seal();
 
-    /** Aggregate statistics (totals valid after seal()). */
-    const LbaRunStats& stats() const { return stats_; }
+    /** The producers' slices folded: sums, the latest total_cycles, and
+     *  bytes_per_record and mean lag over every record (after seal()). */
+    LbaRunStats stats() const;
 
     /**
      * One producer's slice of the run: its own app/stall cycles, its
@@ -369,6 +370,14 @@ class PipelineTimer
      * (after seal()) its completion time in total_cycles.
      */
     const LbaRunStats& producerStats(unsigned producer) const;
+
+    /** The consume lag of every record @p producer logged, one sample
+     *  per consumption. */
+    const stats::Histogram& lagHistogram(unsigned producer) const;
+
+    /** The consume lag of @p producer's consumptions since the last
+     *  call; the next window starts empty. */
+    stats::Summary takeLagWindow(unsigned producer);
 
     /** Current app-core clock of @p producer. */
     Cycles producerTime(unsigned producer) const;
@@ -380,12 +389,6 @@ class PipelineTimer
 
     unsigned lanes() const { return static_cast<unsigned>(lanes_.size()); }
 
-    /** Install a per-consumed-record observer (nullptr to remove). */
-    void setConsumeObserver(ConsumeObserver observer)
-    {
-        consume_observer_ = std::move(observer);
-    }
-
     /** One lane's statistics (snapshot). */
     LaneStats laneStats(unsigned lane) const;
 
@@ -395,16 +398,12 @@ class PipelineTimer
      *  share their lines (see config_). */
     struct alignas(64) Lane
     {
-        /** Buffer capacity, in records (slots). */
-        std::size_t capacity = 0;
         /** finish times of consumed records still occupying slots. */
         std::deque<Cycles> slot_finish;
         /** finish(i-1) of this lane's most recent record. */
         Cycles last_finish = 0;
         /** Cycle at which the lane transport delivers its last byte. */
         double transport_free = 0.0;
-        /** This lane's transport bandwidth (0 = unlimited). */
-        double bytes_per_cycle = 0.0;
         /** Cycles this lane's core spent consuming and finishing. */
         Cycles busy_cycles = 0;
         stats::Summary consume_lag;
@@ -416,15 +415,6 @@ class PipelineTimer
         /** Scratch inside log(): slots the record being logged still
          *  has to reserve here (0 outside log()). */
         std::size_t demand = 0;
-
-        Lane(std::size_t slots, double bandwidth)
-            : capacity(slots), bytes_per_cycle(bandwidth)
-        {
-            LBA_ASSERT(slots > 0, "log buffer capacity must be positive");
-            // Also false for NaN, which would otherwise mean unlimited.
-            LBA_ASSERT(bandwidth >= 0.0,
-                       "transport bandwidth must be >= 0 (0 = unlimited)");
-        }
     };
 
     /** One monitored application feeding the shared lanes (its log
@@ -439,6 +429,10 @@ class PipelineTimer
         /** Latest finish time over this producer's consumed records. */
         Cycles drain_clock = 0;
         stats::Summary consume_lag;
+        /** The lag since the last takeLagWindow(). */
+        stats::Summary lag_window;
+        /** 512 x 256 cycles: the percentiles saturate past 128k. */
+        stats::Histogram lag_histogram{512, 256};
         LbaRunStats stats;
     };
 
@@ -463,7 +457,7 @@ class PipelineTimer
      * Deliver one record to one lane whose slot is reserved: run its
      * handler on @p engine, then fold the cost into the timing
      * recurrence (transport delivery, start/finish, lag and busy
-     * accounting, slot bookkeeping, and the consume observer).
+     * accounting, and slot bookkeeping).
      */
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,
@@ -483,9 +477,6 @@ class PipelineTimer
     alignas(64) std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
 
-    ConsumeObserver consume_observer_;
-    stats::Summary consume_lag_;
-    LbaRunStats stats_;
     bool finished_ = false;
 };
 

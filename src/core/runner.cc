@@ -216,8 +216,7 @@ Experiment::runLba(const LifeguardFactory& factory,
                           ? static_cast<double>(result.cycles) /
                                 static_cast<double>(base.cycles)
                           : 0.0;
-    result.findings = shards == 1 ? guards.front()->findings()
-                                  : mergeShardFindings(guards);
+    result.findings = mergeShardFindings(guards);
     result.lba = system.stats();
     for (unsigned s = 0; s < shards; ++s) {
         result.shards.push_back(system.timer().laneStats(s));

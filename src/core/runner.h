@@ -105,8 +105,9 @@ class Experiment
      * Run under LBA with explicit configuration and containment on
      * @p shards lifeguard cores. Shard s consumes on core
      * `lba_config.dispatch.core + s`; the hierarchy grows to hold those
-     * cores and the application's. With one shard the findings are the
-     * lifeguard's own list; with more, mergeShardFindings() of them.
+     * cores and the application's. The findings are
+     * mergeShardFindings() of the shards' lists, so one shard reports
+     * its lifeguard's own list.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           const LbaConfig& lba_config,

@@ -82,8 +82,6 @@ ContainmentManager::ContainmentManager(sim::Process& process,
     for (unsigned g = 0; g < system_.shards(); ++g) {
         seen_[g] = system_.shardLifeguard(g).findings().size();
     }
-    stats_.rewind_distance = stats::Histogram(
-        config_.rewind_hist_buckets, config_.rewind_hist_bucket_width);
     process_.setStoreInterceptor(this);
 }
 

@@ -76,7 +76,7 @@ const char* repairPolicyName(RepairPolicy policy);
 /** Parse a policy name. @return False on an unknown name. */
 bool parseRepairPolicy(std::string_view name, RepairPolicy* policy);
 
-/** Containment configuration (platform-independent). */
+/** Containment configuration (platform-independent): policy and costs. */
 struct ContainmentConfig
 {
     /** Master switch; when false the platforms run exactly as before. */
@@ -92,9 +92,6 @@ struct ContainmentConfig
     std::uint64_t checkpoint_interval = 0;
     /** Fixed pipeline-flush cost charged per rewind. */
     Cycles rewind_flush_cycles = 20;
-    /** Rewind-distance histogram geometry (instructions per bucket). */
-    std::size_t rewind_hist_buckets = 64;
-    std::uint64_t rewind_hist_bucket_width = 16;
 };
 
 /** How each handled finding was repaired. */
@@ -134,7 +131,7 @@ struct ContainmentStats
 
     RepairOutcomes repairs;
 
-    /** Distribution of rewind distances, in instructions. */
+    /** Rewind distances, in instructions (64 buckets of 16). */
     stats::Histogram rewind_distance{64, 16};
 };
 

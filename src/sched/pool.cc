@@ -19,9 +19,10 @@ using log::EventRecord;
 
 /**
  * One tenant's full runtime state. Under the two-thread schedule the
- * driver and the worker each write one group of fields on every record,
- * so each group starts a host cache line, apart from the fields set up
- * before the drive that both threads read.
+ * driver writes one group of fields on every record and the worker
+ * another at each slice end, so each group starts a host cache line,
+ * apart from the fields set up before the drive that both threads read.
+ * The tenant's lag statistics are its producer's, in the pool's timer.
  */
 struct LifeguardPool::Tenant
 {
@@ -52,20 +53,13 @@ struct LifeguardPool::Tenant
     /** Retired instructions observed by the pool (detach clock). */
     std::uint64_t observed_instructions = 0;
 
-    /** Consumer state (the thread applying entries), on a line of its own. */
-    alignas(64) stats::Histogram lag_hist;
-    /** Lag accumulated during the tenant's current execution slice. */
-    double window_lag_sum = 0.0;
-    std::uint64_t window_lag_count = 0;
-    /** Mean consume lag over the tenant's most recent slice. */
-    double recent_lag = 0.0;
-    /** recent_lag holds a real measurement (>= 1 slice with records). */
-    bool lag_valid = false;
+    /** Consumer state (the thread applying entries), on a line of its
+     *  own: the lag window of the tenant's latest slice that consumed a
+     *  record (empty until one has). */
+    alignas(64) stats::Summary recent_lag;
 
-    Tenant(TenantConfig cfg, unsigned idx, const PoolConfig& pool)
-        : config(std::move(cfg)),
-          index(idx),
-          lag_hist(pool.lag_hist_buckets, pool.lag_hist_bucket_width)
+    Tenant(TenantConfig cfg, unsigned idx)
+        : config(std::move(cfg)), index(idx)
     {
     }
 };
@@ -97,8 +91,7 @@ LifeguardPool::addTenant(TenantConfig tenant)
     LBA_ASSERT(!ran_, "cannot add tenants after run()");
     LBA_ASSERT(!tenant.program.empty(), "tenant needs a program");
     unsigned index = static_cast<unsigned>(tenants_.size());
-    auto state =
-        std::make_unique<Tenant>(std::move(tenant), index, config_);
+    auto state = std::make_unique<Tenant>(std::move(tenant), index);
     state->demand = state->config.demand_bytes_per_cycle;
     if (state->demand <= 0.0) {
         // LBA logs about one record per retired instruction at IPC <= 1:
@@ -203,18 +196,12 @@ LifeguardPool::apply(const Op& op)
         placeShards();
         return;
       case Op::Kind::kSliceEnd: {
-        // Fold this slice into the tenant's recent-lag measurement (a
-        // slice may log no records, e.g. all-filtered; keep the last
-        // real measurement then).
+        // Take this slice's lag window from the timer as the tenant's
+        // recent-lag measurement (a slice may log no records, e.g.
+        // all-filtered; keep the last real measurement then).
         Tenant& tenant = *tenants_[op.tenant];
-        if (tenant.window_lag_count > 0) {
-            tenant.recent_lag =
-                tenant.window_lag_sum /
-                static_cast<double>(tenant.window_lag_count);
-            tenant.lag_valid = true;
-            tenant.window_lag_sum = 0.0;
-            tenant.window_lag_count = 0;
-        }
+        stats::Summary window = tenant.system->takeLagWindow();
+        if (window.count() > 0) tenant.recent_lag = window;
         return;
       }
       case Op::Kind::kEpoch:
@@ -244,12 +231,12 @@ LifeguardPool::epoch()
     // as a phantom zero. Rebalance only once every active tenant has a
     // real measurement, so nobody is robbed for having not run yet.
     for (unsigned index : scheduled_) {
-        if (!tenants_[index]->lag_valid) return;
+        if (tenants_[index]->recent_lag.count() == 0) return;
     }
     std::vector<double> recent;
     recent.reserve(scheduled_.size());
     for (unsigned index : scheduled_) {
-        recent.push_back(tenants_[index]->recent_lag);
+        recent.push_back(tenants_[index]->recent_lag.mean());
     }
     scheduler_->onEpoch(scheduled_, recent);
 }
@@ -299,17 +286,6 @@ LifeguardPool::run()
         unsigned producer = timer_->addProducer(t);
         LBA_ASSERT(producer == t, "producer/tenant index drift");
     }
-    timer_->setConsumeObserver(
-        [this](unsigned producer, unsigned lane, const EventRecord&,
-               Cycles lag, Cycles cost, double bytes) {
-            (void)lane;
-            (void)cost;
-            (void)bytes;
-            Tenant& t = *tenants_[producer];
-            t.lag_hist.record(lag);
-            t.window_lag_sum += static_cast<double>(lag);
-            ++t.window_lag_count;
-        });
 
     // Without containment a worker applies the records and scheduler
     // steps; with it, submit() applies each at once, because the
@@ -496,9 +472,10 @@ LifeguardPool::run()
                     ? static_cast<double>(stats.total_cycles) /
                           static_cast<double>(stats.unmonitored_cycles)
                     : 0.0;
-            stats.lag_p50 = tenant->lag_hist.p50();
-            stats.lag_p95 = tenant->lag_hist.p95();
-            stats.lag_p99 = tenant->lag_hist.p99();
+            const stats::Histogram& lag = tenant->system->lagHistogram();
+            stats.lag_p50 = lag.p50();
+            stats.lag_p95 = lag.p95();
+            stats.lag_p99 = lag.p99();
             stats.findings = core::mergeShardFindings(tenant->shards);
             if (tenant->manager) {
                 tenant->manager->finalize();

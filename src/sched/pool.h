@@ -11,8 +11,8 @@
  *
  *  - Each tenant is a sim::Process monitored by one core::LbaSystem,
  *    producer t of the pool's timer: its own application-core clock,
- *    codec, back-pressure and syscall-containment state, and `lanes`
- *    lifeguard shard contexts its records are sharded over.
+ *    codec, back-pressure, syscall-containment state and statistics,
+ *    and `lanes` lifeguard shard contexts its records are sharded over.
  *  - A TenantScheduler maps shard contexts to physical lanes. Lanes
  *    serialize whatever is folded onto them, which is how one tenant's
  *    burst degrades (only) whoever shares its lanes.
@@ -32,10 +32,10 @@
  * each record's producer half: the simulator, capture and the tenant's
  * LbaSystem::produce. A worker applies, in the order the driver made
  * them, each record's LbaSystem::consume and each scheduler step:
- * lane-map changes, the slice-end lag fold and the epoch. The driver
- * reads no simulated time, so the results are those of applying every
- * step at once, which is what run() does under containment. A third
- * thread computes the tenants' unmonitored baselines meanwhile.
+ * lane-map changes, the slice-end lag window read and the epoch. The
+ * driver reads no simulated time, so the results are those of applying
+ * every step at once, which is what run() does under containment. A
+ * third thread computes the tenants' unmonitored baselines meanwhile.
  */
 
 #include <cstdint>
@@ -49,7 +49,6 @@
 #include "core/two_thread_run.h"
 #include "replay/containment.h"
 #include "sched/scheduler.h"
-#include "stats/histogram.h"
 
 namespace lba::sched {
 
@@ -99,7 +98,8 @@ enum class AdmissionMode
     kReject,
 };
 
-/** Pool-wide configuration. */
+/** Pool-wide configuration. The lag statistics it reports and
+ *  schedules by are the timer's (core::PipelineTimer::lagHistogram). */
 struct PoolConfig
 {
     /** Platform knobs shared by every lane/tenant (buffer size,
@@ -115,13 +115,6 @@ struct PoolConfig
     AdmissionMode admission = AdmissionMode::kQueue;
     /** Admissible fraction of the pool drain bandwidth. */
     double max_load = 1.0;
-    /** Consume-lag histogram geometry (per tenant): 512 x 256 covers
-     *  lags up to 128k cycles; beyond that the percentile estimates
-     *  saturate at the last edge (an oversubscribed pool's backlog —
-     *  and therefore its lag — grows without bound, so *some* ceiling
-     *  always exists; widen these for long contended runs). */
-    std::size_t lag_hist_buckets = 512;
-    std::uint64_t lag_hist_bucket_width = 256;
     /**
      * Per-tenant rewind-and-repair containment. A finding raised by one
      * tenant's lifeguard shards drains, rewinds and repairs only that
@@ -158,7 +151,8 @@ struct TenantStats
      *  cycles, records, busy cycles, transport bytes, lag mean). */
     core::LbaRunStats lba;
 
-    /** Consume-lag distribution percentiles (cycles). */
+    /** Consume-lag percentiles (cycles) of the tenant's histogram in
+     *  the timer (core::PipelineTimer::lagHistogram). */
     double lag_p50 = 0.0;
     double lag_p95 = 0.0;
     double lag_p99 = 0.0;
@@ -258,7 +252,7 @@ class LifeguardPool : public sim::RetireObserver
             kDeactivate,
             /** Recompute the lane map of the active set. */
             kRebalance,
-            /** `tenant`'s slice ended: fold its lag window. */
+            /** `tenant`'s slice ended: take its lag window. */
             kSliceEnd,
             /** Scheduling epoch: feed recent lag to the policy. */
             kEpoch,

@@ -9,7 +9,7 @@
 namespace lba::stats {
 
 /**
- * An online mean/min/max accumulator for double-valued samples.
+ * An online count/sum/mean accumulator for double-valued samples.
  */
 class Summary
 {
@@ -18,16 +18,12 @@ class Summary
     void
     record(double sample)
     {
-        if (count_ == 0 || sample < min_) min_ = sample;
-        if (count_ == 0 || sample > max_) max_ = sample;
         sum_ += sample;
         ++count_;
     }
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
 
     /** Arithmetic mean of all samples (0 when empty). */
     double
@@ -39,8 +35,6 @@ class Summary
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 } // namespace lba::stats

@@ -138,6 +138,17 @@ TEST(Assembler, ErrorBadRegister)
     EXPECT_FALSE(assemble("mov rx, r0\n").ok());
 }
 
+TEST(Assembler, MemoryOperandWithoutOffsetMeansZero)
+{
+    auto r = assemble("ld r3, (r2)\nsd r3, (r4)\n");
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.program[0].imm, 0);
+    EXPECT_EQ(r.program[0].rs1, 2);
+    EXPECT_EQ(r.program[1].imm, 0);
+    EXPECT_EQ(r.program[1].rs1, 4);
+    EXPECT_FALSE(assemble("ld r3, x(r2)\n").ok());
+}
+
 TEST(Assembler, DisassemblerOutputReassembles)
 {
     auto r = assemble(R"(

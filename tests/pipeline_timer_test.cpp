@@ -2,7 +2,8 @@
  * @file
  * Direct tests of the shared timing engine (core::PipelineTimer): exact
  * transport-ceiling delivery, syscall-containment drain ordering,
- * per-lane finish cost, per-lane back-pressure and buffer statistics.
+ * per-lane finish cost, per-lane back-pressure and buffer statistics,
+ * and each producer's lag histogram and slice window.
  *
  * These tests drive the engine with hand-built records and a
  * fixed-cost lifeguard so every cycle count is computable by hand; the
@@ -290,6 +291,7 @@ TEST(PipelineTimer, MultiProducerSharedLaneSerializes)
     EXPECT_EQ(timer.stats().lifeguard_busy_cycles, 12u);
     EXPECT_EQ(timer.stats().total_cycles, 12u);
     EXPECT_DOUBLE_EQ(timer.stats().mean_consume_lag, 1.5);
+    EXPECT_EQ(timer.stats().codec, config.codec);
 }
 
 TEST(PipelineTimer, MultiProducerIndependentDrains)
@@ -316,6 +318,55 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     EXPECT_EQ(timer.producerStats(0).syscall_stall_cycles, 3u);
     EXPECT_EQ(timer.producerStats(0).syscall_drains, 1u);
     EXPECT_EQ(timer.producerStats(1).syscall_drains, 0u);
+}
+
+TEST(PipelineTimer, LagWindowResetsAndHistogramsStayPerProducer)
+{
+    // Two producers on one lane, every record produced at cycle 0:
+    // each record's lag is the lane's finish time of the one before.
+    mem::CacheHierarchy hierarchy(cores(3));
+    LbaConfig config;
+    config.compress = false;
+    PipelineTimer timer(hierarchy, config, 1);
+    timer.addProducer(2);
+    FixedCostLifeguard cheap(2), dear(5); // costs 3 and 6
+    auto engine_a = timer.makeEngine(cheap, 0);
+    auto engine_b = timer.makeEngine(dear, 0);
+
+    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
+    EXPECT_EQ(timer.takeLagWindow(1).count(), 0u);
+
+    // First window: P0 lags 0 and 9, P1 lags 3.
+    timer.log(0, aluRecord(), on(0, *engine_a)); // [0, 3)
+    timer.log(1, aluRecord(), on(0, *engine_b)); // [3, 9)
+    timer.log(0, aluRecord(), on(0, *engine_a)); // [9, 12)
+    stats::Summary first = timer.takeLagWindow(0);
+    EXPECT_EQ(first.count(), 2u);
+    EXPECT_DOUBLE_EQ(first.mean(), 4.5);
+    EXPECT_DOUBLE_EQ(timer.takeLagWindow(1).mean(), 3.0);
+    // Taking a window starts the next one empty.
+    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
+
+    // Second window: P1 lags 12 and 18, P0 logs nothing.
+    timer.log(1, aluRecord(), on(0, *engine_b)); // [12, 18)
+    timer.log(1, aluRecord(), on(0, *engine_b)); // [18, 24)
+    stats::Summary second = timer.takeLagWindow(1);
+    EXPECT_EQ(second.count(), 2u);
+    EXPECT_DOUBLE_EQ(second.mean(), 15.0);
+    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
+
+    // The histograms and the run's means keep every sample, each
+    // producer its own.
+    EXPECT_EQ(timer.lagHistogram(0).count(), 2u);
+    EXPECT_DOUBLE_EQ(timer.lagHistogram(0).mean(), 4.5);
+    EXPECT_EQ(timer.lagHistogram(1).count(), 3u);
+    EXPECT_DOUBLE_EQ(timer.lagHistogram(1).mean(), 11.0);
+    timer.finishShard(0, 0, *engine_a);
+    timer.finishShard(1, 0, *engine_b);
+    timer.seal();
+    EXPECT_DOUBLE_EQ(timer.producerStats(0).mean_consume_lag, 4.5);
+    EXPECT_DOUBLE_EQ(timer.producerStats(1).mean_consume_lag, 11.0);
+    EXPECT_DOUBLE_EQ(timer.stats().mean_consume_lag, 42.0 / 5.0);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "asm/assembler.h"
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/lockset.h"
@@ -47,24 +48,25 @@ makeProgram(const char* profile, std::uint64_t instrs,
 
 /**
  * One tenant on an M-lane pool under @p policy must be cycle-identical
- * to LbaSystem with M shards.
+ * to LbaSystem with M shards, each shard a lifeguard from @p factory.
  */
 void
-expectSingleTenantMatchesParallel(const workload::GeneratedProgram& gen,
-                                  unsigned lanes, Policy policy,
-                                  const core::LbaConfig& lba)
+expectSingleTenantMatchesParallel(
+    const std::vector<isa::Instruction>& program,
+    const core::LifeguardFactory& factory, unsigned lanes, Policy policy,
+    const core::LbaConfig& lba)
 {
     core::ExperimentConfig exp_config;
     exp_config.lba = lba;
-    core::Experiment exp(gen.program, exp_config);
-    auto par = exp.runLba(addrcheck(), lanes);
+    core::Experiment exp(program, exp_config);
+    auto par = exp.runLba(factory, lanes);
 
     PoolConfig pool_config;
     pool_config.lba = lba;
     pool_config.lanes = lanes;
     pool_config.policy = policy;
-    LifeguardPool pool(pool_config, addrcheck());
-    pool.addTenant({"solo", gen.program, {}, 0.0});
+    LifeguardPool pool(pool_config, factory);
+    pool.addTenant({"solo", program, {}, 0.0});
     PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 1u);
@@ -111,8 +113,8 @@ TEST(SchedDifferential, SingleTenantMatchesParallelStaticPolicy)
     core::LbaConfig lba;
     for (unsigned lanes : {1u, 2u, 4u}) {
         SCOPED_TRACE(lanes);
-        expectSingleTenantMatchesParallel(gen, lanes, Policy::kStatic,
-                                          lba);
+        expectSingleTenantMatchesParallel(gen.program, addrcheck(), lanes,
+                                          Policy::kStatic, lba);
     }
 }
 
@@ -122,7 +124,7 @@ TEST(SchedDifferential, SingleTenantMatchesParallelRoundRobinPolicy)
     core::LbaConfig lba;
     for (unsigned lanes : {1u, 2u, 4u}) {
         SCOPED_TRACE(lanes);
-        expectSingleTenantMatchesParallel(gen, lanes,
+        expectSingleTenantMatchesParallel(gen.program, addrcheck(), lanes,
                                           Policy::kRoundRobin, lba);
     }
 }
@@ -138,8 +140,51 @@ TEST(SchedDifferential, SingleTenantMatchesParallelLagPolicyConstrained)
     lba.transport_bytes_per_cycle = 0.75;
     for (unsigned lanes : {1u, 2u, 4u}) {
         SCOPED_TRACE(lanes);
-        expectSingleTenantMatchesParallel(gen, lanes, Policy::kLagAware,
-                                          lba);
+        expectSingleTenantMatchesParallel(gen.program, addrcheck(), lanes,
+                                          Policy::kLagAware, lba);
+    }
+}
+
+TEST(SchedDifferential, SingleTenantMatchesParallelRepeatedFindings)
+{
+    // AddrCheck reporting every repeat reads a freed block three times:
+    // three findings, all from the one shard owning the block's region,
+    // at any shard count. Merging the shards must keep a shard's own
+    // repeats.
+    auto assembled = assembler::assemble(R"(
+        li r1, 64
+        syscall 1           ; buf = alloc(64)
+        mov r9, r1
+        syscall 2           ; free(buf)
+        li r10, 3
+    stale:
+        ld r2, 0(r9)        ; read after free
+        addi r10, r10, -1
+        bne r10, r0, stale
+        halt
+    )");
+    ASSERT_TRUE(assembled.ok()) << assembled.error;
+    core::LifeguardFactory every_repeat = [] {
+        lifeguards::AddrCheckConfig config;
+        config.dedupe_reports = false;
+        return std::make_unique<lifeguards::AddrCheck>(config);
+    };
+    core::LbaConfig lba;
+    for (unsigned lanes : {1u, 4u}) {
+        SCOPED_TRACE(lanes);
+        expectSingleTenantMatchesParallel(assembled.program, every_repeat,
+                                          lanes, Policy::kStatic, lba);
+    }
+
+    core::Experiment exp(assembled.program);
+    auto one = exp.runLba(every_repeat, 1);
+    auto four = exp.runLba(every_repeat, 4);
+    ASSERT_EQ(one.findings.size(), 3u);
+    ASSERT_EQ(four.findings.size(), one.findings.size());
+    for (std::size_t i = 0; i < one.findings.size(); ++i) {
+        EXPECT_EQ(four.findings[i].kind, one.findings[i].kind);
+        EXPECT_EQ(four.findings[i].addr, one.findings[i].addr);
+        EXPECT_EQ(four.findings[i].pc, one.findings[i].pc);
     }
 }
 

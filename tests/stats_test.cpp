@@ -17,21 +17,19 @@ TEST(Summary, EmptySummaryIsAllZero)
 {
     Summary s;
     EXPECT_EQ(s.count(), 0u);
+    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
-TEST(Summary, TracksMinMaxMean)
+TEST(Summary, TracksCountSumMean)
 {
     Summary s;
     s.record(2.0);
     s.record(4.0);
     s.record(9.0);
     EXPECT_EQ(s.count(), 3u);
+    EXPECT_DOUBLE_EQ(s.sum(), 15.0);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
 TEST(Summary, NegativeSamples)
@@ -39,8 +37,8 @@ TEST(Summary, NegativeSamples)
     Summary s;
     s.record(-5.0);
     s.record(5.0);
-    EXPECT_DOUBLE_EQ(s.min(), -5.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
+    EXPECT_EQ(s.count(), 2u);
+    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 

@@ -8,8 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "compress/codec.h"
 #include "compress/compressor.h"
-#include "compress/registry.h"
 #include "log/capture.h"
 #include "sim/process.h"
 #include "workload/generator.h"
@@ -103,68 +103,28 @@ BM_DecompressBenchmarkTrace(benchmark::State& state)
 }
 BENCHMARK(BM_DecompressBenchmarkTrace);
 
+// The hardened streaming decoder (what trace files are read with) on
+// the benchmark-derived trace.
 void
-BM_CodecEncode(benchmark::State& state, const std::string& name)
+BM_CodecDecode(benchmark::State& state)
 {
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(name);
     const auto& trace = benchmarkTrace();
-    std::uint8_t sink[256];
+    compress::Encoder encoder;
+    for (const auto& r : trace) encoder.append(r);
+    encoder.finishStream();
+    std::vector<std::uint8_t> payload(encoder.pullableBytes());
+    encoder.pull(payload.data(), payload.size());
     for (auto _ : state) {
-        auto encoder = info->makeEncoder();
-        for (const auto& r : trace) {
-            encoder->append(r);
-            // Drain as we go, like the transport does; keeps the
-            // byte-aligned codecs' buffers flat.
-            while (std::size_t n = encoder->pull(sink, sizeof sink))
-                benchmark::DoNotOptimize(n);
-        }
-        encoder->finishStream();
-        while (std::size_t n = encoder->pull(sink, sizeof sink))
-            benchmark::DoNotOptimize(n);
-    }
-    state.SetItemsProcessed(state.iterations() * trace.size());
-    auto encoder = info->makeEncoder();
-    for (const auto& r : trace) encoder->append(r);
-    encoder->finishStream();
-    state.counters["bytes_per_record"] = encoder->bytesPerRecord();
-}
-
-void
-BM_CodecDecode(benchmark::State& state, const std::string& name)
-{
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(name);
-    const auto& trace = benchmarkTrace();
-    auto encoder = info->makeEncoder();
-    for (const auto& r : trace) encoder->append(r);
-    encoder->finishStream();
-    std::vector<std::uint8_t> payload(encoder->pullableBytes());
-    encoder->pull(payload.data(), payload.size());
-    for (auto _ : state) {
-        auto decoder = info->makeDecoder();
-        decoder->push(payload.data(), payload.size());
-        decoder->finishInput();
+        compress::Decoder decoder;
+        decoder.push(payload.data(), payload.size());
+        decoder.finishInput();
         log::EventRecord record;
-        while (decoder->next(&record) == compress::DecodeStatus::kOk)
+        while (decoder.next(&record) == compress::DecodeStatus::kOk)
             benchmark::DoNotOptimize(record);
     }
     state.SetItemsProcessed(state.iterations() * trace.size());
 }
-
-// Streaming encode/decode throughput for every registered codec on
-// the benchmark-derived trace — registered dynamically so new codecs
-// are measured the moment the registry knows them.
-const int kCodecBenchesRegistered = [] {
-    for (const std::string& name :
-         compress::CodecRegistry::instance().names()) {
-        benchmark::RegisterBenchmark(
-            ("BM_CodecEncode/" + name).c_str(), BM_CodecEncode, name);
-        benchmark::RegisterBenchmark(
-            ("BM_CodecDecode/" + name).c_str(), BM_CodecDecode, name);
-    }
-    return 0;
-}();
+BENCHMARK(BM_CodecDecode);
 
 void
 BM_CaptureRecordFormation(benchmark::State& state)

@@ -2,15 +2,13 @@
  * @file
  * Roundtrip fuzz harness: encode fuzzer-shaped records, stream-decode
  * the bytes back in adversarial chunks, and assert byte-exact record
- * recovery — the invertibility property every registered codec owes
- * the transport (docs/ARCHITECTURE.md, "Compression").
+ * recovery — the invertibility property the codec owes the transport
+ * (docs/ARCHITECTURE.md, "Compression").
  *
- * Input format: byte 0 selects the codec (mod registry size), byte 1
- * the decode chunk size (1..256), the rest packs EventRecords
- * (compress/record_gen.h). Records are canonicalized for codecs that
- * declare kCapCanonicalStreamsOnly; byte-aligned codecs must roundtrip
- * arbitrary field patterns. Any mismatch, early kEnd, or decode error
- * on a well-formed stream aborts the process for the fuzzer to report.
+ * Input format: byte 0 selects the decode chunk size (1..256), the
+ * rest packs EventRecords (compress/record_gen.h), each canonicalized
+ * into capture shape. Any mismatch, early kEnd, or decode error on a
+ * well-formed stream aborts the process for the fuzzer to report.
  */
 
 #include <algorithm>
@@ -19,45 +17,37 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "compress/codec.h"
 #include "compress/record_gen.h"
-#include "compress/registry.h"
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     using namespace lba::compress;
-    if (size < 2) return 0;
-    auto& registry = CodecRegistry::instance();
-    auto names = registry.names();
-    const CodecInfo* info =
-        registry.find(names[data[0] % names.size()]);
-    const bool canonical_only =
-        (info->caps & kCapCanonicalStreamsOnly) != 0;
-    const std::size_t chunk = static_cast<std::size_t>(data[1]) + 1;
-    data += 2;
-    size -= 2;
+    if (size < 1) return 0;
+    const std::size_t chunk = static_cast<std::size_t>(data[0]) + 1;
+    data += 1;
+    size -= 1;
 
     std::vector<lba::log::EventRecord> records;
     for (std::size_t pos = 0; pos < size; pos += kRecordStrideBytes) {
-        lba::log::EventRecord record =
-            recordFromBytes(data + pos, size - pos);
-        records.push_back(canonical_only ? canonicalize(record)
-                                         : record);
+        records.push_back(
+            canonicalize(recordFromBytes(data + pos, size - pos)));
     }
 
-    auto encoder = info->makeEncoder();
-    for (const auto& record : records) encoder->append(record);
-    encoder->finishStream();
-    std::vector<std::uint8_t> payload(encoder->pullableBytes());
-    std::size_t got = encoder->pull(payload.data(), payload.size());
+    Encoder encoder;
+    for (const auto& record : records) encoder.append(record);
+    encoder.finishStream();
+    std::vector<std::uint8_t> payload(encoder.pullableBytes());
+    std::size_t got = encoder.pull(payload.data(), payload.size());
     LBA_ASSERT(got == payload.size(), "encoder under-drained");
 
-    auto decoder = info->makeDecoder();
+    Decoder decoder;
     lba::log::EventRecord record;
     std::size_t pos = 0;
     std::size_t decoded = 0;
     while (true) {
-        DecodeStatus status = decoder->next(&record);
+        DecodeStatus status = decoder.next(&record);
         if (status == DecodeStatus::kOk) {
             LBA_ASSERT(decoded < records.size(),
                        "decoder produced extra records");
@@ -70,10 +60,10 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
             if (pos < payload.size()) {
                 std::size_t n =
                     std::min(chunk, payload.size() - pos);
-                decoder->push(payload.data() + pos, n);
+                decoder.push(payload.data() + pos, n);
                 pos += n;
             } else {
-                decoder->finishInput();
+                decoder.finishInput();
             }
             continue;
         }

@@ -7,10 +7,10 @@
  *   make_corpus <repo>/fuzz/corpus
  *
  * Seeds are small and structure-bearing (libFuzzer guidance): for the
- * decoder, genuinely valid encoded streams per registered codec plus
- * truncated/corrupted/garbage variants so the fuzzer starts on both
- * sides of every validity check; for the encoder and roundtrip
- * harnesses, packed record bytes in the recordFromBytes() layout.
+ * decoder, a genuinely valid encoded stream plus truncated/corrupted/
+ * garbage variants so the fuzzer starts on both sides of every
+ * validity check; for the encoder and roundtrip harnesses, packed
+ * record bytes in the recordFromBytes() layout.
  */
 
 #include <cstdint>
@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "compress/codec.h"
 #include "compress/record_gen.h"
-#include "compress/registry.h"
 
 namespace {
 
@@ -40,17 +40,16 @@ writeFile(const std::filesystem::path& path,
     }
 }
 
-/** Encode @p count workload records under codec #@p index. */
+/** Encode @p count workload records. */
 std::vector<std::uint8_t>
-encodedStream(std::size_t index, const CodecInfo* info,
-              std::size_t count)
+encodedStream(std::size_t count)
 {
-    RecordGen gen(0xc0dec + index);
-    auto encoder = info->makeEncoder();
-    for (std::size_t i = 0; i < count; ++i) encoder->append(gen.next());
-    encoder->finishStream();
-    std::vector<std::uint8_t> payload(encoder->pullableBytes());
-    encoder->pull(payload.data(), payload.size());
+    RecordGen gen(0xc0dec);
+    Encoder encoder;
+    for (std::size_t i = 0; i < count; ++i) encoder.append(gen.next());
+    encoder.finishStream();
+    std::vector<std::uint8_t> payload(encoder.pullableBytes());
+    encoder.pull(payload.data(), payload.size());
     return payload;
 }
 
@@ -94,50 +93,40 @@ main(int argc, char** argv)
     for (const char* sub : {"decoder", "encoder", "roundtrip"})
         std::filesystem::create_directories(root / sub);
 
-    auto& registry = CodecRegistry::instance();
-    auto names = registry.names();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const CodecInfo* info = registry.find(names[i]);
-        auto selector = static_cast<std::uint8_t>(i);
+    // Decoder seeds: [chunk, stream].
+    std::vector<std::uint8_t> payload = encodedStream(60);
+    std::vector<std::uint8_t> valid = {7};
+    valid.insert(valid.end(), payload.begin(), payload.end());
+    writeFile(root / "decoder" / "valid", valid);
 
-        // Decoder seeds: [codec, chunk, stream].
-        std::vector<std::uint8_t> payload = encodedStream(i, info, 60);
-        std::vector<std::uint8_t> valid = {selector, 7};
-        valid.insert(valid.end(), payload.begin(), payload.end());
-        writeFile(root / "decoder" / ("valid_" + names[i]), valid);
+    std::vector<std::uint8_t> trunc(
+        valid.begin(),
+        valid.begin() + static_cast<std::ptrdiff_t>(valid.size() / 2));
+    writeFile(root / "decoder" / "trunc", trunc);
 
-        std::vector<std::uint8_t> trunc(
-            valid.begin(),
-            valid.begin() +
-                static_cast<std::ptrdiff_t>(valid.size() / 2));
-        writeFile(root / "decoder" / ("trunc_" + names[i]), trunc);
+    std::vector<std::uint8_t> flipped = valid;
+    flipped[flipped.size() / 3] ^= 0x55;
+    writeFile(root / "decoder" / "flip", flipped);
 
-        std::vector<std::uint8_t> flipped = valid;
-        flipped[flipped.size() / 3] ^= 0x55;
-        writeFile(root / "decoder" / ("flip_" + names[i]), flipped);
+    // Encoder seeds: [packed records].
+    std::vector<std::uint8_t> recs =
+        packedRecords(0xfeed, 12, /*arbitrary=*/true);
+    writeFile(root / "encoder" / "records", recs);
 
-        // Encoder seeds: [codec, packed records].
-        std::vector<std::uint8_t> recs =
-            packedRecords(0xfeed + i, 12, /*arbitrary=*/true);
-        std::vector<std::uint8_t> enc = {selector};
-        enc.insert(enc.end(), recs.begin(), recs.end());
-        writeFile(root / "encoder" / ("records_" + names[i]), enc);
-
-        // Roundtrip seeds: [codec, chunk, packed records].
-        std::vector<std::uint8_t> rt = {selector, 3};
-        rt.insert(rt.end(), recs.begin(), recs.end());
-        writeFile(root / "roundtrip" / ("records_" + names[i]), rt);
-    }
+    // Roundtrip seeds: [chunk, packed records].
+    std::vector<std::uint8_t> rt = {3};
+    rt.insert(rt.end(), recs.begin(), recs.end());
+    writeFile(root / "roundtrip" / "records", rt);
 
     // Structure-free seeds: pure noise and minimal inputs.
     RecordGen noise(0xbadbee5);
-    std::vector<std::uint8_t> garbage = {0, 0};
+    std::vector<std::uint8_t> garbage = {0};
     for (int i = 0; i < 64; ++i)
         garbage.push_back(static_cast<std::uint8_t>(noise.nextU64()));
     writeFile(root / "decoder" / "garbage", garbage);
-    writeFile(root / "decoder" / "tiny", {0x01, 0x00});
+    writeFile(root / "decoder" / "tiny", {0x00});
     writeFile(root / "encoder" / "tiny", {0x02});
-    writeFile(root / "roundtrip" / "tiny", {0x00, 0x00, 0x41});
+    writeFile(root / "roundtrip" / "tiny", {0x00, 0x41});
 
     std::printf("corpora written under %s\n", root.c_str());
     return 0;

@@ -1,20 +1,14 @@
 #pragma once
 /**
  * @file
- * The codec abstraction of the compression subsystem: a uniform
- * streaming Encoder/Decoder pair interface that every log codec
- * implements, plus the typed error model for decoding untrusted input.
+ * The log codec: the value-prediction compressor (LogCompressor /
+ * LogDecompressor, compress/compressor.h) behind a streaming
+ * Encoder/Decoder pair, plus the typed error model for decoding
+ * untrusted input. It is the codec the paper's < 1 byte/instruction
+ * claim is about; the only alternative on the transport is no codec
+ * at all (LbaConfig::compress = false, raw_record_bytes per record).
  *
- * Why a registry of codecs (compress/registry.h) instead of the one
- * hard-wired predictor compressor: the inter-core log transport
- * bandwidth bounds every lifeguard's slowdown (paper Section 2), and
- * different record streams compress best under different models — the
- * value-prediction codec wins on instruction streams, a dictionary
- * codec on streams dominated by repeated records, and a plain
- * varint-delta codec trades ratio for the cheapest host encode cost.
- * The platform selects by name (LbaConfig::codec, `lba_run --codec`).
- *
- * Streaming contract. Encoders are push-record / pull-bytes:
+ * Streaming contract. The encoder is push-record / pull-bytes:
  *
  *   encoder.append(record);                  // any number of times
  *   n = encoder.pull(buf, max);              // drain finalized bytes
@@ -22,10 +16,11 @@
  *
  * pull() may be called at any point, so a transport can ship
  * partially-encoded streams without waiting for the end of the run;
- * bytes become pullable as soon as they can no longer change (for
- * bit-packed codecs, everything but the trailing partial byte).
+ * bytes become pullable as soon as they can no longer change
+ * (everything but the trailing partial byte).
  *
- * Decoders are push-bytes / pull-records, built for *untrusted* input:
+ * The decoder is push-bytes / pull-records, built for *untrusted*
+ * input:
  *
  *   decoder.push(chunk, n);                  // any chunking, any time
  *   switch (decoder.next(&record)) { ... }   // kOk | kNeedMore | ...
@@ -36,17 +31,28 @@
  * buffered bytes rolls the stream position back and returns kNeedMore
  * (kError{kTruncated} once finishInput() was called), leaving the
  * decoder state exactly as before the attempt. Malformed input —
- * impossible flag sequences, out-of-range literals, overlong varints —
+ * impossible predictor hits, out-of-range literals, overlong varints —
  * yields a sticky kError with a typed DecodeError, not UB and not a
- * panic. fuzz/ drives every implementation through these paths.
+ * panic. fuzz/ drives both ends through these paths.
+ *
+ * The encoder round-trips *capture-shaped* streams: records as the
+ * capture hardware emits them, whose derived fields are canonical
+ * (compress/record_gen.h). That is every stream the pipeline feeds it.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "compress/compressor.h"
 #include "log/event.h"
 
 namespace lba::compress {
+
+/** The codec's name: the trace-file header field and lba_run's
+ *  report. */
+inline constexpr const char* kCodecName = "predictor";
 
 /** Why a decode failed (the typed, recoverable error model). */
 enum class DecodeErrorKind : std::uint8_t
@@ -100,103 +106,86 @@ enum class DecodeStatus : std::uint8_t
     kError,
 };
 
-/** Capability flags describing a codec's profile (CodecInfo::caps). */
-enum CodecCaps : unsigned
-{
-    /** Output is bit-granular (sub-byte records possible). */
-    kCapBitPacked = 1u << 0,
-    /** Output is byte-aligned (cheap encode/decode, larger). */
-    kCapByteAligned = 1u << 1,
-    /** Uses value predictors (history-dependent, best ratio). */
-    kCapPredictive = 1u << 2,
-    /** Uses a record dictionary (best on repeated-record streams). */
-    kCapDictionary = 1u << 3,
-    /**
-     * Round-trips only *capture-shaped* streams: records as the
-     * capture hardware emits them (derived fields canonical — see
-     * compress/record_gen.h). Codecs without this flag round-trip
-     * arbitrary EventRecords byte-exactly.
-     */
-    kCapCanonicalStreamsOnly = 1u << 4,
-};
-
 /**
- * Streaming encoder: push records, pull finalized bytes.
- *
- * Implementations are deterministic — identical record streams yield
- * identical bytes — which is what lets transport accounting charge
- * exact per-record bit costs (core/pipeline_timer.h).
+ * Streaming encoder over LogCompressor: push records, pull finalized
+ * bytes. Deterministic — identical record streams yield identical
+ * bytes.
  */
 class Encoder
 {
   public:
-    virtual ~Encoder();
-
     /** Compress one record onto the stream. */
-    virtual void append(const log::EventRecord& record) = 0;
+    void append(const log::EventRecord& record) { inner_.append(record); }
 
     /**
      * Seal the stream: flush any partial trailing byte so every encoded
      * byte becomes pullable. No append() after this.
      */
-    virtual void finishStream() = 0;
+    void finishStream() { finished_ = true; }
 
     /** Records compressed so far. */
-    virtual std::uint64_t records() const = 0;
+    std::uint64_t records() const { return inner_.records(); }
 
-    /** Total encoded size so far, in bits (bandwidth accounting). */
-    virtual std::uint64_t bitsWritten() const = 0;
+    /** Total encoded size so far, in bits. */
+    std::uint64_t bitsWritten() const { return inner_.bits(); }
 
     /**
      * Copy up to @p max finalized encoded bytes into @p out and
      * advance the pull cursor past them.
      * @return Bytes copied (0 when nothing is finalized yet).
      */
-    virtual std::size_t pull(std::uint8_t* out, std::size_t max) = 0;
+    std::size_t pull(std::uint8_t* out, std::size_t max);
 
     /** Finalized bytes currently available to pull(). */
-    virtual std::size_t pullableBytes() const = 0;
+    std::size_t pullableBytes() const;
 
-    /** Average encoded size, in bytes per record. */
-    double
-    bytesPerRecord() const
-    {
-        std::uint64_t n = records();
-        return n ? static_cast<double>(bitsWritten()) / 8.0 /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
+  private:
+    LogCompressor inner_;
+    /** Bytes already handed out through pull(). */
+    std::size_t pulled_ = 0;
+    bool finished_ = false;
 };
 
 /**
- * Streaming decoder over untrusted bytes: push chunks, pull records.
- * See the file comment for the full contract; in short, next() either
- * succeeds, asks for more input, reports a clean end, or returns a
- * typed error — it never aborts and never leaves a half-applied
- * record or predictor state.
+ * Streaming decoder over untrusted bytes, on the hardened
+ * LogDecompressor::tryNext: push chunks, pull records. See the file
+ * comment for the full contract; in short, next() either succeeds,
+ * asks for more input, reports a clean end, or returns a typed error —
+ * it never aborts and never leaves a half-applied record or predictor
+ * state.
  */
 class Decoder
 {
   public:
-    virtual ~Decoder();
+    Decoder() : inner_(buffer_) {}
+    // inner_ reads buffer_ by reference.
+    Decoder(const Decoder&) = delete;
+    Decoder& operator=(const Decoder&) = delete;
 
     /** Feed @p n more encoded bytes (any chunking, including n = 0). */
-    virtual void push(const std::uint8_t* data, std::size_t n) = 0;
+    void push(const std::uint8_t* data, std::size_t n);
 
     /**
      * Declare the input complete: a subsequent mid-record kNeedMore
      * becomes kError{kTruncated}; a record-boundary end becomes kEnd.
      */
-    virtual void finishInput() = 0;
+    void finishInput() { input_done_ = true; }
 
     /** Decode the next record. */
-    virtual DecodeStatus next(log::EventRecord* out) = 0;
+    DecodeStatus next(log::EventRecord* out);
 
     /** The sticky error after a kError result. */
-    virtual const DecodeError& error() const = 0;
+    const DecodeError& error() const { return error_; }
 
     /** Records decoded so far. */
-    virtual std::uint64_t records() const = 0;
+    std::uint64_t records() const { return records_; }
+
+  private:
+    std::vector<std::uint8_t> buffer_;
+    LogDecompressor inner_;
+    DecodeError error_;
+    std::uint64_t records_ = 0;
+    bool input_done_ = false;
 };
 
 } // namespace lba::compress

@@ -9,6 +9,7 @@
 #include "compress/compressor.h"
 
 #include "common/assert.h"
+#include "compress/codec.h"
 
 namespace lba::compress {
 

@@ -31,11 +31,15 @@
 #include <vector>
 
 #include "compress/bitstream.h"
-#include "compress/codec.h"
 #include "compress/predictors.h"
 #include "log/event.h"
 
 namespace lba::compress {
+
+// The typed decode results of LogDecompressor::tryNext
+// (compress/codec.h).
+enum class DecodeStatus : std::uint8_t;
+struct DecodeError;
 
 /** Predictor state shared (by construction) between the two ends. */
 struct PredictorBank
@@ -124,10 +128,11 @@ class LogDecompressor
 
     /**
      * Decode the next record from a *trusted* stream (panics on a
-     * stream this compressor cannot have produced). The transport
-     * accounting path and the differential tests use this; anything
-     * that touches bytes from outside the process goes through
-     * tryNext().
+     * stream this compressor cannot have produced). Only tests and
+     * micro-benchmarks decode streams they encoded themselves this
+     * way; anything that touches bytes from outside the process goes
+     * through tryNext(). (The transport accounting decodes nothing:
+     * it charges LogCompressor::bits() per record.)
      */
     log::EventRecord next();
 
@@ -145,7 +150,7 @@ class LogDecompressor
      */
     DecodeStatus tryNext(log::EventRecord* out, DecodeError* error);
 
-    /** Bits consumed so far (clean-end detection in the codec). */
+    /** Bits consumed so far (clean-end detection in the Decoder). */
     std::uint64_t bitPos() const { return reader_.bitPos(); }
 
     /** Bits currently buffered beyond the read position. */

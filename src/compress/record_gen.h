@@ -6,18 +6,16 @@
  * that maps arbitrary records onto capture-shaped ones.
  *
  * "Canonical" means "could have come from the capture unit": the
- * predictor codec does not transmit fields it can rederive (aux for
+ * codec does not transmit fields it can rederive (aux for
  * memory/control events, pc and operand ids for annotations), so it
  * only round-trips records where those fields already hold the derived
  * values. canonicalize() enforces exactly the shape
- * LogDecompressor::tryNext() reconstructs. The byte-aligned codecs
- * (varint, dict) round-trip arbitrary records and don't need it.
+ * LogDecompressor::tryNext() reconstructs.
  */
 
 #include <cstddef>
 #include <cstdint>
 
-#include "compress/codec.h"
 #include "isa/isa.h"
 #include "log/event.h"
 
@@ -123,8 +121,8 @@ class RecordGen
 
     /**
      * Next fully arbitrary record (any field pattern, including shapes
-     * the capture unit never emits). For the byte-aligned codecs and
-     * the encoder fuzz harness.
+     * the capture unit never emits). canonicalize() turns one into a
+     * capture-shaped record with wild field values.
      */
     log::EventRecord
     nextArbitrary()

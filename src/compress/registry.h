@@ -1,70 +1,44 @@
 #pragma once
 /**
  * @file
- * CodecRegistry: the name -> codec-factory table behind every codec
- * selection surface (LbaConfig::codec, `lba_run --codec`,
- * `lba_trace --codec`, the trace-file v2 header, the benches, the fuzz
- * harnesses).
- *
- * Built-in codecs ("predictor", "varint", "dict") are registered by
- * the magic-static instance() on first use; experiments can add() more
- * at startup. Factories return fresh streaming Encoder/Decoder
- * instances — codec state never outlives one stream.
+ * Empty of codecs; only hostbench/e2e_host.cc includes it, for
+ * `CodecRegistry::instance().find(kDefaultCodec)->makeEncoder()`,
+ * which returns a fresh compress::Encoder (compress/codec.h).
  */
 
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "compress/codec.h"
 
 namespace lba::compress {
 
-/** One registered codec: identity, capabilities, and factories. */
-struct CodecInfo
-{
-    /** Registry key; also the on-disk name in trace-file v2 headers. */
-    std::string name;
-    /** One-line human description (shown by `lba_run --list-codecs`). */
-    std::string description;
-    /** Bitwise-or of CodecCaps flags. */
-    std::uint32_t caps = 0;
-    std::function<std::unique_ptr<Encoder>()> makeEncoder;
-    std::function<std::unique_ptr<Decoder>()> makeDecoder;
-};
-
-/** Process-wide codec table. */
+/** Empty; only hostbench/e2e_host.cc calls it. */
 class CodecRegistry
 {
   public:
-    /** The singleton, with the built-in codecs pre-registered. */
-    static CodecRegistry& instance();
+    struct Entry
+    {
+        std::unique_ptr<Encoder>
+        makeEncoder() const
+        {
+            return std::make_unique<Encoder>();
+        }
+    };
 
-    /**
-     * Register a codec. Names must be unique, non-empty, and at most
-     * kMaxCodecNameBytes long (the trace-file header stores them with
-     * a one-byte length). Duplicate registration is a caller bug.
-     */
-    void add(CodecInfo info);
+    static const CodecRegistry&
+    instance()
+    {
+        static const CodecRegistry registry;
+        return registry;
+    }
 
-    /** Look up by name; nullptr when unknown. */
-    const CodecInfo* find(const std::string& name) const;
-
-    /** All registered names, in registration order. */
-    std::vector<std::string> names() const;
+    const Entry* find(const char*) const { return &entry_; }
 
   private:
-    CodecRegistry() = default;
-
-    std::vector<CodecInfo> codecs_;
+    Entry entry_;
 };
 
-/** The codec used when none is requested (the paper's compressor). */
-inline constexpr const char* kDefaultCodec = "predictor";
-
-/** Longest codec name storable in a trace-file v2 header. */
-inline constexpr std::size_t kMaxCodecNameBytes = 64;
+/** Only hostbench/e2e_host.cc names it. */
+inline constexpr const char* kDefaultCodec = kCodecName;
 
 } // namespace lba::compress

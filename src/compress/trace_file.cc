@@ -23,6 +23,8 @@ constexpr std::uint32_t kVersionV1 = 1;
 constexpr std::uint32_t kVersionV2 = 2;
 /** Fixed header prefix shared by v1 and v2. */
 constexpr std::size_t kFixedHeaderBytes = 28;
+/** Longest codec name a v2 header may store. */
+constexpr std::size_t kMaxCodecNameBytes = 64;
 
 void
 put64(std::uint8_t* out, std::uint64_t value)
@@ -96,7 +98,7 @@ readHeader(std::FILE* f, TraceInfo* info, std::uint64_t* payload_offset,
 
     std::uint64_t offset = kFixedHeaderBytes;
     if (version == kVersionV1) {
-        info->codec = kDefaultCodec;
+        info->codec = kCodecName;
     } else if (version == kVersionV2) {
         std::uint8_t name_len = 0;
         if (std::fread(&name_len, 1, 1, f) != 1) {
@@ -160,20 +162,13 @@ readHeader(std::FILE* f, TraceInfo* info, std::uint64_t* payload_offset,
 bool
 writeTrace(const std::string& path,
            const std::vector<log::EventRecord>& records,
-           const std::string& codec, DecodeError* error)
+           DecodeError* error)
 {
-    const CodecInfo* info = CodecRegistry::instance().find(codec);
-    if (info == nullptr) {
-        return fail(error, DecodeErrorKind::kUnsupported, 0,
-                    "unknown codec '" + codec + "'");
-    }
-    std::unique_ptr<Encoder> encoder = info->makeEncoder();
-    for (const log::EventRecord& record : records) {
-        encoder->append(record);
-    }
-    encoder->finishStream();
-    std::vector<std::uint8_t> payload(encoder->pullableBytes());
-    encoder->pull(payload.data(), payload.size());
+    Encoder encoder;
+    for (const log::EventRecord& record : records) encoder.append(record);
+    encoder.finishStream();
+    std::vector<std::uint8_t> payload(encoder.pullableBytes());
+    encoder.pull(payload.data(), payload.size());
 
     File file(std::fopen(path.c_str(), "wb"));
     if (!file) {
@@ -187,9 +182,10 @@ writeTrace(const std::string& path,
     header[9] = header[10] = header[11] = 0;
     put64(header + 12, records.size());
     put64(header + 20, payload.size());
-    header[28] = static_cast<std::uint8_t>(codec.size());
-    std::memcpy(header + 29, codec.data(), codec.size());
-    std::size_t header_bytes = kFixedHeaderBytes + 1 + codec.size();
+    const std::size_t name_bytes = std::strlen(kCodecName);
+    header[28] = static_cast<std::uint8_t>(name_bytes);
+    std::memcpy(header + 29, kCodecName, name_bytes);
+    std::size_t header_bytes = kFixedHeaderBytes + 1 + name_bytes;
     if (std::fwrite(header, 1, header_bytes, file.get()) !=
         header_bytes) {
         return fail(error, DecodeErrorKind::kIo, 0,
@@ -237,8 +233,7 @@ readTrace(const std::string& path, DecodeError* error)
     if (!readHeader(file.get(), &info, &payload_offset, error)) {
         return std::nullopt;
     }
-    const CodecInfo* codec = CodecRegistry::instance().find(info.codec);
-    if (codec == nullptr) {
+    if (info.codec != kCodecName) {
         fail(error, DecodeErrorKind::kUnsupported, kFixedHeaderBytes,
              "unknown codec '" + info.codec + "'");
         return std::nullopt;
@@ -255,15 +250,15 @@ readTrace(const std::string& path, DecodeError* error)
         return std::nullopt;
     }
 
-    std::unique_ptr<Decoder> decoder = codec->makeDecoder();
-    if (!payload.empty()) decoder->push(payload.data(), payload.size());
-    decoder->finishInput();
+    Decoder decoder;
+    decoder.push(payload.data(), payload.size());
+    decoder.finishInput();
 
     std::vector<log::EventRecord> records;
     records.reserve(info.records);
     for (std::uint64_t i = 0; i < info.records; ++i) {
         log::EventRecord record;
-        switch (decoder->next(&record)) {
+        switch (decoder.next(&record)) {
           case DecodeStatus::kOk:
             records.push_back(record);
             break;
@@ -273,18 +268,27 @@ readTrace(const std::string& path, DecodeError* error)
                      std::to_string(info.records) + " records");
             return std::nullopt;
           case DecodeStatus::kError: {
-            DecodeError inner = decoder->error();
+            DecodeError inner = decoder.error();
             fail(error, inner.kind, payload_offset + inner.offset,
                  "record " + std::to_string(i) + ": " + inner.message);
             return std::nullopt;
           }
           case DecodeStatus::kNeedMore:
-            // Unreachable: finishInput() was called, so decoders
-            // resolve incomplete records to kError/kEnd instead.
+            // Unreachable: finishInput() was called, so the decoder
+            // resolves incomplete records to kError/kEnd instead.
             fail(error, DecodeErrorKind::kTruncated, payload_offset,
                  "decoder stalled mid-payload");
             return std::nullopt;
         }
+    }
+    // The declared records must be all the payload holds: only the
+    // last record's sub-byte padding may follow it.
+    log::EventRecord extra;
+    if (decoder.next(&extra) != DecodeStatus::kEnd) {
+        fail(error, DecodeErrorKind::kMalformed, payload_offset,
+             "payload holds more than the " +
+                 std::to_string(info.records) + " declared records");
+        return std::nullopt;
     }
     if (error) *error = DecodeError{};
     return records;

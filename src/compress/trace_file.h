@@ -16,17 +16,20 @@
  *   bytes 8..11   format version (2)
  *   bytes 12..19  record count
  *   bytes 20..27  payload byte count
- *   byte  28      codec name length L (1..kMaxCodecNameBytes)
+ *   byte  28      codec name length L (1..64)
  *   bytes 29..    codec name (L bytes, printable ASCII, no NUL)
  *   then          encoder output (payload byte count bytes, exactly)
- * Version-1 files (no codec field, payload at byte 28) still read;
- * they are always "predictor" streams.
+ * The writer always names kCodecName ("predictor"); a reader meeting
+ * any other name fails with kUnsupported. Version-1 files (no codec
+ * field, payload at byte 28) still read; they are always predictor
+ * streams.
  *
  * Trace files are *untrusted input*: every length is validated against
  * the actual file size before any allocation, the record count is
  * sanity-checked against the payload size, and the payload is decoded
- * through the hardened streaming Decoder — a malformed or adversarial
- * file yields a typed DecodeError, never UB or an abort.
+ * through the hardened streaming Decoder, which must end exactly at
+ * the declared record count — a malformed or adversarial file yields
+ * a typed DecodeError, never UB or an abort.
  */
 
 #include <optional>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "compress/codec.h"
-#include "compress/registry.h"
 #include "log/event.h"
 
 namespace lba::compress {
@@ -46,7 +48,7 @@ struct TraceInfo
     std::uint64_t payload_bytes = 0;
     /** Format version the file was written with (1 or 2). */
     std::uint32_t version = 0;
-    /** Codec that encoded the payload ("predictor" for v1 files). */
+    /** The header's codec name ("predictor" for v1 files). */
     std::string codec;
 
     /** Average compressed record size. */
@@ -60,13 +62,11 @@ struct TraceInfo
 };
 
 /**
- * Write @p records to @p path, encoded with the registered codec
- * @p codec.
- * @return False on I/O failure or unknown codec (@p error says which).
+ * Write @p records to @p path as a v2 predictor stream.
+ * @return False on I/O failure (typed in @p error).
  */
 bool writeTrace(const std::string& path,
                 const std::vector<log::EventRecord>& records,
-                const std::string& codec = kDefaultCodec,
                 DecodeError* error = nullptr);
 
 /**
@@ -78,7 +78,9 @@ std::optional<TraceInfo> readTraceInfo(const std::string& path,
                                        DecodeError* error = nullptr);
 
 /**
- * Load and decode an entire trace file.
+ * Load and decode an entire trace file. The payload must hold exactly
+ * the header's record count; bytes past the last record other than
+ * its sub-byte padding are malformed.
  * @return std::nullopt on I/O, format, or payload error (typed in
  * @p error).
  */

@@ -37,7 +37,7 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
 
     Producer primary;
     primary.app_core = config_.app_core;
-    encoders_.push_back({makeEncoder()});
+    compressors_.emplace_back();
     producers_.push_back(std::move(primary));
 }
 
@@ -62,19 +62,9 @@ PipelineTimer::addProducer(unsigned app_core)
                "producer and lifeguard must use different cores");
     Producer producer;
     producer.app_core = app_core;
-    encoders_.push_back({makeEncoder()});
+    compressors_.emplace_back();
     producers_.push_back(std::move(producer));
     return static_cast<unsigned>(producers_.size() - 1);
-}
-
-std::unique_ptr<compress::Encoder>
-PipelineTimer::makeEncoder() const
-{
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(config_.codec);
-    LBA_ASSERT(info != nullptr,
-               "LbaConfig::codec names no registered codec");
-    return info->makeEncoder();
 }
 
 bool
@@ -92,17 +82,17 @@ PipelineTimer::filtered(const EventRecord& record) const
 double
 PipelineTimer::encode(unsigned producer, const EventRecord& record)
 {
-    LBA_ASSERT(producer < encoders_.size(), "bad producer index");
+    LBA_ASSERT(producer < compressors_.size(), "bad producer index");
     if (filtered(record)) return kFiltered;
     // Bandwidth accounting: compressed records cost their true encoded
     // size; uncompressed transport pays the full record width. Each
-    // producer is its own log stream, so its encoder sees only its
+    // producer is its own log stream, so its compressor sees only its
     // own record sequence.
     if (!config_.compress) return config_.raw_record_bytes;
-    compress::Encoder& encoder = *encoders_[producer].encoder;
-    std::uint64_t before = encoder.bitsWritten();
-    encoder.append(record);
-    return static_cast<double>(encoder.bitsWritten() - before) / 8.0;
+    compress::LogCompressor& stream = compressors_[producer].stream;
+    std::uint64_t before = stream.bits();
+    stream.append(record);
+    return static_cast<double>(stream.bits() - before) / 8.0;
 }
 
 void
@@ -241,12 +231,10 @@ PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
     ++producer.stats.app_instructions;
     // A retirement's record is a load or store exactly when the
     // instruction accessed memory, at record.addr.
-    Cycles cost = 1 + hierarchy_.instrFetch(producer.app_core, record.pc);
-    if (record.type == EventType::kLoad ||
-        record.type == EventType::kStore) {
-        cost += hierarchy_.dataAccess(producer.app_core, record.addr,
-                                      record.type == EventType::kStore);
-    }
+    Cycles cost = hierarchy_.retire(
+        producer.app_core, record.pc,
+        record.type == EventType::kLoad || record.type == EventType::kStore,
+        record.addr, record.type == EventType::kStore);
     producer.app_time += cost;
     producer.stats.app_cycles += cost;
 }
@@ -314,12 +302,10 @@ PipelineTimer::seal()
     finished_ = true;
     for (std::size_t p = 0; p < producers_.size(); ++p) {
         Producer& producer = producers_[p];
-        compress::Encoder& encoder = *encoders_[p].encoder;
         producer.stats.total_cycles =
             std::max(producer.app_time, producer.drain_clock);
-        encoder.finishStream();
-        producer.stats.bytes_per_record = encoder.bytesPerRecord();
-        producer.stats.codec = config_.codec;
+        producer.stats.bytes_per_record =
+            compressors_[p].stream.bytesPerRecord();
         producer.stats.mean_consume_lag = producer.consume_lag.mean();
     }
 }
@@ -344,16 +330,15 @@ PipelineTimer::stats() const
         total.backpressure_stall_cycles += slice.backpressure_stall_cycles;
         total.syscall_stall_cycles += slice.syscall_stall_cycles;
         total.lifeguard_busy_cycles += slice.lifeguard_busy_cycles;
-        total.codec = slice.codec;
         total.syscall_drains += slice.syscall_drains;
         total.transport_bytes += slice.transport_bytes;
         total.transport_wait_cycles += slice.transport_wait_cycles;
         total.containment_cycles += slice.containment_cycles;
         lag_sum += producers_[p].consume_lag.sum();
         lag_count += producers_[p].consume_lag.count();
-        const compress::Encoder& encoder = *encoders_[p].encoder;
-        compressed_records += encoder.records();
-        compressed_bytes += static_cast<double>(encoder.bitsWritten()) / 8.0;
+        const compress::LogCompressor& stream = compressors_[p].stream;
+        compressed_records += stream.records();
+        compressed_bytes += static_cast<double>(stream.bits()) / 8.0;
     }
     total.bytes_per_record =
         compressed_records

@@ -79,11 +79,10 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/assert.h"
-#include "compress/registry.h"
+#include "compress/compressor.h"
 #include "lifeguard/dispatch.h"
 #include "log/event.h"
 #include "mem/hierarchy.h"
@@ -117,16 +116,11 @@ struct LbaConfig
     lifeguard::DispatchConfig dispatch{1, 1};
     /** Stall syscalls until the log drains (error containment). */
     bool syscall_stall = true;
-    /** Run the compressor for bandwidth accounting. */
-    bool compress = true;
     /**
-     * Registered codec encoding each producer's log stream for the
-     * bandwidth accounting (compress::CodecRegistry). The default,
-     * "predictor", is the paper's value-prediction compressor;
-     * alternatives trade ratio for host encode cost. Must name a
-     * registered codec.
+     * Run the value-prediction compressor for bandwidth accounting;
+     * without it every record costs raw_record_bytes on the transport.
      */
-    std::string codec = compress::kDefaultCodec;
+    bool compress = true;
     /** Address-range record filter (paper Section 3 future work). */
     bool filter_enabled = false;
     Addr filter_base = 0;
@@ -205,9 +199,6 @@ struct LbaRunStats
     Cycles lifeguard_busy_cycles = 0;
     /** Compressed log size, bytes per logged record. */
     double bytes_per_record = 0.0;
-    /** Codec that produced bytes_per_record/transport_bytes (the
-     *  LbaConfig::codec of the run; set by seal()). */
-    std::string codec;
     /** Mean cycles between record production and consumption start. */
     double mean_consume_lag = 0.0;
     /** Number of syscalls that triggered a containment drain. */
@@ -284,11 +275,11 @@ class PipelineTimer
 
     /**
      * The producer step of log(): the address filter and @p producer's
-     * codec. It touches only the configuration and that producer's
-     * encoder, which the consumer step never reads, so one host thread
-     * may run it while another runs the consumer step on earlier
+     * compressor. It touches only the configuration and that producer's
+     * compressor, which the consumer step never reads, so one host
+     * thread may run it while another runs the consumer step on earlier
      * records (the two-thread schedule, core/two_thread_run.h). seal()
-     * reads the encoders once both threads are done.
+     * reads the compressors once both threads are done.
      * @return The bytes @p record costs on a transport link, or
      *         kFiltered when the filter drops it.
      */
@@ -418,7 +409,7 @@ class PipelineTimer
     };
 
     /** One monitored application feeding the shared lanes (its log
-     *  stream is encoders_[index].encoder). */
+     *  stream is compressors_[index].stream). */
     struct alignas(64) Producer
     {
         unsigned app_core = 0;
@@ -436,15 +427,12 @@ class PipelineTimer
         LbaRunStats stats;
     };
 
-    /** A producer's log stream (per-tenant codec state, built from
-     *  LbaConfig::codec by the registry), alone on its cache line. */
-    struct alignas(64) EncoderSlot
+    /** A producer's log stream (per-tenant predictor state), alone on
+     *  its cache lines. */
+    struct alignas(64) CompressorSlot
     {
-        std::unique_ptr<compress::Encoder> encoder;
+        compress::LogCompressor stream;
     };
-
-    /** Build a fresh per-producer encoder from LbaConfig::codec. */
-    std::unique_ptr<compress::Encoder> makeEncoder() const;
 
     /** True when the filter drops this record. */
     bool filtered(const log::EventRecord& record) const;
@@ -466,14 +454,14 @@ class PipelineTimer
 
     mem::CacheHierarchy& hierarchy_;
     /**
-     * encode() reads only config_ and encoders_, on host cache lines of
-     * their own: a line both threads of the two-thread schedule
+     * encode() reads only config_ and compressors_, on host cache lines
+     * of their own: a line both threads of the two-thread schedule
      * touched, one of them writing it on every record, would move
      * between their cores every time.
      */
     alignas(64) LbaConfig config_;
-    /** encoders_[p] is producer p's log stream. */
-    std::vector<EncoderSlot> encoders_;
+    /** compressors_[p] is producer p's log stream. */
+    std::vector<CompressorSlot> compressors_;
     alignas(64) std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
 

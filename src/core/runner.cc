@@ -93,11 +93,10 @@ class AppTimingObserver : public sim::RetireObserver
     void
     onRetire(const sim::Retired& retired) override
     {
-        cycles_ += 1 + hierarchy_.instrFetch(core_, retired.pc);
-        if (retired.mem_bytes > 0) {
-            cycles_ += hierarchy_.dataAccess(core_, retired.mem_addr,
-                                             retired.mem_is_write);
-        }
+        cycles_ += hierarchy_.retire(core_, retired.pc,
+                                     retired.mem_bytes > 0,
+                                     retired.mem_addr,
+                                     retired.mem_is_write);
     }
 
     void onOsEvent(const sim::OsEvent&) override {}

@@ -23,11 +23,9 @@ DbiSystem::onRetire(const sim::Retired& retired)
     ++stats_.app_instructions;
 
     // 1. The application's own work.
-    Cycles app = 1 + hierarchy_.instrFetch(config_.core, retired.pc);
-    if (retired.mem_bytes > 0) {
-        app += hierarchy_.dataAccess(config_.core, retired.mem_addr,
-                                     retired.mem_is_write);
-    }
+    Cycles app = hierarchy_.retire(config_.core, retired.pc,
+                                   retired.mem_bytes > 0,
+                                   retired.mem_addr, retired.mem_is_write);
     stats_.app_cycles += app;
 
     // 2. Translation/dispatch overhead + translated-code I-fetch.

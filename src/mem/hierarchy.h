@@ -48,6 +48,22 @@ class CacheHierarchy
     /** Extra cycles for a data access by @p core. */
     Cycles dataAccess(unsigned core, Addr addr, bool is_write);
 
+    /**
+     * Cycles one retirement costs application core @p core: the base
+     * CPI, the fetch at @p pc and, when @p mem_access, the data access
+     * at @p addr. Every platform charges its application core this
+     * way (the unmonitored baseline, LBA and DBI), so each reported
+     * slowdown is a ratio of the same cost.
+     */
+    Cycles
+    retire(unsigned core, Addr pc, bool mem_access, Addr addr,
+           bool is_write)
+    {
+        Cycles cost = 1 + instrFetch(core, pc);
+        if (mem_access) cost += dataAccess(core, addr, is_write);
+        return cost;
+    }
+
     const HierarchyConfig& config() const { return config_; }
     const Cache& l1i(unsigned core) const { return *l1i_.at(core); }
     const Cache& l1d(unsigned core) const { return *l1d_.at(core); }

@@ -276,6 +276,31 @@ TEST(LbaSystem, BandwidthLimitedTransportThrottles)
               throttled.lba.transport_bytes / 10);
 }
 
+TEST(LbaSystem, UnlimitedTransportIgnoresCompression)
+{
+    // Compression changes what the transport carries and nothing else:
+    // on an unlimited link the raw and compressed runs take the same
+    // cycles, and only the transport bytes differ.
+    auto generated =
+        workload::generate(*workload::findProfile("gzip"), {}, 20000);
+    Experiment exp(generated.program);
+    LbaConfig raw = exp.config().lba;
+    raw.compress = false;
+    auto uncompressed = exp.runLba(addrcheck(), raw);
+    auto compressed = exp.runLba(addrcheck());
+
+    EXPECT_EQ(uncompressed.cycles, compressed.cycles);
+    EXPECT_EQ(uncompressed.lba.records_logged,
+              compressed.lba.records_logged);
+    EXPECT_EQ(uncompressed.lba.lifeguard_busy_cycles,
+              compressed.lba.lifeguard_busy_cycles);
+    EXPECT_EQ(uncompressed.lba.transport_bytes,
+              raw.raw_record_bytes *
+                  static_cast<double>(uncompressed.lba.records_logged));
+    EXPECT_LT(compressed.lba.transport_bytes,
+              uncompressed.lba.transport_bytes / 10);
+}
+
 TEST(LbaSystem, UnlimitedBandwidthMatchesDefault)
 {
     auto generated =

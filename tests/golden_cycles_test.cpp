@@ -14,10 +14,10 @@
  *
  * Matrix: each lifeguard on a bug-injected profile it catches and on a
  * clean profile, with one shard ("serial") and with 4; a constrained
- * config (64-record buffer, address filter, 0.75 B/cycle); the varint
- * and dict codecs at a finite bandwidth; lag-aware pools with 1 and 3
- * tenants; and containment with real rewinds, with one shard and in a
- * 1-tenant pool.
+ * config (64-record buffer, address filter, 0.75 B/cycle); the
+ * uncompressed log on a 1.0 B/cycle transport it saturates; lag-aware
+ * pools with 1 and 3 tenants; and containment with real rewinds, with
+ * one shard and in a 1-tenant pool.
  * Every config runs at most 30k instructions.
  */
 
@@ -422,17 +422,14 @@ corpus()
                       lba, 1);
     }});
 
-    for (const char* codec : {"varint", "dict"}) {
-        configs.push_back(
-            {std::string("taintcheck/gzip/") + codec + "@1.0",
-             [codec](const std::string& name) {
-                 LbaConfig lba;
-                 lba.codec = codec;
-                 lba.transport_bytes_per_cycle = 1.0;
-                 return runLba(name, program("gzip"),
-                               make<lifeguards::TaintCheck>(), lba, 1);
-             }});
-    }
+    configs.push_back({"taintcheck/gzip/raw@1.0", [](const std::string&
+                                                         name) {
+        LbaConfig lba;
+        lba.compress = false;
+        lba.transport_bytes_per_cycle = 1.0;
+        return runLba(name, program("gzip"), make<lifeguards::TaintCheck>(),
+                      lba, 1);
+    }});
 
     auto lagPool = [] {
         sched::PoolConfig config;

@@ -199,6 +199,9 @@ TEST_F(SmokeTest, LbaRunRejectsMalformedNumbersBeforeAnyOutput)
           " --containment patch --checkpoint-interval=1e3",
           " --no-such-flag 1", " --no-such-flag=1", " --platform xyz",
           " --bugs bogus", " --bugs uaf,nope", " --execution serial",
+          // The removed codec selection is an unknown flag.
+          " --codec predictor", " --codec varint",
+          " --tenants 2 --codec dict",
           // A flag of the other mode is rejected, not ignored.
           " --tenants 2 --shards 4", " --lanes 4", " --sched lag"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
@@ -240,7 +243,12 @@ TEST_F(SmokeTest, LbaTraceRejectsMalformedNumbersBeforeAnyOutput)
               0);
     for (const std::string& args :
          {" gen mcf " + trace + " -5", " gen mcf " + trace + " abc",
-          " dump " + trace + " abc", " dump " + trace + " -1"}) {
+          " dump " + trace + " abc", " dump " + trace + " -1",
+          // The removed codec selection and codec listing.
+          " gen mcf " + trace + " 2000 --codec predictor",
+          " gen mcf " + trace + " --codec varint",
+          std::string(" --codec dict list"),
+          std::string(" list --codec predictor"), std::string(" codecs")}) {
         std::string cmd = base + args + " >" + out + " 2>/dev/null";
         EXPECT_EQ(runCommand(cmd), 2) << "args:" << args;
         std::FILE* file = std::fopen(out.c_str(), "r");

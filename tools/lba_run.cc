@@ -6,7 +6,7 @@
  * Usage:
  *   lba_run <benchmark> <addrcheck|taintcheck|lockset|bounds|memleak>
  *           [--instrs N] [--platform lba|dbi|both] [--shards N]
- *           [--transport-bw BYTES_PER_CYCLE] [--codec NAME]
+ *           [--transport-bw BYTES_PER_CYCLE]
  *           [--bugs uaf,double-free,leak,tainted-jump,race]
  *           [--tenants N] [--lanes M] [--sched static|rr|lag]
  *           [--containment abort|skip|patch|quarantine]
@@ -21,10 +21,9 @@
  * only with it; a flag given for the other mode is a usage error.
  * --containment enables rewind-and-repair containment under the chosen
  * repair policy (src/replay/containment.h); the `--containment=policy`
- * spelling is accepted too. --codec selects the registered log codec
- * the transport accounting runs (`predictor` is the default; see
- * `lba_trace codecs` for the registry). --json writes a
- * machine-readable copy of the report to PATH.
+ * spelling is accepted too. --json writes a machine-readable copy of
+ * the report to PATH. The transport accounting always runs the
+ * value-prediction compressor, and the report names it as the codec.
  *
  * Numeric values must be plain decimals with nothing else in the
  * token: --instrs is at least 1, --shards and --lanes are 1..64,
@@ -44,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "compress/registry.h"
+#include "compress/codec.h"
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/boundscheck.h"
@@ -120,7 +119,6 @@ usage()
         "<addrcheck|taintcheck|lockset|bounds|memleak>\n"
         "               [--instrs N] [--platform lba|dbi|both]\n"
         "               [--shards N] [--transport-bw BYTES_PER_CYCLE]\n"
-        "               [--codec NAME]\n"
         "               [--bugs uaf,double-free,leak,tainted-jump,race]\n"
         "               [--tenants N] [--lanes M] "
         "[--sched static|rr|lag]\n"
@@ -196,8 +194,7 @@ printResult(const core::PlatformResult& result)
                 result.slowdown);
     if (result.platform == "lba") {
         std::printf("   (%.3f B/record via %s, %llu drains)",
-                    result.lba.bytes_per_record,
-                    result.lba.codec.c_str(),
+                    result.lba.bytes_per_record, compress::kCodecName,
                     static_cast<unsigned long long>(
                         result.lba.syscall_drains));
     }
@@ -236,7 +233,7 @@ appendResultJson(stats::JsonWriter& json,
         json.field("shards",
                    static_cast<std::uint64_t>(result.shards.size()));
         json.field("bytes_per_record", result.lba.bytes_per_record);
-        json.field("codec", result.lba.codec);
+        json.field("codec", compress::kCodecName);
         json.field("transport_bytes", result.lba.transport_bytes);
         json.field("mean_consume_lag", result.lba.mean_consume_lag);
     }
@@ -283,7 +280,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
                const core::LifeguardFactory& factory,
                std::uint64_t instrs, unsigned tenants, unsigned lanes,
                sched::Policy policy, double transport_bw,
-               const std::string& codec,
                const workload::BugInjection& bugs,
                const replay::ContainmentConfig& containment,
                const std::string& json_path)
@@ -292,7 +288,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     config.lanes = lanes;
     config.policy = policy;
     config.lba.transport_bytes_per_cycle = transport_bw;
-    config.lba.codec = codec;
     config.containment = containment;
     sched::LifeguardPool pool(config, factory);
 
@@ -348,7 +343,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     json.field("tool", "lba_run");
     json.field("mode", "multi-tenant");
     json.field("lifeguard", lifeguard_name);
-    json.field("codec", codec);
+    json.field("codec", compress::kCodecName);
     json.field("policy", result.policy);
     json.field("lanes", static_cast<std::uint64_t>(lanes));
     json.field("capacity_bytes_per_cycle",
@@ -372,7 +367,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
         json.field("lag_p95", tenant.lag_p95);
         json.field("lag_p99", tenant.lag_p99);
         json.field("transport_bytes", tenant.lba.transport_bytes);
-        json.field("codec", tenant.lba.codec);
+        json.field("codec", compress::kCodecName);
         json.field("findings",
                    static_cast<std::uint64_t>(tenant.findings.size()));
         if (tenant.containment_enabled) {
@@ -406,7 +401,6 @@ main(int argc, char** argv)
     bool single_flag = false;
     bool pool_flag = false;
     double transport_bw = 0.0;
-    std::string codec = compress::kDefaultCodec;
     std::string json_path;
     workload::BugInjection bugs;
     replay::ContainmentConfig containment;
@@ -467,8 +461,6 @@ main(int argc, char** argv)
             pool_flag = true;
         } else if (arg == "--transport-bw" && i + 1 < argc) {
             if (!parseBandwidth(argv[++i], &transport_bw)) return usage();
-        } else if (arg == "--codec" && i + 1 < argc) {
-            codec = argv[++i];
         } else if (arg == "--containment" && i + 1 < argc) {
             containment.enabled = true;
             if (!replay::parseRepairPolicy(argv[++i],
@@ -505,16 +497,6 @@ main(int argc, char** argv)
                              "(--platform lba|both)\n");
         return usage();
     }
-    if (!compress::CodecRegistry::instance().find(codec)) {
-        std::fprintf(stderr, "unknown codec '%s'; registered:",
-                     codec.c_str());
-        for (const std::string& name :
-             compress::CodecRegistry::instance().names()) {
-            std::fprintf(stderr, " %s", name.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return usage();
-    }
 
     core::LifeguardFactory factory;
     if (lifeguard_name == "addrcheck") {
@@ -546,7 +528,7 @@ main(int argc, char** argv)
         if (benchmarks.empty()) return usage();
         return runMultiTenant(benchmarks, lifeguard_name, factory,
                               instrs, tenants, lanes, policy,
-                              transport_bw, codec, bugs, containment,
+                              transport_bw, bugs, containment,
                               json_path);
     }
 
@@ -560,7 +542,6 @@ main(int argc, char** argv)
     auto generated = workload::generate(*profile, bugs, instrs);
     core::ExperimentConfig config;
     config.lba.transport_bytes_per_cycle = transport_bw;
-    config.lba.codec = codec;
     config.containment = containment;
     core::Experiment experiment(generated.program, config);
     const auto& base = experiment.unmonitored();
@@ -588,7 +569,7 @@ main(int argc, char** argv)
     json.field("mode", "single");
     json.field("benchmark", benchmark);
     json.field("lifeguard", lifeguard_name);
-    json.field("codec", codec);
+    json.field("codec", compress::kCodecName);
     json.key("results");
     json.beginArray();
     for (const core::PlatformResult& result : results) {

@@ -5,15 +5,14 @@
  * compressed event trace, or inspect/dump an existing trace file.
  *
  * Usage:
- *   lba_trace gen <benchmark> <out.lbat> [instructions] [--codec name]
+ *   lba_trace gen <benchmark> <out.lbat> [instructions]
  *   lba_trace info <trace.lbat>
  *   lba_trace dump <trace.lbat> [count]
  *   lba_trace list
- *   lba_trace codecs
  *
  * [instructions] (at least 1, default 250000) and [count] (default 20)
- * must be plain decimals with nothing else in the token; anything else
- * is a usage error (exit 2) before any output.
+ * must be plain decimals with nothing else in the token; anything else,
+ * and any extra argument, is a usage error (exit 2) before any output.
  */
 
 #include <algorithm>
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/registry.h"
 #include "compress/trace_file.h"
 #include "log/capture.h"
 #include "parse_count.h"
@@ -44,12 +42,10 @@ usage()
 {
     std::fprintf(stderr,
                  "usage:\n"
-                 "  lba_trace gen <benchmark> <out.lbat> [instructions]"
-                 " [--codec name]\n"
+                 "  lba_trace gen <benchmark> <out.lbat> [instructions]\n"
                  "  lba_trace info <trace.lbat>\n"
                  "  lba_trace dump <trace.lbat> [count]\n"
-                 "  lba_trace list\n"
-                 "  lba_trace codecs\n");
+                 "  lba_trace list\n");
     return 2;
 }
 
@@ -75,22 +71,8 @@ cmdList()
 }
 
 int
-cmdCodecs()
-{
-    std::printf("registered codecs:\n");
-    auto& registry = compress::CodecRegistry::instance();
-    for (const std::string& name : registry.names()) {
-        const compress::CodecInfo* info = registry.find(name);
-        std::printf("  %-10s %s%s\n", name.c_str(),
-                    info->description.c_str(),
-                    name == compress::kDefaultCodec ? " [default]" : "");
-    }
-    return 0;
-}
-
-int
 cmdGen(const std::string& benchmark, const std::string& path,
-       std::uint64_t instructions, const std::string& codec)
+       std::uint64_t instructions)
 {
     const workload::Profile* profile = workload::findProfile(benchmark);
     if (!profile) {
@@ -111,7 +93,7 @@ cmdGen(const std::string& benchmark, const std::string& path,
     }
 
     compress::DecodeError error;
-    if (!compress::writeTrace(path, records, codec, &error)) {
+    if (!compress::writeTrace(path, records, &error)) {
         std::fprintf(stderr, "write failed: %s\n",
                      error.toString().c_str());
         return 1;
@@ -121,7 +103,8 @@ cmdGen(const std::string& benchmark, const std::string& path,
                 "compressed\n",
                 path.c_str(),
                 static_cast<unsigned long long>(records.size()),
-                codec.c_str(), info ? info->bytesPerRecord() : 0.0);
+                compress::kCodecName,
+                info ? info->bytesPerRecord() : 0.0);
     return 0;
 }
 
@@ -173,35 +156,16 @@ int
 main(int argc, char** argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-
-    // Extract --codec wherever it appears; positional args remain.
-    std::string codec = compress::kDefaultCodec;
-    for (std::size_t i = 0; i < args.size();) {
-        if (args[i] == "--codec" && i + 1 < args.size()) {
-            codec = args[i + 1];
-            args.erase(args.begin() + static_cast<long>(i),
-                       args.begin() + static_cast<long>(i) + 2);
-        } else {
-            ++i;
-        }
-    }
-    if (!compress::CodecRegistry::instance().find(codec)) {
-        std::fprintf(stderr, "unknown codec '%s' (try: codecs)\n",
-                     codec.c_str());
-        return 2;
-    }
-
     if (args.empty()) return usage();
     const std::string& cmd = args[0];
-    if (cmd == "list") return cmdList();
-    if (cmd == "codecs") return cmdCodecs();
+    if (cmd == "list" && args.size() == 1) return cmdList();
     if (cmd == "gen" && (args.size() == 3 || args.size() == 4)) {
         std::uint64_t instrs = 250000;
         if (args.size() == 4 &&
             !parseCount(args[3].c_str(), 1, kUnbounded, &instrs)) {
             return usage();
         }
-        return cmdGen(args[1], args[2], instrs, codec);
+        return cmdGen(args[1], args[2], instrs);
     }
     if (cmd == "info" && args.size() == 2) return cmdInfo(args[1]);
     if (cmd == "dump" && (args.size() == 2 || args.size() == 3)) {

@@ -26,7 +26,8 @@
  * every record logged before it (Section 2). The recurrence itself
  * lives in core::PipelineTimer: a timer of the system's own, shard s
  * on lane s, or one it shares as a producer, as every tenant of
- * sched::LifeguardPool does.
+ * sched::LifeguardPool does, core::Experiment::runLba's lone tenant
+ * included. The application runs on core 0 of a timer it owns.
  *
  * The value-prediction compressor runs over every logged record to
  * account transport bandwidth (< 1 byte/instruction claim); records are
@@ -114,8 +115,8 @@ class LbaSystem : public sim::RetireObserver
     /**
      * The producer half of one captured record: the address filter
      * and the codec (PipelineTimer::encode). It writes nothing
-     * consume() reads, so the drivers' two-thread schedules run it
-     * ahead of consume() on another host thread.
+     * consume() reads, so the pool's two-thread schedule runs it ahead
+     * of consume() on another host thread.
      * @return The record's transport bytes, or
      *         PipelineTimer::kFiltered.
      */

@@ -24,8 +24,7 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
     LBA_ASSERT(hierarchy_.config().num_cores >=
                    config_.dispatch.core + nlanes,
                "hierarchy must provide one core per lane plus the app");
-    LBA_ASSERT(config_.app_core < config_.dispatch.core ||
-                   config_.app_core >= config_.dispatch.core + nlanes,
+    LBA_ASSERT(config_.dispatch.core > 0,
                "application and lifeguard must use different cores");
     LBA_ASSERT(config_.buffer_capacity > 0,
                "log buffer capacity must be positive");
@@ -35,10 +34,9 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
 
     lanes_.resize(nlanes);
 
-    Producer primary;
-    primary.app_core = config_.app_core;
+    // Producer 0, on core 0.
     compressors_.emplace_back();
-    producers_.push_back(std::move(primary));
+    producers_.emplace_back();
 }
 
 std::unique_ptr<lifeguard::DispatchEngine>

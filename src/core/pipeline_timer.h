@@ -51,9 +51,9 @@
  * bytes), then the consumer step (everything else). No consumer-step
  * state feeds encode(), and every simulated number depends only on
  * record order and each record's bytes, so the steps of different
- * records may run on two host threads, which is what runLba and the
- * pool do (core/two_thread_run.h), with the results of running them
- * back to back.
+ * records may run on two host threads, which is what the pool's drive
+ * does (core/two_thread_run.h), with the results of running them back
+ * to back.
  *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
@@ -71,8 +71,9 @@
  * — records from different producers serialize on each lane's clock,
  * which is how lifeguard capacity becomes a scheduled resource. A lone
  * producer on the identity shard->lane map is the recurrence of an
- * LbaSystem with a timer of its own, bit for bit, which the one-tenant
- * differential tests in tests/sched_test.cpp assert.
+ * LbaSystem with a timer of its own, bit for bit. Experiment::runLba
+ * runs exactly that lone producer, and the TwoThreadSchedule cases of
+ * tests/core_test.cpp compare it with an LbaSystem on its own timer.
  */
 
 #include <cstddef>
@@ -106,8 +107,6 @@ struct LbaConfig
 {
     /** Log buffer capacity, in records (per lane). */
     std::size_t buffer_capacity = 64 * 1024;
-    /** Application core index. */
-    unsigned app_core = 0;
     /**
      * Dispatch configuration. `dispatch.core` is the first lifeguard
      * core; lane L consumes on core `dispatch.core + L`
@@ -260,7 +259,7 @@ class PipelineTimer
     /**
      * Register one more producer (monitored application) with its own
      * clock, compressor, back-pressure and containment state. Producer 0
-     * always exists, on config.app_core.
+     * always exists, on core 0.
      * @return The new producer's index.
      */
     unsigned addProducer(unsigned app_core);

@@ -5,96 +5,27 @@
 
 #include "core/runner.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
-#include "log/capture.h"
+#include "sched/pool.h"
 
 namespace lba::core {
 
 namespace {
 
-/** runLba's entry: one record and its transport bytes (40 bytes). */
-struct RecordEntry
-{
-    log::EventRecord record;
-    double bytes = 0.0;
-};
-
-/** runLba's consumer half: LbaSystem::consume over each entry. */
-struct ConsumeRecord
-{
-    LbaSystem& system;
-
-    void
-    operator()(const RecordEntry& entry) const
-    {
-        system.consume(entry.record, entry.bytes);
-    }
-};
-
-/**
- * The two-thread schedule of runLba without containment. The calling
- * thread runs the producer half of every record: Process::run, capture
- * and LbaSystem::produce (the address filter and the codec). The
- * worker runs LbaSystem::consume over whole windows of (record, bytes)
- * pairs, in capture order: the application core's retire timing,
- * routing, slot reservation, transport, lifeguard dispatch and the
- * syscall drain.
- *
- * The results are those of LbaSystem driven inline: every simulated
- * number depends only on record order and each record's bytes, and
- * without containment the simulator reads no timing state.
- */
-class ProduceRecords final : public sim::RetireObserver
-{
-  public:
-    /** Start the worker, which consumes into @p system. */
-    explicit ProduceRecords(LbaSystem& system)
-        : system_(system), run_(ConsumeRecord{system})
-    {
-    }
-
-    void
-    onRetire(const sim::Retired& retired) override
-    {
-        push(log::CaptureUnit::makeRecord(retired));
-    }
-
-    void
-    onOsEvent(const sim::OsEvent& event) override
-    {
-        push(log::CaptureUnit::makeRecord(event));
-    }
-
-    /** Join the worker (TwoThreadRun::finish). */
-    void finish() { run_.finish(); }
-
-  private:
-    void
-    push(const log::EventRecord& record)
-    {
-        run_.push({record, system_.produce(record)});
-    }
-
-    LbaSystem& system_;
-    TwoThreadRun<RecordEntry, ConsumeRecord> run_;
-};
-
-/** Observer charging only the application's own cost (no monitoring). */
+/** Observer charging only the application's own cost (no monitoring),
+ *  on core 0, the application core of every platform. */
 class AppTimingObserver : public sim::RetireObserver
 {
   public:
-    AppTimingObserver(mem::CacheHierarchy& hierarchy, unsigned core)
-        : hierarchy_(hierarchy), core_(core)
+    explicit AppTimingObserver(mem::CacheHierarchy& hierarchy)
+        : hierarchy_(hierarchy)
     {
     }
 
     void
     onRetire(const sim::Retired& retired) override
     {
-        cycles_ += hierarchy_.retire(core_, retired.pc,
-                                     retired.mem_bytes > 0,
+        cycles_ += hierarchy_.retire(0, retired.pc, retired.mem_bytes > 0,
                                      retired.mem_addr,
                                      retired.mem_is_write);
     }
@@ -105,7 +36,6 @@ class AppTimingObserver : public sim::RetireObserver
 
   private:
     mem::CacheHierarchy& hierarchy_;
-    unsigned core_;
     Cycles cycles_ = 0;
 };
 
@@ -132,9 +62,8 @@ Experiment::unmonitored()
     if (unmonitored_) return *unmonitored_;
 
     sim::Process process = makeProcess();
-    mem::HierarchyConfig hc = config_.hierarchy;
-    mem::CacheHierarchy hierarchy(hc);
-    AppTimingObserver observer(hierarchy, config_.lba.app_core);
+    mem::CacheHierarchy hierarchy(config_.hierarchy);
+    AppTimingObserver observer(hierarchy);
     sim::RunResult run = process.run(&observer);
 
     PlatformResult result;
@@ -166,61 +95,34 @@ Experiment::runLba(const LifeguardFactory& factory,
                    const replay::ContainmentConfig& containment,
                    unsigned shards)
 {
-    LBA_ASSERT(shards >= 1, "LBA needs at least one shard");
     const PlatformResult& base = unmonitored();
 
-    sim::Process process = makeProcess();
-    mem::HierarchyConfig hc = config_.hierarchy;
-    hc.num_cores = std::max({hc.num_cores, lba_config.dispatch.core + shards,
-                             lba_config.app_core + 1});
-    mem::CacheHierarchy hierarchy(hc);
-    std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
-    std::vector<lifeguard::Lifeguard*> shard_guards;
-    for (unsigned s = 0; s < shards; ++s) {
-        guards.push_back(factory());
-        LBA_ASSERT(guards.back() != nullptr,
-                   "lifeguard factory returned null");
-        shard_guards.push_back(guards.back().get());
-    }
+    sched::PoolConfig pool_config;
+    pool_config.lba = lba_config;
+    pool_config.hierarchy = config_.hierarchy;
+    pool_config.lanes = shards;
+    pool_config.containment = containment;
+    sched::LifeguardPool pool(pool_config, factory);
+    pool.addTenant({"lba", program_, config_.process});
+    sched::TenantStats tenant = std::move(pool.drive().tenants.front());
 
-    LbaSystem system(shard_guards, hierarchy, lba_config);
     PlatformResult result;
-    sim::RunResult run;
-    if (containment.enabled) {
-        // A finding on any shard triggers the same coordinated
-        // drain-rewind-repair (the producer drain clock spans all
-        // lanes, so the rewind point is consistent).
-        replay::ContainmentManager manager(process, system, system,
-                                           containment);
-        replay::ContainedRun contained =
-            replay::runContained(process, manager);
-        run = contained.result;
-        result.containment_enabled = true;
-        result.aborted = contained.aborted;
-        result.containment = manager.stats();
-    } else {
-        // Declared after system, so its worker is joined before the
-        // system, hierarchy and lifeguards it uses are destroyed, on
-        // every exit path.
-        ProduceRecords schedule(system);
-        run = process.run(&schedule);
-        schedule.finish();
-    }
-    system.finish();
-
     result.platform = "lba";
-    result.instructions = run.instructions;
-    result.cycles = system.stats().total_cycles;
+    result.instructions = tenant.run.instructions;
+    result.cycles = tenant.total_cycles;
     result.slowdown = base.cycles
                           ? static_cast<double>(result.cycles) /
                                 static_cast<double>(base.cycles)
                           : 0.0;
-    result.findings = mergeShardFindings(guards);
-    result.lba = system.stats();
+    result.findings = std::move(tenant.findings);
+    result.lba = tenant.lba;
     for (unsigned s = 0; s < shards; ++s) {
-        result.shards.push_back(system.timer().laneStats(s));
+        result.shards.push_back(pool.timer_->laneStats(s));
     }
-    result.run = run;
+    result.run = tenant.run;
+    result.containment_enabled = tenant.containment_enabled;
+    result.aborted = tenant.aborted;
+    result.containment = std::move(tenant.containment);
     return result;
 }
 
@@ -230,8 +132,7 @@ Experiment::runDbi(const LifeguardFactory& factory)
     const PlatformResult& base = unmonitored();
 
     sim::Process process = makeProcess();
-    mem::HierarchyConfig hc = config_.hierarchy;
-    mem::CacheHierarchy hierarchy(hc);
+    mem::CacheHierarchy hierarchy(config_.hierarchy);
     std::unique_ptr<lifeguard::Lifeguard> guard = factory();
     LBA_ASSERT(guard != nullptr, "lifeguard factory returned null");
 

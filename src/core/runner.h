@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/lba_system.h"
-#include "core/two_thread_run.h"
 #include "dbi/dbi_system.h"
 #include "isa/isa.h"
 #include "lifeguard/lifeguard.h"
@@ -91,8 +90,9 @@ class Experiment
      * Run under LBA with the experiment's configuration, on @p shards
      * lifeguard cores (a fresh lifeguard from @p factory per shard).
      * Without containment the lifeguards' handlers run on a worker
-     * thread (core::TwoThreadRun); read their state after the call
-     * returns, and expect what a handler throws to be rethrown here.
+     * thread (the pool's core::TwoThreadRun); read their state after
+     * the call returns, and expect what a handler throws to be
+     * rethrown here.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           unsigned shards = 1);
@@ -103,11 +103,12 @@ class Experiment
 
     /**
      * Run under LBA with explicit configuration and containment on
-     * @p shards lifeguard cores. Shard s consumes on core
-     * `lba_config.dispatch.core + s`; the hierarchy grows to hold those
-     * cores and the application's. The findings are
-     * mergeShardFindings() of the shards' lists, so one shard reports
-     * its lifeguard's own list.
+     * @p shards lifeguard cores: one tenant on a @p shards-lane
+     * sched::LifeguardPool, with no baseline of its own. The application
+     * runs on core 0, and shard s consumes on core
+     * `max(lba_config.dispatch.core, 1) + s`; the hierarchy grows to
+     * hold those cores. The findings are mergeShardFindings() of the
+     * shards' lists, so one shard reports its lifeguard's own list.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           const LbaConfig& lba_config,

@@ -1,19 +1,19 @@
 #pragma once
 /**
  * @file
- * The two-thread schedule of the LBA drivers without containment
- * (core::Experiment::runLba and sched::LifeguardPool::run): the calling
- * thread produces a stream of entries, and one worker thread consumes
- * them in order, a window at a time.
+ * The two-thread schedule of the LBA drive without containment
+ * (sched::LifeguardPool, which core::Experiment::runLba drives with one
+ * tenant): the calling thread produces a stream of entries, and one
+ * worker thread consumes them in order, a window at a time.
  *
  * The results are those of consuming each entry as soon as it is made,
- * on the calling thread: the drivers put in an entry everything the
+ * on the calling thread: the driver puts in an entry everything the
  * consumer half needs, and the producer half reads nothing the consumer
  * half writes. So the threads need only one release/acquire handoff per
  * window each way: the producer publishes a filled window, and the
  * worker hands back the one it consumed. State one thread writes and
  * the other reads sits on cache lines of its own. docs/ARCHITECTURE.md
- * ("Two host threads") describes both drivers' halves.
+ * ("Two host threads") describes both halves.
  */
 
 #include <array>
@@ -28,19 +28,19 @@
 namespace lba::core {
 
 /** Entries per window: the worker takes the stream in windows of this
- *  many (records, for runLba). */
+ *  many (records and scheduler steps). */
 inline constexpr std::size_t kWindowRecords = 2048;
 /** Windows in flight between the threads: how far the simulator may
  *  run ahead of the lifeguards. */
 inline constexpr std::size_t kWindows = 4;
 
 /**
- * The ring between the two threads. The calling thread push()es
- * entries; the worker calls @p Consume on each, in push order. The
- * worker starts in the constructor; finish() or the destructor closes
- * the ring and joins it.
+ * The ring between the two threads. The calling thread fills each
+ * entry in place (slot()) and commit()s it; the worker calls @p Consume
+ * on each, in commit order. The worker starts in the constructor;
+ * finish() or the destructor closes the ring and joins it.
  *
- * @tparam Entry   What one push hands over (default-constructible and
+ * @tparam Entry   What one commit hands over (default-constructible and
  *                 copy-assignable: the windows hold entries by value).
  * @tparam Consume Callable as `consume(const Entry&)` on the worker.
  */
@@ -62,11 +62,17 @@ class TwoThreadRun
     TwoThreadRun(const TwoThreadRun&) = delete;
     TwoThreadRun& operator=(const TwoThreadRun&) = delete;
 
-    /** Hand @p entry to the worker; waits only while the ring is full. */
-    void
-    push(const Entry& entry)
+    /** The entry the next commit() hands over, to fill in place. */
+    Entry&
+    slot()
     {
-        windows_[published_windows_ % kWindows].entries[fill_] = entry;
+        return windows_[published_windows_ % kWindows].entries[fill_];
+    }
+
+    /** Hand slot() to the worker; waits only while the ring is full. */
+    void
+    commit()
+    {
         if (++fill_ == kWindowRecords) publish(false);
     }
 

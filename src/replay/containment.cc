@@ -110,7 +110,7 @@ ContainmentManager::checkFindings()
                 continue;
             }
             // Stop the application at this retirement; the driver
-            // (runContained / the pool) calls containAndRepair().
+            // (the pool's drive) calls containAndRepair().
             // Remaining new findings stay unexamined until the next
             // event, so each gets its own containment decision.
             pending_ = finding;
@@ -268,25 +268,6 @@ ContainmentManager::finalize()
     stats_.checkpoints = checkpointer_.stats().checkpoints;
     stats_.undo_entries = checkpointer_.stats().undo_entries;
     stats_.max_window_entries = checkpointer_.stats().max_window_entries;
-}
-
-ContainedRun
-runContained(sim::Process& process, ContainmentManager& manager)
-{
-    ContainedRun out;
-    for (;;) {
-        out.result = process.run(&manager);
-        if (out.result.stopped && manager.pendingFinding()) {
-            if (!manager.containAndRepair()) {
-                out.aborted = true;
-                break;
-            }
-            continue;
-        }
-        break;
-    }
-    manager.finalize();
-    return out;
 }
 
 } // namespace lba::replay

@@ -142,10 +142,14 @@ struct ContainmentStats
  *
  * Wire it as the process's RetireObserver. It is the process's
  * StoreInterceptor while it exists, owns a Checkpointer internally and
- * forwards every event to @p platform:
+ * forwards every event to @p platform. The driver (in the library,
+ * sched::LifeguardPool's drive) resumes after each contained finding:
  * @code
  *   replay::ContainmentManager manager(process, system, system, config);
- *   auto contained = replay::runContained(process, manager);
+ *   while (process.run(&manager).stopped && manager.pendingFinding() &&
+ *          manager.containAndRepair()) {
+ *   }
+ *   manager.finalize();
  * @endcode
  */
 class ContainmentManager : public sim::RetireObserver,
@@ -226,21 +230,5 @@ class ContainmentManager : public sim::RetireObserver,
 
     ContainmentStats stats_;
 };
-
-/** Outcome of a contained run. */
-struct ContainedRun
-{
-    sim::RunResult result;
-    /** True when the abort policy terminated the program. */
-    bool aborted = false;
-};
-
-/**
- * Run @p process to completion (or abort) under containment: every
- * finding-triggered stop is contained and repaired, then execution
- * resumes. Finalizes the manager's statistics before returning.
- */
-ContainedRun runContained(sim::Process& process,
-                          ContainmentManager& manager);
 
 } // namespace lba::replay

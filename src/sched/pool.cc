@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <thread>
 
 #include "common/assert.h"
@@ -46,12 +47,13 @@ struct LifeguardPool::Tenant
     bool rejected = false;
     /** The abort repair policy terminated this tenant. */
     bool aborted = false;
-    /** The detach threshold fired; the current slice is the last. */
-    bool detach_requested = false;
     /** Tenant was removed by its detach threshold. */
     bool detached = false;
-    /** Retired instructions observed by the pool (detach clock). */
+    /** Retired instructions the pool observed in the tenant's finished
+     *  slices (detach clock). */
     std::uint64_t observed_instructions = 0;
+    /** The last slice's sim::Process::run result. */
+    sim::RunResult run;
 
     /** Consumer state (the thread applying entries), on a line of its
      *  own: the lag window of the tenant's latest slice that consumed a
@@ -130,20 +132,10 @@ void
 LifeguardPool::onRetire(const sim::Retired& retired)
 {
     submitRecord(log::CaptureUnit::makeRecord(retired));
-    // Detach clock: mirror the instruction-limit completion exactly —
-    // the threshold retirement is the last one the platform observes.
-    Tenant& tenant = *tenants_[current_];
-    ++tenant.observed_instructions;
-    if (tenant.config.detach_after_instructions > 0 &&
-        !tenant.detach_requested &&
-        tenant.observed_instructions >=
-            tenant.config.detach_after_instructions) {
-        tenant.detach_requested = true;
-        tenant.process->requestStop();
-    }
-    if (sliced_ && --slice_remaining_ == 0) {
-        tenant.process->requestStop();
-    }
+    // Like the instruction limit, the retirement that ends the slice or
+    // reaches the detach threshold is the last one the platform
+    // observes.
+    if (--slice_remaining_ == 0) tenants_[current_]->process->requestStop();
 }
 
 void
@@ -155,8 +147,20 @@ LifeguardPool::onOsEvent(const sim::OsEvent& event)
 void
 LifeguardPool::submitRecord(const EventRecord& record)
 {
-    submit({record, tenants_[current_]->system->produce(record), current_,
-            Op::Kind::kRecord});
+    double bytes = tenants_[current_]->system->produce(record);
+    if (!ring_) {
+        apply({record, bytes, current_, Op::Kind::kRecord});
+        return;
+    }
+    // Filled in place, a field at a time: copying in a whole Op built
+    // on the stack ran about 5% slower end to end on hostbench's
+    // req_serve_bounds (4-vCPU Xeon).
+    Op& op = ring_->slot();
+    op.record = record;
+    op.bytes = bytes;
+    op.tenant = current_;
+    op.kind = Op::Kind::kRecord;
+    ring_->commit();
 }
 
 void
@@ -169,7 +173,8 @@ void
 LifeguardPool::submit(const Op& op)
 {
     if (ring_) {
-        ring_->push(op);
+        ring_->slot() = op;
+        ring_->commit();
     } else {
         apply(op);
     }
@@ -244,20 +249,15 @@ LifeguardPool::epoch()
 PoolResult
 LifeguardPool::run()
 {
-    LBA_ASSERT(!ran_, "run() called twice");
-    LBA_ASSERT(!tenants_.empty(), "pool needs at least one tenant");
-    ran_ = true;
-    unsigned ntenants = static_cast<unsigned>(tenants_.size());
-
     // Unmonitored baselines (per-tenant slowdown denominators), each on
     // its own private hierarchy via the experiment runner. They share
     // nothing with the monitored drive, so a thread of their own runs
     // them meanwhile; its destructor joins it on every exit path.
-    std::vector<Cycles> baselines(ntenants);
+    std::vector<Cycles> baselines(tenants_.size());
     std::exception_ptr baseline_error;
     std::jthread baseline_thread([&] {
         try {
-            for (unsigned t = 0; t < ntenants; ++t) {
+            for (std::size_t t = 0; t < baselines.size(); ++t) {
                 core::ExperimentConfig base_config;
                 base_config.process = tenants_[t]->config.process;
                 base_config.hierarchy = config_.hierarchy;
@@ -269,12 +269,32 @@ LifeguardPool::run()
             baseline_error = std::current_exception();
         }
     });
+    PoolResult result = drive();
+    baseline_thread.join();
+    if (baseline_error) std::rethrow_exception(baseline_error);
+
+    for (std::size_t t = 0; t < baselines.size(); ++t) {
+        TenantStats& stats = result.tenants[t];
+        stats.unmonitored_cycles = baselines[t];
+        if (stats.admitted && baselines[t]) {
+            stats.slowdown = static_cast<double>(stats.total_cycles) /
+                             static_cast<double>(baselines[t]);
+        }
+    }
+    return result;
+}
+
+PoolResult
+LifeguardPool::drive()
+{
+    LBA_ASSERT(!ran_, "run() called twice");
+    LBA_ASSERT(!tenants_.empty(), "pool needs at least one tenant");
+    ran_ = true;
+    unsigned ntenants = static_cast<unsigned>(tenants_.size());
 
     // The monitored platform: tenant t's application runs on core t,
-    // lanes start at core dispatch.core. With one tenant this is
-    // exactly the layout Experiment::runLba builds.
+    // lanes start at core dispatch.core.
     core::LbaConfig lba = config_.lba;
-    lba.app_core = 0;
     lba.dispatch.core = std::max(lba.dispatch.core, ntenants);
     mem::HierarchyConfig hc = config_.hierarchy;
     unsigned needed = lba.dispatch.core + config_.lanes;
@@ -385,15 +405,26 @@ LifeguardPool::run()
         unsigned index = active_[cursor];
         Tenant& tenant = *tenants_[index];
 
-        sliced_ = active_.size() > 1 || !queued_.empty() ||
-                  !pending.empty();
-        slice_remaining_ = config_.slice_instructions;
+        // The slice ends at the detach threshold, or after
+        // slice_instructions retirements when anyone waits to run.
+        std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
+        if (active_.size() > 1 || !queued_.empty() || !pending.empty()) {
+            budget = config_.slice_instructions;
+        }
+        std::uint64_t detach = tenant.config.detach_after_instructions;
+        if (detach > 0) {
+            budget = std::min(budget, detach - tenant.observed_instructions);
+        }
+        slice_remaining_ = budget;
         current_ = index;
         sim::RetireObserver* observer =
             tenant.manager ? static_cast<sim::RetireObserver*>(
                                  tenant.manager.get())
                            : this;
-        sim::RunResult slice = tenant.process->run(observer);
+        tenant.run = tenant.process->run(observer);
+        tenant.observed_instructions += budget - slice_remaining_;
+        bool detach_reached =
+            detach > 0 && tenant.observed_instructions >= detach;
         step(Op::Kind::kSliceEnd, index);
 
         // A stop can mean "slice exhausted" or "finding detected".
@@ -403,12 +434,12 @@ LifeguardPool::run()
         // completion path below.
         ++round;
         bool abort_tenant = false;
-        if (slice.stopped && tenant.manager &&
+        if (tenant.run.stopped && tenant.manager &&
             tenant.manager->pendingFinding()) {
             abort_tenant = !tenant.manager->containAndRepair();
             tenant.aborted = abort_tenant;
         }
-        if (slice.stopped && !abort_tenant && !tenant.detach_requested) {
+        if (tenant.run.stopped && !abort_tenant && !detach_reached) {
             step(Op::Kind::kEpoch);
             ++cursor;
             continue;
@@ -417,9 +448,7 @@ LifeguardPool::run()
         // Tenant complete (exit, deadlock, instruction limit or
         // detach): release its bandwidth share and let queued tenants
         // in.
-        if (tenant.detach_requested && !abort_tenant) {
-            tenant.detached = true;
-        }
+        tenant.detached = detach_reached && !abort_tenant;
         load_ -= tenant.demand;
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(cursor));
         step(Op::Kind::kDeactivate, index);
@@ -439,8 +468,6 @@ LifeguardPool::run()
         if (tenant->admitted) tenant->system->finish();
     }
     timer_->seal();
-    baseline_thread.join();
-    if (baseline_error) std::rethrow_exception(baseline_error);
 
     PoolResult result;
     result.policy = scheduler_->name();
@@ -462,16 +489,11 @@ LifeguardPool::run()
         stats.rejected = tenant->rejected;
         stats.detached = tenant->detached;
         stats.demand_bytes_per_cycle = tenant->demand;
-        stats.unmonitored_cycles = baselines[tenant->index];
+        stats.run = tenant->run;
         if (tenant->admitted) {
             stats.lba = tenant->system->stats();
             stats.instructions = stats.lba.app_instructions;
             stats.total_cycles = stats.lba.total_cycles;
-            stats.slowdown =
-                stats.unmonitored_cycles
-                    ? static_cast<double>(stats.total_cycles) /
-                          static_cast<double>(stats.unmonitored_cycles)
-                    : 0.0;
             const stats::Histogram& lag = tenant->system->lagHistogram();
             stats.lag_p50 = lag.p50();
             stats.lag_p95 = lag.p95();

@@ -22,20 +22,20 @@
  *
  * Execution is deterministic: tenants are driven round-robin in slices
  * of `slice_instructions` retired instructions; a lone tenant runs to
- * completion unsliced, which (together with identity lane maps) makes
- * a one-tenant pool cycle-identical to core::Experiment::runLba with M
- * shards — the invariant asserted by tests/sched_test.cpp.
+ * completion unsliced on identity lane maps. That lone tenant on M
+ * lanes is core::Experiment::runLba with M shards: runLba builds such a
+ * pool and drives it.
  *
- * Without containment run() splits the work between host threads the
- * way core::Experiment::runLba does (core::TwoThreadRun). The calling
- * thread runs the driver (admission, slicing, arrivals, detach) and
- * each record's producer half: the simulator, capture and the tenant's
- * LbaSystem::produce. A worker applies, in the order the driver made
- * them, each record's LbaSystem::consume and each scheduler step:
- * lane-map changes, the slice-end lag window read and the epoch. The
- * driver reads no simulated time, so the results are those of applying
- * every step at once, which is what run() does under containment. A
- * third thread computes the tenants' unmonitored baselines meanwhile.
+ * Without containment the drive splits the work between two host
+ * threads (core::TwoThreadRun). The calling thread runs the driver
+ * (admission, slicing, arrivals, detach) and each record's producer
+ * half: the simulator, capture and the tenant's LbaSystem::produce. A
+ * worker applies, in the order the driver made them, each record's
+ * LbaSystem::consume and each scheduler step: lane-map changes, the
+ * slice-end lag window read and the epoch. The driver reads no
+ * simulated time, so the results are those of applying every step at
+ * once, which is what the drive does under containment. run() computes
+ * the tenants' unmonitored baselines on a third thread meanwhile.
  */
 
 #include <cstdint>
@@ -158,6 +158,8 @@ struct TenantStats
     double lag_p99 = 0.0;
 
     std::vector<lifeguard::Finding> findings;
+    /** The tenant's last sim::Process::run result. */
+    sim::RunResult run;
 
     /** True when this tenant ran under containment. */
     bool containment_enabled = false;
@@ -221,9 +223,10 @@ class LifeguardPool : public sim::RetireObserver
 
     /**
      * Admit, schedule and run every tenant to completion, then finish
-     * all lifeguards and collect statistics. Call exactly once. Without
-     * containment the lifeguards' handlers run on a worker thread, and
-     * what one throws is rethrown here.
+     * all lifeguards and collect statistics, while a third thread
+     * computes the tenants' unmonitored baselines. Call exactly once.
+     * Without containment the lifeguards' handlers run on a worker
+     * thread, and what one throws is rethrown here.
      */
     PoolResult run();
 
@@ -233,6 +236,10 @@ class LifeguardPool : public sim::RetireObserver
     void onOsEvent(const sim::OsEvent& event) override;
 
   private:
+    /** Experiment::runLba calls drive() on a one-tenant pool, since it
+     *  has the tenant's baseline cached, and reads timer_'s lanes. */
+    friend class core::Experiment;
+
     struct Tenant;
 
     /**
@@ -272,6 +279,13 @@ class LifeguardPool : public sim::RetireObserver
         void operator()(const Op& op) const { pool->apply(op); }
     };
 
+    /**
+     * Everything run() does but the baselines: admit, schedule and run
+     * every tenant, finish the lifeguards and collect statistics, with
+     * each tenant's unmonitored_cycles and slowdown left 0.
+     */
+    PoolResult drive();
+
     /** Admission decision for @p tenant against the current load. */
     bool fits(const Tenant& tenant) const;
 
@@ -309,8 +323,8 @@ class LifeguardPool : public sim::RetireObserver
     /** The driver's state: the calling thread's alone, on host cache
      *  lines of its own. The per-record fields come first. */
     alignas(64) unsigned current_ = 0;
+    /** Retirements before the driver stops the current slice. */
     std::uint64_t slice_remaining_ = 0;
-    bool sliced_ = false;
     /** Indices of running tenants, admission order. */
     std::vector<unsigned> active_;
     /** FIFO of admitted-later tenants (kQueue admission). */
@@ -321,8 +335,8 @@ class LifeguardPool : public sim::RetireObserver
      *  kDeactivate entries. */
     alignas(64) std::vector<unsigned> scheduled_;
 
-    /** The worker (run() without containment). Last member, so it is
-     *  joined before anything it uses is destroyed. */
+    /** The worker (the drive without containment). Last member, so it
+     *  is joined before anything it uses is destroyed. */
     std::optional<core::TwoThreadRun<Op, Apply>> ring_;
 };
 

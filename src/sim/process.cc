@@ -284,7 +284,6 @@ Process::run(RetireObserver* observer)
             Instruction instr;
             if (!fetch(*t, &instr)) {
                 exitThread(*t, observer, ThreadState::kFaulted);
-                ++result.faulted_threads;
                 break;
             }
             if (store_interceptor_ && isa::isStore(instr.op)) {
@@ -326,10 +325,13 @@ Process::run(RetireObserver* observer)
     result.instructions = instructions_;
     result.hit_instruction_limit =
         instructions_ >= config_.max_instructions;
+    // From the thread states, like all_exited: a fault that a rewind
+    // undid no longer counts, and one before a resume still does.
     result.all_exited = true;
     for (const Thread& t : threads_) {
-        if (t.state != ThreadState::kDone &&
-            t.state != ThreadState::kFaulted) {
+        if (t.state == ThreadState::kFaulted) {
+            ++result.faulted_threads;
+        } else if (t.state != ThreadState::kDone) {
             result.all_exited = false;
         }
     }

@@ -93,6 +93,8 @@ struct RunResult
     bool hit_instruction_limit = false;
     /** True when an observer called requestStop(); run() may resume. */
     bool stopped = false;
+    /** Threads in the faulted state at return: every fault of any
+     *  run() call, less those a rewind undid. */
     unsigned faulted_threads = 0;
 };
 

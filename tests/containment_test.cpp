@@ -6,11 +6,10 @@
  *
  * Two proof obligations:
  *  1. Differential: containment enabled with zero findings is
- *     cycle-identical to the baseline — for LbaSystem at shards in
- *     {1,2,4}, and one tenant on an M-lane pool (the no-findings path
- *     makes no timer calls at all) — and with findings, one tenant on
- *     an M-lane pool rewinds and repairs exactly as runLba on M shards
- *     does, under every policy.
+ *     cycle-identical to the baseline at shards in {1,2,4} (the
+ *     no-findings path makes no timer calls at all), and with findings
+ *     runLba, the pool's drive, rewinds and repairs exactly as an
+ *     inline reference built outside it does, under every policy.
  *  2. An injected finding rewinds exactly as far as the program ran
  *     past the last checkpoint, repairs under every policy, and the
  *     repaired run completes (the rewind_repair example's scenario,
@@ -18,6 +17,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "asm/assembler.h"
 #include "core/runner.h"
@@ -153,11 +154,118 @@ TEST(ContainmentDifferential, ZeroFindingsParallelMatchesBaseline)
     }
 }
 
-TEST(ContainmentDifferential, OneTenantPoolRewindsLikeRunLba)
+/**
+ * Run @p prog through runLba under @p config on @p lanes shards, and
+ * through an inline reference that shares no code with the pool's
+ * drive: an LbaSystem on a timer of its own, contained by a
+ * ContainmentManager built from it, run and resumed on this thread
+ * after every contained finding. Every statistic, shard, finding and
+ * containment count, and the run result, must agree.
+ * @return The runLba result.
+ */
+core::PlatformResult
+expectMatchesInlineContainment(const std::vector<isa::Instruction>& prog,
+                               const ContainmentConfig& config,
+                               unsigned lanes)
 {
-    // One tenant on an M-lane pool and runLba on M shards wire the same
-    // containment: every rewind, repair and cycle must agree, under
-    // every policy, with no findings (clean bc) and with real rewinds.
+    core::Experiment exp(prog);
+    const core::LbaConfig& lba = exp.config().lba;
+    core::PlatformResult got = exp.runLba(addrcheck(), lba, config, lanes);
+
+    sim::Process process;
+    process.load(prog);
+    mem::HierarchyConfig hc;
+    hc.num_cores = std::max(hc.num_cores, lba.dispatch.core + lanes);
+    mem::CacheHierarchy hierarchy(hc);
+    std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
+    std::vector<lifeguard::Lifeguard*> shard_guards;
+    for (unsigned s = 0; s < lanes; ++s) {
+        guards.push_back(addrcheck()());
+        shard_guards.push_back(guards.back().get());
+    }
+    core::LbaSystem system(shard_guards, hierarchy, lba);
+    ContainmentManager manager(process, system, system, config);
+    sim::RunResult run;
+    bool aborted = false;
+    for (;;) {
+        run = process.run(&manager);
+        if (!run.stopped || !manager.pendingFinding()) break;
+        if (!manager.containAndRepair()) {
+            aborted = true;
+            break;
+        }
+    }
+    manager.finalize();
+    system.finish();
+
+    EXPECT_TRUE(got.containment_enabled);
+    EXPECT_EQ(got.aborted, aborted);
+    EXPECT_EQ(got.instructions, run.instructions);
+    EXPECT_EQ(got.run.instructions, run.instructions);
+    EXPECT_EQ(got.run.all_exited, run.all_exited);
+    EXPECT_EQ(got.run.deadlocked, run.deadlocked);
+    EXPECT_EQ(got.run.hit_instruction_limit, run.hit_instruction_limit);
+    EXPECT_EQ(got.run.stopped, run.stopped);
+    EXPECT_EQ(got.run.faulted_threads, run.faulted_threads);
+    EXPECT_EQ(got.cycles, system.stats().total_cycles);
+    expectStatsIdentical(got.lba, system.stats());
+
+    EXPECT_EQ(got.shards.size(), lanes);
+    for (unsigned s = 0;
+         s < std::min<std::size_t>(lanes, got.shards.size()); ++s) {
+        const core::LaneStats& lane = got.shards[s];
+        core::LaneStats want = system.timer().laneStats(s);
+        EXPECT_EQ(lane.last_finish, want.last_finish) << "shard " << s;
+        EXPECT_EQ(lane.busy_cycles, want.busy_cycles) << "shard " << s;
+        EXPECT_EQ(lane.records, want.records) << "shard " << s;
+        EXPECT_EQ(lane.mean_consume_lag, want.mean_consume_lag)
+            << "shard " << s;
+        EXPECT_EQ(lane.transport_bytes, want.transport_bytes)
+            << "shard " << s;
+        EXPECT_EQ(lane.transport_wait_cycles, want.transport_wait_cycles)
+            << "shard " << s;
+        EXPECT_EQ(lane.buffer.pushes, want.buffer.pushes) << "shard " << s;
+        EXPECT_EQ(lane.buffer.pops, want.buffer.pops) << "shard " << s;
+        EXPECT_EQ(lane.buffer.max_occupancy, want.buffer.max_occupancy)
+            << "shard " << s;
+    }
+
+    std::vector<lifeguard::Finding> findings =
+        core::mergeShardFindings(guards);
+    EXPECT_EQ(got.findings.size(), findings.size());
+    for (std::size_t i = 0;
+         i < std::min(got.findings.size(), findings.size()); ++i) {
+        EXPECT_EQ(lifeguard::toString(got.findings[i]),
+                  lifeguard::toString(findings[i]));
+    }
+
+    const ContainmentStats& have = got.containment;
+    const ContainmentStats& want = manager.stats();
+    EXPECT_EQ(have.checkpoints, want.checkpoints);
+    EXPECT_EQ(have.syscall_checkpoints, want.syscall_checkpoints);
+    EXPECT_EQ(have.interval_checkpoints, want.interval_checkpoints);
+    EXPECT_EQ(have.undo_entries, want.undo_entries);
+    EXPECT_EQ(have.max_window_entries, want.max_window_entries);
+    EXPECT_EQ(have.rewinds, want.rewinds);
+    EXPECT_EQ(have.rewound_instructions, want.rewound_instructions);
+    EXPECT_EQ(have.max_rewind_distance, want.max_rewind_distance);
+    EXPECT_EQ(have.rewind_cycles, want.rewind_cycles);
+    EXPECT_EQ(have.checkpoint_stall_cycles, want.checkpoint_stall_cycles);
+    EXPECT_EQ(have.repairs.patched, want.repairs.patched);
+    EXPECT_EQ(have.repairs.skipped, want.repairs.skipped);
+    EXPECT_EQ(have.repairs.quarantined, want.repairs.quarantined);
+    EXPECT_EQ(have.repairs.aborted, want.repairs.aborted);
+    EXPECT_EQ(have.repairs.suppressed, want.repairs.suppressed);
+    EXPECT_EQ(have.rewind_distance.count(), want.rewind_distance.count());
+    EXPECT_EQ(have.rewind_distance.mean(), want.rewind_distance.mean());
+    return got;
+}
+
+TEST(ContainmentDifferential, RunLbaRewindsLikeAnInlineReference)
+{
+    // runLba, the one-tenant pool's drive, and the inline reference
+    // must agree on every rewind, repair and cycle, under every policy,
+    // with no findings (clean bc) and with real rewinds.
     const workload::Profile& bc = *workload::findProfile("bc");
     workload::BugInjection bugs;
     bugs.use_after_free = true;
@@ -173,7 +281,6 @@ TEST(ContainmentDifferential, OneTenantPoolRewindsLikeRunLba)
         {"uaf-loop", uafServiceLoop(5, 2), true},
     };
     for (const auto& [name, prog, rewinds] : programs) {
-        core::Experiment exp(prog);
         for (RepairPolicy policy :
              {RepairPolicy::kAbort, RepairPolicy::kSkip,
               RepairPolicy::kPatch, RepairPolicy::kQuarantine}) {
@@ -181,46 +288,17 @@ TEST(ContainmentDifferential, OneTenantPoolRewindsLikeRunLba)
                 SCOPED_TRACE(std::string(name) + " " +
                              repairPolicyName(policy) + " lanes " +
                              std::to_string(lanes));
-                auto par = exp.runLba(addrcheck(), exp.config().lba,
-                                      containment(policy), lanes);
-
-                sched::PoolConfig pool_config;
-                pool_config.lanes = lanes;
-                pool_config.containment = containment(policy);
-                sched::LifeguardPool pool(pool_config, addrcheck());
-                pool.addTenant({"solo", prog, {}, 0.0});
-                sched::PoolResult result = pool.run();
-
-                ASSERT_EQ(result.tenants.size(), 1u);
-                const sched::TenantStats& tenant = result.tenants[0];
-                ASSERT_TRUE(tenant.containment_enabled);
-                EXPECT_EQ(par.containment.rewinds > 0, rewinds);
-                EXPECT_EQ(tenant.total_cycles, par.lba.total_cycles);
-                expectStatsIdentical(tenant.lba, par.lba);
+                core::PlatformResult got = expectMatchesInlineContainment(
+                    prog, containment(policy), lanes);
+                EXPECT_EQ(got.containment.rewinds > 0, rewinds);
                 if (!rewinds) {
                     // No findings: containment costs no cycle.
+                    core::Experiment exp(prog);
                     expectStatsIdentical(
-                        tenant.lba,
+                        got.lba,
                         exp.runLba(addrcheck(), exp.config().lba, {}, lanes)
                             .lba);
                 }
-                EXPECT_EQ(tenant.aborted, par.aborted);
-
-                const ContainmentStats& got = tenant.containment;
-                const ContainmentStats& want = par.containment;
-                EXPECT_EQ(got.rewinds, want.rewinds);
-                EXPECT_EQ(got.rewound_instructions,
-                          want.rewound_instructions);
-                EXPECT_EQ(got.rewind_cycles, want.rewind_cycles);
-                EXPECT_EQ(got.checkpoints, want.checkpoints);
-                EXPECT_EQ(got.repairs.patched, want.repairs.patched);
-                EXPECT_EQ(got.repairs.skipped, want.repairs.skipped);
-                EXPECT_EQ(got.repairs.quarantined,
-                          want.repairs.quarantined);
-                EXPECT_EQ(got.repairs.aborted, want.repairs.aborted);
-                EXPECT_EQ(got.repairs.suppressed, want.repairs.suppressed);
-                EXPECT_EQ(tenant.findings.size(), par.findings.size());
-                EXPECT_DOUBLE_EQ(tenant.slowdown, par.slowdown);
             }
         }
     }
@@ -252,6 +330,39 @@ TEST(ContainmentRepair, PatchRewindsExactDistanceAndCompletes)
               config.containment.rewind_flush_cycles);
     EXPECT_EQ(result.containment.rewind_cycles,
               result.lba.containment_cycles);
+}
+
+TEST(ContainmentRepair, FaultBeforeARewindStaysCounted)
+{
+    // The worker faults (it calls address 5, outside the code) long
+    // before main's stale read, which rewinds one instruction, to the
+    // checkpoint after the free. The fault happened before that
+    // checkpoint, so the contained run still counts it.
+    auto prog = program(R"(
+        li r1, 0x10050      ; worker entry (instr index 10)
+        li r2, 0
+        syscall 7           ; spawn
+        syscall 8           ; join the worker (r1 = its tid)
+        li r1, 64
+        syscall 1           ; buf = alloc(64)
+        mov r9, r1
+        syscall 2           ; free(buf)
+        ld r2, 0(r9)        ; BUG: stale read after free
+        halt
+    worker:
+        li r5, 0x5
+        callr r5            ; control leaves the code: the thread faults
+    )");
+    core::Experiment exp(prog);
+    auto plain = exp.runLba(addrcheck());
+    EXPECT_EQ(plain.run.faulted_threads, 1u);
+
+    auto contained = exp.runLba(addrcheck(), exp.config().lba,
+                                containment(RepairPolicy::kPatch));
+    EXPECT_EQ(contained.containment.rewinds, 1u);
+    EXPECT_EQ(contained.containment.rewound_instructions, 1u);
+    EXPECT_TRUE(contained.run.all_exited);
+    EXPECT_EQ(contained.run.faulted_threads, 1u);
 }
 
 TEST(ContainmentRepair, SkipPolicyNopsTheInstructionAndCompletes)

@@ -14,6 +14,7 @@
 #include "asm/assembler.h"
 #include "core/lba_system.h"
 #include "core/runner.h"
+#include "core/two_thread_run.h"
 #include "fixed_cost_lifeguard.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/taintcheck.h"
@@ -457,8 +458,7 @@ expectMatchesInline(const std::vector<isa::Instruction>& prog,
     sim::Process process(config.process);
     process.load(prog);
     mem::HierarchyConfig hc = config.hierarchy;
-    hc.num_cores = std::max({hc.num_cores, config.lba.dispatch.core + shards,
-                             config.lba.app_core + 1});
+    hc.num_cores = std::max(hc.num_cores, config.lba.dispatch.core + shards);
     mem::CacheHierarchy hierarchy(hc);
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
     std::vector<lifeguard::Lifeguard*> shard_guards;

@@ -5,7 +5,11 @@
  * The central proof obligation: ONE tenant scheduled on an M-lane pool
  * is cycle-identical to core::LbaSystem with M shards, for every
  * policy — the pool is the same PipelineTimer recurrence and the same
- * sharding rule, so every stat must match exactly.
+ * sharding rule, so every stat must match exactly. runLba is itself
+ * that one-tenant pool on the static policy, so the SchedDifferential
+ * cases check that every policy leaves a lone tenant on that map;
+ * tests/core_test.cpp's TwoThreadSchedule cases compare runLba with an
+ * LbaSystem driven inline.
  *
  * The behavioural tests cover admission control (queue and reject),
  * lane sharing across tenants, the lag policy's stealing, and

@@ -2,12 +2,15 @@
  * @file
  * Reproduces the Section 2 compression claim — the value-prediction
  * compressor achieves "less than one byte per instruction" on every
- * benchmark's event log, with a per-field bit breakdown — and sets the
- * codec against the raw log on the suite's whole capture stream:
- * bytes/record, ratio against raw, and the codec's host-side
- * encode/decode cost per record. Raw is what the transport carries
- * with compression off (LbaConfig::raw_record_bytes per record), the
- * baseline ablation_bandwidth compares against.
+ * benchmark's event log, with a per-field bit breakdown (from the
+ * FieldTally sink) — and sets the codec against the raw log on the
+ * suite's whole capture stream: bytes/record, ratio against raw, and
+ * the codec's host-side cost per record to encode (LogCompressor,
+ * which writes the stream), to size (LogSizer, which only counts its
+ * bits, as the pipeline's producer step does) and to decode. Raw is
+ * what the transport carries with compression off
+ * (LbaConfig::raw_record_bytes per record), the baseline
+ * ablation_bandwidth compares against.
  *
  * JSON rows land in BENCH_results.json via --json (see
  * docs/BENCHMARKS.md for the schema).
@@ -57,26 +60,25 @@ main(int argc, char** argv)
     double worst = 0.0;
     for (const workload::Profile& profile : workload::fullSuite()) {
         auto generated = workload::generate(profile, {}, instrs);
-        compress::LogCompressor compressor;
+        compress::LogEncoder<compress::FieldTally> tally;
         log::CaptureUnit capture([&](const log::EventRecord& r) {
-            compressor.append(r);
+            tally.append(r);
             all_records.push_back(r);
         });
         sim::Process process;
         process.load(generated.program);
         process.run(&capture);
 
-        double bpr = compressor.bytesPerRecord();
+        double bpr = tally.bytesPerRecord();
         worst = std::max(worst, bpr);
-        const compress::FieldBits& f = compressor.fieldBits();
+        const compress::FieldBits& f = tally.sink().fields();
         auto per = [&](std::uint64_t bits) {
             return stats::formatDouble(
                 static_cast<double>(bits) /
-                    static_cast<double>(compressor.records()),
+                    static_cast<double>(tally.records()),
                 3);
         };
-        table.addRow({profile.name,
-                      std::to_string(compressor.records()),
+        table.addRow({profile.name, std::to_string(tally.records()),
                       stats::formatDouble(bpr, 3), per(f.pc),
                       per(f.stat), per(f.addr), per(f.ctrl),
                       per(f.kind + f.tid + f.annotation)});
@@ -89,7 +91,7 @@ main(int argc, char** argv)
     // business reporting a ratio).
     stats::Table codecs({"codec", "records", "payload B",
                          "bytes/record", "ratio", "encode ns/rec",
-                         "decode ns/rec"});
+                         "size ns/rec", "decode ns/rec"});
     const double raw_record_bytes = core::LbaConfig{}.raw_record_bytes;
     const double raw_bytes =
         static_cast<double>(all_records.size()) * raw_record_bytes;
@@ -103,6 +105,13 @@ main(int argc, char** argv)
     LBA_ASSERT(encoder.pull(payload.data(), payload.size()) ==
                    payload.size(),
                "encoder under-drained");
+
+    compress::LogSizer sizer;
+    auto s0 = std::chrono::steady_clock::now();
+    for (const auto& record : all_records) sizer.append(record);
+    auto s1 = std::chrono::steady_clock::now();
+    LBA_ASSERT(sizer.bits() == encoder.bitsWritten(),
+               "sizer and encoder disagree on the stream's bits");
 
     compress::Decoder decoder;
     decoder.push(payload.data(), payload.size());
@@ -127,11 +136,12 @@ main(int argc, char** argv)
          stats::formatDouble(
              raw_bytes / static_cast<double>(payload.size()), 2),
          stats::formatDouble(nsPerRecord(t1 - t0, decoded), 1),
+         stats::formatDouble(nsPerRecord(s1 - s0, decoded), 1),
          stats::formatDouble(nsPerRecord(t3 - t2, decoded), 1)});
     codecs.addRow({"raw", std::to_string(all_records.size()),
                    std::to_string(static_cast<std::uint64_t>(raw_bytes)),
                    stats::formatDouble(raw_record_bytes, 3), "1.00", "-",
-                   "-"});
+                   "-", "-"});
     std::printf("The codec against the raw log (same capture stream, "
                 "%zu records)\n\n",
                 all_records.size());

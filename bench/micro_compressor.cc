@@ -2,8 +2,10 @@
  * @file
  * MICRO-COMP: google-benchmark microbenchmarks of the log compressor —
  * compression/decompression throughput and predictor-hit behaviour on
- * characteristic record streams. Supports the Section 2 bandwidth
- * argument: the compress engine must keep up with instruction retirement.
+ * characteristic record streams, and the sizing encoder (LogSizer) the
+ * pipeline's producer step runs beside the writer (LogCompressor).
+ * Supports the Section 2 bandwidth argument: the compress engine must
+ * keep up with instruction retirement.
  */
 
 #include <benchmark/benchmark.h>
@@ -86,6 +88,21 @@ BM_CompressBenchmarkTrace(benchmark::State& state)
     state.counters["bytes_per_record"] = c.bytesPerRecord();
 }
 BENCHMARK(BM_CompressBenchmarkTrace);
+
+// The same grammar and predictor bank counting each record's bits
+// instead of writing them: what PipelineTimer::encode() runs.
+void
+BM_SizeBenchmarkTrace(benchmark::State& state)
+{
+    const auto& trace = benchmarkTrace();
+    for (auto _ : state) {
+        compress::LogSizer sizer;
+        for (const auto& r : trace) sizer.append(r);
+        benchmark::DoNotOptimize(sizer.bits());
+    }
+    state.SetItemsProcessed(state.iterations() * trace.size());
+}
+BENCHMARK(BM_SizeBenchmarkTrace);
 
 void
 BM_DecompressBenchmarkTrace(benchmark::State& state)

@@ -9,7 +9,8 @@
  * contract under test: append() never aborts, bitsWritten() grows with
  * every record, records() tracks the append count, and after
  * finishStream() the pullable bytes drain to exactly
- * ceil(bitsWritten/8).
+ * ceil(bitsWritten/8). A LogSizer runs in lockstep and must count each
+ * record's bits exactly as the encoder writes them.
  */
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 
 #include "common/assert.h"
 #include "compress/codec.h"
+#include "compress/compressor.h"
 #include "compress/record_gen.h"
 
 extern "C" int
@@ -25,6 +27,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     using namespace lba::compress;
     Encoder encoder;
+    LogSizer sizer;
     std::uint64_t appended = 0;
     std::uint64_t pulled = 0;
     std::uint8_t sink[64];
@@ -33,9 +36,12 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
             canonicalize(recordFromBytes(data + pos, size - pos));
         std::uint64_t before = encoder.bitsWritten();
         encoder.append(record);
+        std::uint64_t sized = sizer.append(record);
         ++appended;
         LBA_ASSERT(encoder.bitsWritten() > before,
                    "append must write at least one bit");
+        LBA_ASSERT(sized == encoder.bitsWritten() - before,
+                   "sizer must count the bits the encoder writes");
         LBA_ASSERT(encoder.records() == appended,
                    "encoder record count out of sync");
         // Interleave pulls: streaming consumers drain mid-encode.

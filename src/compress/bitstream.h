@@ -9,6 +9,7 @@
  * first within each byte.
  */
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -68,6 +69,14 @@ class BitWriter
     std::vector<std::uint8_t> bytes_;
     unsigned bit_pos_ = 0; // next free bit index within bytes_.back()
 };
+
+/** The bits BitWriter::writeVarint writes for @p value: 8 per 7-bit
+ *  group, and at least one group. */
+inline unsigned
+varintBits(std::uint64_t value)
+{
+    return 8 * ((static_cast<unsigned>(std::bit_width(value | 1)) + 6) / 7);
+}
 
 /**
  * Outcome of a checked (try*) bit-stream read. kUnderrun is

@@ -1,12 +1,15 @@
 /**
  * @file
- * Log compressor / decompressor implementation.
+ * Log encoder / decoder implementation.
  *
- * Invariant: every predictor update performed here is mirrored verbatim in
- * the decompressor, keeping the two predictor banks bit-for-bit in sync.
+ * Invariant: the decoder records each field into its bank with the
+ * same PredictorBank / PcEntry calls, in the same order, as the
+ * encoder's grammar, keeping the two banks bit-for-bit in sync.
  */
 
 #include "compress/compressor.h"
+
+#include <type_traits>
 
 #include "common/assert.h"
 #include "compress/codec.h"
@@ -42,121 +45,122 @@ hasCtrlPayload(isa::InstrClass cls)
     }
 }
 
+/** Name the field the next writes belong to; only FieldTally counts
+ *  bits by field. */
+template <typename Sink>
+void
+markField(Sink& sink, std::uint64_t FieldBits::*field)
+{
+    if constexpr (std::is_same_v<Sink, FieldTally>) sink.field(field);
+}
+
 } // namespace
 
-void
-LogCompressor::append(const EventRecord& record)
+template <typename Sink>
+std::uint64_t
+LogEncoder<Sink>::append(const EventRecord& record)
 {
     ++records_;
-    std::uint64_t mark = writer_.bitCount();
-    auto take = [&](std::uint64_t& sink) {
-        std::uint64_t now = writer_.bitCount();
-        sink += now - mark;
-        mark = now;
-    };
+    const std::uint64_t start = sink_.bitCount();
 
+    markField(sink_, &FieldBits::kind);
     bool annotation = log::isAnnotation(record.type);
-    writer_.writeBit(annotation);
-    take(field_bits_.kind);
+    sink_.writeBit(annotation);
 
     // Thread id.
+    markField(sink_, &FieldBits::tid);
     if (bank_.tid_seen && record.tid == bank_.last_tid) {
-        writer_.writeBit(true);
+        sink_.writeBit(true);
     } else {
-        writer_.writeBit(false);
-        writer_.writeBits(record.tid, 16);
+        sink_.writeBit(false);
+        sink_.writeBits(record.tid, 16);
     }
     bank_.last_tid = record.tid;
     bank_.tid_seen = true;
-    take(field_bits_.tid);
 
     if (annotation) {
+        markField(sink_, &FieldBits::annotation);
         unsigned type_index =
             static_cast<unsigned>(record.type) -
             static_cast<unsigned>(EventType::kAlloc);
         LBA_ASSERT(type_index < 8, "bad annotation type");
-        writer_.writeBits(type_index, 3);
+        sink_.writeBits(type_index, 3);
         auto& last = bank_.annotation[type_index];
-        writer_.writeVarint(zigzagDelta(record.addr, last.addr));
-        writer_.writeVarint(zigzagDelta(record.aux, last.aux));
+        sink_.writeVarint(zigzagDelta(record.addr, last.addr));
+        sink_.writeVarint(zigzagDelta(record.aux, last.aux));
         last.addr = record.addr;
         last.aux = record.aux;
-        take(field_bits_.annotation);
-        return;
+        return sink_.bitCount() - start;
     }
 
     // Program counter.
-    PcPredictor::Source pc_src = bank_.pc.predict(record.tid, record.pc);
-    switch (pc_src) {
-      case PcPredictor::Source::kSequential:
-        writer_.writeBit(false);
+    markField(sink_, &FieldBits::pc);
+    Addr base = 0;
+    switch (bank_.recordPc(record.tid, record.pc, &base)) {
+      case PcSource::kSequential:
+        sink_.writeBit(false);
         break;
-      case PcPredictor::Source::kContext:
-        writer_.writeBit(true);
-        writer_.writeBit(false);
+      case PcSource::kContext:
+        sink_.writeBit(true);
+        sink_.writeBit(false);
         break;
-      case PcPredictor::Source::kMiss:
-        writer_.writeBit(true);
-        writer_.writeBit(true);
-        writer_.writeVarint(
-            zigzagDelta(record.pc, bank_.pc.missBase(record.tid)));
+      case PcSource::kMiss:
+        sink_.writeBit(true);
+        sink_.writeBit(true);
+        sink_.writeVarint(zigzagDelta(record.pc, base));
         break;
     }
-    bank_.pc.update(record.tid, record.pc);
-    take(field_bits_.pc);
 
     // Static instruction fields.
-    StaticInfo actual{record.opcode, record.rd, record.rs1, record.rs2};
-    const StaticInfo* predicted = bank_.stat.predict(record.pc);
-    if (predicted && *predicted == actual) {
-        writer_.writeBit(true);
+    markField(sink_, &FieldBits::stat);
+    PcEntry& entry = bank_.entry(record.pc);
+    if (entry.recordStatic(
+            {record.opcode, record.rd, record.rs1, record.rs2})) {
+        sink_.writeBit(true);
     } else {
-        writer_.writeBit(false);
-        writer_.writeBits(record.opcode, 6);
-        writer_.writeBits(record.rd, 5);
-        writer_.writeBits(record.rs1, 5);
-        writer_.writeBits(record.rs2, 5);
-        bank_.stat.update(record.pc, actual);
+        sink_.writeBit(false);
+        sink_.writeBits(record.opcode, 6);
+        sink_.writeBits(record.rd, 5);
+        sink_.writeBits(record.rs1, 5);
+        sink_.writeBits(record.rs2, 5);
     }
-    take(field_bits_.stat);
 
     auto cls = isa::classOf(static_cast<isa::Opcode>(record.opcode));
     if (hasMemPayload(cls)) {
-        StridePredictor::Source src =
-            bank_.mem_addr.predict(record.pc, record.addr);
-        switch (src) {
-          case StridePredictor::Source::kStride:
-            writer_.writeBit(false);
+        markField(sink_, &FieldBits::addr);
+        switch (entry.recordAddr(record.addr, &base)) {
+          case AddrSource::kStride:
+            sink_.writeBit(false);
             break;
-          case StridePredictor::Source::kLast:
-            writer_.writeBit(true);
-            writer_.writeBit(false);
+          case AddrSource::kLast:
+            sink_.writeBit(true);
+            sink_.writeBit(false);
             break;
-          case StridePredictor::Source::kMiss:
-            writer_.writeBit(true);
-            writer_.writeBit(true);
-            writer_.writeVarint(zigzagDelta(
-                record.addr, bank_.mem_addr.missBase(record.pc)));
+          case AddrSource::kMiss:
+            sink_.writeBit(true);
+            sink_.writeBit(true);
+            sink_.writeVarint(zigzagDelta(record.addr, base));
             break;
         }
-        bank_.mem_addr.update(record.pc, record.addr);
-        take(field_bits_.addr);
     } else if (hasCtrlPayload(cls)) {
+        markField(sink_, &FieldBits::ctrl);
         bool taken = record.aux != 0;
-        writer_.writeBit(taken);
+        sink_.writeBit(taken);
         if (taken) {
-            if (bank_.ctrl_target.predict(record.pc, record.addr)) {
-                writer_.writeBit(true);
+            if (entry.recordTarget(record.addr)) {
+                sink_.writeBit(true);
             } else {
-                writer_.writeBit(false);
-                writer_.writeVarint(
-                    zigzagDelta(record.addr, record.pc));
+                sink_.writeBit(false);
+                sink_.writeVarint(zigzagDelta(record.addr, record.pc));
             }
-            bank_.ctrl_target.update(record.pc, record.addr);
         }
-        take(field_bits_.ctrl);
     }
+    return sink_.bitCount() - start;
 }
+
+template std::uint64_t LogEncoder<BitWriter>::append(const EventRecord&);
+template std::uint64_t LogEncoder<BitCounter>::append(const EventRecord&);
+template std::uint64_t LogEncoder<FieldTally>::append(const EventRecord&);
 
 EventRecord
 LogDecompressor::next()
@@ -251,40 +255,39 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
     bool pc_nonseq = false;
     LBA_TRY_READ(reader_.tryReadBit(&pc_nonseq), "pc flag");
     if (!pc_nonseq) {
-        if (!bank_.pc.tryResolve(record.tid,
-                                 PcPredictor::Source::kSequential,
-                                 &record.pc)) {
+        if (!bank_.tryResolvePc(record.tid, PcSource::kSequential,
+                                &record.pc)) {
             return fail("sequential pc hit without predictor state");
         }
     } else {
         bool pc_miss = false;
         LBA_TRY_READ(reader_.tryReadBit(&pc_miss), "pc flag");
         if (!pc_miss) {
-            if (!bank_.pc.tryResolve(record.tid,
-                                     PcPredictor::Source::kContext,
-                                     &record.pc)) {
+            if (!bank_.tryResolvePc(record.tid, PcSource::kContext,
+                                    &record.pc)) {
                 return fail("context pc hit without predictor state");
             }
         } else {
             std::uint64_t delta = 0;
             LBA_TRY_READ(reader_.tryReadVarint(&delta),
                          "pc delta varint");
-            record.pc =
-                zigzagApply(bank_.pc.missBase(record.tid), delta);
+            record.pc = zigzagApply(bank_.pcMissBase(record.tid), delta);
         }
     }
 
-    // Static instruction fields.
+    // Static instruction fields. Phase 1 records nothing, so the
+    // entry stays valid until the commit.
+    const PcEntry* entry = bank_.find(record.pc);
     bool stat_hit = false;
     LBA_TRY_READ(reader_.tryReadBit(&stat_hit), "static flag");
-    bool stat_update = false;
     if (stat_hit) {
-        const StaticInfo* info = bank_.stat.predict(record.pc);
-        if (info == nullptr) return fail("static hit for unseen pc");
-        record.opcode = info->opcode;
-        record.rd = info->rd;
-        record.rs1 = info->rs1;
-        record.rs2 = info->rs2;
+        if (entry == nullptr || !entry->has_static) {
+            return fail("static hit for unseen pc");
+        }
+        record.opcode = entry->stat.opcode;
+        record.rd = entry->stat.rd;
+        record.rs1 = entry->stat.rs1;
+        record.rs2 = entry->stat.rs2;
     } else {
         std::uint64_t opcode = 0, rd = 0, rs1 = 0, rs2 = 0;
         LBA_TRY_READ(reader_.tryReadBits(6, &opcode), "opcode literal");
@@ -302,7 +305,6 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
         record.rd = static_cast<std::uint8_t>(rd);
         record.rs1 = static_cast<std::uint8_t>(rs1);
         record.rs2 = static_cast<std::uint8_t>(rs2);
-        stat_update = true;
     }
 
     auto op = static_cast<isa::Opcode>(record.opcode);
@@ -315,18 +317,18 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
         bool addr_nonstride = false;
         LBA_TRY_READ(reader_.tryReadBit(&addr_nonstride), "addr flag");
         if (!addr_nonstride) {
-            if (!bank_.mem_addr.tryResolve(
-                    record.pc, StridePredictor::Source::kStride,
-                    &record.addr)) {
+            if (entry == nullptr ||
+                !entry->tryResolveAddr(AddrSource::kStride,
+                                       &record.addr)) {
                 return fail("stride hit without predictor state");
             }
         } else {
             bool addr_miss = false;
             LBA_TRY_READ(reader_.tryReadBit(&addr_miss), "addr flag");
             if (!addr_miss) {
-                if (!bank_.mem_addr.tryResolve(
-                        record.pc, StridePredictor::Source::kLast,
-                        &record.addr)) {
+                if (entry == nullptr ||
+                    !entry->tryResolveAddr(AddrSource::kLast,
+                                           &record.addr)) {
                     return fail("last-addr hit without predictor state");
                 }
             } else {
@@ -334,7 +336,7 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
                 LBA_TRY_READ(reader_.tryReadVarint(&delta),
                              "addr delta varint");
                 record.addr = zigzagApply(
-                    bank_.mem_addr.missBase(record.pc), delta);
+                    entry == nullptr ? 0 : entry->last_addr, delta);
             }
         }
         mem_update = true;
@@ -348,9 +350,9 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
             LBA_TRY_READ(reader_.tryReadBit(&target_hit),
                          "target flag");
             if (target_hit) {
-                // resolve() is total here (unseen pc yields 0), which
-                // matches what a conforming encoder would have stored.
-                record.addr = bank_.ctrl_target.resolve(record.pc);
+                // Total: a target never recorded reads 0, which is
+                // what a conforming encoder would have compared with.
+                record.addr = entry == nullptr ? 0 : entry->target;
             } else {
                 std::uint64_t delta = 0;
                 LBA_TRY_READ(reader_.tryReadVarint(&delta),
@@ -362,18 +364,17 @@ LogDecompressor::tryNext(EventRecord* out, DecodeError* error)
     }
 
     // Phase 2: every read succeeded — commit the bank updates in one
-    // block. Mirrors LogCompressor::append() verbatim (the predictor
-    // sync invariant), just batched at the end.
+    // block, with the calls LogEncoder::append() makes, in its order
+    // (the predictor sync invariant).
     bank_.last_tid = record.tid;
     bank_.tid_seen = true;
-    bank_.pc.update(record.tid, record.pc);
-    if (stat_update) {
-        bank_.stat.update(record.pc,
-                          StaticInfo{record.opcode, record.rd,
-                                     record.rs1, record.rs2});
-    }
-    if (mem_update) bank_.mem_addr.update(record.pc, record.addr);
-    if (ctrl_update) bank_.ctrl_target.update(record.pc, record.addr);
+    Addr unused = 0;
+    bank_.recordPc(record.tid, record.pc, &unused);
+    PcEntry& committed = bank_.entry(record.pc);
+    committed.recordStatic(
+        {record.opcode, record.rd, record.rs1, record.rs2});
+    if (mem_update) committed.recordAddr(record.addr, &unused);
+    if (ctrl_update) committed.recordTarget(record.addr);
     *out = record;
     return DecodeStatus::kOk;
 }

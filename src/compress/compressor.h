@@ -4,10 +4,21 @@
  * Value-prediction-based log compression (the paper's "compress" /
  * "decompress" engines, adapted from Burtscher's VPC [1]).
  *
- * The compressor and decompressor run identical predictor banks; a record
+ * The encoder and decoder run identical predictor banks; a record
  * whose fields all predict correctly costs only a few flag bits, which is
  * how the paper reaches < 1 byte per instruction. The encoding is exactly
  * invertible: tests assert decompress(compress(trace)) == trace.
+ *
+ * One grammar, three sinks. LogEncoder<Sink>::append is the record
+ * grammar below, written once over a bit sink:
+ *  - BitWriter packs the stream (LogCompressor): trace files,
+ *    compress::Encoder, the fuzzers and the benches;
+ *  - BitCounter only adds up bit counts (LogSizer): the timing model
+ *    needs each record's size on the transport, not its bits, so the
+ *    pipeline's producer step sizes records with it;
+ *  - FieldTally adds them up per field, for compression_ratio's
+ *    breakdown.
+ * Each append() returns the record's bits, the same for every sink.
  *
  * Stream grammar per record (bit-granular, LSB-first):
  *   kind      : 1 bit   (0 = instruction event, 1 = annotation event)
@@ -41,24 +52,17 @@ namespace lba::compress {
 enum class DecodeStatus : std::uint8_t;
 struct DecodeError;
 
-/** Predictor state shared (by construction) between the two ends. */
-struct PredictorBank
+/** A bit sink that keeps only the number of bits written to it. */
+class BitCounter
 {
-    PcPredictor pc;
-    StaticPredictor stat;
-    StridePredictor mem_addr;
-    TargetPredictor ctrl_target;
+  public:
+    void writeBits(std::uint64_t, unsigned count) { bits_ += count; }
+    void writeBit(bool) { ++bits_; }
+    void writeVarint(std::uint64_t value) { bits_ += varintBits(value); }
+    std::uint64_t bitCount() const { return bits_; }
 
-    /** Per-annotation-type last payload values. */
-    struct AnnotationLast
-    {
-        Addr addr = 0;
-        std::uint64_t aux = 0;
-    };
-    AnnotationLast annotation[8];
-
-    ThreadId last_tid = 0;
-    bool tid_seen = false;
+  private:
+    std::uint64_t bits_ = 0;
 };
 
 /** Per-field bit accounting for the compression-breakdown benchmark. */
@@ -73,20 +77,59 @@ struct FieldBits
     std::uint64_t annotation = 0;
 };
 
-/** Streaming compressor: append records, read back the packed bytes. */
-class LogCompressor
+/** A bit sink that counts each bit against the record field being
+ *  written (the grammar names the field before writing it). */
+class FieldTally
 {
   public:
-    /** Compress one record onto the output stream. */
-    void append(const log::EventRecord& record);
+    /** Count the following writes against @p field. */
+    void field(std::uint64_t FieldBits::*field) { current_ = field; }
 
-    /** Number of records compressed. */
+    void
+    writeBits(std::uint64_t, unsigned count)
+    {
+        fields_.*current_ += count;
+    }
+    void writeBit(bool) { ++(fields_.*current_); }
+    void
+    writeVarint(std::uint64_t value)
+    {
+        fields_.*current_ += varintBits(value);
+    }
+
+    std::uint64_t
+    bitCount() const
+    {
+        return fields_.kind + fields_.tid + fields_.pc + fields_.stat +
+               fields_.addr + fields_.ctrl + fields_.annotation;
+    }
+
+    const FieldBits& fields() const { return fields_; }
+
+  private:
+    FieldBits fields_;
+    std::uint64_t FieldBits::*current_ = &FieldBits::kind;
+};
+
+/** Streaming encoder: append records to @p Sink through the grammar. */
+template <typename Sink>
+class LogEncoder
+{
+  public:
+    /**
+     * Encode one record onto the sink (instantiated in compressor.cc
+     * for BitWriter, BitCounter and FieldTally).
+     * @return The record's size in bits.
+     */
+    std::uint64_t append(const log::EventRecord& record);
+
+    /** Number of records encoded. */
     std::uint64_t records() const { return records_; }
 
     /** Total output bits so far. */
-    std::uint64_t bits() const { return writer_.bitCount(); }
+    std::uint64_t bits() const { return sink_.bitCount(); }
 
-    /** Average compressed size, in bytes per record. */
+    /** Average encoded size, in bytes per record. */
     double
     bytesPerRecord() const
     {
@@ -95,21 +138,23 @@ class LogCompressor
                         : 0.0;
     }
 
-    /** Packed output bytes (final byte may be partial). */
-    const std::vector<std::uint8_t>& bytes() const
-    {
-        return writer_.bytes();
-    }
+    const Sink& sink() const { return sink_; }
 
-    /** Per-field bit breakdown. */
-    const FieldBits& fieldBits() const { return field_bits_; }
+    /** Packed output bytes (final byte may be partial); a
+     *  LogCompressor's only. */
+    const std::vector<std::uint8_t>& bytes() const { return sink_.bytes(); }
 
   private:
     PredictorBank bank_;
-    BitWriter writer_;
+    Sink sink_;
     std::uint64_t records_ = 0;
-    FieldBits field_bits_;
 };
+
+/** The packing encoder: records in, stream bytes out. */
+using LogCompressor = LogEncoder<BitWriter>;
+
+/** The sizing encoder: each record's bits, and no stream. */
+using LogSizer = LogEncoder<BitCounter>;
 
 /** Streaming decompressor over a packed byte buffer. */
 class LogDecompressor
@@ -132,7 +177,7 @@ class LogDecompressor
      * micro-benchmarks decode streams they encoded themselves this
      * way; anything that touches bytes from outside the process goes
      * through tryNext(). (The transport accounting decodes nothing:
-     * it charges LogCompressor::bits() per record.)
+     * it charges each record the bits LogSizer::append() counts.)
      */
     log::EventRecord next();
 

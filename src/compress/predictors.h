@@ -1,24 +1,30 @@
 #pragma once
 /**
  * @file
- * Value predictors shared by the log compressor and decompressor.
+ * The value-predictor bank shared by the log encoders and decoder.
  *
  * Following Burtscher's VPC approach [1], each record field has its own
- * small predictor bank; a field that predicts correctly costs one or two
- * flag bits instead of a literal. Compressor and decompressor run
- * identical predictor state machines so no side information is needed.
+ * predictor; a field that predicts correctly costs one or two flag bits
+ * instead of a literal. Encoder and decoder run the same bank, updated
+ * in the same order, so no side information is needed.
  *
- * Predictor inventory:
- *  - PcPredictor:      per-thread sequential (pc+8) and finite-context
- *                      (last pc -> next pc) predictors.
- *  - StaticPredictor:  pc -> (opcode, rd, rs1, rs2); instruction words are
- *                      static, so this hits on every revisited pc.
- *  - StridePredictor:  pc-indexed last-address + stride for load/store
- *                      effective addresses.
- *  - TargetPredictor:  pc-indexed last taken-target for control transfers.
- *  - LastValue:        per-annotation-type last address/size values.
+ * What the bank predicts:
+ *  - the pc: per thread, sequential (last pc + 8), else the context
+ *    successor (the pc that last followed the previous one
+ *    non-sequentially);
+ *  - per pc: the static fields (opcode, rd, rs1, rs2), which hit on
+ *    every revisited pc; the last effective address and its stride;
+ *    the last taken target;
+ *  - per annotation type: the last address and size values;
+ *  - the thread id: the last one.
  *
- * The pc- and tid-keyed banks share one flat hash table (PredictorTable).
+ * Everything keyed by pc lives in one PcEntry, so an instruction record
+ * makes one table probe, two when its pc does not follow its
+ * predecessor's. Each field of the entry has its own seen bit, so a
+ * field never recorded answers as if it had a table of its own: a
+ * decoder fed a hit the bank cannot back still fails. Each thread's
+ * last pc sits in a table of its own, with a memo of the current
+ * thread's.
  */
 
 #include <bit>
@@ -26,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/types.h"
 #include "isa/isa.h"
 
@@ -116,91 +121,6 @@ class PredictorTable
     unsigned shift_ = 64;
 };
 
-/** Sequential + finite-context-method program-counter predictor. */
-class PcPredictor
-{
-  public:
-    /** Prediction sources, in the order they are tried. */
-    enum class Source : std::uint8_t { kSequential, kContext, kMiss };
-
-    /** Predict the pc of the next record for @p tid. */
-    Source
-    predict(ThreadId tid, Addr actual) const
-    {
-        const Addr* last = last_pc_.find(tid);
-        if (last == nullptr) {
-            return Source::kMiss;
-        }
-        if (*last + isa::kInstrBytes == actual) {
-            return Source::kSequential;
-        }
-        const Addr* next = context_.find(*last);
-        if (next != nullptr && *next == actual) {
-            return Source::kContext;
-        }
-        return Source::kMiss;
-    }
-
-    /** Resolve a prediction on the decompressor side. */
-    Addr
-    resolve(ThreadId tid, Source source) const
-    {
-        Addr out = 0;
-        LBA_ASSERT(tryResolve(tid, source, &out),
-                   "pc hit without predictor state");
-        return out;
-    }
-
-    /**
-     * Checked resolve for untrusted streams: false when the stream
-     * claims a hit the predictor bank cannot back (no last pc for the
-     * thread, or a context hit with no stored successor) — which a
-     * well-formed stream never does, so false means malformed input.
-     */
-    bool
-    tryResolve(ThreadId tid, Source source, Addr* out) const
-    {
-        const Addr* last = last_pc_.find(tid);
-        if (last == nullptr) return false;
-        if (source == Source::kSequential) {
-            *out = *last + isa::kInstrBytes;
-            return true;
-        }
-        // kContext
-        const Addr* next = context_.find(*last);
-        if (next == nullptr) return false;
-        *out = *next;
-        return true;
-    }
-
-    /** Delta base for encoding a miss (0 when @p tid is unseen). */
-    Addr
-    missBase(ThreadId tid) const
-    {
-        const Addr* last = last_pc_.find(tid);
-        return last == nullptr ? 0 : *last + isa::kInstrBytes;
-    }
-
-    /** Record the actual pc (both sides call this after every record). */
-    void
-    update(ThreadId tid, Addr actual)
-    {
-        Addr* last = last_pc_.find(tid);
-        if (last == nullptr) {
-            last_pc_[tid] = actual;
-            return;
-        }
-        if (*last + isa::kInstrBytes != actual) context_[*last] = actual;
-        *last = actual;
-    }
-
-  private:
-    /** tid -> last pc. */
-    PredictorTable<Addr> last_pc_;
-    /** pc -> the pc that last followed it non-sequentially. */
-    PredictorTable<Addr> context_;
-};
-
 /** Static per-pc instruction fields. */
 struct StaticInfo
 {
@@ -212,117 +132,199 @@ struct StaticInfo
     bool operator==(const StaticInfo&) const = default;
 };
 
-/** pc -> static instruction fields (hits after the first visit). */
-class StaticPredictor
+/** Where a pc prediction came from, in the order they are tried. */
+enum class PcSource : std::uint8_t { kSequential, kContext, kMiss };
+
+/** Where an effective-address prediction came from, in that order. */
+enum class AddrSource : std::uint8_t { kStride, kLast, kMiss };
+
+/**
+ * Everything the bank predicts from one pc. Each record*() call
+ * predicts a value and then records it, as the encoder needs; the
+ * decoder resolves from a const entry and records once the whole
+ * record has been read.
+ */
+struct PcEntry
 {
-  public:
-    /** @return Pointer to the prediction for @p pc, or nullptr. */
-    const StaticInfo* predict(Addr pc) const { return table_.find(pc); }
+    /** The pc that last followed this one non-sequentially. */
+    Addr next = 0;
+    /** Last effective address, and the stride from the one before. */
+    Addr last_addr = 0;
+    std::int64_t stride = 0;
+    /** Last taken target. */
+    Addr target = 0;
+    StaticInfo stat;
+    bool has_next = false;
+    bool has_static = false;
+    bool has_addr = false;
+    bool has_target = false;
 
-    void update(Addr pc, const StaticInfo& info) { table_[pc] = info; }
-
-  private:
-    PredictorTable<StaticInfo> table_;
-};
-
-/** pc-indexed last-address + stride predictor for effective addresses. */
-class StridePredictor
-{
-  public:
-    enum class Source : std::uint8_t { kStride, kLast, kMiss };
-
-    Source
-    predict(Addr pc, Addr actual) const
-    {
-        const Entry* e = table_.find(pc);
-        if (e == nullptr) return Source::kMiss;
-        if (static_cast<Addr>(e->last + e->stride) == actual) {
-            return Source::kStride;
-        }
-        if (e->last == actual) return Source::kLast;
-        return Source::kMiss;
-    }
-
-    /** Prediction value for hit kinds; also the delta base for misses. */
-    Addr
-    resolve(Addr pc, Source source) const
-    {
-        Addr out = 0;
-        LBA_ASSERT(tryResolve(pc, source, &out),
-                   "stride hit without predictor state");
-        return out;
-    }
-
-    /** Checked resolve: false when @p pc has no entry (see
-     *  PcPredictor::tryResolve — false means malformed input). */
+    /** @return True when @p info matches the stored static fields;
+     *  they become @p info either way. */
     bool
-    tryResolve(Addr pc, Source source, Addr* out) const
+    recordStatic(const StaticInfo& info)
     {
-        const Entry* e = table_.find(pc);
-        if (e == nullptr) return false;
-        *out = source == Source::kStride
-                   ? static_cast<Addr>(e->last + e->stride)
-                   : e->last;
-        return true;
+        bool hit = has_static && stat == info;
+        stat = info;
+        has_static = true;
+        return hit;
     }
 
-    /** Base for delta-encoding a miss (0 when pc is unseen). */
-    Addr
-    missBase(Addr pc) const
+    /**
+     * Predict the effective address @p addr, then record it.
+     * @param miss_base Set to the delta base a miss is encoded against.
+     */
+    AddrSource
+    recordAddr(Addr addr, Addr* miss_base)
     {
-        const Entry* e = table_.find(pc);
-        return e == nullptr ? 0 : e->last;
-    }
-
-    void
-    update(Addr pc, Addr actual)
-    {
-        Entry& e = table_[pc];
-        if (e.seen) {
+        AddrSource source = AddrSource::kMiss;
+        if (has_addr) {
+            if (static_cast<Addr>(last_addr + stride) == addr) {
+                source = AddrSource::kStride;
+            } else if (last_addr == addr) {
+                source = AddrSource::kLast;
+            }
             // Wrap-around subtraction: signed subtraction of arbitrary
             // 64-bit addresses overflows; the predictor only ever adds
             // the stride back mod 2^64, so wrapping is exact.
-            e.stride = static_cast<std::int64_t>(actual - e.last);
+            stride = static_cast<std::int64_t>(addr - last_addr);
         }
-        e.last = actual;
-        e.seen = true;
+        *miss_base = last_addr;
+        last_addr = addr;
+        has_addr = true;
+        return source;
     }
 
-  private:
-    struct Entry
+    /**
+     * The address a stride or last-address hit names; false when no
+     * address was recorded (a well-formed stream never claims that hit,
+     * so false means malformed input).
+     */
+    bool
+    tryResolveAddr(AddrSource source, Addr* out) const
     {
-        Addr last = 0;
-        std::int64_t stride = 0;
-        bool seen = false;
-    };
+        if (!has_addr) return false;
+        *out = source == AddrSource::kStride
+                   ? static_cast<Addr>(last_addr + stride)
+                   : last_addr;
+        return true;
+    }
 
-    PredictorTable<Entry> table_;
+    /** @return True when @p taken_target matches the stored target; it
+     *  becomes @p taken_target either way. */
+    bool
+    recordTarget(Addr taken_target)
+    {
+        bool hit = has_target && target == taken_target;
+        target = taken_target;
+        has_target = true;
+        return hit;
+    }
 };
 
-/** pc-indexed last taken-target predictor for control transfers. */
-class TargetPredictor
+/** The predictor state one end of a log stream keeps. */
+class PredictorBank
 {
   public:
-    /** @return True when the stored target for @p pc equals @p actual. */
+    PredictorBank() = default;
+    // The thread memo points into last_pc_: a copy would point into
+    // this bank's table. A move keeps the table's storage.
+    PredictorBank(const PredictorBank&) = delete;
+    PredictorBank& operator=(const PredictorBank&) = delete;
+    PredictorBank(PredictorBank&&) = default;
+    PredictorBank& operator=(PredictorBank&&) = default;
+
+    /**
+     * Predict @p pc as @p tid's next pc, then record it.
+     * @param miss_base Set to the delta base a miss is encoded against
+     *                  (0 for a thread's first pc).
+     */
+    PcSource
+    recordPc(ThreadId tid, Addr pc, Addr* miss_base)
+    {
+        Addr* last = lastPc(tid);
+        if (last == nullptr) {
+            *miss_base = 0;
+            last_pc_[tid] = pc;
+            return PcSource::kMiss;
+        }
+        Addr prev = *last;
+        *last = pc;
+        if (prev + isa::kInstrBytes == pc) return PcSource::kSequential;
+        PcEntry& entry = pcs_[prev];
+        bool hit = entry.has_next && entry.next == pc;
+        entry.next = pc;
+        entry.has_next = true;
+        *miss_base = prev + isa::kInstrBytes;
+        return hit ? PcSource::kContext : PcSource::kMiss;
+    }
+
+    /**
+     * The pc a sequential or context hit names for @p tid; false when
+     * the bank cannot back that hit (no last pc for the thread, or no
+     * context successor), which a well-formed stream never claims.
+     */
     bool
-    predict(Addr pc, Addr actual) const
+    tryResolvePc(ThreadId tid, PcSource source, Addr* out)
     {
-        const Addr* target = table_.find(pc);
-        return target != nullptr && *target == actual;
+        const Addr* last = lastPc(tid);
+        if (last == nullptr) return false;
+        if (source == PcSource::kSequential) {
+            *out = *last + isa::kInstrBytes;
+            return true;
+        }
+        const PcEntry* entry = pcs_.find(*last);
+        if (entry == nullptr || !entry->has_next) return false;
+        *out = entry->next;
+        return true;
     }
 
-    /** Stored target for @p pc (0 when unseen). */
+    /** The delta base of a pc miss for @p tid (see recordPc()). */
     Addr
-    resolve(Addr pc) const
+    pcMissBase(ThreadId tid)
     {
-        const Addr* target = table_.find(pc);
-        return target == nullptr ? 0 : *target;
+        const Addr* last = lastPc(tid);
+        return last == nullptr ? 0 : *last + isa::kInstrBytes;
     }
 
-    void update(Addr pc, Addr actual) { table_[pc] = actual; }
+    /** @p pc's entry, or nullptr when nothing was recorded for it. */
+    const PcEntry* find(Addr pc) const { return pcs_.find(pc); }
+
+    /** @p pc's entry, created empty on first use. The reference is
+     *  valid until the next recordPc() or entry() call. */
+    PcEntry& entry(Addr pc) { return pcs_[pc]; }
+
+    /** Per-annotation-type last payload values. */
+    struct AnnotationLast
+    {
+        Addr addr = 0;
+        std::uint64_t aux = 0;
+    };
+    AnnotationLast annotation[8];
+
+    ThreadId last_tid = 0;
+    bool tid_seen = false;
 
   private:
-    PredictorTable<Addr> table_;
+    /** @p tid's last pc, or nullptr before its first. */
+    Addr*
+    lastPc(ThreadId tid)
+    {
+        if (memo_last_ == nullptr || tid != memo_tid_) {
+            memo_tid_ = tid;
+            memo_last_ = last_pc_.find(tid);
+        }
+        return memo_last_;
+    }
+
+    PredictorTable<PcEntry> pcs_;
+    /** tid -> last pc. */
+    PredictorTable<Addr> last_pc_;
+    /** The thread of the last lastPc() call and its entry in last_pc_.
+     *  Only an insertion moves entries, and recordPc() inserts only a
+     *  thread whose lastPc() just left the memo null. */
+    ThreadId memo_tid_ = 0;
+    Addr* memo_last_ = nullptr;
 };
 
 } // namespace lba::compress

@@ -85,10 +85,13 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
 }
 
 void
-LbaSystem::consume(const log::EventRecord& record, double bytes)
+LbaSystem::consume(const log::EventRecord& record,
+                   PipelineTimer::Encoded encoded)
 {
-    if (!log::isAnnotation(record.type)) timer_.retire(producer_, record);
-    timer_.log(producer_, record, bytes,
+    if (!log::isAnnotation(record.type)) {
+        timer_.retire(producer_, record, encoded.l1_misses);
+    }
+    timer_.log(producer_, record, encoded.bytes,
                routeRecord(record, targets_, round_robin_));
     if (record.type == log::EventType::kSyscall) {
         // The OS stalls the syscall until the lifeguards have checked

@@ -29,8 +29,9 @@
  * sched::LifeguardPool does, core::Experiment::runLba's lone tenant
  * included. The application runs on core 0 of a timer it owns.
  *
- * The value-prediction compressor runs over every logged record to
- * account transport bandwidth (< 1 byte/instruction claim); records are
+ * The value-prediction compressor's grammar sizes every logged record
+ * to account transport bandwidth (< 1 byte/instruction claim), counting
+ * its bits without writing them (compress::LogSizer); records are
  * handed to the dispatch engines functionally (the compressor's exact
  * invertibility is covered by tests and the compression benches).
  *
@@ -113,14 +114,14 @@ class LbaSystem : public sim::RetireObserver
     void onOsEvent(const sim::OsEvent& event) override;
 
     /**
-     * The producer half of one captured record: the address filter
-     * and the codec (PipelineTimer::encode). It writes nothing
-     * consume() reads, so the pool's two-thread schedule runs it ahead
-     * of consume() on another host thread.
-     * @return The record's transport bytes, or
-     *         PipelineTimer::kFiltered.
+     * The producer half of one captured record
+     * (PipelineTimer::encode): a retirement's application-core L1
+     * lookups, the address filter and the record's size in the log
+     * stream. It writes nothing consume() reads, so the pool's
+     * two-thread schedule runs it ahead of consume() on another host
+     * thread.
      */
-    double
+    PipelineTimer::Encoded
     produce(const log::EventRecord& record)
     {
         return timer_.encode(producer_, record);
@@ -128,12 +129,13 @@ class LbaSystem : public sim::RetireObserver
 
     /**
      * The consumer half of one captured record, given produce()'s
-     * answer @p bytes, in capture order: for a retirement's record the
-     * application core's retire timing first, then routing, slot
-     * reservation, transport and lifeguard dispatch, and for a
-     * syscall the containment drain armed last.
+     * answer @p encoded, in capture order: for a retirement's record
+     * the application core's retire timing first (its L2 half), then
+     * routing, slot reservation, transport and lifeguard dispatch, and
+     * for a syscall the containment drain armed last.
      */
-    void consume(const log::EventRecord& record, double bytes);
+    void consume(const log::EventRecord& record,
+                 PipelineTimer::Encoded encoded);
 
     /**
      * Complete the run: run every shard's end-of-program hook on its

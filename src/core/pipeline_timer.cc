@@ -35,7 +35,7 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
     lanes_.resize(nlanes);
 
     // Producer 0, on core 0.
-    compressors_.emplace_back();
+    encoders_.emplace_back();
     producers_.emplace_back();
 }
 
@@ -58,10 +58,8 @@ PipelineTimer::addProducer(unsigned app_core)
     LBA_ASSERT(app_core < config_.dispatch.core ||
                    app_core >= config_.dispatch.core + lanes(),
                "producer and lifeguard must use different cores");
-    Producer producer;
-    producer.app_core = app_core;
-    compressors_.emplace_back();
-    producers_.push_back(std::move(producer));
+    encoders_.emplace_back().app_core = app_core;
+    producers_.emplace_back();
     return static_cast<unsigned>(producers_.size() - 1);
 }
 
@@ -77,20 +75,34 @@ PipelineTimer::filtered(const EventRecord& record) const
            record.addr >= config_.filter_base + config_.filter_bytes;
 }
 
-double
+PipelineTimer::Encoded
 PipelineTimer::encode(unsigned producer, const EventRecord& record)
 {
-    LBA_ASSERT(producer < compressors_.size(), "bad producer index");
-    if (filtered(record)) return kFiltered;
+    LBA_ASSERT(producer < encoders_.size(), "bad producer index");
+    EncoderSlot& slot = encoders_[producer];
+    Encoded encoded;
+    if (!log::isAnnotation(record.type)) {
+        // A retirement's record is a load or store exactly when the
+        // instruction accessed memory, at record.addr.
+        encoded.l1_misses = hierarchy_.retireL1(
+            slot.app_core, record.pc,
+            record.type == EventType::kLoad ||
+                record.type == EventType::kStore,
+            record.addr, record.type == EventType::kStore);
+    }
     // Bandwidth accounting: compressed records cost their true encoded
     // size; uncompressed transport pays the full record width. Each
-    // producer is its own log stream, so its compressor sees only its
-    // own record sequence.
-    if (!config_.compress) return config_.raw_record_bytes;
-    compress::LogCompressor& stream = compressors_[producer].stream;
-    std::uint64_t before = stream.bits();
-    stream.append(record);
-    return static_cast<double>(stream.bits() - before) / 8.0;
+    // producer is its own log stream, so its sizer sees only its own
+    // record sequence.
+    if (filtered(record)) {
+        encoded.bytes = kFiltered;
+    } else if (!config_.compress) {
+        encoded.bytes = config_.raw_record_bytes;
+    } else {
+        encoded.bytes =
+            static_cast<double>(slot.stream.append(record)) / 8.0;
+    }
+    return encoded;
 }
 
 void
@@ -206,7 +218,8 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
 }
 
 void
-PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
+PipelineTimer::retire(unsigned producer_idx, const EventRecord& record,
+                      std::uint8_t l1_misses)
 {
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     Producer& producer = producers_[producer_idx];
@@ -227,12 +240,8 @@ PipelineTimer::retire(unsigned producer_idx, const EventRecord& record)
     }
 
     ++producer.stats.app_instructions;
-    // A retirement's record is a load or store exactly when the
-    // instruction accessed memory, at record.addr.
-    Cycles cost = hierarchy_.retire(
-        producer.app_core, record.pc,
-        record.type == EventType::kLoad || record.type == EventType::kStore,
-        record.addr, record.type == EventType::kStore);
+    Cycles cost = hierarchy_.retireL2(l1_misses, record.pc, record.addr,
+                                      record.type == EventType::kStore);
     producer.app_time += cost;
     producer.stats.app_cycles += cost;
 }
@@ -268,8 +277,8 @@ PipelineTimer::chargeContainment(unsigned producer_idx, Cycles cycles)
 unsigned
 PipelineTimer::producerCore(unsigned producer_idx) const
 {
-    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
-    return producers_[producer_idx].app_core;
+    LBA_ASSERT(producer_idx < encoders_.size(), "bad producer index");
+    return encoders_[producer_idx].app_core;
 }
 
 Cycles
@@ -303,7 +312,7 @@ PipelineTimer::seal()
         producer.stats.total_cycles =
             std::max(producer.app_time, producer.drain_clock);
         producer.stats.bytes_per_record =
-            compressors_[p].stream.bytesPerRecord();
+            encoders_[p].stream.bytesPerRecord();
         producer.stats.mean_consume_lag = producer.consume_lag.mean();
     }
 }
@@ -334,7 +343,7 @@ PipelineTimer::stats() const
         total.containment_cycles += slice.containment_cycles;
         lag_sum += producers_[p].consume_lag.sum();
         lag_count += producers_[p].consume_lag.count();
-        const compress::LogCompressor& stream = compressors_[p].stream;
+        const compress::LogSizer& stream = encoders_[p].stream;
         compressed_records += stream.records();
         compressed_bytes += static_cast<double>(stream.bits()) / 8.0;
     }

@@ -46,14 +46,22 @@
  * so computing it eagerly on the host changes no simulated cycle. The
  * golden cycle corpus (tests/golden/) pins the resulting cycles.
  *
- * Two steps. log() is encode(), the producer step (the address
- * filter and the producer's codec, which yield the record's transport
- * bytes), then the consumer step (everything else). No consumer-step
- * state feeds encode(), and every simulated number depends only on
- * record order and each record's bytes, so the steps of different
- * records may run on two host threads, which is what the pool's drive
- * does (core/two_thread_run.h), with the results of running them back
- * to back.
+ * Two steps. A record's producer step, encode(), does all of its work
+ * that depends only on its own application's record stream: for a
+ * retirement, the application core's L1 lookups of its fetch and data
+ * access (mem::CacheHierarchy::retireL1); the address filter; and the
+ * size of the record in the producer's log stream, which a LogSizer
+ * counts without writing it. The consumer step is everything else:
+ * retire() charges the shared L2 for the L1 misses encode() found,
+ * then log() delivers the record. No consumer-step state feeds
+ * encode(): the application cores' L1s are private and non-inclusive,
+ * so no L2 eviction and no other core touches them, and only the L2,
+ * which the consumer step keeps, needs the serialized order. Every
+ * simulated number depends only on record order, each record's bytes
+ * and the L1 misses, so the steps of different records may run on two
+ * host threads, which is what the pool's drive does
+ * (core/two_thread_run.h), with the results of running them back to
+ * back.
  *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
@@ -66,8 +74,8 @@
  *
  * Multiple producers (src/sched/). The timer also supports several
  * independent monitored applications, each an LbaSystem attached as
- * its own producer, with its own application-core clock, log stream
- * (compressor), back-pressure and containment state. Lanes are shared
+ * its own producer, with its own application core, clock, log stream
+ * (sizer), back-pressure and containment state. Lanes are shared
  * — records from different producers serialize on each lane's clock,
  * which is how lifeguard capacity becomes a scheduled resource. A lone
  * producer on the identity shard->lane map is the recurrence of an
@@ -219,7 +227,7 @@ struct LbaRunStats
 };
 
 /**
- * The shared timing engine. Owns the per-producer compressors, the
+ * The shared timing engine. Owns the per-producer log sizers, the
  * per-lane buffers and the application-core clocks; the LbaSystems on
  * top decide routing (which targets a record goes to) and own the
  * dispatch engines.
@@ -236,8 +244,20 @@ class PipelineTimer
         lifeguard::DispatchEngine* engine = nullptr;
     };
 
-    /** encode()'s answer for a record the address filter drops. */
+    /** Encoded::bytes of a record the address filter drops. */
     static constexpr double kFiltered = -1.0;
+
+    /** encode()'s answer: what the consumer step needs of a record's
+     *  producer step. */
+    struct Encoded
+    {
+        /** The bytes the record costs on a transport link, or
+         *  kFiltered when the filter drops it. */
+        double bytes = 0.0;
+        /** For a retirement's record, which of its application-core L1
+         *  lookups missed (mem::kFetchMiss, mem::kDataMiss). */
+        std::uint8_t l1_misses = 0;
+    };
 
     /**
      * @param hierarchy Shared cache hierarchy; needs a core for the
@@ -258,7 +278,7 @@ class PipelineTimer
 
     /**
      * Register one more producer (monitored application) with its own
-     * clock, compressor, back-pressure and containment state. Producer 0
+     * clock, log sizer, back-pressure and containment state. Producer 0
      * always exists, on core 0.
      * @return The new producer's index.
      */
@@ -266,27 +286,30 @@ class PipelineTimer
 
     /**
      * Account one retirement on @p producer's application core from
-     * its record (log::CaptureUnit::makeRecord): apply any pending
-     * syscall-containment drain, then charge the fetch at record.pc
-     * and, for a load or store, the data access at record.addr.
+     * its record (log::CaptureUnit::makeRecord), whose encode() answer
+     * has @p l1_misses: apply any pending syscall-containment drain,
+     * then charge the base CPI and the shared L2 for those L1 misses
+     * (mem::CacheHierarchy::retireL2).
      */
-    void retire(unsigned producer, const log::EventRecord& record);
+    void retire(unsigned producer, const log::EventRecord& record,
+                std::uint8_t l1_misses);
 
     /**
-     * The producer step of log(): the address filter and @p producer's
-     * compressor. It touches only the configuration and that producer's
-     * compressor, which the consumer step never reads, so one host
-     * thread may run it while another runs the consumer step on earlier
-     * records (the two-thread schedule, core/two_thread_run.h). seal()
-     * reads the compressors once both threads are done.
-     * @return The bytes @p record costs on a transport link, or
-     *         kFiltered when the filter drops it.
+     * The producer step of a record: for a retirement's record, the
+     * lookups of its fetch and data access in @p producer's
+     * application-core L1s; then the address filter and the record's
+     * size in @p producer's log stream. It touches only the
+     * configuration, that producer's sizer and its core's L1s, which
+     * the consumer step never touches, so one host thread may run it
+     * while another runs the consumer step on earlier records (the
+     * two-thread schedule, core/two_thread_run.h). seal() reads the
+     * sizers once both threads are done.
      */
-    double encode(unsigned producer, const log::EventRecord& record);
+    Encoded encode(unsigned producer, const log::EventRecord& record);
 
     /**
      * The consumer step of log(): deliver one record of @p producer,
-     * whose encode() answer is @p bytes, to each target in order:
+     * whose encode() answer has @p bytes, to each target in order:
      * back-pressure, transport and dispatch timing. All target slots
      * are reserved before any consumption, so produce(i) reflects the
      * slowest target lane. A lane may appear more than once when
@@ -298,12 +321,14 @@ class PipelineTimer
     bool log(unsigned producer, const log::EventRecord& record,
              double bytes, std::span<const Target> targets);
 
-    /** Both steps of one record, back to back. */
+    /** encode() and log() of one record, back to back; a retirement's
+     *  retire() is the caller's. */
     bool
     log(unsigned producer, const log::EventRecord& record,
         std::span<const Target> targets)
     {
-        return log(producer, record, encode(producer, record), targets);
+        return log(producer, record, encode(producer, record).bytes,
+                   targets);
     }
 
     /**
@@ -407,11 +432,10 @@ class PipelineTimer
         std::size_t demand = 0;
     };
 
-    /** One monitored application feeding the shared lanes (its log
-     *  stream is compressors_[index].stream). */
+    /** One monitored application feeding the shared lanes: the
+     *  consumer step's state (encode() keeps encoders_[index]). */
     struct alignas(64) Producer
     {
-        unsigned app_core = 0;
         /** Application core clock. */
         Cycles app_time = 0;
         /** Containment drain is applied before the next retirement. */
@@ -426,11 +450,13 @@ class PipelineTimer
         LbaRunStats stats;
     };
 
-    /** A producer's log stream (per-tenant predictor state), alone on
-     *  its cache lines. */
-    struct alignas(64) CompressorSlot
+    /** encode()'s state of one producer, alone on its cache lines:
+     *  the core whose L1s it looks up (set once, before any record) and
+     *  its log stream's sizer (per-tenant predictor state). */
+    struct alignas(64) EncoderSlot
     {
-        compress::LogCompressor stream;
+        unsigned app_core = 0;
+        compress::LogSizer stream;
     };
 
     /** True when the filter drops this record. */
@@ -453,14 +479,15 @@ class PipelineTimer
 
     mem::CacheHierarchy& hierarchy_;
     /**
-     * encode() reads only config_ and compressors_, on host cache lines
-     * of their own: a line both threads of the two-thread schedule
-     * touched, one of them writing it on every record, would move
-     * between their cores every time.
+     * encode() reads only config_ and encoders_, on host cache lines of
+     * their own, and writes its producer's application-core L1s, which
+     * are mem::Cache objects of their own: a line both threads of the
+     * two-thread schedule touched, one of them writing it on every
+     * record, would move between their cores every time.
      */
     alignas(64) LbaConfig config_;
-    /** compressors_[p] is producer p's log stream. */
-    std::vector<CompressorSlot> compressors_;
+    /** encoders_[p] is producer p's encode() state. */
+    std::vector<EncoderSlot> encoders_;
     alignas(64) std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
 

@@ -9,8 +9,11 @@
  * The results are those of consuming each entry as soon as it is made,
  * on the calling thread: the driver puts in an entry everything the
  * consumer half needs, and the producer half reads nothing the consumer
- * half writes. So the threads need only one release/acquire handoff per
- * window each way: the producer publishes a filled window, and the
+ * half writes. In the LBA drive the producer half also writes the
+ * application cores' L1 caches, which nothing on the worker touches
+ * (core/pipeline_timer.h), and the worker writes the lanes' L1Ds and
+ * the shared L2. So the threads need only one release/acquire handoff
+ * per window each way: the producer publishes a filled window, and the
  * worker hands back the one it consumed. State one thread writes and
  * the other reads sits on cache lines of its own. docs/ARCHITECTURE.md
  * ("Two host threads") describes both halves.

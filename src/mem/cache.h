@@ -69,8 +69,11 @@ struct CacheStats
 /**
  * One level of cache. access() reports whether the line was present and
  * installs it; the caller (CacheHierarchy) decides what a miss costs.
+ * An object starts its own host cache line: access() writes its tick,
+ * statistics and memo, and two host threads may each drive a cache of
+ * their own (mem/hierarchy.h).
  */
-class Cache
+class alignas(64) Cache
 {
   public:
     explicit Cache(const CacheConfig& config);

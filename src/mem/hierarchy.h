@@ -11,11 +11,22 @@
  * Coherence is not modelled: the monitored application and the lifeguard
  * touch disjoint data, so sharing effects reduce to L2 capacity
  * interference, which this model does capture.
+ *
+ * The L1s are private and non-inclusive: an L2 eviction leaves them
+ * alone, and no other core touches them. So a core's L1 hits and misses
+ * depend only on that core's own access order, and only the L2 needs
+ * the serialized order of every core's misses. retire() is its two
+ * halves, retireL1() and retireL2(), back to back; the LBA pipeline
+ * runs the application core's L1 half on the host thread that runs
+ * the application (core/pipeline_timer.h), and each Cache starts a
+ * host cache line of its own so the threads' caches share none.
  */
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/assert.h"
 #include "mem/cache.h"
 
 namespace lba::mem {
@@ -33,6 +44,10 @@ struct HierarchyConfig
     Cycles mem_cycles = 100;    ///< extra cycles for an L2 miss
     unsigned num_cores = 2;
 };
+
+/** retireL1()'s answer: which of a retirement's L1 accesses missed. */
+inline constexpr std::uint8_t kFetchMiss = 1;
+inline constexpr std::uint8_t kDataMiss = 2;
 
 /**
  * The shared hierarchy: per-core L1I/L1D plus one shared L2.
@@ -59,8 +74,39 @@ class CacheHierarchy
     retire(unsigned core, Addr pc, bool mem_access, Addr addr,
            bool is_write)
     {
-        Cycles cost = 1 + instrFetch(core, pc);
-        if (mem_access) cost += dataAccess(core, addr, is_write);
+        return retireL2(retireL1(core, pc, mem_access, addr, is_write),
+                        pc, addr, is_write);
+    }
+
+    /**
+     * The L1 half of retire(): look the fetch at @p pc up in @p core's
+     * L1I and, when @p mem_access, the data access at @p addr in its
+     * L1D. It touches only that core's L1s.
+     * @return kFetchMiss and kDataMiss for the lookups that missed.
+     */
+    std::uint8_t
+    retireL1(unsigned core, Addr pc, bool mem_access, Addr addr,
+             bool is_write)
+    {
+        LBA_ASSERT(core < l1i_.size(), "core index out of range");
+        std::uint8_t misses = l1i_[core]->access(pc, false) ? 0 : kFetchMiss;
+        if (mem_access && !l1d_[core]->access(addr, is_write)) {
+            misses |= kDataMiss;
+        }
+        return misses;
+    }
+
+    /**
+     * The L2 half of retire(): the base CPI plus the shared L2's cost
+     * of the L1 misses @p misses (retireL1()'s answer for the same
+     * retirement), the fetch's before the data access's.
+     */
+    Cycles
+    retireL2(std::uint8_t misses, Addr pc, Addr addr, bool is_write)
+    {
+        Cycles cost = 1;
+        if (misses & kFetchMiss) cost += l2Path(pc, false);
+        if (misses & kDataMiss) cost += l2Path(addr, is_write);
         return cost;
     }
 

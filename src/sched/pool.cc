@@ -147,9 +147,11 @@ LifeguardPool::onOsEvent(const sim::OsEvent& event)
 void
 LifeguardPool::submitRecord(const EventRecord& record)
 {
-    double bytes = tenants_[current_]->system->produce(record);
+    core::PipelineTimer::Encoded encoded =
+        tenants_[current_]->system->produce(record);
     if (!ring_) {
-        apply({record, bytes, current_, Op::Kind::kRecord});
+        apply({record, encoded.bytes, current_, encoded.l1_misses,
+               Op::Kind::kRecord});
         return;
     }
     // Filled in place, a field at a time: copying in a whole Op built
@@ -157,8 +159,9 @@ LifeguardPool::submitRecord(const EventRecord& record)
     // req_serve_bounds (4-vCPU Xeon).
     Op& op = ring_->slot();
     op.record = record;
-    op.bytes = bytes;
+    op.bytes = encoded.bytes;
     op.tenant = current_;
+    op.l1_misses = encoded.l1_misses;
     op.kind = Op::Kind::kRecord;
     ring_->commit();
 }
@@ -166,7 +169,7 @@ LifeguardPool::submitRecord(const EventRecord& record)
 void
 LifeguardPool::step(Op::Kind kind, unsigned tenant)
 {
-    submit({{}, 0.0, tenant, kind});
+    submit({{}, 0.0, tenant, 0, kind});
 }
 
 void
@@ -185,7 +188,8 @@ LifeguardPool::apply(const Op& op)
 {
     switch (op.kind) {
       case Op::Kind::kRecord:
-        tenants_[op.tenant]->system->consume(op.record, op.bytes);
+        tenants_[op.tenant]->system->consume(op.record,
+                                             {op.bytes, op.l1_misses});
         return;
       case Op::Kind::kActivate:
         scheduled_.push_back(op.tenant);

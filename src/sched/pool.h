@@ -29,7 +29,8 @@
  * Without containment the drive splits the work between two host
  * threads (core::TwoThreadRun). The calling thread runs the driver
  * (admission, slicing, arrivals, detach) and each record's producer
- * half: the simulator, capture and the tenant's LbaSystem::produce. A
+ * half: the simulator, capture and the tenant's LbaSystem::produce
+ * (its application core's L1 lookups and the record's size). A
  * worker applies, in the order the driver made them, each record's
  * LbaSystem::consume and each scheduler step: lane-map changes, the
  * slice-end lag window read and the epoch. The driver reads no
@@ -251,7 +252,7 @@ class LifeguardPool : public sim::RetireObserver
         enum class Kind : std::uint8_t
         {
             /** Consume `record` of `tenant`, whose encode() answer is
-             *  `bytes`. */
+             *  `bytes` and `l1_misses`. */
             kRecord,
             /** `tenant` joined the active set. */
             kActivate,
@@ -268,8 +269,12 @@ class LifeguardPool : public sim::RetireObserver
         log::EventRecord record;
         double bytes = 0.0;
         unsigned tenant = 0;
+        std::uint8_t l1_misses = 0;
         Kind kind = Kind::kRecord;
     };
+    // The ring holds kWindows * kWindowRecords of these
+    // (docs/ARCHITECTURE.md, "Two host threads").
+    static_assert(sizeof(Op) == 48, "an Op fills 48 bytes");
 
     /** The worker's consumer: apply() each entry. */
     struct Apply

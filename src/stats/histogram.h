@@ -50,7 +50,8 @@ class Histogram
     std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t bucketWidth() const { return width_; }
 
-    /** Mean of all recorded samples (0 when empty). */
+    /** Mean of all recorded samples (0 when empty), exact past a
+     *  total of 2^64. */
     double
     mean() const
     {
@@ -131,7 +132,9 @@ class Histogram
     std::uint64_t width_;
     std::uint64_t overflow_ = 0;
     std::uint64_t count_ = 0;
-    std::uint64_t total_ = 0;
+    /** 128 bits: a run's samples may each be near 2^62 (a starved
+     *  transport's delivery ceiling), so 64 would wrap. */
+    unsigned __int128 total_ = 0;
 };
 
 } // namespace lba::stats

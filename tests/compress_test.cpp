@@ -85,48 +85,100 @@ TEST(ZigZag, RoundTripsSignedValues)
     EXPECT_LT(zigzagEncode(1), 3u);
 }
 
-TEST(PcPredictor, SequentialAndContextHits)
+TEST(PredictorBank, SequentialAndContextHits)
 {
-    PcPredictor p;
-    EXPECT_EQ(p.predict(0, 0x1000), PcPredictor::Source::kMiss);
-    p.update(0, 0x1000);
-    EXPECT_EQ(p.predict(0, 0x1008), PcPredictor::Source::kSequential);
-    p.update(0, 0x1008);
-    // Taken branch 0x1008 -> 0x2000: first time a miss...
-    EXPECT_EQ(p.predict(0, 0x2000), PcPredictor::Source::kMiss);
-    p.update(0, 0x2000);
-    p.update(0, 0x1008); // revisit the branch
-    // ...then a context hit.
-    EXPECT_EQ(p.predict(0, 0x2000), PcPredictor::Source::kContext);
+    PredictorBank bank;
+    Addr base = 1;
+    EXPECT_EQ(bank.recordPc(0, 0x1000, &base), PcSource::kMiss);
+    EXPECT_EQ(base, 0u);
+    EXPECT_EQ(bank.recordPc(0, 0x1008, &base), PcSource::kSequential);
+    // Taken branch 0x1008 -> 0x2000: first time a miss against the
+    // sequential pc...
+    EXPECT_EQ(bank.recordPc(0, 0x2000, &base), PcSource::kMiss);
+    EXPECT_EQ(base, 0x1010u);
+    bank.recordPc(0, 0x1008, &base); // revisit the branch
+    // ...then a context hit, which the decoder resolves to the same pc.
+    Addr pc = 0;
+    ASSERT_TRUE(bank.tryResolvePc(0, PcSource::kContext, &pc));
+    EXPECT_EQ(pc, 0x2000u);
+    ASSERT_TRUE(bank.tryResolvePc(0, PcSource::kSequential, &pc));
+    EXPECT_EQ(pc, 0x1010u);
+    EXPECT_EQ(bank.recordPc(0, 0x2000, &base), PcSource::kContext);
 }
 
-TEST(PcPredictor, PerThreadContexts)
+TEST(PredictorBank, PerThreadContexts)
 {
-    PcPredictor p;
-    p.update(0, 0x1000);
-    p.update(1, 0x5000);
-    EXPECT_EQ(p.predict(0, 0x1008), PcPredictor::Source::kSequential);
-    EXPECT_EQ(p.predict(1, 0x5008), PcPredictor::Source::kSequential);
+    PredictorBank bank;
+    Addr base = 0;
+    bank.recordPc(0, 0x1000, &base);
+    bank.recordPc(1, 0x5000, &base);
+    EXPECT_EQ(bank.recordPc(0, 0x1008, &base), PcSource::kSequential);
+    EXPECT_EQ(bank.recordPc(1, 0x5008, &base), PcSource::kSequential);
+    Addr pc = 0;
+    EXPECT_FALSE(bank.tryResolvePc(2, PcSource::kSequential, &pc));
+    EXPECT_EQ(bank.pcMissBase(2), 0u);
+    // Enough new threads to grow the thread table under the current
+    // thread's memo, then a move of the whole bank.
+    for (ThreadId t = 2; t < 300; ++t) {
+        EXPECT_EQ(bank.recordPc(t, 0x100000 * t, &base), PcSource::kMiss);
+        EXPECT_EQ(bank.recordPc(t, 0x100000 * t + 8, &base),
+                  PcSource::kSequential);
+    }
+    PredictorBank moved = std::move(bank);
+    EXPECT_EQ(moved.recordPc(299, 0x100000 * 299 + 16, &base),
+              PcSource::kSequential);
+    EXPECT_EQ(moved.recordPc(0, 0x1010, &base), PcSource::kSequential);
+    EXPECT_EQ(moved.recordPc(1, 0x5010, &base), PcSource::kSequential);
+    EXPECT_EQ(moved.pcMissBase(7), 0x700000u + 16);
 }
 
-TEST(StridePredictor, DetectsStride)
+TEST(PcEntry, DetectsStride)
 {
-    StridePredictor p;
-    EXPECT_EQ(p.predict(0x100, 0x2000), StridePredictor::Source::kMiss);
-    p.update(0x100, 0x2000);
-    p.update(0x100, 0x2008);
-    EXPECT_EQ(p.predict(0x100, 0x2010), StridePredictor::Source::kStride);
-    EXPECT_EQ(p.predict(0x100, 0x2008), StridePredictor::Source::kLast);
+    PcEntry entry;
+    Addr base = 1;
+    Addr addr = 0;
+    EXPECT_FALSE(entry.tryResolveAddr(AddrSource::kLast, &addr));
+    EXPECT_EQ(entry.recordAddr(0x2000, &base), AddrSource::kMiss);
+    EXPECT_EQ(base, 0u);
+    EXPECT_EQ(entry.recordAddr(0x2008, &base), AddrSource::kMiss);
+    EXPECT_EQ(base, 0x2000u);
+    ASSERT_TRUE(entry.tryResolveAddr(AddrSource::kStride, &addr));
+    EXPECT_EQ(addr, 0x2010u);
+    ASSERT_TRUE(entry.tryResolveAddr(AddrSource::kLast, &addr));
+    EXPECT_EQ(addr, 0x2008u);
+    EXPECT_EQ(entry.recordAddr(0x2010, &base), AddrSource::kStride);
+    EXPECT_EQ(entry.recordAddr(0x2010, &base), AddrSource::kLast);
 }
 
-TEST(StaticPredictor, HitsAfterFirstVisit)
+TEST(PcEntry, StaticFieldsHitAfterFirstVisit)
 {
-    StaticPredictor p;
-    EXPECT_EQ(p.predict(0x1000), nullptr);
-    p.update(0x1000, {5, 1, 2, 3});
-    const StaticInfo* info = p.predict(0x1000);
-    ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->opcode, 5u);
+    PredictorBank bank;
+    EXPECT_EQ(bank.find(0x1000), nullptr);
+    EXPECT_FALSE(bank.entry(0x1000).recordStatic({5, 1, 2, 3}));
+    const PcEntry* entry = bank.find(0x1000);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_TRUE(entry->has_static);
+    EXPECT_EQ(entry->stat.opcode, 5u);
+    EXPECT_TRUE(bank.entry(0x1000).recordStatic({5, 1, 2, 3}));
+    EXPECT_FALSE(bank.entry(0x1000).recordStatic({6, 1, 2, 3}));
+}
+
+TEST(PcEntry, SeenBitsKeepFieldsApart)
+{
+    // 0x1000 -> 0x3000 gives 0x1000's entry a context successor and
+    // nothing else: its other fields still read as never recorded.
+    PredictorBank bank;
+    Addr base = 0;
+    bank.recordPc(0, 0x1000, &base);
+    bank.recordPc(0, 0x3000, &base);
+    const PcEntry* entry = bank.find(0x1000);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_TRUE(entry->has_next);
+    EXPECT_FALSE(entry->has_static);
+    EXPECT_FALSE(entry->has_target);
+    Addr addr = 0;
+    EXPECT_FALSE(entry->tryResolveAddr(AddrSource::kStride, &addr));
+    EXPECT_FALSE(bank.entry(0x1000).recordTarget(0));
 }
 
 /** Build a record for a load instruction. */
@@ -348,16 +400,97 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bc", "gnuplot", "gs", "gzip", "mcf", "tidy",
                       "w3m", "water", "zchaff"));
 
-TEST(Compressor, FieldBitsSumToTotal)
+TEST(Compressor, FieldTallySumsToTheWritersBits)
 {
-    LogCompressor c;
+    LogCompressor writer;
+    LogEncoder<FieldTally> tally;
     for (int i = 0; i < 200; ++i) {
-        c.append(loadRecord(0x1000 + (i % 7) * 8, 0x40000 + i * 8));
+        EventRecord record = loadRecord(0x1000 + (i % 7) * 8, 0x40000 + i * 8);
+        EXPECT_EQ(tally.append(record), writer.append(record));
     }
-    const FieldBits& f = c.fieldBits();
+    const FieldBits& f = tally.sink().fields();
     EXPECT_EQ(f.kind + f.tid + f.pc + f.stat + f.addr + f.ctrl +
                   f.annotation,
-              c.bits());
+              writer.bits());
+    EXPECT_EQ(f.kind, 200u);
+    EXPECT_EQ(f.ctrl, 0u);
+}
+
+TEST(Compressor, StrideHitOnAnAddresslessPcIsMalformed)
+{
+    // pc 0x1000 first retires an add, then a load that claims a stride
+    // hit. The pc's entry exists, but no address was ever recorded for
+    // it, so the decoder must reject the hit as it would for an unseen
+    // pc.
+    auto instr = [](BitWriter& w, bool first, Addr pc_delta,
+                    isa::Opcode opcode) {
+        w.writeBit(false); // instruction event
+        w.writeBit(!first);
+        if (first) w.writeBits(0, 16);
+        w.writeBits(3, 2); // pc miss
+        w.writeVarint(zigzagEncode(static_cast<std::int64_t>(pc_delta)));
+        w.writeBit(false); // static literal
+        w.writeBits(static_cast<unsigned>(opcode), 6);
+        w.writeBits(1, 5);
+        w.writeBits(2, 5);
+        w.writeBits(3, 5);
+    };
+    BitWriter w;
+    instr(w, true, 0x1000, isa::Opcode::kAdd);
+    instr(w, false, static_cast<Addr>(-8), isa::Opcode::kLd);
+    w.writeBit(false); // stride hit
+    Decoder decoder;
+    decoder.push(w.bytes().data(), w.bytes().size());
+    decoder.finishInput();
+    EventRecord record;
+    ASSERT_EQ(decoder.next(&record), DecodeStatus::kOk);
+    EXPECT_EQ(record.pc, 0x1000u);
+    ASSERT_EQ(decoder.next(&record), DecodeStatus::kError);
+    EXPECT_EQ(decoder.error().kind, DecodeErrorKind::kMalformed);
+}
+
+/**
+ * The producer step's oracle: on every profile's capture stream,
+ * LogSizer counts exactly the bits LogCompressor writes, record by
+ * record.
+ */
+TEST(LogSizer, CountsTheWritersBitsOnEveryProfile)
+{
+    std::vector<const workload::Profile*> profiles;
+    for (const workload::Profile& profile : workload::fullSuite()) {
+        profiles.push_back(&profile);
+    }
+    profiles.push_back(workload::findProfile("req_serve"));
+    for (const workload::Profile* profile : profiles) {
+        ASSERT_NE(profile, nullptr);
+        auto generated = workload::generate(*profile, {}, 60000);
+        LogCompressor writer;
+        LogSizer sizer;
+        std::uint64_t records = 0;
+        std::uint64_t mismatches = 0;
+        log::CaptureUnit capture([&](const EventRecord& r) {
+            ++records;
+            if (sizer.append(r) != writer.append(r)) ++mismatches;
+        });
+        sim::Process process;
+        process.load(generated.program);
+        process.run(&capture);
+        EXPECT_GT(records, 50000u) << profile->name;
+        EXPECT_EQ(mismatches, 0u) << profile->name;
+        EXPECT_EQ(sizer.bits(), writer.bits()) << profile->name;
+        EXPECT_EQ(sizer.records(), writer.records()) << profile->name;
+    }
+}
+
+TEST(LogSizer, CountsTheWritersBitsOnArbitraryRecords)
+{
+    RecordGen gen(0x5eed);
+    LogCompressor writer;
+    LogSizer sizer;
+    for (int i = 0; i < 20000; ++i) {
+        EventRecord record = canonicalize(gen.nextArbitrary());
+        ASSERT_EQ(sizer.append(record), writer.append(record)) << i;
+    }
 }
 
 /** @p count capture-shaped records: wild field values canonicalized

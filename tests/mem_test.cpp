@@ -13,9 +13,13 @@
 #include <utility>
 #include <vector>
 
+#include "log/capture.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/memory.h"
+#include "sim/process.h"
+#include "workload/generator.h"
+#include "workload/profile.h"
 
 namespace lba::mem {
 
@@ -443,6 +447,97 @@ TEST(Hierarchy, SplitL1InstructionAndData)
     // A data access to the same address does not hit L1D (split caches),
     // but hits L2.
     EXPECT_EQ(h.dataAccess(0, 0x1000, false), cfg.l2_hit_cycles);
+}
+
+/** Every hit, miss, eviction and writeback count of @p cache. */
+std::vector<std::uint64_t>
+counts(const Cache& cache)
+{
+    const CacheStats& stats = cache.stats();
+    return {stats.hits, stats.misses, stats.evictions, stats.writebacks};
+}
+
+TEST(Hierarchy, RetireIsItsL1HalfThenItsL2Half)
+{
+    // mcf's retirements on core 0, each load or store followed by a
+    // handler-like access of core 1 to a shadow address, over an L2 of
+    // 32 KB, so the L2 evicts lines the L1s still hold. Hierarchy
+    // `whole` charges each retirement with retire(); `split` runs every
+    // retirement's L1 half first, ahead of the whole stream as the
+    // pipeline's producer step may, then replays the L2 halves in order
+    // among core 1's accesses. The private, non-inclusive L1s make the
+    // two the same, retirement by retirement.
+    auto generated = workload::generate(*workload::findProfile("mcf"), {},
+                                        100000);
+    std::vector<log::EventRecord> stream;
+    log::CaptureUnit capture([&](const log::EventRecord& r) {
+        if (!log::isAnnotation(r.type)) stream.push_back(r);
+    });
+    sim::Process process;
+    process.load(generated.program);
+    process.run(&capture);
+    ASSERT_GT(stream.size(), 90000u);
+
+    HierarchyConfig cfg;
+    cfg.num_cores = 2;
+    cfg.l2_bytes = 32 * 1024;
+    CacheHierarchy whole(cfg);
+    CacheHierarchy split(cfg);
+    auto is_mem = [](const log::EventRecord& r) {
+        return r.type == log::EventType::kLoad ||
+               r.type == log::EventType::kStore;
+    };
+    auto is_write = [](const log::EventRecord& r) {
+        return r.type == log::EventType::kStore;
+    };
+    auto shadow = [](const log::EventRecord& r) {
+        return 0x700000000000ull + (r.addr >> 3);
+    };
+
+    std::vector<std::uint8_t> misses;
+    for (const log::EventRecord& r : stream) {
+        misses.push_back(
+            split.retireL1(0, r.pc, is_mem(r), r.addr, is_write(r)));
+    }
+    std::uint64_t l1_misses = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const log::EventRecord& r = stream[i];
+        Cycles cost =
+            whole.retire(0, r.pc, is_mem(r), r.addr, is_write(r));
+        ASSERT_EQ(split.retireL2(misses[i], r.pc, r.addr, is_write(r)),
+                  cost)
+            << "retirement " << i;
+        l1_misses += std::popcount(misses[i]);
+        if (is_mem(r)) {
+            ASSERT_EQ(split.dataAccess(1, shadow(r), is_write(r)),
+                      whole.dataAccess(1, shadow(r), is_write(r)))
+                << "retirement " << i;
+        }
+    }
+    EXPECT_EQ(counts(split.l1i(0)), counts(whole.l1i(0)));
+    EXPECT_EQ(counts(split.l1d(0)), counts(whole.l1d(0)));
+    EXPECT_EQ(counts(split.l1d(1)), counts(whole.l1d(1)));
+    EXPECT_EQ(counts(split.l2()), counts(whole.l2()));
+    // The stream exercises both halves: L1 misses, and L2 evictions.
+    EXPECT_GT(l1_misses, 1000u);
+    EXPECT_GT(whole.l2().stats().evictions, 1000u);
+}
+
+TEST(Hierarchy, RetireChargesTheFetchBeforeTheDataAccess)
+{
+    // A one-set, two-way L2. Retirement 1 misses both L1s, so the L2
+    // takes the fetch's line, then the data's. Retirement 2 fetches the
+    // same line (an L1I hit) and misses the L1D, evicting the L2's
+    // least recently used line: the fetch's. So core 1 still finds the
+    // first data line in the L2.
+    HierarchyConfig cfg;
+    cfg.num_cores = 2;
+    cfg.l2_bytes = 128;
+    cfg.l2_assoc = 2;
+    CacheHierarchy h(cfg);
+    h.retire(0, 0x1000, true, 0x8000, false);
+    h.retire(0, 0x1008, true, 0x9000, false);
+    EXPECT_EQ(h.dataAccess(1, 0x8000, false), cfg.l2_hit_cycles);
 }
 
 TEST(Hierarchy, ResetStatsKeepsContents)

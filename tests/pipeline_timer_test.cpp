@@ -37,6 +37,16 @@ aluRecord(Addr pc = 0x1000)
     return record;
 }
 
+/** Account one retirement of @p producer: its producer step's L1
+ *  lookups (encode()), then retire(). */
+void
+retire(PipelineTimer& timer, unsigned producer,
+       const log::EventRecord& record)
+{
+    timer.retire(producer, record,
+                 timer.encode(producer, record).l1_misses);
+}
+
 /** The one-target list "lane @p lane, consumed by @p engine". */
 std::vector<PipelineTimer::Target>
 on(unsigned lane, lifeguard::DispatchEngine& engine)
@@ -93,7 +103,7 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     PipelineTimer timer(hierarchy, config, 1);
     auto engine = timer.makeEngine(guard, 0);
 
-    timer.retire(0, aluRecord(0x1000));
+    retire(timer, 0, aluRecord(0x1000));
     Cycles app_before = timer.stats().app_cycles;
 
     // Syscall record, then its annotation, both produced at app_before.
@@ -102,7 +112,7 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     timer.log(0, allocRecord(0x10000000, 64), on(0, *engine));
     // finish(syscall) = app_before + 5; finish(alloc) = app_before + 10.
 
-    timer.retire(0, aluRecord(0x1008));
+    retire(timer, 0, aluRecord(0x1008));
     // The drain stalls the app from app_before to app_before + 10 —
     // covering the annotation, not just the syscall record.
     EXPECT_EQ(timer.stats().syscall_drains, 1u);
@@ -312,7 +322,7 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     timer.log(1, aluRecord(), on(0, *engine_b));
 
     timer.noteSyscall(0);
-    timer.retire(0, aluRecord(0x1000));
+    retire(timer, 0, aluRecord(0x1000));
     // P0 drains to its own record's finish (3), not to P1's 44.
     EXPECT_EQ(timer.producerStats(0).syscall_stall_cycles, 3u);
     EXPECT_EQ(timer.producerStats(0).syscall_drains, 1u);

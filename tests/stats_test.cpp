@@ -67,6 +67,15 @@ TEST(Histogram, MeanIsExact)
     EXPECT_DOUBLE_EQ(h.mean(), 2.0);
 }
 
+TEST(Histogram, MeanStaysExactPastTwoToThe64)
+{
+    // A starved transport puts every lag near 2^62; four of them sum to
+    // 2^64, which a 64-bit total wraps to 0.
+    Histogram h(512, 256);
+    for (int i = 0; i < 4; ++i) h.record(std::uint64_t{1} << 62);
+    EXPECT_EQ(h.mean(), 0x1p62);
+}
+
 TEST(Histogram, PercentileUpperBound)
 {
     Histogram h(10, 10);

@@ -1,51 +1,15 @@
 /**
  * @file
- * LBA system implementation: routing on top of the shared timing
- * engine (core::PipelineTimer), each shard on one of its lanes.
+ * LBA system implementation: construction, finish and statistics on
+ * top of the shared timing engine (core::PipelineTimer), each shard on
+ * one of its lanes. The per-record steps are inline in the header.
  */
 
 #include "core/lba_system.h"
 
 #include <algorithm>
-#include <span>
 
 namespace lba::core {
-
-namespace {
-
-/**
- * The sharding rule: the entries of @p targets (one per shard) that
- * consume @p record. Loads and stores go to one shard by a hash of
- * their 64-byte region; annotations are broadcast to every shard;
- * every other record goes to the next shard of the @p round_robin
- * cursor. One shard takes every record.
- */
-std::span<const PipelineTimer::Target>
-routeRecord(const log::EventRecord& record,
-            std::span<const PipelineTimer::Target> targets,
-            std::uint64_t& round_robin)
-{
-    // Keeps the one-shard hot path free of 64-bit divisions.
-    if (targets.size() == 1) return targets;
-    switch (record.type) {
-      case log::EventType::kLoad:
-      case log::EventType::kStore:
-        return targets.subspan((record.addr >> 6) % targets.size(), 1);
-      case log::EventType::kAlloc:
-      case log::EventType::kFree:
-      case log::EventType::kInput:
-      case log::EventType::kOutput:
-      case log::EventType::kLock:
-      case log::EventType::kUnlock:
-      case log::EventType::kThreadSpawn:
-      case log::EventType::kThreadExit:
-        return targets;
-      default:
-        return targets.subspan(round_robin++ % targets.size(), 1);
-    }
-}
-
-} // namespace
 
 LbaSystem::LbaSystem(lifeguard::Lifeguard& lifeguard,
                      mem::CacheHierarchy& hierarchy,
@@ -81,24 +45,6 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
         LBA_ASSERT(shards[s] != nullptr, "shard lifeguard is null");
         engines_.push_back(timer_.makeEngine(*shards[s], s));
         targets_.push_back({s, engines_.back().get()});
-    }
-}
-
-void
-LbaSystem::consume(const log::EventRecord& record,
-                   PipelineTimer::Encoded encoded)
-{
-    if (!log::isAnnotation(record.type)) {
-        timer_.retire(producer_, record, encoded.l1_misses);
-    }
-    timer_.log(producer_, record, encoded.bytes,
-               routeRecord(record, targets_, round_robin_));
-    if (record.type == log::EventType::kSyscall) {
-        // The OS stalls the syscall until the lifeguards have checked
-        // all prior log entries; applied before the next retirement so
-        // the annotation records emitted by this syscall are drained
-        // too.
-        timer_.noteSyscall(producer_);
     }
 }
 

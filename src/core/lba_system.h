@@ -54,6 +54,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -193,6 +194,16 @@ class LbaSystem : public sim::RetireObserver
     unsigned producer() const { return producer_; }
 
   private:
+    /**
+     * The sharding rule: the entries of targets_ (one per shard) that
+     * consume @p record. Loads and stores go to one shard by a hash of
+     * their 64-byte region; annotations are broadcast to every shard;
+     * every other record goes to the next shard of the round-robin
+     * cursor. One shard takes every record.
+     */
+    std::span<const PipelineTimer::Target>
+    routeRecord(const log::EventRecord& record);
+
     /** The owning forms: producer 0 of @p timer, which it keeps. */
     LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
               std::unique_ptr<PipelineTimer> timer);
@@ -209,5 +220,48 @@ class LbaSystem : public sim::RetireObserver
     /** Round-robin cursor for non-memory instruction records. */
     std::uint64_t round_robin_ = 0;
 };
+
+// The consumer step, inline (see core/pipeline_timer.h).
+
+inline std::span<const PipelineTimer::Target>
+LbaSystem::routeRecord(const log::EventRecord& record)
+{
+    std::span<const PipelineTimer::Target> targets = targets_;
+    // Keeps the one-shard hot path free of 64-bit divisions.
+    if (targets.size() == 1) return targets;
+    switch (record.type) {
+      case log::EventType::kLoad:
+      case log::EventType::kStore:
+        return targets.subspan((record.addr >> 6) % targets.size(), 1);
+      case log::EventType::kAlloc:
+      case log::EventType::kFree:
+      case log::EventType::kInput:
+      case log::EventType::kOutput:
+      case log::EventType::kLock:
+      case log::EventType::kUnlock:
+      case log::EventType::kThreadSpawn:
+      case log::EventType::kThreadExit:
+        return targets;
+      default:
+        return targets.subspan(round_robin_++ % targets.size(), 1);
+    }
+}
+
+inline void
+LbaSystem::consume(const log::EventRecord& record,
+                   PipelineTimer::Encoded encoded)
+{
+    if (!log::isAnnotation(record.type)) {
+        timer_.retire(producer_, record, encoded.l1_misses);
+    }
+    timer_.log(producer_, record, encoded.bytes, routeRecord(record));
+    if (record.type == log::EventType::kSyscall) {
+        // The OS stalls the syscall until the lifeguards have checked
+        // all prior log entries; applied before the next retirement so
+        // the annotation records emitted by this syscall are drained
+        // too.
+        timer_.noteSyscall(producer_);
+    }
+}
 
 } // namespace lba::core

@@ -63,6 +63,15 @@
  * (core/two_thread_run.h), with the results of running them back to
  * back.
  *
+ * The consumer step is one call per record from the pool's apply()
+ * into LbaSystem::consume(), and everything under it is inline:
+ * retire(), log() with its slot reservation and consumeOn(), the
+ * engine's one-record dispatch and the hierarchy's L2 path. The calls
+ * left are the handler's table jump and the cache model's set scans
+ * (mem::Cache::accessSet). It runs once per record on the worker,
+ * the longer half on the miss-heavy workloads (docs/ARCHITECTURE.md,
+ * "Two host threads").
+ *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots. Occupancy statistics (LaneStats::buffer)
  * come from the same count.
@@ -84,6 +93,8 @@
  * tests/core_test.cpp compare it with an LbaSystem on its own timer.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <deque>
 #include <memory>
@@ -336,7 +347,12 @@ class PipelineTimer
      * retirement until every record it has logged so far has been
      * consumed. No-op unless config.syscall_stall.
      */
-    void noteSyscall(unsigned producer = 0);
+    void
+    noteSyscall(unsigned producer = 0)
+    {
+        LBA_ASSERT(producer < producers_.size(), "bad producer index");
+        if (config_.syscall_stall) producers_[producer].pending_drain = true;
+    }
 
     /**
      * Immediately stall @p producer until every record it has logged so
@@ -493,5 +509,148 @@ class PipelineTimer
 
     bool finished_ = false;
 };
+
+// The consumer step, inline (see "Two steps" in the file comment).
+
+inline void
+PipelineTimer::retire(unsigned producer_idx, const log::EventRecord& record,
+                      std::uint8_t l1_misses)
+{
+    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
+    Producer& producer = producers_[producer_idx];
+    if (producer.pending_drain) {
+        // Applied before this retirement's own cost, so the drain covers
+        // every record this producer logged so far — including the
+        // annotation records the syscall's own onOsEvent handlers
+        // emitted. The producer's drain clock tracks the latest finish
+        // over its own records, so one tenant's drain does not wait on
+        // another tenant's backlog.
+        producer.pending_drain = false;
+        ++producer.stats.syscall_drains;
+        if (producer.app_time < producer.drain_clock) {
+            Cycles stall = producer.drain_clock - producer.app_time;
+            producer.stats.syscall_stall_cycles += stall;
+            producer.app_time = producer.drain_clock;
+        }
+    }
+
+    ++producer.stats.app_instructions;
+    Cycles cost = hierarchy_.retireL2(l1_misses, record.pc, record.addr,
+                                      record.type == log::EventType::kStore);
+    producer.app_time += cost;
+    producer.stats.app_cycles += cost;
+}
+
+inline void
+PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
+                            std::size_t needed)
+{
+    // Back-pressure: the lane slot for this record frees when the lane's
+    // record capacity-entries ago has been consumed. The stall is paid
+    // by the producing application, even when the occupying record
+    // belongs to another tenant. A lane hosting several folded shard
+    // contexts may need multiple slots for one logical record.
+    LBA_ASSERT(needed <= config_.buffer_capacity,
+               "lane buffer smaller than one record's consumptions");
+    while (lane.slot_finish.size() + needed > config_.buffer_capacity) {
+        Cycles freed_at = lane.slot_finish.front();
+        lane.slot_finish.pop_front();
+        if (producer.app_time < freed_at) {
+            Cycles stall = freed_at - producer.app_time;
+            producer.stats.backpressure_stall_cycles += stall;
+            producer.app_time = freed_at;
+        }
+    }
+}
+
+inline void
+PipelineTimer::consumeOn(Producer& producer, Lane& lane,
+                         lifeguard::DispatchEngine& engine,
+                         const log::EventRecord& record, Cycles produced_at,
+                         double record_bytes)
+{
+    Cycles cost = engine.consumeBatch(&record, 1);
+
+    lane.transport_bytes += record_bytes;
+    producer.stats.transport_bytes += record_bytes;
+
+    // The record is visible to the dispatch engine only after its bytes
+    // have crossed the (possibly bandwidth-limited) transport. Ceiling:
+    // the last byte must have fully arrived, so delivery lands on the
+    // first cycle boundary at or after the transport completes. A
+    // starved link saturates at kDeliveryCeiling rather than converting
+    // an out-of-range double, and never delivers before production.
+    Cycles delivered_at = produced_at;
+    double bytes_per_cycle = config_.transport_bytes_per_cycle;
+    if (bytes_per_cycle > 0.0) {
+        lane.transport_free =
+            std::max(lane.transport_free,
+                     static_cast<double>(produced_at)) +
+            record_bytes / bytes_per_cycle;
+        Cycles arrives =
+            lane.transport_free < static_cast<double>(kDeliveryCeiling)
+                ? static_cast<Cycles>(std::ceil(lane.transport_free))
+                : kDeliveryCeiling;
+        delivered_at = std::max(produced_at, arrives);
+        if (delivered_at > produced_at) {
+            Cycles wait = delivered_at - produced_at;
+            lane.transport_wait_cycles += wait;
+            producer.stats.transport_wait_cycles += wait;
+        }
+    }
+
+    Cycles start = std::max(delivered_at, lane.last_finish);
+    double lag = static_cast<double>(start - produced_at);
+    lane.consume_lag.record(lag);
+    producer.consume_lag.record(lag);
+    producer.lag_window.record(lag);
+    producer.lag_histogram.record(start - produced_at);
+    lane.last_finish = start + cost;
+    lane.busy_cycles += cost;
+    producer.stats.lifeguard_busy_cycles += cost;
+    producer.drain_clock = std::max(producer.drain_clock, lane.last_finish);
+    lane.slot_finish.push_back(lane.last_finish);
+    lane.max_occupancy =
+        std::max<std::uint64_t>(lane.max_occupancy, lane.slot_finish.size());
+    ++lane.records;
+}
+
+inline bool
+PipelineTimer::log(unsigned producer_idx, const log::EventRecord& record,
+                   double record_bytes, std::span<const Target> targets)
+{
+    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
+    LBA_ASSERT(!targets.empty(), "record needs at least one target");
+    Producer& producer = producers_[producer_idx];
+    if (record_bytes == kFiltered) {
+        ++producer.stats.records_filtered;
+        return false;
+    }
+
+    // Reserve every target's slot first: the application can only
+    // append the record once all of its consumers have room, so
+    // produce(i) reflects the back-pressure of the slowest target
+    // lane. A lane takes one slot per target folded onto it, all
+    // reserved when the lane is first seen.
+    for (const Target& target : targets) {
+        LBA_ASSERT(target.lane < lanes_.size(),
+                   "record routed to bad lane");
+        ++lanes_[target.lane].demand;
+    }
+    for (const Target& target : targets) {
+        Lane& lane = lanes_[target.lane];
+        if (lane.demand == 0) continue;
+        reserveSlots(producer, lane, lane.demand);
+        lane.demand = 0;
+    }
+    Cycles produced_at = producer.app_time;
+    for (const Target& target : targets) {
+        LBA_ASSERT(target.engine != nullptr, "target has no engine");
+        consumeOn(producer, lanes_[target.lane], *target.engine, record,
+                  produced_at, record_bytes);
+    }
+    ++producer.stats.records_logged;
+    return true;
+}
 
 } // namespace lba::core

@@ -1,6 +1,7 @@
 /**
  * @file
- * Opcode property tables for the LRISC ISA.
+ * Opcode and class names for the LRISC ISA (the opcode property table
+ * is inline in isa/isa.h).
  */
 
 #include "isa/isa.h"
@@ -10,77 +11,6 @@
 namespace lba::isa {
 
 namespace {
-
-/** Per-opcode static properties, indexed by opcode value. */
-struct OpInfo
-{
-    const char* mnemonic;
-    InstrClass cls;
-    bool reads_rs1;
-    bool reads_rs2;
-    bool writes_rd;
-    unsigned mem_bytes; // 0 for non-memory opcodes
-};
-
-constexpr OpInfo kOpTable[] = {
-    // mnemonic   class                      rs1    rs2    rd     bytes
-    {"nop",     InstrClass::kNop,          false, false, false, 0},
-    {"halt",    InstrClass::kHalt,         false, false, false, 0},
-    {"li",      InstrClass::kLoadImm,      false, false, true,  0},
-    {"lih",     InstrClass::kLoadImm,      false, false, true,  0},
-    {"mov",     InstrClass::kMove,         true,  false, true,  0},
-    {"add",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"sub",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"mul",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"divu",    InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"remu",    InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"and",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"or",      InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"xor",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"shl",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"shr",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"sra",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"slt",     InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"sltu",    InstrClass::kIntAlu,       true,  true,  true,  0},
-    {"addi",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"muli",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"andi",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"ori",     InstrClass::kIntAlu,       true,  false, true,  0},
-    {"xori",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"shli",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"shri",    InstrClass::kIntAlu,       true,  false, true,  0},
-    {"lb",      InstrClass::kLoad,         true,  false, true,  1},
-    {"lw",      InstrClass::kLoad,         true,  false, true,  4},
-    {"ld",      InstrClass::kLoad,         true,  false, true,  8},
-    {"sb",      InstrClass::kStore,        true,  true,  false, 1},
-    {"sw",      InstrClass::kStore,        true,  true,  false, 4},
-    {"sd",      InstrClass::kStore,        true,  true,  false, 8},
-    {"beq",     InstrClass::kBranch,       true,  true,  false, 0},
-    {"bne",     InstrClass::kBranch,       true,  true,  false, 0},
-    {"blt",     InstrClass::kBranch,       true,  true,  false, 0},
-    {"bge",     InstrClass::kBranch,       true,  true,  false, 0},
-    {"bltu",    InstrClass::kBranch,       true,  true,  false, 0},
-    {"bgeu",    InstrClass::kBranch,       true,  true,  false, 0},
-    {"jmp",     InstrClass::kJump,         false, false, false, 0},
-    {"jr",      InstrClass::kIndirectJump, true,  false, false, 0},
-    {"call",    InstrClass::kCall,         false, false, false, 0},
-    {"callr",   InstrClass::kIndirectCall, true,  false, false, 0},
-    {"ret",     InstrClass::kReturn,       false, false, false, 0},
-    {"syscall", InstrClass::kSyscall,      false, false, false, 0},
-};
-
-static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
-                  static_cast<std::size_t>(Opcode::kNumOpcodes),
-              "opcode table must cover every opcode");
-
-const OpInfo&
-info(Opcode op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    LBA_ASSERT(idx < static_cast<std::size_t>(Opcode::kNumOpcodes),
-               "invalid opcode");
-    return kOpTable[idx];
-}
 
 constexpr const char* kClassNames[] = {
     "Nop", "Halt", "LoadImm", "Move", "IntAlu", "Load", "Store",
@@ -94,68 +24,10 @@ static_assert(sizeof(kClassNames) / sizeof(kClassNames[0]) ==
 
 } // namespace
 
-InstrClass
-classOf(Opcode op)
-{
-    return info(op).cls;
-}
-
-bool
-isLoad(Opcode op)
-{
-    return classOf(op) == InstrClass::kLoad;
-}
-
-bool
-isStore(Opcode op)
-{
-    return classOf(op) == InstrClass::kStore;
-}
-
-bool
-isControl(Opcode op)
-{
-    switch (classOf(op)) {
-      case InstrClass::kBranch:
-      case InstrClass::kJump:
-      case InstrClass::kIndirectJump:
-      case InstrClass::kCall:
-      case InstrClass::kIndirectCall:
-      case InstrClass::kReturn:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs1(Opcode op)
-{
-    return info(op).reads_rs1;
-}
-
-bool
-readsRs2(Opcode op)
-{
-    return info(op).reads_rs2;
-}
-
-bool
-writesRd(Opcode op)
-{
-    return info(op).writes_rd;
-}
-
-unsigned
-memAccessBytes(Opcode op)
-{
-    return info(op).mem_bytes;
-}
-
 const char*
 mnemonic(Opcode op)
 {
-    return info(op).mnemonic;
+    return detail::info(op).mnemonic;
 }
 
 const char*

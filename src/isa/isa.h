@@ -27,8 +27,10 @@
  *   r31       assembler temporary
  */
 
+#include <cstddef>
 #include <cstdint>
 
+#include "common/assert.h"
 #include "common/types.h"
 
 namespace lba::isa {
@@ -135,32 +137,153 @@ enum class InstrClass : std::uint8_t {
 inline constexpr unsigned kNumInstrClasses =
     static_cast<unsigned>(InstrClass::kNumClasses);
 
+namespace detail {
+
+/** Per-opcode static properties, indexed by opcode value. */
+struct OpInfo
+{
+    const char* mnemonic;
+    InstrClass cls;
+    bool reads_rs1;
+    bool reads_rs2;
+    bool writes_rd;
+    unsigned mem_bytes; // 0 for non-memory opcodes
+};
+
+inline constexpr OpInfo kOpTable[] = {
+    // mnemonic   class                      rs1    rs2    rd     bytes
+    {"nop",     InstrClass::kNop,          false, false, false, 0},
+    {"halt",    InstrClass::kHalt,         false, false, false, 0},
+    {"li",      InstrClass::kLoadImm,      false, false, true,  0},
+    {"lih",     InstrClass::kLoadImm,      false, false, true,  0},
+    {"mov",     InstrClass::kMove,         true,  false, true,  0},
+    {"add",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"sub",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"mul",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"divu",    InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"remu",    InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"and",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"or",      InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"xor",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"shl",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"shr",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"sra",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"slt",     InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"sltu",    InstrClass::kIntAlu,       true,  true,  true,  0},
+    {"addi",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"muli",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"andi",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"ori",     InstrClass::kIntAlu,       true,  false, true,  0},
+    {"xori",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"shli",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"shri",    InstrClass::kIntAlu,       true,  false, true,  0},
+    {"lb",      InstrClass::kLoad,         true,  false, true,  1},
+    {"lw",      InstrClass::kLoad,         true,  false, true,  4},
+    {"ld",      InstrClass::kLoad,         true,  false, true,  8},
+    {"sb",      InstrClass::kStore,        true,  true,  false, 1},
+    {"sw",      InstrClass::kStore,        true,  true,  false, 4},
+    {"sd",      InstrClass::kStore,        true,  true,  false, 8},
+    {"beq",     InstrClass::kBranch,       true,  true,  false, 0},
+    {"bne",     InstrClass::kBranch,       true,  true,  false, 0},
+    {"blt",     InstrClass::kBranch,       true,  true,  false, 0},
+    {"bge",     InstrClass::kBranch,       true,  true,  false, 0},
+    {"bltu",    InstrClass::kBranch,       true,  true,  false, 0},
+    {"bgeu",    InstrClass::kBranch,       true,  true,  false, 0},
+    {"jmp",     InstrClass::kJump,         false, false, false, 0},
+    {"jr",      InstrClass::kIndirectJump, true,  false, false, 0},
+    {"call",    InstrClass::kCall,         false, false, false, 0},
+    {"callr",   InstrClass::kIndirectCall, true,  false, false, 0},
+    {"ret",     InstrClass::kReturn,       false, false, false, 0},
+    {"syscall", InstrClass::kSyscall,      false, false, false, 0},
+};
+
+static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
+                  static_cast<std::size_t>(Opcode::kNumOpcodes),
+              "opcode table must cover every opcode");
+
+/** The properties of @p op; an invalid opcode is a library bug. */
+inline const OpInfo&
+info(Opcode op)
+{
+    auto idx = static_cast<std::size_t>(op);
+    LBA_ASSERT(idx < static_cast<std::size_t>(Opcode::kNumOpcodes),
+               "invalid opcode");
+    return kOpTable[idx];
+}
+
+} // namespace detail
+
+// The properties below are table lookups that every retirement, sized
+// record and decoded record makes, so they are inline.
+
 /** Classify an opcode. */
-InstrClass classOf(Opcode op);
+inline InstrClass
+classOf(Opcode op)
+{
+    return detail::info(op).cls;
+}
 
 /** True if @p op reads memory. */
-bool isLoad(Opcode op);
+inline bool
+isLoad(Opcode op)
+{
+    return classOf(op) == InstrClass::kLoad;
+}
 
 /** True if @p op writes memory. */
-bool isStore(Opcode op);
+inline bool
+isStore(Opcode op)
+{
+    return classOf(op) == InstrClass::kStore;
+}
 
 /** True if @p op reads or writes memory. */
 inline bool isMemRef(Opcode op) { return isLoad(op) || isStore(op); }
 
 /** True for any control transfer (branch, jump, call, return). */
-bool isControl(Opcode op);
+inline bool
+isControl(Opcode op)
+{
+    switch (classOf(op)) {
+      case InstrClass::kBranch:
+      case InstrClass::kJump:
+      case InstrClass::kIndirectJump:
+      case InstrClass::kCall:
+      case InstrClass::kIndirectCall:
+      case InstrClass::kReturn:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True if the instruction architecturally reads rs1. */
-bool readsRs1(Opcode op);
+inline bool
+readsRs1(Opcode op)
+{
+    return detail::info(op).reads_rs1;
+}
 
 /** True if the instruction architecturally reads rs2. */
-bool readsRs2(Opcode op);
+inline bool
+readsRs2(Opcode op)
+{
+    return detail::info(op).reads_rs2;
+}
 
 /** True if the instruction architecturally writes rd. */
-bool writesRd(Opcode op);
+inline bool
+writesRd(Opcode op)
+{
+    return detail::info(op).writes_rd;
+}
 
 /** Access size in bytes for memory opcodes (0 for non-memory). */
-unsigned memAccessBytes(Opcode op);
+inline unsigned
+memAccessBytes(Opcode op)
+{
+    return detail::info(op).mem_bytes;
+}
 
 /** Canonical lower-case mnemonic ("add", "ld", ...). */
 const char* mnemonic(Opcode op);

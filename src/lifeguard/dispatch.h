@@ -12,14 +12,16 @@
  * cost per record (default 1 cycle).
  *
  * Host-side dispatch mirrors that table. At construction the engine
- * *resolves* the lifeguard's handler table (an unregistered event type
- * resolves to dispatch cost only); consumeBatch() drains record spans
- * through it. The timing engine calls it once per delivered record,
- * inside PipelineTimer::log() (core/pipeline_timer.h).
+ * copies the lifeguard's sealed handler table; an unregistered event
+ * type costs the dispatch cycles only. consumeBatch() drains record
+ * spans through the one-record dispatch(). The timing engine calls it
+ * on each delivered record alone, inside PipelineTimer::log()
+ * (core/pipeline_timer.h). Both are inline, so the consumer step of a
+ * record, which the pool's apply() calls once, makes no call of its
+ * own into the engine: the handler's table jump is the only one left.
  *
  * Handler work is charged through a CostSink that routes metadata accesses
  * through the lifeguard core's caches.
- *
  */
 
 #include <array>
@@ -46,7 +48,7 @@ struct DispatchStats
     Cycles total_cycles = 0;
     std::array<std::uint64_t, log::kNumEventTypes> records_by_type{};
     std::array<Cycles, log::kNumEventTypes> cycles_by_type{};
-    /** consumeBatch() calls. */
+    /** consumeBatch() calls (the timing engine makes one per record). */
     std::uint64_t batches = 0;
 };
 
@@ -61,7 +63,7 @@ class DispatchEngine
      * @param lifeguard The lifeguard whose handlers consume records.
      *                  Its handler table must be fully registered (i.e.
      *                  its constructor has run) before the engine is
-     *                  built; the engine resolves the table once, here,
+     *                  built; the engine copies the table once, here,
      *                  and seals it (late setHandler() calls assert).
      * @param hierarchy Cache hierarchy shared with the application core.
      * @param config    Dispatch tunables.
@@ -78,8 +80,19 @@ class DispatchEngine
      * cycles (the timing engine folds them into its recurrence).
      * @return Total cycles across the batch.
      */
-    Cycles consumeBatch(const log::EventRecord* records,
-                        std::size_t count, Cycles* costs = nullptr);
+    Cycles
+    consumeBatch(const log::EventRecord* records, std::size_t count,
+                 Cycles* costs = nullptr)
+    {
+        ++stats_.batches;
+        Cycles total = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            Cycles cycles = dispatch(records[i]);
+            if (costs) costs[i] = cycles;
+            total += cycles;
+        }
+        return total;
+    }
 
     /**
      * Run the lifeguard's end-of-program hook.
@@ -122,17 +135,23 @@ class DispatchEngine
         Cycles cycles_ = 0;
     };
 
-    /** Dispatch one record through the resolved table, with the
-     *  unregistered-type fast path. */
-    Cycles dispatchOne(const log::EventRecord& record);
-
-    /** Fold one consumed record into the statistics. */
+    /**
+     * Dispatch one record through the handler table and fold it into
+     * the statistics. An unregistered type costs the dispatch cycles
+     * only, with no handler call and nothing in the sink: the
+     * hardware's "handler is just nlba" case.
+     */
     Cycles
-    account(const log::EventRecord& record, Cycles cycles)
+    dispatch(const log::EventRecord& record)
     {
+        auto type = static_cast<std::size_t>(record.type);
+        Cycles cycles = config_.dispatch_cycles;
+        if (Lifeguard::Handler handler = handlers_[type]) {
+            handler(lifeguard_, record, sink_);
+            cycles += sink_.take();
+        }
         ++stats_.records;
         stats_.total_cycles += cycles;
-        auto type = static_cast<std::size_t>(record.type);
         ++stats_.records_by_type[type];
         stats_.cycles_by_type[type] += cycles;
         return cycles;
@@ -142,8 +161,9 @@ class DispatchEngine
     DispatchConfig config_;
     Sink sink_;
     DispatchStats stats_;
-    /** Handler table with the null slots resolved (see file comment). */
-    std::array<Lifeguard::Handler, log::kNumEventTypes> resolved_;
+    /** The lifeguard's sealed handler table; null for a type it does
+     *  not handle. */
+    std::array<Lifeguard::Handler, log::kNumEventTypes> handlers_;
 };
 
 } // namespace lba::lifeguard

@@ -48,14 +48,14 @@ TaintCheck::TaintCheck(const TaintCheckConfig& config)
 bool
 TaintCheck::regBit(ThreadId tid, RegIndex reg) const
 {
-    auto it = reg_taint_.find(tid);
-    return it != reg_taint_.end() && ((it->second >> reg) & 1u);
+    return tid < reg_taint_.size() && ((reg_taint_[tid] >> reg) & 1u);
 }
 
 void
 TaintCheck::setRegBit(ThreadId tid, RegIndex reg, bool tainted)
 {
     if (reg == isa::kRegZero) return; // r0 is never tainted
+    if (tid >= reg_taint_.size()) reg_taint_.resize(tid + std::size_t{1});
     std::uint32_t& mask = reg_taint_[tid];
     if (tainted) {
         mask |= 1u << reg;

@@ -12,8 +12,8 @@
  * indirect jumps/calls and returns check.
  */
 
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
@@ -76,8 +76,12 @@ class TaintCheck : public lifeguard::Lifeguard
     TaintCheckConfig config_;
     /** Bit i of entry(g) set => byte g*8+i is tainted. */
     lifeguard::ShadowMemory<std::uint8_t, 8> taint_;
-    /** Per-thread register taint bitmask (bit per register). */
-    std::unordered_map<ThreadId, std::uint32_t> reg_taint_;
+    /**
+     * Register taint bitmask per thread (bit per register), indexed by
+     * ThreadId: thread ids are dense from 0. A thread past the end has
+     * no tainted register.
+     */
+    std::vector<std::uint32_t> reg_taint_;
     /** pcs already reported (dedupe). */
     std::unordered_set<Addr> reported_;
 };

@@ -54,15 +54,22 @@ Cache::accessSet(std::uint64_t line_addr, std::uint64_t touched)
     }
 
     // Valid ticks are distinct and an invalid way's word is 0, so the
-    // smallest word is an invalid way if there is one, else the LRU way.
+    // first smallest word is the first invalid way if there is one,
+    // else the LRU way. Selects, not branches: which way is smaller
+    // changes as often as the LRU way does (see the file comment of
+    // cache.h).
     std::size_t victim = 0;
+    std::uint64_t low = states[0];
     for (std::size_t w = 1; w < ways_; ++w) {
-        if (states[w] < states[victim]) victim = w;
+        std::uint64_t state = states[w];
+        bool lower = state < low;
+        victim = lower ? w : victim;
+        low = lower ? state : low;
     }
     ++stats_.misses;
-    if (states[victim] != 0) {
+    if (low != 0) {
         ++stats_.evictions;
-        if (states[victim] & kDirty) ++stats_.writebacks;
+        if (low & kDirty) ++stats_.writebacks;
     }
     tags_[first + victim] = tag;
     states[victim] = touched;

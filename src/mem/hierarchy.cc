@@ -26,35 +26,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
     l2_ = std::make_unique<Cache>(l2_cfg);
 }
 
-Cycles
-CacheHierarchy::l2Path(Addr addr, bool is_write)
-{
-    if (l2_->access(addr, is_write)) {
-        return config_.l2_hit_cycles;
-    }
-    return config_.l2_hit_cycles + config_.mem_cycles;
-}
-
-Cycles
-CacheHierarchy::instrFetch(unsigned core, Addr pc)
-{
-    LBA_ASSERT(core < l1i_.size(), "core index out of range");
-    if (l1i_[core]->access(pc, false)) {
-        return 0;
-    }
-    return l2Path(pc, false);
-}
-
-Cycles
-CacheHierarchy::dataAccess(unsigned core, Addr addr, bool is_write)
-{
-    LBA_ASSERT(core < l1d_.size(), "core index out of range");
-    if (l1d_[core]->access(addr, is_write)) {
-        return 0;
-    }
-    return l2Path(addr, is_write);
-}
-
 void
 CacheHierarchy::flushAll()
 {

@@ -58,10 +58,26 @@ class CacheHierarchy
     explicit CacheHierarchy(const HierarchyConfig& config);
 
     /** Extra cycles for an instruction fetch by @p core at @p pc. */
-    Cycles instrFetch(unsigned core, Addr pc);
+    Cycles
+    instrFetch(unsigned core, Addr pc)
+    {
+        LBA_ASSERT(core < l1i_.size(), "core index out of range");
+        if (l1i_[core]->access(pc, false)) {
+            return 0;
+        }
+        return l2Path(pc, false);
+    }
 
     /** Extra cycles for a data access by @p core. */
-    Cycles dataAccess(unsigned core, Addr addr, bool is_write);
+    Cycles
+    dataAccess(unsigned core, Addr addr, bool is_write)
+    {
+        LBA_ASSERT(core < l1d_.size(), "core index out of range");
+        if (l1d_[core]->access(addr, is_write)) {
+            return 0;
+        }
+        return l2Path(addr, is_write);
+    }
 
     /**
      * Cycles one retirement costs application core @p core: the base
@@ -123,7 +139,14 @@ class CacheHierarchy
 
   private:
     /** L1-miss path: probe shared L2 and convert to extra cycles. */
-    Cycles l2Path(Addr addr, bool is_write);
+    Cycles
+    l2Path(Addr addr, bool is_write)
+    {
+        if (l2_->access(addr, is_write)) {
+            return config_.l2_hit_cycles;
+        }
+        return config_.l2_hit_cycles + config_.mem_cycles;
+    }
 
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1i_;

@@ -274,7 +274,8 @@ class ReferenceLru
 /**
  * Property: the cache agrees with the naive write-back true-LRU
  * reference on a read/write stream with a mid-stream flush, for several
- * geometries: hit or miss on every access, probe() membership after
+ * geometries (an odd 3-way and a wide 16-way one among them, for the
+ * victim scan): hit or miss on every access, probe() membership after
  * every access, and all four stats. The stream mixes repeat-line
  * accesses, random lines of a 4 MB space, and a pool of lines that
  * conflict in the first and last sets, so it has repeat hits, scanned
@@ -353,6 +354,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheConfig{"l1_16k_1way", 16 * 1024, 64, 1},
                       CacheConfig{"c64k_8way", 64 * 1024, 64, 8},
                       CacheConfig{"c4k_2way", 4 * 1024, 64, 2},
+                      CacheConfig{"c12k_3way", 12 * 1024, 64, 3},
+                      CacheConfig{"c64k_16way", 64 * 1024, 64, 16},
                       CacheConfig{"l2_512k_8way", 512 * 1024, 64, 8},
                       CacheConfig{"byte_lines_1set", 4, 1, 4},
                       CacheConfig{"byte_lines_2sets", 8, 1, 4},

@@ -280,11 +280,37 @@ TEST(TaintCheckRanges, UnalignedInputsAndAllocationsMarkExactlyTheirBytes)
 TEST_F(TaintCheckTest, PerThreadRegisterTaint)
 {
     feed(inputEvent(0x20000, 8));
+    // Thread 7 taints a register before threads 1-6 have run at all.
+    EventRecord ld7 = instr(isa::Opcode::kLd, 4, 5, 0, 0x20000, 8);
+    ld7.tid = 7;
+    feed(ld7);
+    EXPECT_TRUE(guard.regTainted(7, 4));
+    for (ThreadId tid = 0; tid < 7; ++tid) {
+        EXPECT_FALSE(guard.regTainted(tid, 4)) << "tid " << tid;
+    }
+
     EventRecord ld = instr(isa::Opcode::kLd, 3, 5, 0, 0x20000, 8);
     ld.tid = 1;
     feed(ld);
     EXPECT_TRUE(guard.regTainted(1, 3));
     EXPECT_FALSE(guard.regTainted(0, 3));
+    EXPECT_FALSE(guard.regTainted(7, 3));
+    EXPECT_TRUE(guard.regTainted(7, 4));
+
+    // Taint moves within thread 7 only.
+    EventRecord mov = instr(isa::Opcode::kMov, 6, 4, 0);
+    mov.tid = 7;
+    feed(mov);
+    EXPECT_TRUE(guard.regTainted(7, 6));
+    EXPECT_FALSE(guard.regTainted(1, 6));
+
+    // A thread never seen reads clean in every register.
+    for (ThreadId tid : {ThreadId{8}, ThreadId{0xffff}}) {
+        for (RegIndex reg = 0; reg < isa::kNumRegs; ++reg) {
+            EXPECT_FALSE(guard.regTainted(tid, reg))
+                << "tid " << tid << " r" << unsigned{reg};
+        }
+    }
 }
 
 TEST_F(TaintCheckTest, RegisterZeroNeverTainted)

@@ -225,6 +225,85 @@ TEST(ParallelLba, ShardingPreservesAddrCheckFindings)
     EXPECT_EQ(a, b);
 }
 
+TEST(ParallelLba, RoutesEachRecordByTheShardingRule)
+{
+    // For every shard count from 1 to 5, powers of two or not: a load
+    // or store goes to shard (addr >> 6) % n, each other instruction to
+    // the next shard in turn from shard 0, and an annotation to every
+    // shard. Each shard's lane counts the records it took as pushes.
+    for (unsigned n = 1; n <= 5; ++n) {
+        mem::HierarchyConfig hc;
+        hc.num_cores = 1 + n;
+        mem::CacheHierarchy hierarchy(hc);
+        std::vector<std::unique_ptr<testing::FixedCostLifeguard>> guards;
+        std::vector<lifeguard::Lifeguard*> shards;
+        for (unsigned s = 0; s < n; ++s) {
+            guards.push_back(std::make_unique<testing::FixedCostLifeguard>(1));
+            shards.push_back(guards.back().get());
+        }
+        LbaSystem system(shards, hierarchy);
+
+        std::vector<std::uint64_t> want(n, 0);
+        auto consume = [&](log::EventType type, Addr addr,
+                           const std::string& what) {
+            log::EventRecord record;
+            record.pc = 0x1000;
+            record.type = type;
+            record.addr = addr;
+            record.aux = 8;
+            system.consume(record, system.produce(record));
+            for (unsigned s = 0; s < n; ++s) {
+                EXPECT_EQ(system.bufferStats(s).pushes, want[s])
+                    << n << " shards, shard " << s << ", after " << what;
+            }
+        };
+
+        unsigned next = 0;
+        auto roundRobin = [&](log::EventType type, const std::string& what) {
+            ++want[next];
+            next = (next + 1) % n;
+            consume(type, 0, what);
+        };
+        for (unsigned i = 0; i < 2 * n + 1; ++i) {
+            roundRobin(log::EventType::kIntAlu, "alu " + std::to_string(i));
+        }
+
+        const std::vector<Addr> addrs = {
+            0x0,        0x3f,       0x40,       0x7f,
+            0x80,       0xc8,       0x100,      0x1c0,
+            0x240,      0x10000003, 0x1000fffc, 0x7fffffffffc0,
+            0xdeadbeefcafe, ~Addr{0} & ~Addr{7}};
+        for (Addr addr : addrs) {
+            for (log::EventType type :
+                 {log::EventType::kLoad, log::EventType::kStore}) {
+                ++want[(addr >> 6) % n];
+                consume(type, addr,
+                        std::string(log::eventTypeName(type)) + " at " +
+                            std::to_string(addr));
+            }
+            // Loads and stores do not move the round-robin cursor.
+            roundRobin(log::EventType::kMove,
+                       "move after " + std::to_string(addr));
+        }
+
+        for (log::EventType type :
+             {log::EventType::kAlloc, log::EventType::kFree,
+              log::EventType::kInput, log::EventType::kOutput,
+              log::EventType::kLock, log::EventType::kUnlock,
+              log::EventType::kThreadSpawn, log::EventType::kThreadExit}) {
+            for (std::uint64_t& pushes : want) ++pushes;
+            consume(type, 0x10000040, log::eventTypeName(type));
+            // Annotations do not move the cursor either.
+            roundRobin(log::EventType::kBranch,
+                       std::string("branch after ") +
+                           log::eventTypeName(type));
+        }
+        roundRobin(log::EventType::kSyscall, "syscall");
+        roundRobin(log::EventType::kReturn, "return");
+        system.finish();
+    }
+}
+
 TEST(ParallelLba, MoreShardsReduceLifeguardBottleneck)
 {
     auto generated =

@@ -13,7 +13,8 @@
  * the test-only LBA_GOLDEN_REGEN switch) and ships the reviewed diff.
  *
  * Matrix: each lifeguard on a bug-injected profile it catches and on a
- * clean profile, with one shard ("serial") and with 4; a constrained
+ * clean profile, with one shard ("serial") and with 4; TaintCheck on
+ * tidy with 3 shards, a count that is not a power of two; a constrained
  * config (64-record buffer, address filter, 0.75 B/cycle); the
  * uncompressed log on a 1.0 B/cycle transport it saturates; lag-aware
  * pools with 1 and 3 tenants; and containment with real rewinds, with
@@ -409,6 +410,13 @@ corpus()
                  }});
         }
     }
+
+    // A shard count that is not a power of two.
+    configs.push_back({"taintcheck/tidy/shards3", [](const std::string&
+                                                         name) {
+        return runLba(name, program("tidy"), make<lifeguards::TaintCheck>(),
+                      LbaConfig{}, 3);
+    }});
 
     configs.push_back({"addrcheck/mcf/constrained", [](const std::string&
                                                            name) {

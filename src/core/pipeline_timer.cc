@@ -6,6 +6,7 @@
 #include "core/pipeline_timer.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/assert.h"
@@ -46,6 +47,26 @@ PipelineTimer::makeEngine(lifeguard::Lifeguard& guard, unsigned lane)
     dc.core = config_.dispatch.core + lane;
     return std::make_unique<lifeguard::DispatchEngine>(guard, hierarchy_,
                                                        dc);
+}
+
+void
+PipelineTimer::growSlots(Lane& lane)
+{
+    // reserveSlots() keeps the slots held at or below buffer_capacity,
+    // so a full array smaller than that is all that ever grows.
+    constexpr std::size_t kFirstSlots = 64;
+    std::size_t grown = std::min(config_.buffer_capacity,
+                                 std::max(kFirstSlots, 2 * lane.slot_size));
+    LBA_ASSERT(grown > lane.slot_size,
+               "lane holds more slots than its capacity");
+    auto slots = std::make_unique_for_overwrite<Cycles[]>(grown);
+    // The array is full: the oldest entry moves to index 0.
+    Cycles* old = lane.slot_finish.get();
+    std::rotate_copy(old, old + lane.slot_head, old + lane.slot_size,
+                     slots.get());
+    lane.slot_finish = std::move(slots);
+    lane.slot_size = grown;
+    lane.slot_head = 0;
 }
 
 unsigned
@@ -250,7 +271,7 @@ PipelineTimer::laneStats(unsigned lane_idx) const
     // Every delivered record is consumed at once; the ones whose slots
     // are not reclaimed yet still hold them.
     stats.buffer.pushes = lane.records;
-    stats.buffer.pops = lane.records - lane.slot_finish.size();
+    stats.buffer.pops = lane.records - lane.slot_count;
     stats.buffer.max_occupancy = lane.max_occupancy;
     return stats;
 }

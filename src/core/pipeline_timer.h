@@ -73,8 +73,12 @@
  * "Two host threads").
  *
  * The lane buffer is its slot accounting: the finish times of the
- * records occupying slots. Occupancy statistics (LaneStats::buffer)
- * come from the same count.
+ * records occupying slots, oldest first, in a circular array per lane
+ * (Lane::slot_finish). A slot is reclaimed only when a record needs
+ * room, oldest first, so the lane holds up to buffer_capacity finish
+ * times. The array doubles as it fills, never past buffer_capacity,
+ * so its memory tracks the slots held rather than the capacity.
+ * Occupancy statistics (LaneStats::buffer) come from the same count.
  *
  * Statistics. A count is written once, into its producer's slice
  * (producerStats()) or its lane (laneStats()); stats() folds the
@@ -96,7 +100,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -429,8 +432,17 @@ class PipelineTimer
      *  share their lines (see config_). */
     struct alignas(64) Lane
     {
-        /** finish times of consumed records still occupying slots. */
-        std::deque<Cycles> slot_finish;
+        /**
+         * Finish times of consumed records still occupying slots,
+         * oldest first: slot_count entries of this circular array of
+         * slot_size, from index slot_head on. Entries are written only
+         * when a slot is taken, so pages not reached yet stay
+         * unwritten.
+         */
+        std::unique_ptr<Cycles[]> slot_finish;
+        std::size_t slot_size = 0;
+        std::size_t slot_head = 0;
+        std::size_t slot_count = 0;
         /** finish(i-1) of this lane's most recent record. */
         Cycles last_finish = 0;
         /** Cycle at which the lane transport delivers its last byte. */
@@ -441,7 +453,7 @@ class PipelineTimer
         double transport_bytes = 0.0;
         Cycles transport_wait_cycles = 0;
         std::uint64_t records = 0;
-        /** Peak of slot_finish.size() (BufferStats). */
+        /** Peak of slot_count (BufferStats). */
         std::uint64_t max_occupancy = 0;
         /** Scratch inside log(): slots the record being logged still
          *  has to reserve here (0 outside log()). */
@@ -481,6 +493,10 @@ class PipelineTimer
     /** Free @p needed slots in @p lane, stalling @p producer if
      *  needed. */
     void reserveSlots(Producer& producer, Lane& lane, std::size_t needed);
+
+    /** Make room in @p lane's full slot array for one more finish
+     *  time: double it, up to buffer_capacity entries. */
+    void growSlots(Lane& lane);
 
     /**
      * Deliver one record to one lane whose slot is reserved: run its
@@ -552,9 +568,10 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // contexts may need multiple slots for one logical record.
     LBA_ASSERT(needed <= config_.buffer_capacity,
                "lane buffer smaller than one record's consumptions");
-    while (lane.slot_finish.size() + needed > config_.buffer_capacity) {
-        Cycles freed_at = lane.slot_finish.front();
-        lane.slot_finish.pop_front();
+    while (lane.slot_count + needed > config_.buffer_capacity) {
+        Cycles freed_at = lane.slot_finish[lane.slot_head];
+        if (++lane.slot_head == lane.slot_size) lane.slot_head = 0;
+        --lane.slot_count;
         if (producer.app_time < freed_at) {
             Cycles stall = freed_at - producer.app_time;
             producer.stats.backpressure_stall_cycles += stall;
@@ -609,9 +626,13 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     lane.busy_cycles += cost;
     producer.stats.lifeguard_busy_cycles += cost;
     producer.drain_clock = std::max(producer.drain_clock, lane.last_finish);
-    lane.slot_finish.push_back(lane.last_finish);
+    if (lane.slot_count == lane.slot_size) growSlots(lane);
+    std::size_t tail = lane.slot_head + lane.slot_count;
+    if (tail >= lane.slot_size) tail -= lane.slot_size;
+    lane.slot_finish[tail] = lane.last_finish;
+    ++lane.slot_count;
     lane.max_occupancy =
-        std::max<std::uint64_t>(lane.max_occupancy, lane.slot_finish.size());
+        std::max<std::uint64_t>(lane.max_occupancy, lane.slot_count);
     ++lane.records;
 }
 

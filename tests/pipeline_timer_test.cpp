@@ -2,8 +2,9 @@
  * @file
  * Direct tests of the shared timing engine (core::PipelineTimer): exact
  * transport-ceiling delivery, syscall-containment drain ordering,
- * per-lane finish cost, per-lane back-pressure and buffer statistics,
- * and each producer's lag histogram and slice window.
+ * per-lane finish cost, per-lane back-pressure and buffer statistics
+ * (against a queue model of the slots over many wraps), and each
+ * producer's lag histogram and slice window.
  *
  * These tests drive the engine with hand-built records and a
  * fixed-cost lifeguard so every cycle count is computable by hand; the
@@ -11,6 +12,12 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "core/pipeline_timer.h"
 #include "fixed_cost_lifeguard.h"
@@ -170,6 +177,156 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     EXPECT_EQ(bstats.pushes, 3u);
     EXPECT_EQ(bstats.pops, 1u);
     EXPECT_EQ(bstats.max_occupancy, 2u);
+}
+
+/**
+ * Log @p records records of seeded random shape on two lanes of
+ * @p capacity slots and compare the timer, after every log(), with a
+ * model that keeps each lane's slots as a std::deque of finish times.
+ *
+ * The model is the back-pressure rule as the file comment states it.
+ * A record reserves its slots lane by lane, in the order its targets
+ * first name each lane, and all of a lane's at once. While the slots
+ * held plus the ones needed exceed the capacity, the lane reclaims its
+ * oldest slot, and the application stalls to that slot's finish time
+ * if it is behind it. Then each target's consumption starts at
+ * max(produce time, lane clock), finishes its engine's cost later and
+ * holds a slot. Each record names 1 to @p max_targets targets on random
+ * lanes, so up to that many fold onto one lane. Each target's engine
+ * costs 1 dispatch cycle plus 0, 2, 5 or 11 handler instructions, and
+ * the application advances 0 to 15 cycles before each record, so some
+ * records stall and some do not.
+ */
+void
+expectSlotsMatchDequeModel(std::size_t capacity, unsigned max_targets,
+                           unsigned records, unsigned seed)
+{
+    constexpr unsigned kLanes = 2;
+    mem::CacheHierarchy hierarchy(cores(1 + kLanes));
+    LbaConfig config;
+    config.buffer_capacity = capacity;
+    config.compress = false;
+    PipelineTimer timer(hierarchy, config, kLanes);
+
+    std::vector<std::unique_ptr<FixedCostLifeguard>> guards;
+    std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines;
+    std::vector<Cycles> cost;
+    for (std::uint32_t instrs : {0u, 2u, 5u, 11u}) {
+        for (unsigned lane = 0; lane < kLanes; ++lane) {
+            guards.push_back(std::make_unique<FixedCostLifeguard>(instrs));
+            engines.push_back(timer.makeEngine(*guards.back(), lane));
+            cost.push_back(1 + instrs);
+        }
+    }
+
+    struct ModelLane
+    {
+        std::deque<Cycles> slots;
+        Cycles clock = 0;
+        BufferStats buffer;
+    };
+    std::vector<ModelLane> model(kLanes);
+    Cycles app = 0;
+    Cycles stalled = 0;
+
+    std::mt19937 rng(seed);
+    for (unsigned i = 0; i < records; ++i) {
+        Cycles advance = rng() % 16;
+        timer.chargeContainment(0, advance);
+        app += advance;
+
+        std::vector<PipelineTimer::Target> targets;
+        std::vector<std::size_t> which;
+        for (unsigned t = 1 + rng() % max_targets; t > 0; --t) {
+            unsigned lane = rng() % kLanes;
+            std::size_t engine = kLanes * (rng() % 4) + lane;
+            targets.push_back({lane, engines[engine].get()});
+            which.push_back(engine);
+        }
+
+        std::vector<std::size_t> demand(kLanes, 0);
+        for (const PipelineTimer::Target& target : targets) {
+            ++demand[target.lane];
+        }
+        for (const PipelineTimer::Target& target : targets) {
+            ModelLane& lane = model[target.lane];
+            while (lane.slots.size() + demand[target.lane] > capacity) {
+                Cycles freed_at = lane.slots.front();
+                lane.slots.pop_front();
+                ++lane.buffer.pops;
+                if (app < freed_at) {
+                    stalled += freed_at - app;
+                    app = freed_at;
+                }
+            }
+            demand[target.lane] = 0;
+        }
+        Cycles produced_at = app;
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            ModelLane& lane = model[targets[t].lane];
+            lane.clock = std::max(produced_at, lane.clock) + cost[which[t]];
+            lane.slots.push_back(lane.clock);
+            ++lane.buffer.pushes;
+            lane.buffer.max_occupancy =
+                std::max<std::uint64_t>(lane.buffer.max_occupancy,
+                                        lane.slots.size());
+        }
+
+        ASSERT_TRUE(timer.log(0, aluRecord(), targets));
+        ASSERT_EQ(timer.producerStats(0).backpressure_stall_cycles, stalled)
+            << "record " << i;
+        ASSERT_EQ(timer.producerTime(0), app) << "record " << i;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            LaneStats got = timer.laneStats(l);
+            ASSERT_EQ(got.buffer.pushes, model[l].buffer.pushes)
+                << "record " << i << ", lane " << l;
+            ASSERT_EQ(got.buffer.pops, model[l].buffer.pops)
+                << "record " << i << ", lane " << l;
+            ASSERT_EQ(got.buffer.max_occupancy,
+                      model[l].buffer.max_occupancy)
+                << "record " << i << ", lane " << l;
+            ASSERT_EQ(got.last_finish, model[l].clock)
+                << "record " << i << ", lane " << l;
+        }
+    }
+    // The slots wrapped many times, and the application stalled.
+    EXPECT_GT(model[0].buffer.pops, 10 * capacity);
+    EXPECT_GT(model[1].buffer.pops, 10 * capacity);
+    EXPECT_GT(stalled, 0u);
+}
+
+TEST(PipelineTimer, SlotsMatchADequeModelOnFoldedLanes)
+{
+    expectSlotsMatchDequeModel(3, 3, 4000, 1);
+}
+
+TEST(PipelineTimer, SlotsMatchADequeModelWhenTheyGrowAfterAReclaim)
+{
+    // 65 slots start as an array of 64. A record needing more slots
+    // than the last one left reclaims the oldest before that array is
+    // full and then grows it, while its oldest entry is not at its
+    // start.
+    expectSlotsMatchDequeModel(65, 6, 4000, 2);
+}
+
+TEST(PipelineTimer, SlotsHeldDoNotScaleWithTheCapacity)
+{
+    // A buffer of 2^40 slots, whose finish times would take 8 TiB:
+    // a few records hold a slot each and allocate no more than that.
+    mem::CacheHierarchy hierarchy(cores(2));
+    LbaConfig config;
+    config.buffer_capacity = std::size_t{1} << 40;
+    FixedCostLifeguard guard(3);
+    PipelineTimer timer(hierarchy, config, 1);
+    auto engine = timer.makeEngine(guard, 0);
+    for (int i = 0; i < 5; ++i) timer.log(0, aluRecord(), on(0, *engine));
+
+    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 0u);
+    BufferStats bstats = timer.laneStats(0).buffer;
+    EXPECT_EQ(bstats.pushes, 5u);
+    EXPECT_EQ(bstats.pops, 0u);
+    EXPECT_EQ(bstats.max_occupancy, 5u);
+    EXPECT_EQ(timer.laneStats(0).last_finish, 20u);
 }
 
 TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)

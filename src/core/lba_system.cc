@@ -8,6 +8,7 @@
 #include "core/lba_system.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace lba::core {
 
@@ -46,6 +47,7 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
         engines_.push_back(timer_.makeEngine(*shards[s], s));
         targets_.push_back({s, engines_.back().get()});
     }
+    if (std::has_single_bit(shards.size())) region_mask_ = shards.size() - 1;
 }
 
 void

@@ -35,13 +35,16 @@
  * handed to the dispatch engines functionally (the compressor's exact
  * invertibility is covered by tests and the compression benches).
  *
- * Sharding: memory-access records go by a hash of their 64-byte
- * region, so each shard owns a partition of the shadow space;
+ * Sharding: memory-access records go by their 64-byte region modulo
+ * the shard count, so each shard owns a partition of the shadow space;
  * annotation records (alloc/free/input/lock/unlock/...) are broadcast
  * to every shard, so each keeps a complete view of allocation and lock
  * state; other instruction records go round-robin (their handlers for
  * shardable lifeguards are no-ops, so this only balances dispatch
- * cost). With one shard every record goes to it.
+ * cost). With one shard every record goes to it. The round-robin
+ * cursor wraps at the shard count, and a power-of-two count takes the
+ * region's low bits, so routing divides only a load or store's region,
+ * and only when the count is not a power of two.
  *
  * This partitioning preserves the semantics of per-address lifeguards
  * (AddrCheck, LockSet). TaintCheck is NOT shardable this way: its
@@ -196,10 +199,10 @@ class LbaSystem : public sim::RetireObserver
   private:
     /**
      * The sharding rule: the entries of targets_ (one per shard) that
-     * consume @p record. Loads and stores go to one shard by a hash of
-     * their 64-byte region; annotations are broadcast to every shard;
-     * every other record goes to the next shard of the round-robin
-     * cursor. One shard takes every record.
+     * consume @p record. Loads and stores go to shard
+     * `(addr >> 6) % shards()`; annotations are broadcast to every
+     * shard; every other record goes to the next shard of the
+     * round-robin cursor, from shard 0. One shard takes every record.
      */
     std::span<const PipelineTimer::Target>
     routeRecord(const log::EventRecord& record);
@@ -217,8 +220,12 @@ class LbaSystem : public sim::RetireObserver
     /** consume()'s state, on a host cache line of its own:
      *  targets_[s] is shard s's lane and engines_[s]. */
     alignas(64) std::vector<PipelineTimer::Target> targets_;
-    /** Round-robin cursor for non-memory instruction records. */
-    std::uint64_t round_robin_ = 0;
+    /** Round-robin cursor for non-memory instruction records: the
+     *  shard the next one goes to. */
+    std::size_t round_robin_ = 0;
+    /** shards() - 1 when shards() is a power of two, else 0: the mask
+     *  that takes a region's shard without a division. */
+    std::uint64_t region_mask_ = 0;
 };
 
 // The consumer step, inline (see core/pipeline_timer.h).
@@ -227,12 +234,15 @@ inline std::span<const PipelineTimer::Target>
 LbaSystem::routeRecord(const log::EventRecord& record)
 {
     std::span<const PipelineTimer::Target> targets = targets_;
-    // Keeps the one-shard hot path free of 64-bit divisions.
     if (targets.size() == 1) return targets;
     switch (record.type) {
       case log::EventType::kLoad:
-      case log::EventType::kStore:
-        return targets.subspan((record.addr >> 6) % targets.size(), 1);
+      case log::EventType::kStore: {
+        std::uint64_t region = record.addr >> 6;
+        return targets.subspan(region_mask_ ? region & region_mask_
+                                            : region % targets.size(),
+                               1);
+      }
       case log::EventType::kAlloc:
       case log::EventType::kFree:
       case log::EventType::kInput:
@@ -242,8 +252,11 @@ LbaSystem::routeRecord(const log::EventRecord& record)
       case log::EventType::kThreadSpawn:
       case log::EventType::kThreadExit:
         return targets;
-      default:
-        return targets.subspan(round_robin_++ % targets.size(), 1);
+      default: {
+        std::size_t shard = round_robin_;
+        round_robin_ = shard + 1 == targets.size() ? 0 : shard + 1;
+        return targets.subspan(shard, 1);
+      }
     }
 }
 

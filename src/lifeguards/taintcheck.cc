@@ -107,6 +107,8 @@ void
 TaintCheck::writeMemTaint(Addr addr, unsigned bytes, bool tainted,
                           CostSink& cost)
 {
+    // An empty range marks nothing and costs nothing, at any alignment.
+    if (bytes == 0) return;
     // Functional update: per-granule taint masks.
     Addr end = addr + bytes;
     for (Addr g = addr & ~7ull; g < end; g += 8) {

@@ -237,6 +237,20 @@ TEST(TaintCheckLoads, EveryLoadReadsExactlyItsBytesAtOneProbePerGranule)
     }
 }
 
+TEST(TaintCheckRanges, EmptyInputChargesTheSameAtAnyAlignment)
+{
+    // A zero-byte input marks nothing, so wherever its buffer starts it
+    // costs the handler's 6 instructions and no shadow access.
+    for (Addr offset = 0; offset < 8; ++offset) {
+        TaintCheck guard;
+        RecordingSink charged;
+        guard.handleEvent(inputEvent(0x10000000 + offset, 0), charged);
+        EXPECT_EQ(charged.instr_total, 6u) << "buffer at +" << offset;
+        EXPECT_TRUE(charged.shadow_reads.empty()) << "buffer at +" << offset;
+        EXPECT_FALSE(guard.memTainted(0x10000000, 8));
+    }
+}
+
 TEST(TaintCheckRanges, UnalignedInputsAndAllocationsMarkExactlyTheirBytes)
 {
     // Blocks of 1 to 17 bytes at every unaligned offset: an input taints

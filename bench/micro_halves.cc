@@ -8,7 +8,9 @@
  * back-pressure, transport and the lifeguard's handler) on a worker;
  * the longer of the two bounds the run (docs/ARCHITECTURE.md, "Two
  * host threads"). This bench measures each step alone, without the
- * simulator or the ring:
+ * simulator or the ring, on one shard for three streams and on four
+ * for req_churn under TaintCheck, the consumer shape of a pool whose
+ * tenants are sharded across its lanes:
  *
  *  - it records a run's capture stream and every record's produce()
  *    answer once;
@@ -17,7 +19,7 @@
  *    two-thread ring;
  *  - consumer: consume() of the recorded stream and answers on a fresh
  *    owning LbaSystem, whose total_cycles must equal
- *    core::Experiment::runLba's on the same program.
+ *    core::Experiment::runLba's on the same program and shard count.
  *
  * Each half prints the fastest of kReps repetitions, in ns per record.
  * Compare two builds by running them alternately on one pinned CPU
@@ -31,6 +33,8 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
@@ -52,19 +56,41 @@ struct Entry
     core::PipelineTimer::Encoded encoded;
 };
 
-/** An owning one-shard LBA system on a hierarchy of its own, as
- *  runLba's one-lane pool builds it. */
+/** One bench row: a workload, its lifeguard and the shard count. */
+struct Case
+{
+    const char* benchmark;
+    const char* lifeguard;
+    core::LifeguardFactory factory;
+    unsigned shards;
+};
+
+/** An owning LBA system with one lane per shard on a hierarchy of its
+ *  own, as the one-tenant pool of runLba(factory, shards) builds it:
+ *  the application on core 0, shard s on core 1 + s. */
 struct Platform
 {
-    explicit Platform(const core::LifeguardFactory& factory)
-        : guard(factory()), hierarchy(mem::HierarchyConfig{}),
-          system(*guard, hierarchy)
+    explicit Platform(const Case& c) : hierarchy(coresFor(c.shards))
     {
+        std::vector<lifeguard::Lifeguard*> shards;
+        for (unsigned s = 0; s < c.shards; ++s) {
+            guards.push_back(c.factory());
+            shards.push_back(guards.back().get());
+        }
+        system.emplace(shards, hierarchy);
     }
 
-    std::unique_ptr<lifeguard::Lifeguard> guard;
+    static mem::HierarchyConfig
+    coresFor(unsigned shards)
+    {
+        mem::HierarchyConfig hc;
+        hc.num_cores = std::max(hc.num_cores, 1 + shards);
+        return hc;
+    }
+
+    std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
     mem::CacheHierarchy hierarchy;
-    core::LbaSystem system;
+    std::optional<core::LbaSystem> system;
 };
 
 double
@@ -81,19 +107,18 @@ nsPerRecord(Clock::time_point start, Clock::time_point end,
  * ones (the step depends only on the stream, so they must not).
  */
 double
-timeProducer(const core::LifeguardFactory& factory,
-             const std::vector<Entry>& stream, bool& ok)
+timeProducer(const Case& c, const std::vector<Entry>& stream, bool& ok)
 {
     std::vector<Entry> ring(core::kWindows * core::kWindowRecords);
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
-        Platform platform(factory);
+        Platform platform(c);
         std::size_t slot = 0;
         Clock::time_point start = Clock::now();
         for (const Entry& entry : stream) {
             Entry& out = ring[slot];
             out.record = entry.record;
-            out.encoded = platform.system.produce(entry.record);
+            out.encoded = platform.system->produce(entry.record);
             slot = slot + 1 == ring.size() ? 0 : slot + 1;
         }
         Clock::time_point end = Clock::now();
@@ -119,20 +144,19 @@ timeProducer(const core::LifeguardFactory& factory,
  * false when a replay's total_cycles is not @p expected_cycles.
  */
 double
-timeConsumer(const core::LifeguardFactory& factory,
-             const std::vector<Entry>& stream, Cycles expected_cycles,
-             bool& ok)
+timeConsumer(const Case& c, const std::vector<Entry>& stream,
+             Cycles expected_cycles, bool& ok)
 {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
-        Platform platform(factory);
+        Platform platform(c);
         Clock::time_point start = Clock::now();
         for (const Entry& entry : stream) {
-            platform.system.consume(entry.record, entry.encoded);
+            platform.system->consume(entry.record, entry.encoded);
         }
         Clock::time_point end = Clock::now();
-        platform.system.finish();
-        Cycles cycles = platform.system.stats().total_cycles;
+        platform.system->finish();
+        Cycles cycles = platform.system->stats().total_cycles;
         if (cycles != expected_cycles) {
             std::fprintf(stderr,
                          "replay %d: total_cycles %llu, runLba %llu\n", rep,
@@ -156,19 +180,14 @@ main(int argc, char** argv)
     std::printf("Host time of each half of the LBA drive, by replay "
                 "(%llu instructions; fastest of %d, ns per record)\n\n",
                 static_cast<unsigned long long>(instrs), kReps);
-    struct Case
-    {
-        const char* benchmark;
-        const char* lifeguard;
-        core::LifeguardFactory factory;
-    };
     std::vector<Case> cases = {
-        {"mcf", "AddrCheck", bench::makeAddrCheck()},
-        {"req_serve", "BoundsCheck", bench::makeBoundsCheck()},
-        {"gzip", "TaintCheck", bench::makeTaintCheck()},
+        {"mcf", "AddrCheck", bench::makeAddrCheck(), 1},
+        {"req_serve", "BoundsCheck", bench::makeBoundsCheck(), 1},
+        {"gzip", "TaintCheck", bench::makeTaintCheck(), 1},
+        {"req_churn", "TaintCheck", bench::makeTaintCheck(), 4},
     };
 
-    stats::Table table({"benchmark", "lifeguard", "records",
+    stats::Table table({"benchmark", "lifeguard", "shards", "records",
                         "producer ns/rec", "consumer ns/rec",
                         "total_cycles"});
     bool ok = true;
@@ -178,7 +197,8 @@ main(int argc, char** argv)
                                instrs)
                 .program;
         core::Experiment experiment(program);
-        Cycles expected = experiment.runLba(c.factory).lba.total_cycles;
+        Cycles expected =
+            experiment.runLba(c.factory, c.shards).lba.total_cycles;
 
         log::RecordingObserver recorder;
         sim::Process process(experiment.config().process);
@@ -186,14 +206,14 @@ main(int argc, char** argv)
         process.run(&recorder);
         std::vector<Entry> stream;
         stream.reserve(recorder.stream.size());
-        Platform producer(c.factory);
+        Platform producer(c);
         for (const log::EventRecord& record : recorder.stream) {
-            stream.push_back({record, producer.system.produce(record)});
+            stream.push_back({record, producer.system->produce(record)});
         }
 
-        double produce_ns = timeProducer(c.factory, stream, ok);
-        double consume_ns = timeConsumer(c.factory, stream, expected, ok);
-        table.addRow({c.benchmark, c.lifeguard,
+        double produce_ns = timeProducer(c, stream, ok);
+        double consume_ns = timeConsumer(c, stream, expected, ok);
+        table.addRow({c.benchmark, c.lifeguard, std::to_string(c.shards),
                       std::to_string(stream.size()),
                       stats::formatDouble(produce_ns, 1),
                       stats::formatDouble(consume_ns, 1),

@@ -73,9 +73,9 @@
  * "Two host threads").
  *
  * The lane buffer is its slot accounting: the finish times of the
- * records occupying slots, oldest first, in a circular array per lane
+ * records occupying slots, in a circular array per lane
  * (Lane::slot_finish). A slot is reclaimed only when a record needs
- * room, oldest first, so the lane holds up to buffer_capacity finish
+ * room, oldest first, so a lane holds up to buffer_capacity finish
  * times. The array doubles as it fills, never past buffer_capacity,
  * so its memory tracks the slots held rather than the capacity.
  * Occupancy statistics (LaneStats::buffer) come from the same count.

@@ -1,32 +1,33 @@
 /**
  * @file
- * Host time of each half of the LBA drive, by replay (one workload a
- * row). The pool's drive runs a record's producer step
- * (core::LbaSystem::produce: the application core's L1 lookups, the
- * filter and the record's size) on the calling thread and its consumer
- * step (LbaSystem::consume: the L2 half of the retire cost, routing,
- * back-pressure, transport and the lifeguard's handler) on a worker;
- * the longer of the two bounds the run (docs/ARCHITECTURE.md, "Two
- * host threads"). This bench measures each step alone, without the
- * simulator or the ring, on one shard for three streams and on four
+ * Host time of each stage of the LBA drive, by replay (one workload a
+ * row). The pool's drive runs the simulator and capture on the calling
+ * thread, each record's producer step (core::LbaSystem::produce: the
+ * application core's L1 lookups, the filter and the record's size) on
+ * an encoder thread, and its consumer step (LbaSystem::consume: the L2
+ * half of the retire cost, routing, back-pressure, transport and the
+ * lifeguard's handler) on a worker; the longest of the three bounds
+ * the run (docs/ARCHITECTURE.md, "Three host threads"). This bench
+ * measures each stage alone, on one shard for three streams and on four
  * for req_churn under TaintCheck, the consumer shape of a pool whose
  * tenants are sharded across its lanes:
  *
  *  - it records a run's capture stream and every record's produce()
  *    answer once;
- *  - producer: produce() over the stream on a fresh owning LbaSystem,
- *    each answer stored with its record into a buffer the size of the
- *    two-thread ring;
- *  - consumer: consume() of the recorded stream and answers on a fresh
+ *  - simulator: sim::Process::run, each captured record stored into a
+ *    buffer the size of the three-stage ring;
+ *  - encoder: produce() over the stream on a fresh owning LbaSystem,
+ *    each answer stored with its record into such a buffer;
+ *  - worker: consume() of the recorded stream and answers on a fresh
  *    owning LbaSystem, whose total_cycles must equal
  *    core::Experiment::runLba's on the same program and shard count.
  *
- * Each half prints the fastest of kReps repetitions, in ns per record.
+ * Each stage prints the fastest of kReps repetitions, in ns per record.
  * Compare two builds by running them alternately on one pinned CPU
  * (taskset -c N), since one repetition's time moves with the host.
  * Exits 1 when a replay's total_cycles differs from runLba's, or a
- * producer repetition's answers differ from the recorded ones. Scale
- * with LBA_BENCH_INSTRS.
+ * simulator or encoder repetition's output differs from the recorded
+ * stream. Scale with LBA_BENCH_INSTRS.
  */
 
 #include <algorithm>
@@ -38,7 +39,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/two_thread_run.h"
+#include "core/three_stage_run.h"
 #include "log/capture.h"
 
 namespace {
@@ -46,7 +47,7 @@ namespace {
 using namespace lba;
 using Clock = std::chrono::steady_clock;
 
-/** Repetitions per half; each prints its fastest. */
+/** Repetitions per stage; each prints its fastest. */
 constexpr int kReps = 15;
 
 /** One recorded record with its producer step's answer. */
@@ -93,6 +94,49 @@ struct Platform
     std::optional<core::LbaSystem> system;
 };
 
+/** A buffer the size of the three-stage ring. */
+std::vector<Entry>
+ringBuffer()
+{
+    return std::vector<Entry>(core::kWindows * core::kWindowRecords);
+}
+
+/** The driver's part of each record: capture it into the next slot of
+ *  a ring-sized buffer, as the pool's onRetire and onOsEvent do. */
+class RingCapture : public sim::RetireObserver
+{
+  public:
+    explicit RingCapture(std::vector<Entry>& ring) : ring_(ring) {}
+
+    void
+    onRetire(const sim::Retired& retired) override
+    {
+        put(log::CaptureUnit::makeRecord(retired));
+    }
+
+    void
+    onOsEvent(const sim::OsEvent& event) override
+    {
+        put(log::CaptureUnit::makeRecord(event));
+    }
+
+    /** Records captured. */
+    std::size_t records = 0;
+    /** The slot the next record goes to. */
+    std::size_t slot = 0;
+
+  private:
+    void
+    put(const log::EventRecord& record)
+    {
+        ring_[slot].record = record;
+        slot = slot + 1 == ring_.size() ? 0 : slot + 1;
+        ++records;
+    }
+
+    std::vector<Entry>& ring_;
+};
+
 double
 nsPerRecord(Clock::time_point start, Clock::time_point end,
             std::size_t records)
@@ -102,14 +146,56 @@ nsPerRecord(Clock::time_point start, Clock::time_point end,
 }
 
 /**
- * Fastest producer step over the stream, ns per record; sets @p ok to
+ * Fastest simulator run with capture, ns per record; sets @p ok to
+ * false when a run captures a different number of records, or the
+ * records left in the ring differ from the recorded ones.
+ */
+double
+timeSimulator(const std::vector<isa::Instruction>& program,
+              const sim::ProcessConfig& config,
+              const std::vector<Entry>& stream, bool& ok)
+{
+    std::vector<Entry> ring = ringBuffer();
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kReps; ++rep) {
+        sim::Process process(config);
+        process.load(program);
+        RingCapture capture(ring);
+        Clock::time_point start = Clock::now();
+        process.run(&capture);
+        Clock::time_point end = Clock::now();
+        if (capture.records != stream.size()) {
+            std::fprintf(stderr, "simulator rep %d: %zu records, not %zu\n",
+                         rep, capture.records, stream.size());
+            ok = false;
+        }
+        std::size_t slot = capture.slot;
+        for (std::size_t i = 0;
+             i < std::min({ring.size(), stream.size(), capture.records});
+             ++i) {
+            const Entry& want = stream[stream.size() - 1 - i];
+            slot = slot == 0 ? ring.size() - 1 : slot - 1;
+            if (ring[slot].record != want.record) {
+                std::fprintf(stderr, "simulator rep %d: record %zu differs\n",
+                             rep, stream.size() - 1 - i);
+                ok = false;
+                break;
+            }
+        }
+        best = std::min(best, nsPerRecord(start, end, stream.size()));
+    }
+    return best;
+}
+
+/**
+ * Fastest encoder step over the stream, ns per record; sets @p ok to
  * false when the answers left in the ring differ from the recorded
  * ones (the step depends only on the stream, so they must not).
  */
 double
-timeProducer(const Case& c, const std::vector<Entry>& stream, bool& ok)
+timeEncoder(const Case& c, const std::vector<Entry>& stream, bool& ok)
 {
-    std::vector<Entry> ring(core::kWindows * core::kWindowRecords);
+    std::vector<Entry> ring = ringBuffer();
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
         Platform platform(c);
@@ -128,7 +214,7 @@ timeProducer(const Case& c, const std::vector<Entry>& stream, bool& ok)
             slot = slot == 0 ? ring.size() - 1 : slot - 1;
             if (ring[slot].encoded.bytes != want.encoded.bytes ||
                 ring[slot].encoded.l1_misses != want.encoded.l1_misses) {
-                std::fprintf(stderr, "producer rep %d: answer %zu differs\n",
+                std::fprintf(stderr, "encoder rep %d: answer %zu differs\n",
                              rep, stream.size() - 1 - i);
                 ok = false;
                 break;
@@ -140,11 +226,11 @@ timeProducer(const Case& c, const std::vector<Entry>& stream, bool& ok)
 }
 
 /**
- * Fastest consumer step over the stream, ns per record; sets @p ok to
+ * Fastest worker step over the stream, ns per record; sets @p ok to
  * false when a replay's total_cycles is not @p expected_cycles.
  */
 double
-timeConsumer(const Case& c, const std::vector<Entry>& stream,
+timeWorker(const Case& c, const std::vector<Entry>& stream,
              Cycles expected_cycles, bool& ok)
 {
     double best = std::numeric_limits<double>::infinity();
@@ -177,7 +263,7 @@ main(int argc, char** argv)
     std::uint64_t instrs = bench::benchInstructions();
     bench::JsonReport report("micro_halves", bench::jsonOutPath(argc, argv));
 
-    std::printf("Host time of each half of the LBA drive, by replay "
+    std::printf("Host time of each stage of the LBA drive, by replay "
                 "(%llu instructions; fastest of %d, ns per record)\n\n",
                 static_cast<unsigned long long>(instrs), kReps);
     std::vector<Case> cases = {
@@ -188,8 +274,8 @@ main(int argc, char** argv)
     };
 
     stats::Table table({"benchmark", "lifeguard", "shards", "records",
-                        "producer ns/rec", "consumer ns/rec",
-                        "total_cycles"});
+                        "simulator ns/rec", "encoder ns/rec",
+                        "worker ns/rec", "total_cycles"});
     bool ok = true;
     for (const Case& c : cases) {
         std::vector<isa::Instruction> program =
@@ -206,17 +292,20 @@ main(int argc, char** argv)
         process.run(&recorder);
         std::vector<Entry> stream;
         stream.reserve(recorder.stream.size());
-        Platform producer(c);
+        Platform encoder(c);
         for (const log::EventRecord& record : recorder.stream) {
-            stream.push_back({record, producer.system->produce(record)});
+            stream.push_back({record, encoder.system->produce(record)});
         }
 
-        double produce_ns = timeProducer(c, stream, ok);
-        double consume_ns = timeConsumer(c, stream, expected, ok);
+        double simulate_ns = timeSimulator(
+            program, experiment.config().process, stream, ok);
+        double encode_ns = timeEncoder(c, stream, ok);
+        double work_ns = timeWorker(c, stream, expected, ok);
         table.addRow({c.benchmark, c.lifeguard, std::to_string(c.shards),
                       std::to_string(stream.size()),
-                      stats::formatDouble(produce_ns, 1),
-                      stats::formatDouble(consume_ns, 1),
+                      stats::formatDouble(simulate_ns, 1),
+                      stats::formatDouble(encode_ns, 1),
+                      stats::formatDouble(work_ns, 1),
                       std::to_string(expected)});
     }
     std::printf("%s", table.toString().c_str());

@@ -122,8 +122,8 @@ class LbaSystem : public sim::RetireObserver
      * (PipelineTimer::encode): a retirement's application-core L1
      * lookups, the address filter and the record's size in the log
      * stream. It writes nothing consume() reads, so the pool's
-     * two-thread schedule runs it ahead of consume() on another host
-     * thread.
+     * three-stage schedule runs it on an encoder thread of its own,
+     * after capture and ahead of consume() on the worker.
      */
     PipelineTimer::Encoded
     produce(const log::EventRecord& record)

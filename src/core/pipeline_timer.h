@@ -58,19 +58,20 @@
  * so no L2 eviction and no other core touches them, and only the L2,
  * which the consumer step keeps, needs the serialized order. Every
  * simulated number depends only on record order, each record's bytes
- * and the L1 misses, so the steps of different records may run on two
- * host threads, which is what the pool's drive does
- * (core/two_thread_run.h), with the results of running them back to
- * back.
+ * and the L1 misses, so the steps of different records may run on
+ * different host threads, with the results of running them back to
+ * back. The pool's drive runs them on two threads of their own, the
+ * encoder and the worker, behind the thread that runs the simulator
+ * and capture (core/three_stage_run.h).
  *
  * The consumer step is one call per record from the pool's apply()
  * into LbaSystem::consume(), and everything under it is inline:
  * retire(), log() with its slot reservation and consumeOn(), the
  * engine's one-record dispatch and the hierarchy's L2 path. The calls
  * left are the handler's table jump and the cache model's set scans
- * (mem::Cache::accessSet). It runs once per record on the worker,
- * the longer half on the miss-heavy workloads (docs/ARCHITECTURE.md,
- * "Two host threads").
+ * (mem::Cache::accessSet). It runs once per record on the worker, the
+ * longest of the three stages on every workload measured
+ * (docs/ARCHITECTURE.md, "Three host threads").
  *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots, in a circular array per lane
@@ -94,7 +95,8 @@
  * producer on the identity shard->lane map is the recurrence of an
  * LbaSystem with a timer of its own, bit for bit. Experiment::runLba
  * runs exactly that lone producer, and the TwoThreadSchedule cases of
- * tests/core_test.cpp compare it with an LbaSystem on its own timer.
+ * tests/core_test.cpp compare it, on three threads, with an LbaSystem
+ * on its own timer driven inline.
  */
 
 #include <algorithm>
@@ -316,8 +318,8 @@ class PipelineTimer
      * configuration, that producer's sizer and its core's L1s, which
      * the consumer step never touches, so one host thread may run it
      * while another runs the consumer step on earlier records (the
-     * two-thread schedule, core/two_thread_run.h). seal() reads the
-     * sizers once both threads are done.
+     * pool's encoder thread, core/three_stage_run.h). seal() reads the
+     * sizers once both threads are joined.
      */
     Encoded encode(unsigned producer, const log::EventRecord& record);
 
@@ -513,9 +515,10 @@ class PipelineTimer
     /**
      * encode() reads only config_ and encoders_, on host cache lines of
      * their own, and writes its producer's application-core L1s, which
-     * are mem::Cache objects of their own: a line both threads of the
-     * two-thread schedule touched, one of them writing it on every
-     * record, would move between their cores every time.
+     * are mem::Cache objects of their own: a line that the encoder and
+     * the worker of the three-stage schedule both touched, one of them
+     * writing it on every record, would move between their cores every
+     * time.
      */
     alignas(64) LbaConfig config_;
     /** encoders_[p] is producer p's encode() state. */

@@ -89,10 +89,10 @@ class Experiment
     /**
      * Run under LBA with the experiment's configuration, on @p shards
      * lifeguard cores (a fresh lifeguard from @p factory per shard).
-     * Without containment the lifeguards' handlers run on a worker
-     * thread (the pool's core::TwoThreadRun); read their state after
-     * the call returns, and expect what a handler throws to be
-     * rethrown here.
+     * Without containment the records are encoded on one more thread
+     * and the lifeguards' handlers run on a worker thread (the pool's
+     * core::ThreeStageRun); read their state after the call returns,
+     * and expect what a handler throws to be rethrown here.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           unsigned shards = 1);

@@ -82,8 +82,8 @@ struct CacheStats
  * One level of cache. access() reports whether the line was present and
  * installs it; the caller (CacheHierarchy) decides what a miss costs.
  * An object starts its own host cache line: access() writes its tick,
- * statistics and memo, and two host threads may each drive a cache of
- * their own (mem/hierarchy.h).
+ * statistics and memo, and several host threads may each drive caches
+ * of their own (mem/hierarchy.h).
  */
 class alignas(64) Cache
 {

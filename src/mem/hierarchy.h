@@ -17,9 +17,9 @@
  * depend only on that core's own access order, and only the L2 needs
  * the serialized order of every core's misses. retire() is its two
  * halves, retireL1() and retireL2(), back to back; the LBA pipeline
- * runs the application core's L1 half on the host thread that runs
- * the application (core/pipeline_timer.h), and each Cache starts a
- * host cache line of its own so the threads' caches share none.
+ * runs the application core's L1 half on its encoder thread and the
+ * L2 half on its worker (core/pipeline_timer.h), and each Cache starts
+ * a host cache line of its own so the threads' caches share none.
  */
 
 #include <cstdint>

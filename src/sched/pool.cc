@@ -19,11 +19,12 @@ namespace lba::sched {
 using log::EventRecord;
 
 /**
- * One tenant's full runtime state. Under the two-thread schedule the
- * driver writes one group of fields on every record and the worker
- * another at each slice end, so each group starts a host cache line,
- * apart from the fields set up before the drive that both threads read.
- * The tenant's lag statistics are its producer's, in the pool's timer.
+ * One tenant's full runtime state. Under the three-stage schedule the
+ * driver writes one group of fields at each slice end and the worker
+ * another, so each group starts a host cache line, apart from the
+ * fields set up before the drive that every thread reads (the encoder
+ * reads only `system`). The tenant's lag statistics are its
+ * producer's, in the pool's timer.
  */
 struct LifeguardPool::Tenant
 {
@@ -147,23 +148,25 @@ LifeguardPool::onOsEvent(const sim::OsEvent& event)
 void
 LifeguardPool::submitRecord(const EventRecord& record)
 {
-    core::PipelineTimer::Encoded encoded =
-        tenants_[current_]->system->produce(record);
     if (!ring_) {
-        apply({record, encoded.bytes, current_, encoded.l1_misses,
-               Op::Kind::kRecord});
+        Op op{record, 0.0, current_, 0, Op::Kind::kRecord};
+        encode(op);
+        apply(op);
         return;
     }
     // Filled in place, a field at a time: copying in a whole Op built
     // on the stack ran about 5% slower end to end on hostbench's
-    // req_serve_bounds (4-vCPU Xeon).
+    // req_serve_bounds (4-vCPU Xeon). The encoder fills in the rest.
     Op& op = ring_->slot();
     op.record = record;
-    op.bytes = encoded.bytes;
     op.tenant = current_;
-    op.l1_misses = encoded.l1_misses;
     op.kind = Op::Kind::kRecord;
-    ring_->commit();
+    if (!ring_->commit()) {
+        // A later stage failed: simulating on would only delay the
+        // rethrow in finish().
+        stopped_ = true;
+        tenants_[current_]->process->requestStop();
+    }
 }
 
 void
@@ -175,12 +178,22 @@ LifeguardPool::step(Op::Kind kind, unsigned tenant)
 void
 LifeguardPool::submit(const Op& op)
 {
-    if (ring_) {
-        ring_->slot() = op;
-        ring_->commit();
-    } else {
+    if (!ring_) {
         apply(op);
+        return;
     }
+    ring_->slot() = op;
+    if (!ring_->commit()) stopped_ = true;
+}
+
+void
+LifeguardPool::encode(Op& op)
+{
+    if (op.kind != Op::Kind::kRecord) return;
+    core::PipelineTimer::Encoded encoded =
+        tenants_[op.tenant]->system->produce(op.record);
+    op.bytes = encoded.bytes;
+    op.l1_misses = encoded.l1_misses;
 }
 
 void
@@ -311,10 +324,11 @@ LifeguardPool::drive()
         LBA_ASSERT(producer == t, "producer/tenant index drift");
     }
 
-    // Without containment a worker applies the records and scheduler
-    // steps; with it, submit() applies each at once, because the
-    // managers read the lifeguards' findings after every record.
-    if (!config_.containment.enabled) ring_.emplace(Apply{this});
+    // Without containment an encoder thread encodes the records and a
+    // worker applies them and the scheduler steps; with it, each is
+    // encoded and applied at once, because the managers read the
+    // lifeguards' findings after every record.
+    if (!config_.containment.enabled) ring_.emplace(Encode{this}, Apply{this});
 
     // Admission, in arrival order. Tenants with a later arrival round
     // go to the pending list and face admission when their round comes
@@ -372,9 +386,11 @@ LifeguardPool::drive()
     // unsliced (no one to yield to), which preserves its solo thread
     // interleaving. The round counter advances once per executed slice
     // and gates pending arrivals, so attach timing is deterministic.
+    // A failure in a later stage stops the drive at once.
     std::size_t cursor = 0;
     std::uint64_t round = 0;
-    while (!active_.empty() || !pending.empty() || !queued_.empty()) {
+    while (!stopped_ &&
+           (!active_.empty() || !pending.empty() || !queued_.empty())) {
         // Arrivals due this round face admission now.
         bool membership_changed = false;
         while (!pending.empty() &&
@@ -462,8 +478,8 @@ LifeguardPool::drive()
         }
         if (!active_.empty()) step(Op::Kind::kRebalance);
     }
-    // The worker has applied every entry once finish() returns, which
-    // rethrows what it threw.
+    // The encoder and the worker have handled every entry once
+    // finish() returns, which rethrows what either threw.
     if (ring_) ring_->finish();
 
     // End-of-program lifeguard passes: every admitted tenant's every

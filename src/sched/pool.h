@@ -26,17 +26,18 @@
  * lanes is core::Experiment::runLba with M shards: runLba builds such a
  * pool and drives it.
  *
- * Without containment the drive splits the work between two host
- * threads (core::TwoThreadRun). The calling thread runs the driver
- * (admission, slicing, arrivals, detach) and each record's producer
- * half: the simulator, capture and the tenant's LbaSystem::produce
- * (its application core's L1 lookups and the record's size). A
- * worker applies, in the order the driver made them, each record's
- * LbaSystem::consume and each scheduler step: lane-map changes, the
- * slice-end lag window read and the epoch. The driver reads no
- * simulated time, so the results are those of applying every step at
- * once, which is what the drive does under containment. run() computes
- * the tenants' unmonitored baselines on a third thread meanwhile.
+ * Without containment the drive splits the work into three stages on
+ * three host threads (core::ThreeStageRun). The calling thread runs
+ * the driver (admission, slicing, arrivals, detach), the simulator and
+ * capture. An encoder thread runs each record's producer step, the
+ * tenant's LbaSystem::produce (its application core's L1 lookups, the
+ * filter and the record's size). A worker applies, in the order the
+ * driver made them, each record's LbaSystem::consume and each
+ * scheduler step: lane-map changes, the slice-end lag window read and
+ * the epoch. The driver reads no simulated time, so the results are
+ * those of encoding and applying every entry at once, which is what
+ * the drive does under containment. run() computes the tenants'
+ * unmonitored baselines on one more thread meanwhile.
  */
 
 #include <cstdint>
@@ -47,7 +48,7 @@
 
 #include "core/pipeline_timer.h"
 #include "core/runner.h"
-#include "core/two_thread_run.h"
+#include "core/three_stage_run.h"
 #include "replay/containment.h"
 #include "sched/scheduler.h"
 
@@ -224,10 +225,11 @@ class LifeguardPool : public sim::RetireObserver
 
     /**
      * Admit, schedule and run every tenant to completion, then finish
-     * all lifeguards and collect statistics, while a third thread
+     * all lifeguards and collect statistics, while another thread
      * computes the tenants' unmonitored baselines. Call exactly once.
      * Without containment the lifeguards' handlers run on a worker
-     * thread, and what one throws is rethrown here.
+     * thread, and what one throws is rethrown here once the drive has
+     * stopped at the next window handoff.
      */
     PoolResult run();
 
@@ -251,8 +253,8 @@ class LifeguardPool : public sim::RetireObserver
     {
         enum class Kind : std::uint8_t
         {
-            /** Consume `record` of `tenant`, whose encode() answer is
-             *  `bytes` and `l1_misses`. */
+            /** Consume `record` of `tenant`; encode() writes its
+             *  answer into `bytes` and `l1_misses`. */
             kRecord,
             /** `tenant` joined the active set. */
             kActivate,
@@ -273,10 +275,18 @@ class LifeguardPool : public sim::RetireObserver
         Kind kind = Kind::kRecord;
     };
     // The ring holds kWindows * kWindowRecords of these
-    // (docs/ARCHITECTURE.md, "Two host threads").
+    // (docs/ARCHITECTURE.md, "Three host threads").
     static_assert(sizeof(Op) == 48, "an Op fills 48 bytes");
 
-    /** The worker's consumer: apply() each entry. */
+    /** The encoder thread's step: encode() each entry. */
+    struct Encode
+    {
+        LifeguardPool* pool;
+
+        void operator()(Op& op) const { pool->encode(op); }
+    };
+
+    /** The worker's step: apply() each entry. */
     struct Apply
     {
         LifeguardPool* pool;
@@ -297,16 +307,22 @@ class LifeguardPool : public sim::RetireObserver
     /** Admit @p tenant: add it to the active set. */
     void activate(unsigned tenant);
 
-    /** Encode the current tenant's @p record and hand it on. */
+    /** Hand the current tenant's @p record on, or encode and apply it
+     *  now under containment. */
     void submitRecord(const log::EventRecord& record);
 
     /** Hand a scheduler step to apply(). */
     void step(Op::Kind kind, unsigned tenant = 0);
 
-    /** Hand @p op to the worker, or apply it now under containment. */
+    /** Hand @p op to the later stages, or apply it now under
+     *  containment. */
     void submit(const Op& op);
 
-    /** Apply one entry of the stream (the consumer half). */
+    /** The producer step of one entry: a record's bytes and L1
+     *  misses, from its tenant's LbaSystem::produce. */
+    void encode(Op& op);
+
+    /** Apply one entry of the stream (the consumer step). */
     void apply(const Op& op);
 
     /** Point every active tenant's targets at its lanes' current map. */
@@ -335,14 +351,17 @@ class LifeguardPool : public sim::RetireObserver
     /** FIFO of admitted-later tenants (kQueue admission). */
     std::vector<unsigned> queued_;
     double load_ = 0.0;
+    /** A later stage failed: the drive stops (ring_->commit()). */
+    bool stopped_ = false;
 
     /** apply()'s copy of active_, kept by the kActivate and
      *  kDeactivate entries. */
     alignas(64) std::vector<unsigned> scheduled_;
 
-    /** The worker (the drive without containment). Last member, so it
-     *  is joined before anything it uses is destroyed. */
-    std::optional<core::TwoThreadRun<Op, Apply>> ring_;
+    /** The encoder and the worker (the drive without containment).
+     *  Last member, so they are joined before anything they use is
+     *  destroyed. */
+    std::optional<core::ThreeStageRun<Op, Encode, Apply>> ring_;
 };
 
 } // namespace lba::sched

@@ -2,19 +2,23 @@
  * @file
  * Tests for the LBA system: decoupled timing, back-pressure, syscall
  * containment, filtering, core placement, sharding across lifeguard
- * cores, systems sharing one timer, and runLba's two-thread schedule
- * against the inline one.
+ * cores, systems sharing one timer, the three-stage ring on its own,
+ * and runLba's three-stage schedule against the inline one (the
+ * TwoThreadSchedule cases keep the name they had when the schedule had
+ * two threads).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "asm/assembler.h"
 #include "core/lba_system.h"
 #include "core/runner.h"
-#include "core/two_thread_run.h"
+#include "core/three_stage_run.h"
 #include "fixed_cost_lifeguard.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/taintcheck.h"
@@ -521,7 +525,7 @@ TEST(LbaSystem, AttachedSystemsShareOneTimer)
 }
 
 /**
- * Run @p prog through runLba, which uses its two-thread schedule
+ * Run @p prog through runLba, which uses its three-stage schedule
  * without containment, and through LbaSystem driven inline on the
  * same setup; every statistic, lane and finding must agree.
  * @return The runLba result.
@@ -647,8 +651,8 @@ TEST(TwoThreadSchedule, MatchesInlineWithFiniteBandwidth)
 TEST(TwoThreadSchedule, RethrowsAHandlerExceptionOnTheCaller)
 {
     // The handler throws in the second window, and the program logs
-    // four times what the ring holds: the producer must neither wait
-    // on the failed worker nor lose its exception.
+    // four times what the ring holds: the driver must neither wait on
+    // the failed worker nor lose its exception.
     auto prog = program(R"(
         li r5, 0x100000
     loop:
@@ -664,6 +668,116 @@ TEST(TwoThreadSchedule, RethrowsAHandlerExceptionOnTheCaller)
             kWindowRecords + 5);
     };
     EXPECT_THROW(exp.runLba(throwing), std::runtime_error);
+}
+
+/** A ring entry: its commit index, and how often it was encoded. */
+struct RingEntry
+{
+    std::uint64_t seq = 0;
+    std::uint64_t encodes = 0;
+};
+
+/** What the worker saw of one entry. */
+struct Consumed
+{
+    std::uint64_t seq;
+    std::uint64_t encodes;
+};
+
+TEST(ThreeStageRun, EncodesEachEntryOnceBeforeConsumingItInOrder)
+{
+    // Empty, one entry, one short of a window, one window, and one
+    // past a full ring (the driver reuses a window).
+    for (std::size_t n : {std::size_t{0}, std::size_t{1},
+                          kWindowRecords - 1, kWindowRecords,
+                          kWindows * kWindowRecords + 1}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint64_t> encoded; // encoder thread only
+        std::vector<Consumed> consumed;     // worker only
+        auto encode = [&encoded](RingEntry& entry) {
+            ++entry.encodes;
+            encoded.push_back(entry.seq);
+        };
+        auto consume = [&consumed](const RingEntry& entry) {
+            consumed.push_back({entry.seq, entry.encodes});
+        };
+        ThreeStageRun<RingEntry, decltype(encode), decltype(consume)> ring(
+            encode, consume);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            ring.slot() = {i, 0};
+            EXPECT_TRUE(ring.commit());
+        }
+        ring.finish();
+
+        ASSERT_EQ(encoded.size(), n);
+        ASSERT_EQ(consumed.size(), n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            EXPECT_EQ(encoded[i], i);
+            EXPECT_EQ(consumed[i].seq, i);
+            EXPECT_EQ(consumed[i].encodes, 1u) << "entry " << i;
+        }
+    }
+}
+
+TEST(ThreeStageRun, RethrowsAnEncoderExceptionWithoutHanging)
+{
+    // The encoder throws in the second window while the driver commits
+    // four times what the ring holds, past the failure it is told of:
+    // no stage may wait on another, and the worker consumes the first
+    // window only.
+    std::uint64_t seen = 0; // encoder thread only
+    std::vector<std::uint64_t> consumed;
+    auto encode = [&seen](RingEntry&) {
+        if (++seen == kWindowRecords + 5) {
+            throw std::runtime_error("encoder failed");
+        }
+    };
+    auto consume = [&consumed](const RingEntry& entry) {
+        consumed.push_back(entry.seq);
+    };
+    ThreeStageRun<RingEntry, decltype(encode), decltype(consume)> ring(
+        encode, consume);
+    bool told = false;
+    for (std::uint64_t i = 0; i < 4 * kWindows * kWindowRecords; ++i) {
+        ring.slot() = {i, 0};
+        told |= !ring.commit();
+    }
+    EXPECT_TRUE(told);
+    EXPECT_THROW(ring.finish(), std::runtime_error);
+    ASSERT_EQ(consumed.size(), kWindowRecords);
+    for (std::uint64_t i = 0; i < kWindowRecords; ++i) {
+        EXPECT_EQ(consumed[i], i);
+    }
+}
+
+TEST(ThreeStageRun, CommitReportsAWorkerFailureWithinTheRing)
+{
+    // The worker throws in the second window. The driver learns it at
+    // a window handoff: at the latest when it needs the slot of the
+    // window the worker never handed back.
+    std::uint64_t seen = 0; // worker only
+    auto encode = [](RingEntry&) {};
+    auto consume = [&seen](const RingEntry&) {
+        if (++seen == kWindowRecords + 5) {
+            throw std::runtime_error("worker failed");
+        }
+    };
+    ThreeStageRun<RingEntry, decltype(encode), decltype(consume)> ring(
+        encode, consume);
+    std::uint64_t failed_at = 0;
+    bool told = false;
+    for (std::uint64_t i = 0; i < 4 * kWindows * kWindowRecords && !told;
+         ++i) {
+        ring.slot() = {i, 0};
+        told = !ring.commit();
+        failed_at = i;
+    }
+    EXPECT_TRUE(told);
+    EXPECT_LE(failed_at, (kWindows + 2) * kWindowRecords);
+    // Entries after the report go nowhere.
+    ring.slot() = {failed_at + 1, 0};
+    ring.commit();
+    EXPECT_THROW(ring.finish(), std::runtime_error);
 }
 
 TEST(Experiment, UnmonitoredIsCached)

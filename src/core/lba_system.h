@@ -164,11 +164,17 @@ class LbaSystem : public sim::RetireObserver
     }
 
     /** PipelineTimer::takeLagWindow of this producer. */
-    stats::Summary takeLagWindow() { return timer_.takeLagWindow(producer_); }
+    LagWindow takeLagWindow() { return timer_.takeLagWindow(producer_); }
 
     unsigned shards() const { return static_cast<unsigned>(targets_.size()); }
 
-    /** Move @p shard's consumption onto @p lane. */
+    /**
+     * Move @p shard's consumption onto @p lane: its records serialize
+     * on that lane's clock and buffer from now on. Only the timing
+     * moves. The shard's engine was built on core
+     * `dispatch.core + shard` and keeps charging that core's L1D for
+     * its handlers' metadata accesses, wherever the shard runs.
+     */
     void
     setLane(unsigned shard, unsigned lane)
     {

@@ -185,7 +185,7 @@ PipelineTimer::seal()
             std::max(producer.app_time, producer.drain_clock);
         producer.stats.bytes_per_record =
             encoders_[p].stream.bytesPerRecord();
-        producer.stats.mean_consume_lag = producer.consume_lag.mean();
+        producer.stats.mean_consume_lag = producer.lag_histogram.mean();
     }
 }
 
@@ -195,8 +195,7 @@ PipelineTimer::stats() const
     // Every count is an integer or a whole number of eighths of a byte,
     // so the sums in producer order are the sums in record order.
     LbaRunStats total;
-    double lag_sum = 0.0;
-    std::uint64_t lag_count = 0;
+    LagWindow lags;
     std::uint64_t compressed_records = 0;
     double compressed_bytes = 0.0;
     for (std::size_t p = 0; p < producers_.size(); ++p) {
@@ -213,8 +212,8 @@ PipelineTimer::stats() const
         total.transport_bytes += slice.transport_bytes;
         total.transport_wait_cycles += slice.transport_wait_cycles;
         total.containment_cycles += slice.containment_cycles;
-        lag_sum += producers_[p].consume_lag.sum();
-        lag_count += producers_[p].consume_lag.count();
+        lags.count += producers_[p].lag_histogram.count();
+        lags.total += producers_[p].lag_histogram.total();
         const compress::LogSizer& stream = encoders_[p].stream;
         compressed_records += stream.records();
         compressed_bytes += static_cast<double>(stream.bits()) / 8.0;
@@ -223,8 +222,7 @@ PipelineTimer::stats() const
         compressed_records
             ? compressed_bytes / static_cast<double>(compressed_records)
             : 0.0;
-    total.mean_consume_lag =
-        lag_count ? lag_sum / static_cast<double>(lag_count) : 0.0;
+    total.mean_consume_lag = lags.mean();
     return total;
 }
 
@@ -242,11 +240,16 @@ PipelineTimer::lagHistogram(unsigned producer) const
     return producers_[producer].lag_histogram;
 }
 
-stats::Summary
-PipelineTimer::takeLagWindow(unsigned producer)
+LagWindow
+PipelineTimer::takeLagWindow(unsigned producer_idx)
 {
-    LBA_ASSERT(producer < producers_.size(), "bad producer index");
-    return std::exchange(producers_[producer].lag_window, {});
+    LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
+    Producer& producer = producers_[producer_idx];
+    const stats::Histogram& lags = producer.lag_histogram;
+    LagWindow window{lags.count() - producer.window_start.count,
+                     lags.total() - producer.window_start.total};
+    producer.window_start = {lags.count(), lags.total()};
+    return window;
 }
 
 Cycles

@@ -67,11 +67,12 @@
  * The consumer step is one call per record from the pool's apply()
  * into LbaSystem::consume(), and everything under it is inline:
  * retire(), log() with its slot reservation and consumeOn(), the
- * engine's one-record dispatch and the hierarchy's L2 path. The calls
- * left are the handler's table jump and the cache model's set scans
- * (mem::Cache::accessSet). It runs once per record on the worker, the
- * longest of the three stages on every workload measured
- * (docs/ARCHITECTURE.md, "Three host threads").
+ * engine's one-record dispatch, the handler's charges to its
+ * lifeguard::CostSink and the hierarchy's L2 path. The calls left are
+ * the handler's table jump, the step's only indirect call, and the
+ * cache model's set scans (mem::Cache::accessSet). It runs once per
+ * record on the worker, the longest of the three stages on every
+ * workload measured (docs/ARCHITECTURE.md, "Three host threads").
  *
  * The lane buffer is its slot accounting: the finish times of the
  * records occupying slots, in a circular array per lane
@@ -83,8 +84,11 @@
  *
  * Statistics. A count is written once, into its producer's slice
  * (producerStats()) or its lane (laneStats()); stats() folds the
- * slices. Each producer also keeps its consume-lag histogram and a
- * slice window of that lag (lagHistogram(), takeLagWindow()).
+ * slices. Each consumption records its lag twice, once for its lane
+ * (LaneStats::mean_consume_lag) and once in its producer's histogram
+ * (lagHistogram()), whose exact count and 128-bit total give the
+ * producer's mean, the run's mean and the slice windows the pool
+ * schedules by (takeLagWindow()).
  *
  * Multiple producers (src/sched/). The timer also supports several
  * independent monitored applications, each an LbaSystem attached as
@@ -133,8 +137,11 @@ struct LbaConfig
     std::size_t buffer_capacity = 64 * 1024;
     /**
      * Dispatch configuration. `dispatch.core` is the first lifeguard
-     * core; lane L consumes on core `dispatch.core + L`
-     * (PipelineTimer::makeEngine).
+     * core. An engine built for lane L charges its handlers' metadata
+     * accesses to core `dispatch.core + L` (PipelineTimer::makeEngine),
+     * and keeps that core when LbaSystem::setLane() moves its shard to
+     * another lane: a folded or stolen shard serializes on its new
+     * lane's clock but still charges its first core's L1D.
      */
     lifeguard::DispatchConfig dispatch{1, 1};
     /** Stall syscalls until the log drains (error containment). */
@@ -203,6 +210,24 @@ struct LaneStats
     Cycles transport_wait_cycles = 0;
     /** The lane's log-buffer occupancy. */
     BufferStats buffer;
+};
+
+/** A producer's consume lags between two PipelineTimer::takeLagWindow()
+ *  calls. */
+struct LagWindow
+{
+    std::uint64_t count = 0;
+    /** Their exact sum. */
+    unsigned __int128 total = 0;
+
+    /** Their mean (0 when empty), as stats::Histogram::mean(). */
+    double
+    mean() const
+    {
+        return count ? static_cast<double>(total) /
+                           static_cast<double>(count)
+                     : 0.0;
+    }
 };
 
 /** Timing/traffic statistics of one LBA run (aggregated over lanes). */
@@ -287,7 +312,9 @@ class PipelineTimer
     /**
      * A dispatch engine running @p guard on lane @p lane's core,
      * `config.dispatch.core + lane`. The caller owns it; it must
-     * outlive every log() and finishShard() call that names it.
+     * outlive every log() and finishShard() call that names it. The
+     * engine's core is fixed here: a target that later names it with
+     * another lane takes that lane's clock, not its core's caches.
      */
     std::unique_ptr<lifeguard::DispatchEngine>
     makeEngine(lifeguard::Lifeguard& guard, unsigned lane);
@@ -330,7 +357,9 @@ class PipelineTimer
      * are reserved before any consumption, so produce(i) reflects the
      * slowest target lane. A lane may appear more than once when
      * several lifeguard shards fold onto it; it then reserves one slot
-     * per target at once, in first-seen lane order.
+     * per target at once, in first-seen lane order. A record with one
+     * target, as every record of a one-shard system is, reserves its
+     * one slot directly.
      * @return False when @p bytes is kFiltered (the record is only
      *         counted).
      */
@@ -411,9 +440,10 @@ class PipelineTimer
      *  per consumption. */
     const stats::Histogram& lagHistogram(unsigned producer) const;
 
-    /** The consume lag of @p producer's consumptions since the last
-     *  call; the next window starts empty. */
-    stats::Summary takeLagWindow(unsigned producer);
+    /** The consume lags of @p producer's consumptions since the last
+     *  call: the histogram's count and total since then. The next
+     *  window starts empty. */
+    LagWindow takeLagWindow(unsigned producer);
 
     /** Current app-core clock of @p producer. */
     Cycles producerTime(unsigned producer) const;
@@ -451,6 +481,8 @@ class PipelineTimer
         double transport_free = 0.0;
         /** Cycles this lane's core spent consuming and finishing. */
         Cycles busy_cycles = 0;
+        /** The lag of each consumption here (its producer's histogram
+         *  holds the other record of it). */
         stats::Summary consume_lag;
         double transport_bytes = 0.0;
         Cycles transport_wait_cycles = 0;
@@ -472,11 +504,13 @@ class PipelineTimer
         bool pending_drain = false;
         /** Latest finish time over this producer's consumed records. */
         Cycles drain_clock = 0;
-        stats::Summary consume_lag;
-        /** The lag since the last takeLagWindow(). */
-        stats::Summary lag_window;
-        /** 512 x 256 cycles: the percentiles saturate past 128k. */
+        /** Every consumption's lag, the one record of it the producer
+         *  keeps. 512 x 256 cycles: the percentiles saturate past
+         *  128k. */
         stats::Histogram lag_histogram{512, 256};
+        /** lag_histogram's count and total at the last
+         *  takeLagWindow(). */
+        LagWindow window_start;
         LbaRunStats stats;
     };
 
@@ -620,11 +654,9 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     }
 
     Cycles start = std::max(delivered_at, lane.last_finish);
-    double lag = static_cast<double>(start - produced_at);
-    lane.consume_lag.record(lag);
-    producer.consume_lag.record(lag);
-    producer.lag_window.record(lag);
-    producer.lag_histogram.record(start - produced_at);
+    Cycles lag = start - produced_at;
+    lane.consume_lag.record(static_cast<double>(lag));
+    producer.lag_histogram.record(lag);
     lane.last_finish = start + cost;
     lane.busy_cycles += cost;
     producer.stats.lifeguard_busy_cycles += cost;
@@ -654,24 +686,35 @@ PipelineTimer::log(unsigned producer_idx, const log::EventRecord& record,
     // Reserve every target's slot first: the application can only
     // append the record once all of its consumers have room, so
     // produce(i) reflects the back-pressure of the slowest target
-    // lane. A lane takes one slot per target folded onto it, all
-    // reserved when the lane is first seen.
-    for (const Target& target : targets) {
-        LBA_ASSERT(target.lane < lanes_.size(),
-                   "record routed to bad lane");
-        ++lanes_[target.lane].demand;
-    }
-    for (const Target& target : targets) {
-        Lane& lane = lanes_[target.lane];
-        if (lane.demand == 0) continue;
-        reserveSlots(producer, lane, lane.demand);
-        lane.demand = 0;
-    }
-    Cycles produced_at = producer.app_time;
-    for (const Target& target : targets) {
+    // lane. A lone target reserves its slot directly; otherwise a lane
+    // takes one slot per target folded onto it, all reserved when the
+    // lane is first seen.
+    if (targets.size() == 1) {
+        const Target& target = targets.front();
+        LBA_ASSERT(target.lane < lanes_.size(), "record routed to bad lane");
         LBA_ASSERT(target.engine != nullptr, "target has no engine");
-        consumeOn(producer, lanes_[target.lane], *target.engine, record,
-                  produced_at, record_bytes);
+        Lane& lane = lanes_[target.lane];
+        reserveSlots(producer, lane, 1);
+        consumeOn(producer, lane, *target.engine, record, producer.app_time,
+                  record_bytes);
+    } else {
+        for (const Target& target : targets) {
+            LBA_ASSERT(target.lane < lanes_.size(),
+                       "record routed to bad lane");
+            ++lanes_[target.lane].demand;
+        }
+        for (const Target& target : targets) {
+            Lane& lane = lanes_[target.lane];
+            if (lane.demand == 0) continue;
+            reserveSlots(producer, lane, lane.demand);
+            lane.demand = 0;
+        }
+        Cycles produced_at = producer.app_time;
+        for (const Target& target : targets) {
+            LBA_ASSERT(target.engine != nullptr, "target has no engine");
+            consumeOn(producer, lanes_[target.lane], *target.engine, record,
+                      produced_at, record_bytes);
+        }
     }
     ++producer.stats.records_logged;
     return true;

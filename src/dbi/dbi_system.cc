@@ -13,7 +13,7 @@ DbiSystem::DbiSystem(lifeguard::Lifeguard& lifeguard,
     : lifeguard_(lifeguard),
       hierarchy_(hierarchy),
       config_(config),
-      sink_(hierarchy, config_)
+      sink_(hierarchy, config_.core, config_.handler_instr_factor)
 {
 }
 

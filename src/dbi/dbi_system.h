@@ -21,7 +21,9 @@
  *   - the lifeguard handler, with its instruction count scaled by a
  *     factor (inline instrumentation cannot use the dispatch engine's
  *     register injection) and its metadata accesses going through the
- *     SAME L1/L2 as the application.
+ *     SAME L1/L2 as the application: the handler charges a
+ *     lifeguard::CostSink built on the application core with
+ *     DbiConfig::handler_instr_factor.
  *
  * The same Lifeguard instance as on LBA consumes the same event records,
  * so findings are platform-independent; only the cost accounting differs.
@@ -91,47 +93,12 @@ class DbiSystem : public sim::RetireObserver
     lifeguard::Lifeguard& lifeguard() { return lifeguard_; }
 
   private:
-    /** CostSink charging the application core, with instr scaling. */
-    class Sink : public lifeguard::CostSink
-    {
-      public:
-        Sink(mem::CacheHierarchy& hierarchy, const DbiConfig& config)
-            : hierarchy_(hierarchy), config_(config)
-        {
-        }
-
-        void
-        instrs(std::uint32_t count) override
-        {
-            cycles_ += static_cast<Cycles>(count) *
-                       config_.handler_instr_factor;
-        }
-
-        void
-        memAccess(Addr addr, bool is_write) override
-        {
-            cycles_ += 1 + hierarchy_.dataAccess(config_.core, addr,
-                                                 is_write);
-        }
-
-        Cycles
-        take()
-        {
-            Cycles c = cycles_;
-            cycles_ = 0;
-            return c;
-        }
-
-      private:
-        mem::CacheHierarchy& hierarchy_;
-        const DbiConfig& config_;
-        Cycles cycles_ = 0;
-    };
-
     lifeguard::Lifeguard& lifeguard_;
     mem::CacheHierarchy& hierarchy_;
     DbiConfig config_;
-    Sink sink_;
+    /** Charges the application core, config_.core, each handler
+     *  instruction config_.handler_instr_factor cycles. */
+    lifeguard::CostSink sink_;
     DbiStats stats_;
 };
 

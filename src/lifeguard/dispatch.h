@@ -20,8 +20,11 @@
  * record, which the pool's apply() calls once, makes no call of its
  * own into the engine: the handler's table jump is the only one left.
  *
- * Handler work is charged through a CostSink that routes metadata accesses
- * through the lifeguard core's caches.
+ * Handler work is charged through the engine's CostSink, built on the
+ * lifeguard core of the hierarchy at one cycle per handler instruction:
+ * its instrs() and memAccess() are inline, so a handler's metadata
+ * accesses reach that core's L1D and the shared L2 with no call
+ * between them but the cache model's set scans.
  */
 
 #include <array>
@@ -105,36 +108,6 @@ class DispatchEngine
     Lifeguard& lifeguard() { return lifeguard_; }
 
   private:
-    /** CostSink charging the lifeguard core. */
-    class Sink : public CostSink
-    {
-      public:
-        Sink(mem::CacheHierarchy& hierarchy, unsigned core)
-            : hierarchy_(hierarchy), core_(core)
-        {
-        }
-
-        void instrs(std::uint32_t count) override { cycles_ += count; }
-
-        void
-        memAccess(Addr addr, bool is_write) override
-        {
-            cycles_ += 1 + hierarchy_.dataAccess(core_, addr, is_write);
-        }
-
-        Cycles take()
-        {
-            Cycles c = cycles_;
-            cycles_ = 0;
-            return c;
-        }
-
-      private:
-        mem::CacheHierarchy& hierarchy_;
-        unsigned core_;
-        Cycles cycles_ = 0;
-    };
-
     /**
      * Dispatch one record through the handler table and fold it into
      * the statistics. An unregistered type costs the dispatch cycles
@@ -159,7 +132,8 @@ class DispatchEngine
 
     Lifeguard& lifeguard_;
     DispatchConfig config_;
-    Sink sink_;
+    /** Charges the lifeguard core, config_.core. */
+    CostSink sink_;
     DispatchStats stats_;
     /** The lifeguard's sealed handler table; null for a type it does
      *  not handle. */

@@ -30,45 +30,106 @@
  *    the log buffer and charges costs to the lifeguard core's clock/caches.
  *  - DBI baseline: the inline instrumentation engine feeds it the same
  *    records on the application core, charging costs there.
- * Platform changes *when/where* the cost is paid, never the findings.
+ * Platform changes *when/where* the cost is paid, never the findings:
+ * each platform builds a CostSink on its core of the cache hierarchy,
+ * and a test builds one with no hierarchy to read what a handler
+ * charged. CostSink has no virtual member, so the handler's table jump
+ * is the only indirect call in a record's consumption.
  */
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/types.h"
 #include "lifeguard/finding.h"
 #include "log/event.h"
+#include "mem/hierarchy.h"
 
 namespace lba::lifeguard {
 
 /**
- * Receives the simulated cost of handler execution. Implemented by each
- * monitoring platform.
+ * Receives the simulated cost of handler execution. It is one concrete
+ * class with inline members, so no call sits between a handler's
+ * charge and the cache model. It comes in two forms:
+ *
+ *  - Built on a cache hierarchy, it charges @p core of it: instrs(n)
+ *    costs n x the instruction factor, and memAccess() costs one cycle
+ *    plus the core's data access (mem::CacheHierarchy::dataAccess).
+ *    The dispatch engine charges the lifeguard core at factor 1; the
+ *    DBI platform charges the application core at
+ *    DbiConfig::handler_instr_factor.
+ *  - Built with no hierarchy, it only counts: instructions() is what
+ *    instrs() charged and accesses() every memAccess(), in order. Tests
+ *    and functional-only runs use it.
  */
 class CostSink
 {
   public:
-    virtual ~CostSink() = default;
+    /** One metadata access, as the counting form keeps it. */
+    struct Access
+    {
+        Addr addr = 0;
+        bool is_write = false;
+
+        friend bool operator==(const Access&, const Access&) = default;
+    };
+
+    /** The counting form. */
+    CostSink() = default;
+
+    /** The charging form: @p core of @p hierarchy, each handler
+     *  instruction costing @p instr_factor cycles. */
+    CostSink(mem::CacheHierarchy& hierarchy, unsigned core,
+             std::uint32_t instr_factor = 1)
+        : hierarchy_(&hierarchy), core_(core), instr_factor_(instr_factor)
+    {
+    }
 
     /** Charge @p count single-cycle handler instructions. */
-    virtual void instrs(std::uint32_t count) = 0;
+    void
+    instrs(std::uint32_t count)
+    {
+        cycles_ += static_cast<Cycles>(count) * instr_factor_;
+    }
 
     /**
      * Charge one handler load/store of lifeguard metadata at simulated
      * address @p addr (routed through the consuming core's caches; the
      * access cycle itself is included, do not double count with instrs()).
      */
-    virtual void memAccess(Addr addr, bool is_write) = 0;
-};
+    void
+    memAccess(Addr addr, bool is_write)
+    {
+        if (hierarchy_ != nullptr) {
+            cycles_ += 1 + hierarchy_->dataAccess(core_, addr, is_write);
+        } else {
+            accesses_.push_back({addr, is_write});
+        }
+    }
 
-/** A CostSink that discards costs (for functional-only runs and tests). */
-class NullCostSink : public CostSink
-{
-  public:
-    void instrs(std::uint32_t) override {}
-    void memAccess(Addr, bool) override {}
+    /** The charging form's cycles since the last take(); the count
+     *  starts again from zero. */
+    Cycles take() { return std::exchange(cycles_, 0); }
+
+    /** The counting form's charged handler instructions. */
+    std::uint64_t
+    instructions() const
+    {
+        LBA_ASSERT(hierarchy_ == nullptr, "a charging sink keeps cycles");
+        return cycles_;
+    }
+
+    /** The counting form's metadata accesses, in charge order. */
+    const std::vector<Access>& accesses() const { return accesses_; }
+
+  private:
+    mem::CacheHierarchy* hierarchy_ = nullptr;
+    unsigned core_ = 0;
+    std::uint32_t instr_factor_ = 1;
+    Cycles cycles_ = 0;
+    std::vector<Access> accesses_;
 };
 
 namespace detail {

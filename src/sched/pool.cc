@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <exception>
 #include <limits>
+#include <stop_token>
 #include <thread>
 
 #include "common/assert.h"
@@ -59,7 +60,7 @@ struct LifeguardPool::Tenant
     /** Consumer state (the thread applying entries), on a line of its
      *  own: the lag window of the tenant's latest slice that consumed a
      *  record (empty until one has). */
-    alignas(64) stats::Summary recent_lag;
+    alignas(64) core::LagWindow recent_lag;
 
     Tenant(TenantConfig cfg, unsigned idx)
         : config(std::move(cfg)), index(idx)
@@ -222,8 +223,8 @@ LifeguardPool::apply(const Op& op)
         // recent-lag measurement (a slice may log no records, e.g.
         // all-filtered; keep the last real measurement then).
         Tenant& tenant = *tenants_[op.tenant];
-        stats::Summary window = tenant.system->takeLagWindow();
-        if (window.count() > 0) tenant.recent_lag = window;
+        core::LagWindow window = tenant.system->takeLagWindow();
+        if (window.count > 0) tenant.recent_lag = window;
         return;
       }
       case Op::Kind::kEpoch:
@@ -253,7 +254,7 @@ LifeguardPool::epoch()
     // as a phantom zero. Rebalance only once every active tenant has a
     // real measurement, so nobody is robbed for having not run yet.
     for (unsigned index : scheduled_) {
-        if (tenants_[index]->recent_lag.count() == 0) return;
+        if (tenants_[index]->recent_lag.count == 0) return;
     }
     std::vector<double> recent;
     recent.reserve(scheduled_.size());
@@ -269,12 +270,16 @@ LifeguardPool::run()
     // Unmonitored baselines (per-tenant slowdown denominators), each on
     // its own private hierarchy via the experiment runner. They share
     // nothing with the monitored drive, so a thread of their own runs
-    // them meanwhile; its destructor joins it on every exit path.
+    // them meanwhile. When drive() throws, the thread's destructor
+    // requests a stop and joins it: the baseline in progress finishes
+    // and no later one starts. On the normal path join() waits for all
+    // of them.
     std::vector<Cycles> baselines(tenants_.size());
     std::exception_ptr baseline_error;
-    std::jthread baseline_thread([&] {
+    std::jthread baseline_thread([&](std::stop_token stop) {
         try {
             for (std::size_t t = 0; t < baselines.size(); ++t) {
+                if (stop.stop_requested()) return;
                 core::ExperimentConfig base_config;
                 base_config.process = tenants_[t]->config.process;
                 base_config.hierarchy = config_.hierarchy;

@@ -15,6 +15,10 @@ namespace lba::stats {
 
 /**
  * Histogram over [0, bucket_width * num_buckets) with an overflow bucket.
+ * Its count and total are exact integers, the total 128 bits wide, so
+ * the pipeline timer takes its consume-lag means and slice windows
+ * (core::PipelineTimer::takeLagWindow) from them with no sum that
+ * rounds or wraps.
  */
 class Histogram
 {
@@ -45,6 +49,8 @@ class Histogram
     }
 
     std::uint64_t count() const { return count_; }
+    /** The exact sum of every recorded sample. */
+    unsigned __int128 total() const { return total_; }
     std::uint64_t overflow() const { return overflow_; }
     std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
     std::size_t numBuckets() const { return buckets_.size(); }

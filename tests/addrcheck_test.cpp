@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,7 @@ namespace lba::lifeguards {
 namespace {
 
 using lifeguard::FindingKind;
-using lifeguard::NullCostSink;
+using lifeguard::CostSink;
 using log::EventRecord;
 using log::EventType;
 
@@ -58,7 +59,7 @@ class AddrCheckTest : public ::testing::Test
 {
   protected:
     AddrCheck guard;
-    NullCostSink sink;
+    CostSink sink;
 
     void feed(const EventRecord& r) { guard.handleEvent(r, sink); }
 };
@@ -155,21 +156,15 @@ TEST_F(AddrCheckTest, StraddlingAccessChecksBothGranules)
     EXPECT_EQ(guard.findings().size(), 1u);
 }
 
-/** Sink that records every charge, in order. */
-class RecordingSink : public lifeguard::CostSink
+/** Metadata reads at @p addrs, in order, as a counting CostSink keeps
+ *  them. */
+std::vector<CostSink::Access>
+reads(std::initializer_list<Addr> addrs)
 {
-  public:
-    void instrs(std::uint32_t n) override { instr_total += n; }
-    void
-    memAccess(Addr addr, bool is_write) override
-    {
-        EXPECT_FALSE(is_write);
-        shadow_reads.push_back(addr);
-    }
-
-    std::uint64_t instr_total = 0;
-    std::vector<Addr> shadow_reads;
-};
+    std::vector<CostSink::Access> out;
+    for (Addr addr : addrs) out.push_back({addr, false});
+    return out;
+}
 
 /** Shadow address of the validity byte covering @p addr. */
 Addr
@@ -183,31 +178,30 @@ TEST_F(AddrCheckTest, PartiallyAllocatedGranuleChecksEveryByte)
     // 12 bytes: granule 0 fully valid, granule 1 valid in bytes 8..11.
     feed(allocEvent(kHeap, 12));
 
-    RecordingSink inside;
+    CostSink inside;
     guard.handleEvent(access(kHeap + 8, false, 4), inside);
     EXPECT_TRUE(guard.findings().empty());
-    EXPECT_EQ(inside.instr_total, 8u);
-    EXPECT_EQ(inside.shadow_reads, std::vector<Addr>{shadowOf(kHeap + 8)});
+    EXPECT_EQ(inside.instructions(), 8u);
+    EXPECT_EQ(inside.accesses(), reads({shadowOf(kHeap + 8)}));
 
     // Bytes 4..11 span both granules, all allocated: a second probe,
     // no finding.
-    RecordingSink spanning;
+    CostSink spanning;
     guard.handleEvent(access(kHeap + 4, false, 8), spanning);
     EXPECT_TRUE(guard.findings().empty());
-    EXPECT_EQ(spanning.instr_total, 10u);
-    EXPECT_EQ(spanning.shadow_reads,
-              (std::vector<Addr>{shadowOf(kHeap), shadowOf(kHeap + 8)}));
+    EXPECT_EQ(spanning.instructions(), 10u);
+    EXPECT_EQ(spanning.accesses(),
+              reads({shadowOf(kHeap), shadowOf(kHeap + 8)}));
 
     // Bytes 10..13: the last two are past the allocation.
-    RecordingSink partial;
+    CostSink partial;
     guard.handleEvent(access(kHeap + 10, false, 4, 0x1080), partial);
     ASSERT_EQ(guard.findings().size(), 1u);
     EXPECT_EQ(guard.findings()[0].kind, FindingKind::kUnallocatedAccess);
     EXPECT_EQ(guard.findings()[0].addr, kHeap + 10);
     EXPECT_EQ(guard.findings()[0].pc, 0x1080u);
-    EXPECT_EQ(partial.instr_total, 8u);
-    EXPECT_EQ(partial.shadow_reads,
-              std::vector<Addr>{shadowOf(kHeap + 8)});
+    EXPECT_EQ(partial.instructions(), 8u);
+    EXPECT_EQ(partial.accesses(), reads({shadowOf(kHeap + 8)}));
 }
 
 TEST_F(AddrCheckTest, LoadAcrossBlockEndIsReportedAndChargedTwoProbes)
@@ -215,24 +209,22 @@ TEST_F(AddrCheckTest, LoadAcrossBlockEndIsReportedAndChargedTwoProbes)
     // A 16-byte block at +0x100; an 8-byte load at +0x10c reads four
     // bytes of it and four past its end, in the next granule.
     feed(allocEvent(kHeap + 0x100, 16));
-    RecordingSink sink_across;
+    CostSink sink_across;
     guard.handleEvent(access(kHeap + 0x10c, false, 8, 0x10c0), sink_across);
     ASSERT_EQ(guard.findings().size(), 1u);
     EXPECT_EQ(guard.findings()[0].kind, FindingKind::kUnallocatedAccess);
     EXPECT_EQ(guard.findings()[0].addr, kHeap + 0x10c);
     EXPECT_EQ(guard.findings()[0].pc, 0x10c0u);
-    EXPECT_EQ(sink_across.instr_total, 10u);
-    EXPECT_EQ(sink_across.shadow_reads,
-              (std::vector<Addr>{shadowOf(kHeap + 0x108),
-                                 shadowOf(kHeap + 0x110)}));
+    EXPECT_EQ(sink_across.instructions(), 10u);
+    EXPECT_EQ(sink_across.accesses(), reads({shadowOf(kHeap + 0x108),
+                                             shadowOf(kHeap + 0x110)}));
 
     // The block's last 8 bytes: one probe, no finding.
-    RecordingSink sink_last;
+    CostSink sink_last;
     guard.handleEvent(access(kHeap + 0x108, false, 8), sink_last);
     EXPECT_EQ(guard.findings().size(), 1u);
-    EXPECT_EQ(sink_last.instr_total, 8u);
-    EXPECT_EQ(sink_last.shadow_reads,
-              std::vector<Addr>{shadowOf(kHeap + 0x108)});
+    EXPECT_EQ(sink_last.instructions(), 8u);
+    EXPECT_EQ(sink_last.accesses(), reads({shadowOf(kHeap + 0x108)}));
 }
 
 TEST(AddrCheckRanges, UnalignedBlocksMarkExactlyTheirBytes)
@@ -243,7 +235,7 @@ TEST(AddrCheckRanges, UnalignedBlocksMarkExactlyTheirBytes)
     // freeing the block clears exactly its own bytes.
     AddrCheckConfig cfg;
     cfg.dedupe_reports = false;
-    NullCostSink sink;
+    CostSink sink;
     for (std::uint64_t size = 1; size <= 17; ++size) {
         for (Addr offset = 1; offset < 8; ++offset) {
             Addr base = kHeap + 0x100 + offset;
@@ -314,32 +306,22 @@ TEST_F(AddrCheckTest, LiveBytesTracksAllocations)
 
 TEST_F(AddrCheckTest, CostModelChargesMoreForHeapAccesses)
 {
-    /** Sink that counts charged instructions and accesses. */
-    class CountingSink : public lifeguard::CostSink
-    {
-      public:
-        void instrs(std::uint32_t n) override { total += n; }
-        void memAccess(Addr, bool) override { ++accesses; }
-        std::uint64_t total = 0;
-        std::uint64_t accesses = 0;
-    };
-    CountingSink counting;
+    CostSink counting;
     guard.handleEvent(allocEvent(kHeap, 512), counting);
-    std::uint64_t alloc_cost = counting.total;
+    std::uint64_t alloc_cost = counting.instructions();
     EXPECT_GT(alloc_cost, 0u);
-    EXPECT_EQ(counting.accesses, 8u); // 512 B = 8 shadow-word stores
+    // 512 B = 8 shadow-word stores
+    EXPECT_EQ(counting.accesses().size(), 8u);
 
-    counting.total = 0;
-    counting.accesses = 0;
+    counting = {};
     guard.handleEvent(access(kHeap, false), counting);
-    std::uint64_t heap_access_cost = counting.total;
-    EXPECT_EQ(counting.accesses, 1u);
+    std::uint64_t heap_access_cost = counting.instructions();
+    EXPECT_EQ(counting.accesses().size(), 1u);
 
-    counting.total = 0;
-    counting.accesses = 0;
+    counting = {};
     guard.handleEvent(access(0x5000, false), counting);
-    EXPECT_LT(counting.total, heap_access_cost);
-    EXPECT_EQ(counting.accesses, 0u);
+    EXPECT_LT(counting.instructions(), heap_access_cost);
+    EXPECT_EQ(counting.accesses().size(), 0u);
 }
 
 } // namespace

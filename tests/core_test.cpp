@@ -524,6 +524,51 @@ TEST(LbaSystem, AttachedSystemsShareOneTimer)
     EXPECT_EQ(b.stats().total_cycles, timer.laneStats(1).last_finish);
 }
 
+TEST(LbaSystem, AMovedShardKeepsChargingItsFirstCore)
+{
+    // Shard s's engine is built on core dispatch.core + s, and
+    // setLane() moves only its timing lane: after shard 0 moves onto
+    // lane 1, its records serialize on lane 1, but its handlers' metadata
+    // accesses still go to core dispatch.core's L1D, not to lane 1's
+    // core dispatch.core + 1.
+    mem::HierarchyConfig hc;
+    hc.num_cores = 3;
+    mem::CacheHierarchy hierarchy(hc);
+    LbaConfig config;
+    PipelineTimer timer(hierarchy, config, 2);
+    lifeguards::AddrCheck guard_0, guard_1;
+    LbaSystem system({&guard_0, &guard_1}, timer, 0);
+    system.setLane(0, 1);
+    unsigned first_core = config.dispatch.core;
+
+    constexpr Addr kHeap = 0x10000000;
+    log::EventRecord alloc;
+    alloc.type = log::EventType::kAlloc;
+    alloc.addr = kHeap;
+    alloc.aux = 64;
+    system.consume(alloc, system.produce(alloc));
+
+    log::EventRecord load;
+    load.pc = 0x1000;
+    load.type = log::EventType::kLoad;
+    load.addr = kHeap + 8;
+    load.aux = 8;
+    ASSERT_EQ((load.addr >> 6) % 2, 0u); // routed to shard 0
+    std::uint64_t lane_0 = timer.laneStats(0).records;
+    std::uint64_t lane_1 = timer.laneStats(1).records;
+    std::uint64_t core_0 = hierarchy.l1d(first_core).stats().accesses();
+    std::uint64_t core_1 = hierarchy.l1d(first_core + 1).stats().accesses();
+    system.consume(load, system.produce(load));
+
+    EXPECT_EQ(timer.laneStats(0).records, lane_0);
+    EXPECT_EQ(timer.laneStats(1).records, lane_1 + 1);
+    EXPECT_EQ(hierarchy.l1d(first_core).stats().accesses(), core_0 + 1);
+    EXPECT_EQ(hierarchy.l1d(first_core + 1).stats().accesses(), core_1);
+    EXPECT_TRUE(guard_0.findings().empty());
+    system.finish();
+    timer.seal();
+}
+
 /**
  * Run @p prog through runLba, which uses its three-stage schedule
  * without containment, and through LbaSystem driven inline on the

@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the lifeguard framework: findings, shadow memory, and the
- * dispatch engine's cost accounting.
+ * Tests for the lifeguard framework: findings, shadow memory, the cost
+ * sink's two forms, and the dispatch engine's cost accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dbi/dbi_system.h"
 #include "lifeguard/dispatch.h"
 #include "lifeguard/finding.h"
 #include "lifeguard/lifeguard.h"
@@ -63,6 +66,65 @@ TEST(ShadowMemory, LargeStructEntries)
     shadow.entry(0x2000).lockset = 99;
     EXPECT_EQ(shadow.find(0x2004)->state, 3u);
     EXPECT_EQ(shadow.find(0x2004)->lockset, 99u);
+}
+
+TEST(CostSink, ChargingFormScalesInstructionsAndChargesItsOwnCore)
+{
+    // At factor 1 (the dispatch engine's) and at the DBI platform's
+    // handler_instr_factor, on core 2 of three: instrs(n) costs n x the
+    // factor, and each metadata access 1 + the core's dataAccess(), as
+    // a twin hierarchy answers it. Only core 2's L1D sees the accesses.
+    for (std::uint32_t factor : {1u, dbi::DbiConfig{}.handler_instr_factor}) {
+        mem::HierarchyConfig hc;
+        hc.num_cores = 3;
+        mem::CacheHierarchy hierarchy(hc);
+        mem::CacheHierarchy twin(hc);
+        CostSink sink(hierarchy, 2, factor);
+
+        sink.instrs(4);
+        sink.instrs(0);
+        EXPECT_EQ(sink.take(), 4u * factor) << "factor " << factor;
+        EXPECT_EQ(sink.take(), 0u) << "factor " << factor;
+
+        const CostSink::Access accesses[] = {
+            {0x20000, false}, {0x20000, false}, {0x20008, true},
+            {0x80000, true},  {0x20000, false},
+        };
+        for (const CostSink::Access& access : accesses) {
+            sink.instrs(3);
+            sink.memAccess(access.addr, access.is_write);
+            EXPECT_EQ(sink.take(),
+                      3u * factor + 1 +
+                          twin.dataAccess(2, access.addr, access.is_write))
+                << "factor " << factor << ", access at " << access.addr;
+        }
+        EXPECT_EQ(hierarchy.l1d(2).stats().accesses(), 5u);
+        EXPECT_EQ(hierarchy.l1d(2).stats().misses,
+                  twin.l1d(2).stats().misses);
+        EXPECT_EQ(hierarchy.l1d(0).stats().accesses(), 0u);
+        EXPECT_EQ(hierarchy.l1d(1).stats().accesses(), 0u);
+        EXPECT_EQ(hierarchy.l2().stats().accesses(),
+                  twin.l2().stats().accesses());
+        EXPECT_TRUE(sink.accesses().empty());
+    }
+}
+
+TEST(CostSink, CountingFormKeepsInstructionsAndAccessesInOrder)
+{
+    CostSink sink;
+    EXPECT_EQ(sink.instructions(), 0u);
+    EXPECT_TRUE(sink.accesses().empty());
+
+    sink.instrs(3);
+    sink.memAccess(0x4000000010, false);
+    sink.instrs(4);
+    sink.memAccess(0x4000000008, true);
+    sink.memAccess(0x4000000010, false);
+    EXPECT_EQ(sink.instructions(), 7u);
+    EXPECT_EQ(sink.accesses(),
+              (std::vector<CostSink::Access>{{0x4000000010, false},
+                                             {0x4000000008, true},
+                                             {0x4000000010, false}}));
 }
 
 /** A lifeguard with a deterministic per-event cost, for dispatch tests:
@@ -231,7 +293,7 @@ TEST(HandlerTable, HandleEventDispatchesThroughTable)
     // (tests, the DBI platform) and the dispatch engine see the same
     // behaviour.
     TableLifeguard guard;
-    NullCostSink sink;
+    CostSink sink;
     log::EventRecord alu;
     alu.type = log::EventType::kIntAlu;
     guard.handleEvent(alu, sink);
@@ -310,7 +372,7 @@ TEST(Lifeguard, FindingAccumulation)
         }
     };
     Reporter r;
-    NullCostSink sink;
+    CostSink sink;
     log::EventRecord rec;
     rec.type = log::EventType::kIntAlu;
     r.handleEvent(rec, sink);

@@ -13,7 +13,7 @@ namespace lba::lifeguards {
 namespace {
 
 using lifeguard::FindingKind;
-using lifeguard::NullCostSink;
+using lifeguard::CostSink;
 using log::EventRecord;
 using log::EventType;
 
@@ -50,7 +50,7 @@ class LockSetTest : public ::testing::Test
 {
   protected:
     LockSet guard;
-    NullCostSink sink;
+    CostSink sink;
 
     void feed(const EventRecord& r) { guard.handleEvent(r, sink); }
 };
@@ -232,22 +232,19 @@ TEST_F(LockSetTest, RangeFilterSkipsOutsideAddresses)
 
 TEST_F(LockSetTest, SharedStateCostsMoreThanExclusive)
 {
-    class CountingSink : public lifeguard::CostSink
-    {
-      public:
-        void instrs(std::uint32_t n) override { total += n; }
-        void memAccess(Addr, bool) override { total += 2; }
-        std::uint64_t total = 0;
+    // Each instruction costs 1 and each metadata access 2.
+    CostSink counting;
+    auto cost = [&] {
+        return counting.instructions() + 2 * counting.accesses().size();
     };
-    CountingSink counting;
     guard.handleEvent(accessEvent(0, kData, false), counting);
     guard.handleEvent(accessEvent(0, kData, false), counting);
-    std::uint64_t exclusive_cost = counting.total;
+    std::uint64_t exclusive_cost = cost();
 
     guard.handleEvent(accessEvent(1, kData, false), counting); // Shared
-    counting.total = 0;
+    counting = {};
     guard.handleEvent(accessEvent(1, kData, false), counting);
-    std::uint64_t shared_cost = counting.total;
+    std::uint64_t shared_cost = cost();
     EXPECT_GT(shared_cost, exclusive_cost / 2);
     EXPECT_GT(shared_cost, 10u);
 }

@@ -4,7 +4,8 @@
  * transport-ceiling delivery, syscall-containment drain ordering,
  * per-lane finish cost, per-lane back-pressure and buffer statistics
  * (against a queue model of the slots over many wraps), and each
- * producer's lag histogram and slice window.
+ * producer's lag histogram and the slice windows taken from it, exact
+ * even when a starved transport puts every lag near 2^62.
  *
  * These tests drive the engine with hand-built records and a
  * fixed-cost lifeguard so every cycle count is computable by hand; the
@@ -499,27 +500,27 @@ TEST(PipelineTimer, LagWindowResetsAndHistogramsStayPerProducer)
     auto engine_a = timer.makeEngine(cheap, 0);
     auto engine_b = timer.makeEngine(dear, 0);
 
-    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
-    EXPECT_EQ(timer.takeLagWindow(1).count(), 0u);
+    EXPECT_EQ(timer.takeLagWindow(0).count, 0u);
+    EXPECT_EQ(timer.takeLagWindow(1).count, 0u);
 
     // First window: P0 lags 0 and 9, P1 lags 3.
     timer.log(0, aluRecord(), on(0, *engine_a)); // [0, 3)
     timer.log(1, aluRecord(), on(0, *engine_b)); // [3, 9)
     timer.log(0, aluRecord(), on(0, *engine_a)); // [9, 12)
-    stats::Summary first = timer.takeLagWindow(0);
-    EXPECT_EQ(first.count(), 2u);
+    LagWindow first = timer.takeLagWindow(0);
+    EXPECT_EQ(first.count, 2u);
     EXPECT_DOUBLE_EQ(first.mean(), 4.5);
     EXPECT_DOUBLE_EQ(timer.takeLagWindow(1).mean(), 3.0);
     // Taking a window starts the next one empty.
-    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
+    EXPECT_EQ(timer.takeLagWindow(0).count, 0u);
 
     // Second window: P1 lags 12 and 18, P0 logs nothing.
     timer.log(1, aluRecord(), on(0, *engine_b)); // [12, 18)
     timer.log(1, aluRecord(), on(0, *engine_b)); // [18, 24)
-    stats::Summary second = timer.takeLagWindow(1);
-    EXPECT_EQ(second.count(), 2u);
+    LagWindow second = timer.takeLagWindow(1);
+    EXPECT_EQ(second.count, 2u);
     EXPECT_DOUBLE_EQ(second.mean(), 15.0);
-    EXPECT_EQ(timer.takeLagWindow(0).count(), 0u);
+    EXPECT_EQ(timer.takeLagWindow(0).count, 0u);
 
     // The histograms and the run's means keep every sample, each
     // producer its own.
@@ -533,6 +534,69 @@ TEST(PipelineTimer, LagWindowResetsAndHistogramsStayPerProducer)
     EXPECT_DOUBLE_EQ(timer.producerStats(0).mean_consume_lag, 4.5);
     EXPECT_DOUBLE_EQ(timer.producerStats(1).mean_consume_lag, 11.0);
     EXPECT_DOUBLE_EQ(timer.stats().mean_consume_lag, 42.0 / 5.0);
+}
+
+/**
+ * Log 20 records of producer 0, each produced at cycle 0, on one lane
+ * whose lifeguard takes 3 cycles a record, so record i's lag is
+ * @p first_lag + 3i, and take a lag window at several points between
+ * them. Each window must hold exactly the lags logged since the take
+ * before it, the windows must add up to the histogram's count and
+ * total, and the run's means must be the histogram's.
+ */
+void
+expectWindowsPartitionTheLags(const LbaConfig& config, Cycles first_lag)
+{
+    mem::CacheHierarchy hierarchy(cores(2));
+    PipelineTimer timer(hierarchy, config, 1);
+    FixedCostLifeguard guard(2);
+    auto engine = timer.makeEngine(guard, 0);
+
+    std::uint64_t logged = 0;
+    LagWindow sum;
+    for (std::uint64_t take : {0u, 1u, 4u, 5u, 12u, 12u, 20u}) {
+        std::uint64_t first = logged;
+        unsigned __int128 want = 0;
+        for (; logged < take; ++logged) {
+            timer.log(0, aluRecord(), on(0, *engine));
+            want += first_lag + 3 * logged;
+        }
+        LagWindow window = timer.takeLagWindow(0);
+        EXPECT_EQ(window.count, take - first) << "window ending at " << take;
+        EXPECT_TRUE(window.total == want) << "window ending at " << take;
+        EXPECT_EQ(window.mean(),
+                  window.count ? static_cast<double>(want) /
+                                     static_cast<double>(window.count)
+                               : 0.0)
+            << "window ending at " << take;
+        sum.count += window.count;
+        sum.total += window.total;
+    }
+    const stats::Histogram& lags = timer.lagHistogram(0);
+    EXPECT_EQ(lags.count(), sum.count);
+    EXPECT_TRUE(lags.total() == sum.total);
+
+    timer.finishShard(0, 0, *engine);
+    timer.seal();
+    EXPECT_EQ(timer.producerStats(0).mean_consume_lag, sum.mean());
+    EXPECT_EQ(timer.stats().mean_consume_lag, sum.mean());
+}
+
+TEST(PipelineTimer, LagWindowsAddUpToTheHistogram)
+{
+    LbaConfig config;
+    config.compress = false;
+    expectWindowsPartitionTheLags(config, 0);
+}
+
+TEST(PipelineTimer, LagWindowsAreExactOnAStarvedTransport)
+{
+    // Every record is delivered at kDeliveryCeiling, so the lags start
+    // at 2^62 and four of them already pass 2^64.
+    LbaConfig config;
+    config.compress = false;
+    config.transport_bytes_per_cycle = 1e-300;
+    expectWindowsPartitionTheLags(config, kDeliveryCeiling);
 }
 
 } // namespace

@@ -14,7 +14,7 @@ namespace lba::lifeguards {
 namespace {
 
 using lifeguard::FindingKind;
-using lifeguard::NullCostSink;
+using lifeguard::CostSink;
 using log::EventRecord;
 using log::EventType;
 
@@ -48,7 +48,7 @@ class TaintCheckTest : public ::testing::Test
 {
   protected:
     TaintCheck guard;
-    NullCostSink sink;
+    CostSink sink;
 
     void feed(const EventRecord& r) { guard.handleEvent(r, sink); }
 };
@@ -179,22 +179,6 @@ TEST_F(TaintCheckTest, PartialByteGranularity)
     EXPECT_TRUE(guard.regTainted(0, 1));
 }
 
-/** Sink that records every charge, in order. */
-class RecordingSink : public lifeguard::CostSink
-{
-  public:
-    void instrs(std::uint32_t n) override { instr_total += n; }
-    void
-    memAccess(Addr addr, bool is_write) override
-    {
-        EXPECT_FALSE(is_write);
-        shadow_reads.push_back(addr);
-    }
-
-    std::uint64_t instr_total = 0;
-    std::vector<Addr> shadow_reads;
-};
-
 /** Shadow address of the taint byte covering @p addr. */
 Addr
 shadowOf(Addr addr)
@@ -211,13 +195,13 @@ TEST(TaintCheckLoads, EveryLoadReadsExactlyItsBytesAtOneProbePerGranule)
     // is charged 6 instructions and a shadow read of its first
     // granule, plus 1 instruction and a read per further granule.
     constexpr Addr kBuf = 0x20000;
-    NullCostSink sink;
+    CostSink sink;
     for (unsigned size : {1u, 2u, 4u, 8u}) {
         for (Addr off = 0; off < 16; ++off) {
             for (Addr t = 0; t < 24; ++t) {
                 TaintCheck guard;
                 guard.handleEvent(inputEvent(kBuf + t, 1), sink);
-                RecordingSink charged;
+                CostSink charged;
                 guard.handleEvent(instr(isa::Opcode::kLd, 3, 5, 0,
                                         kBuf + off, size),
                                   charged);
@@ -225,13 +209,14 @@ TEST(TaintCheckLoads, EveryLoadReadsExactlyItsBytesAtOneProbePerGranule)
                           t >= off && t < off + size)
                     << size << "-byte load at +" << off << ", taint at +"
                     << t;
-                std::vector<Addr> reads{shadowOf(kBuf + off)};
+                std::vector<CostSink::Access> reads{
+                    {shadowOf(kBuf + off), false}};
                 for (Addr g = (kBuf + off + 8) & ~7ull;
                      g < kBuf + off + size; g += 8) {
-                    reads.push_back(shadowOf(g));
+                    reads.push_back({shadowOf(g), false});
                 }
-                EXPECT_EQ(charged.instr_total, 6 + reads.size() - 1);
-                EXPECT_EQ(charged.shadow_reads, reads);
+                EXPECT_EQ(charged.instructions(), 6 + reads.size() - 1);
+                EXPECT_EQ(charged.accesses(), reads);
             }
         }
     }
@@ -243,10 +228,10 @@ TEST(TaintCheckRanges, EmptyInputChargesTheSameAtAnyAlignment)
     // costs the handler's 6 instructions and no shadow access.
     for (Addr offset = 0; offset < 8; ++offset) {
         TaintCheck guard;
-        RecordingSink charged;
+        CostSink charged;
         guard.handleEvent(inputEvent(0x10000000 + offset, 0), charged);
-        EXPECT_EQ(charged.instr_total, 6u) << "buffer at +" << offset;
-        EXPECT_TRUE(charged.shadow_reads.empty()) << "buffer at +" << offset;
+        EXPECT_EQ(charged.instructions(), 6u) << "buffer at +" << offset;
+        EXPECT_TRUE(charged.accesses().empty()) << "buffer at +" << offset;
         EXPECT_FALSE(guard.memTainted(0x10000000, 8));
     }
 }
@@ -257,7 +242,7 @@ TEST(TaintCheckRanges, UnalignedInputsAndAllocationsMarkExactlyTheirBytes)
     // exactly its bytes, and an allocation inside a tainted span clears
     // exactly its bytes. Each byte is checked through memTainted() and
     // through a 1-byte load.
-    NullCostSink sink;
+    CostSink sink;
     for (std::uint64_t size = 1; size <= 17; ++size) {
         for (Addr offset = 1; offset < 8; ++offset) {
             Addr base = 0x10000100 + offset;

@@ -17,8 +17,10 @@
  * tidy with 3 shards, a count that is not a power of two; a constrained
  * config (64-record buffer, address filter, 0.75 B/cycle); the
  * uncompressed log on a 1.0 B/cycle transport it saturates; lag-aware
- * pools with 1 and 3 tenants; and containment with real rewinds, with
- * one shard and in a 1-tenant pool.
+ * pools with 1 and 3 tenants; containment with real rewinds, with
+ * one shard and in a 1-tenant pool; and a 2-tenant lag-aware pool on
+ * 500-instruction slices, whose steals follow each tenant's lag over
+ * its latest slice.
  * Every config runs at most 30k instructions.
  */
 
@@ -480,6 +482,20 @@ corpus()
              return runPool(name, config, make<lifeguards::AddrCheck>(),
                             {{"bc", program("bc", uaf_leak)}});
          }});
+
+    // A lag-aware pool whose steals depend on each tenant's lag over
+    // its latest slice: at one epoch bc's latest slice lags most while
+    // gzip's lag since the run began is the larger, so a window that
+    // never restarts steals for the wrong tenant.
+    configs.push_back({"pool/lag/2-tenants/slice500",
+                       [lagPool](const std::string& name) {
+                           sched::PoolConfig config = lagPool();
+                           config.slice_instructions = 500;
+                           return runPool(
+                               name, config, make<lifeguards::AddrCheck>(),
+                               {{"bc", program("bc", {}, kBudget / 3)},
+                                {"gzip", program("gzip", {}, kBudget / 3)}});
+                       }});
     return configs;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Seed-corpus generator. Writes the checked-in corpora under
- * fuzz/corpus/{decoder,encoder,roundtrip}/ — fully deterministic, so
- * rerunning it reproduces the committed files byte for byte:
+ * fuzz/corpus/{decoder,encoder,roundtrip,trace}/ — fully
+ * deterministic, so rerunning it reproduces the committed files byte
+ * for byte:
  *
  *   make_corpus <repo>/fuzz/corpus
  *
@@ -10,7 +11,8 @@
  * decoder, a genuinely valid encoded stream plus truncated/corrupted/
  * garbage variants so the fuzzer starts on both sides of every
  * validity check; for the encoder and roundtrip harnesses, packed
- * record bytes in the recordFromBytes() layout.
+ * record bytes in the recordFromBytes() layout; for the trace-file
+ * harness, whole `.lbat` files, valid and broken around their header.
  */
 
 #include <cstdint>
@@ -53,6 +55,33 @@ encodedStream(std::size_t count)
     return payload;
 }
 
+/**
+ * The bytes of a trace file (compress/trace_file.h): a header of
+ * @p version declaring @p records records and @p payload_bytes payload
+ * bytes (a v2 header also names @p codec), then @p payload.
+ */
+std::vector<std::uint8_t>
+traceFile(std::uint32_t version, std::uint64_t records,
+          std::uint64_t payload_bytes, const std::string& codec,
+          const std::vector<std::uint8_t>& payload)
+{
+    std::vector<std::uint8_t> bytes = {'L', 'B', 'A', 'T',
+                                       'R', 'A', 'C', 'E'};
+    auto put = [&](std::uint64_t v, unsigned n) {
+        for (unsigned i = 0; i < n; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put(version, 4);
+    put(records, 8);
+    put(payload_bytes, 8);
+    if (version == 2) {
+        bytes.push_back(static_cast<std::uint8_t>(codec.size()));
+        bytes.insert(bytes.end(), codec.begin(), codec.end());
+    }
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    return bytes;
+}
+
 /** Pack records in the recordFromBytes() byte layout. */
 std::vector<std::uint8_t>
 packedRecords(std::uint64_t seed, std::size_t count, bool arbitrary)
@@ -90,7 +119,7 @@ main(int argc, char** argv)
         return 2;
     }
     std::filesystem::path root(argv[1]);
-    for (const char* sub : {"decoder", "encoder", "roundtrip"})
+    for (const char* sub : {"decoder", "encoder", "roundtrip", "trace"})
         std::filesystem::create_directories(root / sub);
 
     // Decoder seeds: [chunk, stream].
@@ -127,6 +156,29 @@ main(int argc, char** argv)
     writeFile(root / "decoder" / "tiny", {0x00});
     writeFile(root / "encoder" / "tiny", {0x02});
     writeFile(root / "roundtrip" / "tiny", {0x00, 0x41});
+
+    // Trace-file seeds: [whole file]. A valid v2 and v1 file, then one
+    // broken check each: a header cut short, a payload holding one
+    // record more than declared, a codec no reader knows, and declared
+    // counts no file could back.
+    std::vector<std::uint8_t> v2 =
+        traceFile(2, 60, payload.size(), kCodecName, payload);
+    writeFile(root / "trace" / "valid_v2", v2);
+    writeFile(root / "trace" / "valid_v1",
+              traceFile(1, 60, payload.size(), "", payload));
+    writeFile(root / "trace" / "trunc_header",
+              std::vector<std::uint8_t>(v2.begin(), v2.begin() + 20));
+    std::vector<std::uint8_t> longer = encodedStream(61);
+    writeFile(root / "trace" / "extra_record",
+              traceFile(2, 60, longer.size(), kCodecName, longer));
+    writeFile(root / "trace" / "unknown_codec",
+              traceFile(2, 60, payload.size(), "zstd", payload));
+    writeFile(root / "trace" / "huge_records",
+              traceFile(2, std::uint64_t{1} << 62, payload.size(),
+                        kCodecName, payload));
+    writeFile(root / "trace" / "huge_payload",
+              traceFile(2, 60, std::uint64_t{1} << 62, kCodecName,
+                        payload));
 
     std::printf("corpora written under %s\n", root.c_str());
     return 0;

@@ -25,7 +25,8 @@ LbaSystem::LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
                      const LbaConfig& config)
     : LbaSystem(shards,
                 std::make_unique<PipelineTimer>(
-                    hierarchy, config, static_cast<unsigned>(shards.size())))
+                    hierarchy, config, static_cast<unsigned>(shards.size()),
+                    1))
 {
 }
 

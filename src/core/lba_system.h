@@ -99,8 +99,8 @@ class LbaSystem : public sim::RetireObserver
     /**
      * One shard per lifeguard in @p shards (not owned; each must
      * outlive the system), on a timer of its own with one lane per
-     * shard. Shard s consumes on core `config.dispatch.core + s`, so
-     * the hierarchy needs those cores plus the application's.
+     * shard. The application runs on core 0 and shard s consumes on
+     * core `1 + s`, so the hierarchy needs those cores.
      */
     LbaSystem(const std::vector<lifeguard::Lifeguard*>& shards,
               mem::CacheHierarchy& hierarchy, const LbaConfig& config = {});
@@ -171,9 +171,9 @@ class LbaSystem : public sim::RetireObserver
     /**
      * Move @p shard's consumption onto @p lane: its records serialize
      * on that lane's clock and buffer from now on. Only the timing
-     * moves. The shard's engine was built on core
-     * `dispatch.core + shard` and keeps charging that core's L1D for
-     * its handlers' metadata accesses, wherever the shard runs.
+     * moves. The shard's engine was built on lane `shard`'s core
+     * (PipelineTimer::makeEngine) and keeps charging that core's L1D
+     * for its handlers' metadata accesses, wherever the shard runs.
      */
     void
     setLane(unsigned shard, unsigned lane)

@@ -17,14 +17,15 @@ using log::EventRecord;
 using log::EventType;
 
 PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
-                             const LbaConfig& config, unsigned nlanes)
-    : hierarchy_(hierarchy), config_(config)
+                             const LbaConfig& config, unsigned nlanes,
+                             unsigned first_lane_core)
+    : hierarchy_(hierarchy), first_lane_core_(first_lane_core),
+      config_(config)
 {
     LBA_ASSERT(nlanes >= 1, "timer needs at least one lane");
-    LBA_ASSERT(hierarchy_.config().num_cores >=
-                   config_.dispatch.core + nlanes,
-               "hierarchy must provide one core per lane plus the app");
-    LBA_ASSERT(config_.dispatch.core > 0,
+    LBA_ASSERT(hierarchy_.config().num_cores >= first_lane_core + nlanes,
+               "hierarchy must provide one core per lane plus the apps");
+    LBA_ASSERT(first_lane_core > 0,
                "application and lifeguard must use different cores");
     LBA_ASSERT(config_.buffer_capacity > 0,
                "log buffer capacity must be positive");
@@ -43,10 +44,10 @@ std::unique_ptr<lifeguard::DispatchEngine>
 PipelineTimer::makeEngine(lifeguard::Lifeguard& guard, unsigned lane)
 {
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    lifeguard::DispatchConfig dc = config_.dispatch;
-    dc.core = config_.dispatch.core + lane;
-    return std::make_unique<lifeguard::DispatchEngine>(guard, hierarchy_,
-                                                       dc);
+    return std::make_unique<lifeguard::DispatchEngine>(
+        guard, hierarchy_,
+        lifeguard::DispatchConfig{config_.dispatch_cycles,
+                                  first_lane_core_ + lane});
 }
 
 void
@@ -75,8 +76,8 @@ PipelineTimer::addProducer(unsigned app_core)
     LBA_ASSERT(!finished_, "cannot add a producer after seal()");
     LBA_ASSERT(app_core < hierarchy_.config().num_cores,
                "producer core outside the hierarchy");
-    LBA_ASSERT(app_core < config_.dispatch.core ||
-                   app_core >= config_.dispatch.core + lanes(),
+    LBA_ASSERT(app_core < first_lane_core_ ||
+                   app_core >= first_lane_core_ + lanes(),
                "producer and lifeguard must use different cores");
     encoders_.emplace_back().app_core = app_core;
     producers_.emplace_back();

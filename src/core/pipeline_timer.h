@@ -135,15 +135,9 @@ struct LbaConfig
 {
     /** Log buffer capacity, in records (per lane). */
     std::size_t buffer_capacity = 64 * 1024;
-    /**
-     * Dispatch configuration. `dispatch.core` is the first lifeguard
-     * core. An engine built for lane L charges its handlers' metadata
-     * accesses to core `dispatch.core + L` (PipelineTimer::makeEngine),
-     * and keeps that core when LbaSystem::setLane() moves its shard to
-     * another lane: a folded or stolen shard serializes on its new
-     * lane's clock but still charges its first core's L1D.
-     */
-    lifeguard::DispatchConfig dispatch{1, 1};
+    /** Fixed cycles per nlba dispatch on every lane
+     *  (lifeguard::DispatchConfig::dispatch_cycles). */
+    Cycles dispatch_cycles = 1;
     /** Stall syscalls until the log drains (error containment). */
     bool syscall_stall = true;
     /**
@@ -301,28 +295,36 @@ class PipelineTimer
     };
 
     /**
-     * @param hierarchy Shared cache hierarchy; needs a core for the
-     *                  application plus one per lane.
-     * @param config    Platform configuration (see LbaConfig).
-     * @param nlanes    Number of lanes (lifeguard cores), >= 1.
+     * @param hierarchy       Shared cache hierarchy; needs the
+     *                        application cores plus one core per lane.
+     * @param config          Platform configuration (see LbaConfig).
+     * @param nlanes          Number of lanes (lifeguard cores), >= 1.
+     * @param first_lane_core The number of application cores, which
+     *                        come first (>= 1: producer 0 runs on core
+     *                        0). Lane L consumes on core
+     *                        `first_lane_core + L`: 1 for one
+     *                        application, the tenant count in a pool.
      */
     PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-                  unsigned nlanes);
+                  unsigned nlanes, unsigned first_lane_core);
 
     /**
      * A dispatch engine running @p guard on lane @p lane's core,
-     * `config.dispatch.core + lane`. The caller owns it; it must
-     * outlive every log() and finishShard() call that names it. The
-     * engine's core is fixed here: a target that later names it with
-     * another lane takes that lane's clock, not its core's caches.
+     * `first_lane_core + lane`. The caller owns it; it must outlive
+     * every log() and finishShard() call that names it. The engine's
+     * core is fixed here: a target that later names it with another
+     * lane takes that lane's clock, not its core's caches, so a folded
+     * or stolen shard (LbaSystem::setLane) serializes on its new lane
+     * but still charges its first core's L1D.
      */
     std::unique_ptr<lifeguard::DispatchEngine>
     makeEngine(lifeguard::Lifeguard& guard, unsigned lane);
 
     /**
      * Register one more producer (monitored application) with its own
-     * clock, log sizer, back-pressure and containment state. Producer 0
-     * always exists, on core 0.
+     * clock, log sizer, back-pressure and containment state, on core
+     * @p app_core, which must not be a lane's. Producer 0 always
+     * exists, on core 0.
      * @return The new producer's index.
      */
     unsigned addProducer(unsigned app_core);
@@ -546,6 +548,8 @@ class PipelineTimer
                    double record_bytes);
 
     mem::CacheHierarchy& hierarchy_;
+    /** Lane L's core is first_lane_core_ + L. */
+    unsigned first_lane_core_;
     /**
      * encode() reads only config_ and encoders_, on host cache lines of
      * their own, and writes its producer's application-core L1s, which

@@ -105,10 +105,10 @@ class Experiment
      * Run under LBA with explicit configuration and containment on
      * @p shards lifeguard cores: one tenant on a @p shards-lane
      * sched::LifeguardPool, with no baseline of its own. The application
-     * runs on core 0, and shard s consumes on core
-     * `max(lba_config.dispatch.core, 1) + s`; the hierarchy grows to
-     * hold those cores. The findings are mergeShardFindings() of the
-     * shards' lists, so one shard reports its lifeguard's own list.
+     * runs on core 0, and shard s consumes on core `1 + s`; the
+     * hierarchy grows to hold those cores. The findings are
+     * mergeShardFindings() of the shards' lists, so one shard reports
+     * its lifeguard's own list.
      */
     PlatformResult runLba(const LifeguardFactory& factory,
                           const LbaConfig& lba_config,

@@ -31,8 +31,6 @@ struct LifeguardPool::Tenant
 {
     TenantConfig config;
     unsigned index;
-    /** Admission-control demand (bytes/cycle). */
-    double demand = 0.0;
 
     std::unique_ptr<sim::Process> process;
     /** One lifeguard shard context per pool lane (fixed functional
@@ -44,9 +42,7 @@ struct LifeguardPool::Tenant
     std::unique_ptr<replay::ContainmentManager> manager;
 
     /** Driver state (the calling thread), from a line of its own. */
-    alignas(64) bool admitted = false;
-    bool was_queued = false;
-    bool rejected = false;
+    alignas(64) bool was_queued = false;
     /** The abort repair policy terminated this tenant. */
     bool aborted = false;
     /** Tenant was removed by its detach threshold. */
@@ -70,14 +66,12 @@ struct LifeguardPool::Tenant
 
 LifeguardPool::LifeguardPool(const PoolConfig& config,
                              core::LifeguardFactory factory)
-    : config_(config), factory_(std::move(factory))
+    : config_(config), factory_(std::move(factory)),
+      scheduler_(config.policy, config.lanes)
 {
-    LBA_ASSERT(config_.lanes >= 1, "pool needs at least one lane");
     LBA_ASSERT(config_.slice_instructions >= 1,
                "pool slice must be at least one instruction");
-    LBA_ASSERT(config_.max_load > 0.0, "max_load must be positive");
     LBA_ASSERT(factory_ != nullptr, "pool needs a lifeguard factory");
-    scheduler_ = makeScheduler(config_.policy, config_.lanes);
 
     // Pool drain bandwidth: the sum of the lanes' transport links, or
     // 0 when they are unlimited.
@@ -95,38 +89,29 @@ LifeguardPool::addTenant(TenantConfig tenant)
     LBA_ASSERT(!ran_, "cannot add tenants after run()");
     LBA_ASSERT(!tenant.program.empty(), "tenant needs a program");
     unsigned index = static_cast<unsigned>(tenants_.size());
-    auto state = std::make_unique<Tenant>(std::move(tenant), index);
-    state->demand = state->config.demand_bytes_per_cycle;
-    if (state->demand <= 0.0) {
-        // LBA logs about one record per retired instruction at IPC <= 1:
-        // a conservative demand estimate is the record's transport cost
-        // per cycle (~2 B compressed, full width uncompressed).
-        state->demand = config_.lba.compress
-                            ? 2.0
-                            : static_cast<double>(
-                                  config_.lba.raw_record_bytes);
-    }
-    tenants_.push_back(std::move(state));
+    tenants_.push_back(std::make_unique<Tenant>(std::move(tenant), index));
     return index;
 }
 
 bool
-LifeguardPool::fits(const Tenant& tenant) const
+LifeguardPool::fits() const
 {
     // An idle pool always accepts (a tenant too big for the transport
     // alone degrades through back-pressure rather than starving).
-    if (active_.empty()) return true;
-    if (capacity_ <= 0.0) return true;
-    return load_ + tenant.demand <= capacity_ * config_.max_load;
+    if (active_.empty() || capacity_ <= 0.0) return true;
+    // LBA logs about one record per retired instruction at IPC <= 1, so
+    // each tenant's demand is taken as a record's transport cost per
+    // cycle: ~2 B compressed, the full width uncompressed.
+    double demand = config_.lba.compress
+                        ? 2.0
+                        : static_cast<double>(config_.lba.raw_record_bytes);
+    return static_cast<double>(active_.size() + 1) * demand <= capacity_;
 }
 
 void
 LifeguardPool::activate(unsigned tenant)
 {
-    Tenant& t = *tenants_[tenant];
-    t.admitted = true;
     active_.push_back(tenant);
-    load_ += t.demand;
     step(Op::Kind::kActivate, tenant);
 }
 
@@ -215,7 +200,7 @@ LifeguardPool::apply(const Op& op)
         return;
       }
       case Op::Kind::kRebalance:
-        scheduler_->rebalance(scheduled_);
+        scheduler_.rebalance(scheduled_);
         placeShards();
         return;
       case Op::Kind::kSliceEnd: {
@@ -240,7 +225,7 @@ LifeguardPool::placeShards()
     for (unsigned index : scheduled_) {
         core::LbaSystem& system = *tenants_[index]->system;
         for (unsigned s = 0; s < config_.lanes; ++s) {
-            system.setLane(s, scheduler_->laneFor(index, s));
+            system.setLane(s, scheduler_.laneFor(index, s));
         }
     }
 }
@@ -261,7 +246,7 @@ LifeguardPool::epoch()
     for (unsigned index : scheduled_) {
         recent.push_back(tenants_[index]->recent_lag.mean());
     }
-    scheduler_->onEpoch(scheduled_, recent);
+    scheduler_.onEpoch(scheduled_, recent);
 }
 
 PoolResult
@@ -298,7 +283,7 @@ LifeguardPool::run()
     for (std::size_t t = 0; t < baselines.size(); ++t) {
         TenantStats& stats = result.tenants[t];
         stats.unmonitored_cycles = baselines[t];
-        if (stats.admitted && baselines[t]) {
+        if (baselines[t]) {
             stats.slowdown = static_cast<double>(stats.total_cycles) /
                              static_cast<double>(baselines[t]);
         }
@@ -315,15 +300,12 @@ LifeguardPool::drive()
     unsigned ntenants = static_cast<unsigned>(tenants_.size());
 
     // The monitored platform: tenant t's application runs on core t,
-    // lanes start at core dispatch.core.
-    core::LbaConfig lba = config_.lba;
-    lba.dispatch.core = std::max(lba.dispatch.core, ntenants);
+    // and lane L consumes on core ntenants + L.
     mem::HierarchyConfig hc = config_.hierarchy;
-    unsigned needed = lba.dispatch.core + config_.lanes;
-    if (hc.num_cores < needed) hc.num_cores = needed;
+    hc.num_cores = std::max(hc.num_cores, ntenants + config_.lanes);
     hierarchy_ = std::make_unique<mem::CacheHierarchy>(hc);
-    timer_ = std::make_unique<core::PipelineTimer>(*hierarchy_, lba,
-                                                   config_.lanes);
+    timer_ = std::make_unique<core::PipelineTimer>(*hierarchy_, config_.lba,
+                                                   config_.lanes, ntenants);
     for (unsigned t = 1; t < ntenants; ++t) {
         unsigned producer = timer_->addProducer(t);
         LBA_ASSERT(producer == t, "producer/tenant index drift");
@@ -335,35 +317,8 @@ LifeguardPool::drive()
     // lifeguards' findings after every record.
     if (!config_.containment.enabled) ring_.emplace(Encode{this}, Apply{this});
 
-    // Admission, in arrival order. Tenants with a later arrival round
-    // go to the pending list and face admission when their round comes
-    // up mid-drive.
-    std::vector<unsigned> pending;
-    for (unsigned t = 0; t < ntenants; ++t) {
-        if (tenants_[t]->config.arrival_round > 0) {
-            pending.push_back(t);
-            continue;
-        }
-        if (fits(*tenants_[t])) {
-            activate(t);
-        } else if (config_.admission == AdmissionMode::kQueue) {
-            tenants_[t]->was_queued = true;
-            queued_.push_back(t);
-        } else {
-            tenants_[t]->rejected = true;
-        }
-    }
-    std::stable_sort(pending.begin(), pending.end(),
-                     [this](unsigned a, unsigned b) {
-                         return tenants_[a]->config.arrival_round <
-                                tenants_[b]->config.arrival_round;
-                     });
-
-    // Tenant runtime state — only for tenants that will actually run
-    // (a rejected tenant never needs its process, shard contexts, or
-    // their shadow memory).
+    // Every tenant's runtime state, before any of them runs.
     for (auto& tenant : tenants_) {
-        if (tenant->rejected) continue;
         tenant->process =
             std::make_unique<sim::Process>(tenant->config.process);
         tenant->process->load(tenant->config.program);
@@ -384,7 +339,16 @@ LifeguardPool::drive()
                 config_.containment);
         }
     }
-    step(Op::Kind::kRebalance);
+
+    // Tenants arrive in round order, in index order within a round;
+    // those present from the start arrive at round 0.
+    std::vector<unsigned> pending(ntenants);
+    for (unsigned t = 0; t < ntenants; ++t) pending[t] = t;
+    std::stable_sort(pending.begin(), pending.end(),
+                     [this](unsigned a, unsigned b) {
+                         return tenants_[a]->config.arrival_round <
+                                tenants_[b]->config.arrival_round;
+                     });
 
     // Drive: round-robin slices over the active tenants. A lone tenant
     // with an empty queue and no pending arrivals runs to completion
@@ -396,32 +360,24 @@ LifeguardPool::drive()
     std::uint64_t round = 0;
     while (!stopped_ &&
            (!active_.empty() || !pending.empty() || !queued_.empty())) {
-        // Arrivals due this round face admission now.
+        // Arrivals due this round start, or wait in the queue.
         bool membership_changed = false;
         while (!pending.empty() &&
                tenants_[pending.front()]->config.arrival_round <= round) {
             unsigned arriving = pending.front();
             pending.erase(pending.begin());
-            if (fits(*tenants_[arriving])) {
+            if (fits()) {
                 activate(arriving);
                 membership_changed = true;
-            } else if (config_.admission == AdmissionMode::kQueue) {
+            } else {
                 tenants_[arriving]->was_queued = true;
                 queued_.push_back(arriving);
-            } else {
-                tenants_[arriving]->rejected = true;
             }
-        }
-        // An idle pool always fits the queue head.
-        while (active_.empty() && !queued_.empty()) {
-            activate(queued_.front());
-            queued_.erase(queued_.begin());
-            membership_changed = true;
         }
         if (membership_changed) step(Op::Kind::kRebalance);
         if (active_.empty()) {
-            if (pending.empty()) break;
-            // Nothing runnable: fast-forward to the next arrival.
+            // Nothing runnable, and nothing queued (an idle pool starts
+            // whoever arrives): fast-forward to the next arrival.
             round = tenants_[pending.front()]->config.arrival_round;
             continue;
         }
@@ -474,10 +430,9 @@ LifeguardPool::drive()
         // detach): release its bandwidth share and let queued tenants
         // in.
         tenant.detached = detach_reached && !abort_tenant;
-        load_ -= tenant.demand;
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(cursor));
         step(Op::Kind::kDeactivate, index);
-        while (!queued_.empty() && fits(*tenants_[queued_.front()])) {
+        while (!queued_.empty() && fits()) {
             activate(queued_.front());
             queued_.erase(queued_.begin());
         }
@@ -487,16 +442,14 @@ LifeguardPool::drive()
     // finish() returns, which rethrows what either threw.
     if (ring_) ring_->finish();
 
-    // End-of-program lifeguard passes: every admitted tenant's every
-    // shard context finishes on the lane currently hosting it.
-    for (auto& tenant : tenants_) {
-        if (tenant->admitted) tenant->system->finish();
-    }
+    // End-of-program lifeguard passes: every tenant's every shard
+    // context finishes on the lane currently hosting it.
+    for (auto& tenant : tenants_) tenant->system->finish();
     timer_->seal();
 
     PoolResult result;
-    result.policy = scheduler_->name();
-    result.lane_steals = scheduler_->steals();
+    result.policy = scheduler_.name();
+    result.lane_steals = scheduler_.steals();
     result.aggregate = timer_->stats();
     result.total_cycles = result.aggregate.total_cycles;
     result.capacity_bytes_per_cycle = capacity_;
@@ -509,27 +462,22 @@ LifeguardPool::drive()
     for (auto& tenant : tenants_) {
         TenantStats stats;
         stats.name = tenant->config.name;
-        stats.admitted = tenant->admitted;
         stats.was_queued = tenant->was_queued;
-        stats.rejected = tenant->rejected;
         stats.detached = tenant->detached;
-        stats.demand_bytes_per_cycle = tenant->demand;
         stats.run = tenant->run;
-        if (tenant->admitted) {
-            stats.lba = tenant->system->stats();
-            stats.instructions = stats.lba.app_instructions;
-            stats.total_cycles = stats.lba.total_cycles;
-            const stats::Histogram& lag = tenant->system->lagHistogram();
-            stats.lag_p50 = lag.p50();
-            stats.lag_p95 = lag.p95();
-            stats.lag_p99 = lag.p99();
-            stats.findings = core::mergeShardFindings(tenant->shards);
-            if (tenant->manager) {
-                tenant->manager->finalize();
-                stats.containment_enabled = true;
-                stats.aborted = tenant->aborted;
-                stats.containment = tenant->manager->stats();
-            }
+        stats.lba = tenant->system->stats();
+        stats.instructions = stats.lba.app_instructions;
+        stats.total_cycles = stats.lba.total_cycles;
+        const stats::Histogram& lag = tenant->system->lagHistogram();
+        stats.lag_p50 = lag.p50();
+        stats.lag_p95 = lag.p95();
+        stats.lag_p99 = lag.p99();
+        stats.findings = core::mergeShardFindings(tenant->shards);
+        if (tenant->manager) {
+            tenant->manager->finalize();
+            stats.containment_enabled = true;
+            stats.aborted = tenant->aborted;
+            stats.containment = tenant->manager->stats();
         }
         result.tenants.push_back(std::move(stats));
     }

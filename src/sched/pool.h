@@ -13,18 +13,27 @@
  *    producer t of the pool's timer: its own application-core clock,
  *    codec, back-pressure, syscall-containment state and statistics,
  *    and `lanes` lifeguard shard contexts its records are sharded over.
+ *    Tenant t's application runs on core t, and lane L consumes on
+ *    core `tenants + L`.
  *  - A TenantScheduler maps shard contexts to physical lanes. Lanes
  *    serialize whatever is folded onto them, which is how one tenant's
  *    burst degrades (only) whoever shares its lanes.
- *  - Admission control compares the aggregate declared log-production
- *    demand against the pool's drain bandwidth and queues (or rejects)
- *    tenants that would oversubscribe it.
+ *  - Admission has one rule. A tenant starts when the pool is idle,
+ *    when the transport is unlimited, or when the running tenants'
+ *    demand plus its own fits the lanes' summed bandwidth; otherwise it
+ *    waits in a first-in, first-out queue until running tenants
+ *    finish. Every tenant runs before the drive ends.
  *
  * Execution is deterministic: tenants are driven round-robin in slices
  * of `slice_instructions` retired instructions; a lone tenant runs to
  * completion unsliced on identity lane maps. That lone tenant on M
  * lanes is core::Experiment::runLba with M shards: runLba builds such a
- * pool and drives it.
+ * pool and drives it. Slicing changes the instruction stream of a
+ * tenant with two ready threads: the stop at a slice end also ends
+ * the running thread's quantum (sim::Process::run), so the next slice
+ * starts on the tenant's next ready thread, where a run alone would
+ * have finished the quantum first. Such a tenant's cycles come from
+ * the sliced stream, and its unmonitored baseline from its run alone.
  *
  * Without containment the drive splits the work into three stages on
  * three host threads (core::ThreeStageRun). The calling thread runs
@@ -54,28 +63,19 @@
 
 namespace lba::sched {
 
-/** One monitored application admitted to the pool. */
+/** One monitored application of the pool. */
 struct TenantConfig
 {
     std::string name;
     std::vector<isa::Instruction> program;
     sim::ProcessConfig process;
     /**
-     * Declared log-production demand in transport bytes/cycle, used by
-     * admission control. 0 = estimate from the platform configuration
-     * (LBA logs about one record per instruction at IPC <= 1, so the
-     * estimate is ~2 bytes/cycle compressed, or the raw record width
-     * uncompressed — deliberately conservative).
-     */
-    double demand_bytes_per_cycle = 0.0;
-
-    /**
      * Driver round (slice count since run() started) at which this
-     * tenant arrives. 0 = present from the start. A late arrival goes
-     * through the same admission decision (activate / queue / reject)
-     * when its round comes up; while the pool is idle the driver
-     * fast-forwards to the next arrival. Deterministic: the round
-     * counter advances once per executed slice, never with wall time.
+     * tenant arrives. 0 = present from the start. Every tenant goes
+     * through the same admission step (start or queue) when its round
+     * comes up; while the pool is idle the driver fast-forwards to the
+     * next arrival. Deterministic: the round counter advances once per
+     * executed slice, never with wall time.
      */
     std::uint64_t arrival_round = 0;
 
@@ -83,21 +83,12 @@ struct TenantConfig
      * Detach the tenant after this many observed retired instructions
      * (0 = run to completion). Detachment is treated exactly like
      * completion: mid-slice the process stops, the tenant's bandwidth
-     * share is released, queued tenants are admitted and the lane map
+     * share is released, queued tenants start and the lane map
      * rebalances — surviving tenants' clocks are untouched. Under
      * containment the count includes replayed (post-rewind)
      * retirements.
      */
     std::uint64_t detach_after_instructions = 0;
-};
-
-/** What admission control does with a tenant that does not fit. */
-enum class AdmissionMode
-{
-    /** Hold it in a FIFO queue until running tenants finish. */
-    kQueue,
-    /** Refuse it outright (it never runs). */
-    kReject,
 };
 
 /** Pool-wide configuration. The lag statistics it reports and
@@ -114,9 +105,6 @@ struct PoolConfig
     /** Tenant execution slice, in retired instructions (>= 1). A lone
      *  tenant runs unsliced. */
     std::uint64_t slice_instructions = 20'000;
-    AdmissionMode admission = AdmissionMode::kQueue;
-    /** Admissible fraction of the pool drain bandwidth. */
-    double max_load = 1.0;
     /**
      * Per-tenant rewind-and-repair containment. A finding raised by one
      * tenant's lifeguard shards drains, rewinds and repairs only that
@@ -131,22 +119,17 @@ struct PoolConfig
 struct TenantStats
 {
     std::string name;
-    bool admitted = false;
     /** Spent time in the admission queue before starting. */
     bool was_queued = false;
-    /** Refused by admission control; never ran. */
-    bool rejected = false;
     /** Stopped by TenantConfig::detach_after_instructions. */
     bool detached = false;
-    /** Demand used by admission control (bytes/cycle). */
-    double demand_bytes_per_cycle = 0.0;
 
     std::uint64_t instructions = 0;
     /** This tenant's completion time (app exit + its log drained +
      *  its final lifeguard passes). */
     Cycles total_cycles = 0;
     Cycles unmonitored_cycles = 0;
-    /** total_cycles / unmonitored_cycles (0 when not run). */
+    /** total_cycles / unmonitored_cycles (0 from drive()). */
     double slowdown = 0.0;
 
     /** The tenant's slice of the engine stats (its own app/stall
@@ -179,7 +162,8 @@ struct PoolResult
     Cycles total_cycles = 0;
     /** Aggregate engine stats summed over tenants and lanes. */
     core::LbaRunStats aggregate;
-    /** Pool drain bandwidth (bytes/cycle; 0 = unlimited). */
+    /** Pool drain bandwidth, the lanes' summed transport bandwidth
+     *  (bytes/cycle; 0 = unlimited). */
     double capacity_bytes_per_cycle = 0.0;
     /** Lane-steal reassignments performed (lag policy). */
     std::uint64_t lane_steals = 0;
@@ -200,8 +184,8 @@ struct PoolResult
  *   config.lanes = 4;
  *   config.policy = sched::Policy::kLagAware;
  *   sched::LifeguardPool pool(config, bench::makeAddrCheck());
- *   pool.addTenant({"gzip", gzip_program, {}, 0.0});
- *   pool.addTenant({"mcf", mcf_program, {}, 0.0});
+ *   pool.addTenant({"gzip", gzip_program, {}});
+ *   pool.addTenant({"mcf", mcf_program, {}});
  *   sched::PoolResult result = pool.run();
  * @endcode
  */
@@ -301,10 +285,14 @@ class LifeguardPool : public sim::RetireObserver
      */
     PoolResult drive();
 
-    /** Admission decision for @p tenant against the current load. */
-    bool fits(const Tenant& tenant) const;
+    /**
+     * Whether one more tenant may start now: the pool is idle, the
+     * transport is unlimited, or the running tenants' demand plus its
+     * own fits the lanes' summed bandwidth.
+     */
+    bool fits() const;
 
-    /** Admit @p tenant: add it to the active set. */
+    /** Start @p tenant: add it to the active set. */
     void activate(unsigned tenant);
 
     /** Hand the current tenant's @p record on, or encode and apply it
@@ -337,7 +325,6 @@ class LifeguardPool : public sim::RetireObserver
     std::vector<std::unique_ptr<Tenant>> tenants_;
     std::unique_ptr<mem::CacheHierarchy> hierarchy_;
     std::unique_ptr<core::PipelineTimer> timer_;
-    std::unique_ptr<TenantScheduler> scheduler_;
     double capacity_ = 0.0;
     bool ran_ = false;
 
@@ -348,15 +335,16 @@ class LifeguardPool : public sim::RetireObserver
     std::uint64_t slice_remaining_ = 0;
     /** Indices of running tenants, admission order. */
     std::vector<unsigned> active_;
-    /** FIFO of admitted-later tenants (kQueue admission). */
+    /** FIFO of arrived tenants waiting to start. */
     std::vector<unsigned> queued_;
-    double load_ = 0.0;
     /** A later stage failed: the drive stops (ring_->commit()). */
     bool stopped_ = false;
 
     /** apply()'s copy of active_, kept by the kActivate and
-     *  kDeactivate entries. */
+     *  kDeactivate entries, and the lane map, which the kRebalance and
+     *  kEpoch entries recompute. */
     alignas(64) std::vector<unsigned> scheduled_;
+    TenantScheduler scheduler_;
 
     /** The encoder and the worker (the drive without containment).
      *  Last member, so they are joined before anything they use is

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tenant scheduling policy implementations.
+ * The tenant scheduler and its three policies.
  */
 
 #include "sched/scheduler.h"
@@ -40,7 +40,8 @@ parsePolicy(const std::string& name, Policy* policy)
     return true;
 }
 
-TenantScheduler::TenantScheduler(unsigned lanes) : lanes_(lanes)
+TenantScheduler::TenantScheduler(Policy policy, unsigned lanes)
+    : policy_(policy), lanes_(lanes)
 {
     LBA_ASSERT(lanes >= 1, "scheduler needs at least one lane");
 }
@@ -62,19 +63,23 @@ TenantScheduler::laneSet(unsigned tenant) const
 }
 
 void
-TenantScheduler::ensureTenant(unsigned tenant)
-{
-    if (tenant >= sets_.size()) sets_.resize(tenant + 1);
-}
-
-void
-TenantScheduler::assignPartition(const std::vector<unsigned>& active)
+TenantScheduler::rebalance(const std::vector<unsigned>& active)
 {
     unsigned k = static_cast<unsigned>(active.size());
     for (unsigned i = 0; i < k; ++i) {
-        ensureTenant(active[i]);
+        if (active[i] >= sets_.size()) sets_.resize(active[i] + 1);
         std::vector<unsigned>& set = sets_[active[i]];
         set.clear();
+        if (policy_ == Policy::kRoundRobin) {
+            // Every tenant uses every lane; tenant i's shard->lane map
+            // is the identity rotated by i, so co-resident tenants'
+            // equally-numbered (and typically equally-hot) shards land
+            // on different lanes.
+            for (unsigned j = 0; j < lanes_; ++j) {
+                set.push_back((i + j) % lanes_);
+            }
+            continue;
+        }
         unsigned lo = i * lanes_ / k;
         unsigned hi = (i + 1) * lanes_ / k;
         if (lo == hi) {
@@ -87,40 +92,12 @@ TenantScheduler::assignPartition(const std::vector<unsigned>& active)
 }
 
 void
-StaticPartitionScheduler::rebalance(const std::vector<unsigned>& active)
-{
-    assignPartition(active);
-}
-
-void
-RoundRobinScheduler::rebalance(const std::vector<unsigned>& active)
-{
-    // Every tenant uses every lane; tenant i's shard->lane map is the
-    // identity rotated by i, so co-resident tenants' equally-numbered
-    // (and typically equally-hot) shards land on different lanes.
-    for (unsigned i = 0; i < active.size(); ++i) {
-        ensureTenant(active[i]);
-        std::vector<unsigned>& set = sets_[active[i]];
-        set.clear();
-        for (unsigned j = 0; j < lanes_; ++j) {
-            set.push_back((i + j) % lanes_);
-        }
-    }
-}
-
-void
-LagAwareScheduler::rebalance(const std::vector<unsigned>& active)
-{
-    assignPartition(active);
-}
-
-void
-LagAwareScheduler::onEpoch(const std::vector<unsigned>& active,
-                           const std::vector<double>& recent_lag)
+TenantScheduler::onEpoch(const std::vector<unsigned>& active,
+                         const std::vector<double>& recent_lag)
 {
     LBA_ASSERT(active.size() == recent_lag.size(),
                "one lag sample per active tenant");
-    if (active.size() < 2) return;
+    if (policy_ != Policy::kLagAware || active.size() < 2) return;
     std::size_t taker = 0;
     std::size_t donor = 0;
     for (std::size_t i = 1; i < active.size(); ++i) {
@@ -138,20 +115,6 @@ LagAwareScheduler::onEpoch(const std::vector<unsigned>& active,
     from.pop_back();
     to.push_back(lane);
     ++steals_;
-}
-
-std::unique_ptr<TenantScheduler>
-makeScheduler(Policy policy, unsigned lanes)
-{
-    switch (policy) {
-      case Policy::kStatic:
-        return std::make_unique<StaticPartitionScheduler>(lanes);
-      case Policy::kRoundRobin:
-        return std::make_unique<RoundRobinScheduler>(lanes);
-      case Policy::kLagAware:
-        return std::make_unique<LagAwareScheduler>(lanes);
-    }
-    return nullptr;
 }
 
 } // namespace lba::sched

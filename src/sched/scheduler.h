@@ -1,7 +1,7 @@
 #pragma once
 /**
  * @file
- * Tenant scheduling policies for the shared lifeguard pool.
+ * Tenant scheduling for the shared lifeguard pool.
  *
  * A TenantScheduler owns the map from (tenant, lifeguard shard) to the
  * physical pool lane that consumes that shard's records. Functional
@@ -28,7 +28,6 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,36 +51,36 @@ const char* toString(Policy policy);
 bool parsePolicy(const std::string& name, Policy* policy);
 
 /**
- * Base class: owns the per-tenant lane sets. Tenants are dense indices;
- * a tenant keeps its last assignment after it finishes (the final
- * lifeguard passes still need a lane), but only active tenants take
- * part in rebalancing.
+ * The per-tenant lane sets under one policy. Tenants are dense
+ * indices; a tenant keeps its last assignment after it finishes (the
+ * final lifeguard passes still need a lane), but only active tenants
+ * take part in rebalancing.
  */
 class TenantScheduler
 {
   public:
-    explicit TenantScheduler(unsigned lanes);
-    virtual ~TenantScheduler() = default;
+    TenantScheduler(Policy policy, unsigned lanes);
 
-    virtual const char* name() const = 0;
+    /** The policy's name (toString). */
+    const char* name() const { return toString(policy_); }
 
     /**
      * Recompute lane sets for @p active (tenant indices, admission
-     * order). Called whenever the active set changes.
+     * order). Called whenever the active set changes. Static and lag
+     * partition the lanes among the active tenants; rr gives each of
+     * them every lane, in a map rotated by its position.
      */
-    virtual void rebalance(const std::vector<unsigned>& active) = 0;
+    void rebalance(const std::vector<unsigned>& active);
 
     /**
-     * Scheduling-epoch hook: @p recent_lag[i] is the mean consume lag
-     * of @p active[i]'s records since the previous epoch. Default no-op.
+     * Scheduling epoch: @p recent_lag[i] is the mean consume lag of
+     * @p active[i]'s records over its latest slice. Under lag, the
+     * tenant with the largest lag steals one lane from the tenant with
+     * the smallest, when the imbalance is at least 2x and the donor
+     * keeps at least one lane. Static and rr ignore it.
      */
-    virtual void
-    onEpoch(const std::vector<unsigned>& active,
-            const std::vector<double>& recent_lag)
-    {
-        (void)active;
-        (void)recent_lag;
-    }
+    void onEpoch(const std::vector<unsigned>& active,
+                 const std::vector<double>& recent_lag);
 
     /** Physical lane consuming @p tenant's lifeguard shard @p shard. */
     unsigned laneFor(unsigned tenant, unsigned shard) const;
@@ -92,56 +91,11 @@ class TenantScheduler
     /** Number of lane-steal reassignments performed (lag policy). */
     std::uint64_t steals() const { return steals_; }
 
-    unsigned lanes() const { return lanes_; }
-
-  protected:
-    /** Grow the per-tenant table to cover @p tenant. */
-    void ensureTenant(unsigned tenant);
-
-    /** Partition the pool across @p active (shared helper). */
-    void assignPartition(const std::vector<unsigned>& active);
-
+  private:
+    Policy policy_;
     unsigned lanes_;
     std::vector<std::vector<unsigned>> sets_;
     std::uint64_t steals_ = 0;
 };
-
-/** Fixed partition: each active tenant owns a private lane range. */
-class StaticPartitionScheduler : public TenantScheduler
-{
-  public:
-    using TenantScheduler::TenantScheduler;
-    const char* name() const override { return "static"; }
-    void rebalance(const std::vector<unsigned>& active) override;
-};
-
-/** Full sharing: every tenant on every lane, rotated per tenant. */
-class RoundRobinScheduler : public TenantScheduler
-{
-  public:
-    using TenantScheduler::TenantScheduler;
-    const char* name() const override { return "rr"; }
-    void rebalance(const std::vector<unsigned>& active) override;
-};
-
-/**
- * Lag-aware work stealing: static partition plus epoch rebalancing —
- * the tenant with the largest recent consume lag steals one lane from
- * the tenant with the smallest, when the imbalance is at least 2x and
- * the donor keeps at least one lane.
- */
-class LagAwareScheduler : public TenantScheduler
-{
-  public:
-    using TenantScheduler::TenantScheduler;
-    const char* name() const override { return "lag"; }
-    void rebalance(const std::vector<unsigned>& active) override;
-    void onEpoch(const std::vector<unsigned>& active,
-                 const std::vector<double>& recent_lag) override;
-};
-
-/** Instantiate the scheduler for @p policy over @p lanes lanes. */
-std::unique_ptr<TenantScheduler> makeScheduler(Policy policy,
-                                               unsigned lanes);
 
 } // namespace lba::sched

@@ -175,7 +175,7 @@ expectMatchesInlineContainment(const std::vector<isa::Instruction>& prog,
     sim::Process process;
     process.load(prog);
     mem::HierarchyConfig hc;
-    hc.num_cores = std::max(hc.num_cores, lba.dispatch.core + lanes);
+    hc.num_cores = std::max(hc.num_cores, 1 + lanes);
     mem::CacheHierarchy hierarchy(hc);
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
     std::vector<lifeguard::Lifeguard*> shard_guards;
@@ -504,8 +504,8 @@ TEST(ContainmentPool, RewindsOneTenantWithoutDisturbingOthers)
     config.containment = containment(RepairPolicy::kPatch);
     sched::LifeguardPool pool(config, addrcheck());
     // The clean tenant comes first, so the buggy one is not producer 0.
-    pool.addTenant({"clean", clean.program, {}, 0.0});
-    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}, 0.0});
+    pool.addTenant({"clean", clean.program, {}});
+    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}});
     sched::PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 2u);
@@ -534,8 +534,8 @@ TEST(ContainmentPool, AbortTerminatesOnlyTheBuggyTenant)
     config.lanes = 2;
     config.containment = containment(RepairPolicy::kAbort);
     sched::LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}, 0.0});
-    pool.addTenant({"clean", clean.program, {}, 0.0});
+    pool.addTenant({"buggy", uafServiceLoop(5, 2), {}});
+    pool.addTenant({"clean", clean.program, {}});
     sched::PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 2u);

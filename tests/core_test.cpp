@@ -319,22 +319,6 @@ TEST(ParallelLba, MoreShardsReduceLifeguardBottleneck)
     EXPECT_EQ(four.shards.size(), 4u);
 }
 
-TEST(LbaSystem, LifeguardCoreCanMove)
-{
-    // The hierarchy grows to hold the lifeguard core wherever it is;
-    // cores have private L1s over a shared L2, so moving the lifeguard
-    // from core 1 to core 2 changes no simulated number.
-    auto generated =
-        workload::generate(*workload::findProfile("gzip"), {}, 20000);
-    Experiment exp(generated.program);
-    LbaConfig moved = exp.config().lba;
-    moved.dispatch.core = 2;
-
-    auto base = exp.runLba(addrcheck());
-    auto run = exp.runLba(addrcheck(), moved);
-    EXPECT_EQ(run.lba, base.lba);
-}
-
 TEST(LbaSystem, BandwidthLimitedTransportThrottles)
 {
     auto generated =
@@ -489,8 +473,7 @@ TEST(LbaSystem, AttachedSystemsShareOneTimer)
     hc.num_cores = 4;
     mem::CacheHierarchy hierarchy(hc);
     LbaConfig config;
-    config.dispatch.core = 2;
-    PipelineTimer timer(hierarchy, config, 2);
+    PipelineTimer timer(hierarchy, config, 2, 2);
     ASSERT_EQ(timer.addProducer(1), 1u);
     testing::FixedCostLifeguard guard_a(0, 3), guard_b(0, 7);
     LbaSystem a({&guard_a}, timer, 0);
@@ -526,20 +509,20 @@ TEST(LbaSystem, AttachedSystemsShareOneTimer)
 
 TEST(LbaSystem, AMovedShardKeepsChargingItsFirstCore)
 {
-    // Shard s's engine is built on core dispatch.core + s, and
+    // Shard s's engine is built on lane s's core, first_core + s, and
     // setLane() moves only its timing lane: after shard 0 moves onto
     // lane 1, its records serialize on lane 1, but its handlers' metadata
-    // accesses still go to core dispatch.core's L1D, not to lane 1's
-    // core dispatch.core + 1.
+    // accesses still go to core first_core's L1D, not to lane 1's core
+    // first_core + 1.
     mem::HierarchyConfig hc;
     hc.num_cores = 3;
     mem::CacheHierarchy hierarchy(hc);
     LbaConfig config;
-    PipelineTimer timer(hierarchy, config, 2);
+    const unsigned first_core = 1;
+    PipelineTimer timer(hierarchy, config, 2, first_core);
     lifeguards::AddrCheck guard_0, guard_1;
     LbaSystem system({&guard_0, &guard_1}, timer, 0);
     system.setLane(0, 1);
-    unsigned first_core = config.dispatch.core;
 
     constexpr Addr kHeap = 0x10000000;
     log::EventRecord alloc;
@@ -586,7 +569,7 @@ expectMatchesInline(const std::vector<isa::Instruction>& prog,
     sim::Process process(config.process);
     process.load(prog);
     mem::HierarchyConfig hc = config.hierarchy;
-    hc.num_cores = std::max(hc.num_cores, config.lba.dispatch.core + shards);
+    hc.num_cores = std::max(hc.num_cores, 1 + shards);
     mem::CacheHierarchy hierarchy(hc);
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> guards;
     std::vector<lifeguard::Lifeguard*> shard_guards;

@@ -18,9 +18,10 @@
  * config (64-record buffer, address filter, 0.75 B/cycle); the
  * uncompressed log on a 1.0 B/cycle transport it saturates; lag-aware
  * pools with 1 and 3 tenants; containment with real rewinds, with
- * one shard and in a 1-tenant pool; and a 2-tenant lag-aware pool on
+ * one shard and in a 1-tenant pool; a 2-tenant lag-aware pool on
  * 500-instruction slices, whose steals follow each tenant's lag over
- * its latest slice.
+ * its latest slice; and each lifeguard's buggy program under the DBI
+ * baseline.
  * Every config runs at most 30k instructions.
  */
 
@@ -281,6 +282,25 @@ runLba(const std::string& name, const workload::GeneratedProgram& gen,
     return line.finish();
 }
 
+/** One run under the DBI baseline (Experiment::runDbi), rendered: its
+ *  DbiStats and findings. */
+GoldenLine
+runDbi(const std::string& name, const workload::GeneratedProgram& gen,
+       const LifeguardFactory& factory)
+{
+    Experiment experiment(gen.program);
+    PlatformResult result = experiment.runDbi(factory);
+
+    LineWriter line(name);
+    line.u64("instructions", result.dbi.app_instructions);
+    line.u64("total_cycles", result.dbi.total_cycles);
+    line.u64("app_cycles", result.dbi.app_cycles);
+    line.u64("overhead_cycles", result.dbi.overhead_cycles);
+    line.u64("handler_cycles", result.dbi.handler_cycles);
+    line.raw("findings", findingsByKind(result.findings));
+    return line.finish();
+}
+
 /** One pool run, rendered: the make-span, the aggregate, the lanes and
  *  each tenant's slice. */
 GoldenLine
@@ -291,7 +311,7 @@ runPool(const std::string& name, const sched::PoolConfig& config,
 {
     sched::LifeguardPool pool(config, factory);
     for (const auto& [tenant, gen] : tenants) {
-        pool.addTenant({tenant, gen.program, {}, 0.0});
+        pool.addTenant({tenant, gen.program, {}});
     }
     sched::PoolResult result = pool.run();
 
@@ -398,11 +418,13 @@ corpus()
         {"memleak", memleak(), "req_serve", leak},
         {"memleak", memleak(), "bc", {}},
     };
+    auto buggy = [](const Case& c) {
+        return c.bugs.use_after_free || c.bugs.leak || c.bugs.tainted_jump ||
+               c.bugs.race;
+    };
     for (const Case& c : cases) {
-        bool buggy = c.bugs.use_after_free || c.bugs.leak ||
-                     c.bugs.tainted_jump || c.bugs.race;
         std::string base = std::string(c.guard) + "/" + c.profile +
-                           (buggy ? "+bugs" : "");
+                           (buggy(c) ? "+bugs" : "");
         for (unsigned shards : {1u, kShards}) {
             configs.push_back(
                 {base + (shards > 1 ? "/shards4" : "/serial"),
@@ -496,6 +518,19 @@ corpus()
                                {{"bc", program("bc", {}, kBudget / 3)},
                                 {"gzip", program("gzip", {}, kBudget / 3)}});
                        }});
+
+    // The DBI baseline, each lifeguard on its serial line's buggy
+    // program: the handlers' instructions at handler_instr_factor
+    // cycles each and their metadata accesses through the application
+    // core's caches.
+    for (const Case& c : cases) {
+        if (!buggy(c)) continue;
+        configs.push_back(
+            {std::string("dbi/") + c.guard + "/" + c.profile + "+bugs",
+             [c](const std::string& name) {
+                 return runDbi(name, program(c.profile, c.bugs), c.factory);
+             }});
+    }
     return configs;
 }
 

@@ -84,7 +84,7 @@ TEST(PipelineTimer, FractionalTransportDeliversOnCeiling)
     config.raw_record_bytes = 3;
     config.transport_bytes_per_cycle = 2.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine = timer.makeEngine(guard, 0);
 
     timer.log(0, aluRecord(), on(0, *engine));
@@ -108,7 +108,7 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     LbaConfig config;
     config.syscall_stall = true;
     FixedCostLifeguard guard(4); // consume cost = 1 dispatch + 4
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine = timer.makeEngine(guard, 0);
 
     retire(timer, 0, aluRecord(0x1000));
@@ -139,7 +139,7 @@ TEST(PipelineTimer, FinishCostLandsOnEachLane)
     LbaConfig config;
     FixedCostLifeguard cheap_finish(0, 3);
     FixedCostLifeguard dear_finish(0, 10);
-    PipelineTimer timer(hierarchy, config, 2);
+    PipelineTimer timer(hierarchy, config, 2, 1);
     auto cheap = timer.makeEngine(cheap_finish, 0);
     auto dear = timer.makeEngine(dear_finish, 1);
 
@@ -164,7 +164,7 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     LbaConfig config;
     config.buffer_capacity = 2;
     FixedCostLifeguard guard(10); // consume cost = 11
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine = timer.makeEngine(guard, 0);
 
     timer.log(0, aluRecord(), on(0, *engine)); // finish = 11
@@ -207,7 +207,7 @@ expectSlotsMatchDequeModel(std::size_t capacity, unsigned max_targets,
     LbaConfig config;
     config.buffer_capacity = capacity;
     config.compress = false;
-    PipelineTimer timer(hierarchy, config, kLanes);
+    PipelineTimer timer(hierarchy, config, kLanes, 1);
 
     std::vector<std::unique_ptr<FixedCostLifeguard>> guards;
     std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines;
@@ -318,7 +318,7 @@ TEST(PipelineTimer, SlotsHeldDoNotScaleWithTheCapacity)
     LbaConfig config;
     config.buffer_capacity = std::size_t{1} << 40;
     FixedCostLifeguard guard(3);
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine = timer.makeEngine(guard, 0);
     for (int i = 0; i < 5; ++i) timer.log(0, aluRecord(), on(0, *engine));
 
@@ -335,7 +335,7 @@ TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     FixedCostLifeguard a(2), b(7);
-    PipelineTimer timer(hierarchy, config, 2);
+    PipelineTimer timer(hierarchy, config, 2, 1);
     auto engine_a = timer.makeEngine(a, 0);
     auto engine_b = timer.makeEngine(b, 1);
 
@@ -364,7 +364,7 @@ TEST(PipelineTimer, TwoTargetsOnOneLaneReserveBothSlotsAtOnce)
     LbaConfig config;
     config.buffer_capacity = 2;
     FixedCostLifeguard a(2), b(2); // consume cost = 3
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine_a = timer.makeEngine(a, 0);
     auto engine_b = timer.makeEngine(b, 0);
     const std::vector<PipelineTimer::Target> folded = {
@@ -393,7 +393,7 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     config.raw_record_bytes = 8;
     config.transport_bytes_per_cycle = 1.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     auto engine = timer.makeEngine(guard, 0);
 
     log::EventRecord out_of_range;
@@ -421,7 +421,7 @@ TEST(PipelineTimer, MultiProducerSharedLaneSerializes)
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     config.compress = false;
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     unsigned p1 = timer.addProducer(2);
     EXPECT_EQ(p1, 1u);
     EXPECT_EQ(timer.producers(), 2u);
@@ -468,7 +468,7 @@ TEST(PipelineTimer, MultiProducerIndependentDrains)
     // backlog.
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     timer.addProducer(2);
 
     FixedCostLifeguard cheap(2), dear(40); // costs 3 and 41
@@ -494,7 +494,7 @@ TEST(PipelineTimer, LagWindowResetsAndHistogramsStayPerProducer)
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     config.compress = false;
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     timer.addProducer(2);
     FixedCostLifeguard cheap(2), dear(5); // costs 3 and 6
     auto engine_a = timer.makeEngine(cheap, 0);
@@ -548,7 +548,7 @@ void
 expectWindowsPartitionTheLags(const LbaConfig& config, Cycles first_lag)
 {
     mem::CacheHierarchy hierarchy(cores(2));
-    PipelineTimer timer(hierarchy, config, 1);
+    PipelineTimer timer(hierarchy, config, 1, 1);
     FixedCostLifeguard guard(2);
     auto engine = timer.makeEngine(guard, 0);
 

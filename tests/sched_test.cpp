@@ -11,9 +11,9 @@
  * tests/core_test.cpp's TwoThreadSchedule cases compare runLba with an
  * LbaSystem driven inline.
  *
- * The behavioural tests cover admission control (queue and reject),
- * lane sharing across tenants, the lag policy's stealing, and
- * determinism of the sliced driver.
+ * The behavioural tests cover admission (the queue), lane sharing
+ * across tenants, the lag policy's stealing, and determinism of the
+ * sliced driver.
  */
 
 #include <gtest/gtest.h>
@@ -70,12 +70,11 @@ expectSingleTenantMatchesParallel(
     pool_config.lanes = lanes;
     pool_config.policy = policy;
     LifeguardPool pool(pool_config, factory);
-    pool.addTenant({"solo", program, {}, 0.0});
+    pool.addTenant({"solo", program, {}});
     PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 1u);
     const TenantStats& tenant = result.tenants[0];
-    EXPECT_TRUE(tenant.admitted);
     EXPECT_FALSE(tenant.was_queued);
 
     const core::LbaRunStats& ps = par.lba;
@@ -202,13 +201,12 @@ TEST(SchedPool, TwoTenantsShareLanesAndBothComplete)
     config.policy = Policy::kRoundRobin;
     config.slice_instructions = 5000;
     LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"gzip", a.program, {}, 0.0});
-    pool.addTenant({"mcf", b.program, {}, 0.0});
+    pool.addTenant({"gzip", a.program, {}});
+    pool.addTenant({"mcf", b.program, {}});
     PoolResult result = pool.run();
 
     ASSERT_EQ(result.tenants.size(), 2u);
     for (const TenantStats& tenant : result.tenants) {
-        EXPECT_TRUE(tenant.admitted);
         EXPECT_GT(tenant.instructions, 0u);
         EXPECT_GT(tenant.total_cycles, 0u);
         EXPECT_GT(tenant.slowdown, 1.0);
@@ -241,8 +239,8 @@ TEST(SchedPool, SlicedDriverIsDeterministic)
         config.policy = Policy::kLagAware;
         config.slice_instructions = 3000;
         LifeguardPool pool(config, addrcheck());
-        pool.addTenant({"gzip", a.program, {}, 0.0});
-        pool.addTenant({"bc", b.program, {}, 0.0});
+        pool.addTenant({"gzip", a.program, {}});
+        pool.addTenant({"bc", b.program, {}});
         return pool.run();
     };
     PoolResult first = once();
@@ -265,44 +263,21 @@ TEST(SchedPool, AdmissionQueuesWhenDemandExceedsBandwidth)
 
     PoolConfig config;
     config.lanes = 2;
-    config.lba.transport_bytes_per_cycle = 2.0; // capacity 4 B/cycle
-    config.admission = AdmissionMode::kQueue;
+    config.lba.transport_bytes_per_cycle = 1.5; // capacity 3 B/cycle
     config.slice_instructions = 4000;
     LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"a", gen.program, {}, 3.0});
-    pool.addTenant({"b", gen.program, {}, 3.0}); // 6 > 4: must wait
+    pool.addTenant({"a", gen.program, {}});
+    pool.addTenant({"b", gen.program, {}}); // 2 + 2 B/cycle > 3: must wait
     PoolResult result = pool.run();
 
-    EXPECT_TRUE(result.tenants[0].admitted);
     EXPECT_FALSE(result.tenants[0].was_queued);
-    EXPECT_TRUE(result.tenants[1].admitted);
     EXPECT_TRUE(result.tenants[1].was_queued);
     // The queued tenant still ran to completion after the first
     // finished.
     EXPECT_GT(result.tenants[1].instructions, 0u);
-    EXPECT_EQ(result.capacity_bytes_per_cycle, 4.0);
-}
-
-TEST(SchedPool, AdmissionRejectsWhenConfigured)
-{
-    auto gen = makeProgram("gzip", 15000);
-
-    PoolConfig config;
-    config.lanes = 2;
-    config.lba.transport_bytes_per_cycle = 2.0;
-    config.admission = AdmissionMode::kReject;
-    LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"a", gen.program, {}, 3.0});
-    pool.addTenant({"b", gen.program, {}, 3.0});
-    PoolResult result = pool.run();
-
-    EXPECT_TRUE(result.tenants[0].admitted);
-    EXPECT_TRUE(result.tenants[1].rejected);
-    EXPECT_FALSE(result.tenants[1].admitted);
-    EXPECT_EQ(result.tenants[1].instructions, 0u);
-    EXPECT_EQ(result.tenants[1].total_cycles, 0u);
-    // The admitted tenant is unaffected by the rejected one.
-    EXPECT_GT(result.tenants[0].instructions, 0u);
+    EXPECT_EQ(result.tenants[1].instructions,
+              result.tenants[0].instructions);
+    EXPECT_EQ(result.capacity_bytes_per_cycle, 3.0);
 }
 
 TEST(SchedPool, LagPolicyStealsLanesUnderImbalance)
@@ -319,8 +294,8 @@ TEST(SchedPool, LagPolicyStealsLanesUnderImbalance)
         config.policy = policy;
         config.slice_instructions = 2000;
         LifeguardPool pool(config, addrcheck());
-        pool.addTenant({"heavy", heavy.program, {}, 0.0});
-        pool.addTenant({"light", light.program, {}, 0.0});
+        pool.addTenant({"heavy", heavy.program, {}});
+        pool.addTenant({"light", light.program, {}});
         return pool.run();
     };
 
@@ -331,7 +306,6 @@ TEST(SchedPool, LagPolicyStealsLanesUnderImbalance)
     EXPECT_GT(lag.lane_steals, 0u);
     EXPECT_EQ(lag.policy, "lag");
     for (const TenantStats& tenant : lag.tenants) {
-        EXPECT_TRUE(tenant.admitted);
         EXPECT_GT(tenant.instructions, 0u);
     }
 }
@@ -344,7 +318,7 @@ TEST(SchedPool, TenantStatsReportLagPercentiles)
     // Throttle the transport so consume lag is nonzero and spread.
     config.lba.transport_bytes_per_cycle = 0.5;
     LifeguardPool pool(config, addrcheck());
-    pool.addTenant({"solo", gen.program, {}, 0.0});
+    pool.addTenant({"solo", gen.program, {}});
     PoolResult result = pool.run();
 
     const TenantStats& tenant = result.tenants[0];
@@ -380,11 +354,8 @@ expectSameOutsideContainment(const PoolResult& a, const PoolResult& b)
         const TenantStats& y = b.tenants[t];
         SCOPED_TRACE(x.name);
         EXPECT_EQ(x.name, y.name);
-        EXPECT_EQ(x.admitted, y.admitted);
         EXPECT_EQ(x.was_queued, y.was_queued);
-        EXPECT_EQ(x.rejected, y.rejected);
         EXPECT_EQ(x.detached, y.detached);
-        EXPECT_EQ(x.demand_bytes_per_cycle, y.demand_bytes_per_cycle);
         EXPECT_EQ(x.instructions, y.instructions);
         EXPECT_EQ(x.total_cycles, y.total_cycles);
         EXPECT_EQ(x.unmonitored_cycles, y.unmonitored_cycles);
@@ -420,18 +391,20 @@ TEST(PoolTwoThreadSchedule, MatchesApplyingEachStepAtOnce)
             config.lanes = 4;
             config.policy = Policy::kLagAware;
             config.slice_instructions = slice;
-            // 4 lanes x 2 B/cycle: an admission capacity of 8.
-            config.lba.transport_bytes_per_cycle = 2.0;
+            // 4 lanes x 1 B/cycle: room for two tenants at 2 B/cycle.
+            config.lba.transport_bytes_per_cycle = 1.0;
             config.containment.enabled = contained;
             config.containment.policy = replay::RepairPolicy::kPatch;
             LifeguardPool pool(config, addrcheck());
-            pool.addTenant({"heavy", heavy.program, {}, 3.0});
-            TenantConfig detaching{"light", light.program, {}, 3.0};
+            pool.addTenant({"heavy", heavy.program, {}});
+            TenantConfig detaching{"light", light.program, {}};
             detaching.detach_after_instructions = 2500;
             pool.addTenant(std::move(detaching));
-            pool.addTenant({"queued", light.program, {}, 3.0}); // 9 > 8
-            TenantConfig late{"late", heavy.program, {}, 1.0};
-            late.arrival_round = 300;
+            pool.addTenant({"queued", light.program, {}}); // a third
+            // About 12,000 retirements in: heavy has finished, and the
+            // late tenant joins queued, which runs alone.
+            TenantConfig late{"late", heavy.program, {}};
+            late.arrival_round = 12'000 / slice;
             pool.addTenant(std::move(late));
             return pool.run();
         };
@@ -442,8 +415,6 @@ TEST(PoolTwoThreadSchedule, MatchesApplyingEachStepAtOnce)
         ASSERT_EQ(threaded.tenants.size(), 4u);
         EXPECT_TRUE(threaded.tenants[1].detached);
         EXPECT_TRUE(threaded.tenants[2].was_queued);
-        EXPECT_TRUE(threaded.tenants[2].admitted);
-        EXPECT_TRUE(threaded.tenants[3].admitted);
         EXPECT_FALSE(threaded.tenants[3].was_queued);
         // The detached tenant's end-of-program leak scan reports its
         // live blocks, after the drive, so nothing is ever rewound.
@@ -473,8 +444,8 @@ TEST(PoolTwoThreadSchedule, RethrowsAHandlerExceptionOnTheCaller)
         return std::make_unique<testing::ThrowsOnNthRecord>(
             core::kWindowRecords + 5);
     });
-    pool.addTenant({"gzip", a.program, {}, 0.0});
-    pool.addTenant({"mcf", b.program, {}, 0.0});
+    pool.addTenant({"gzip", a.program, {}});
+    pool.addTenant({"mcf", b.program, {}});
     EXPECT_THROW(pool.run(), std::runtime_error);
 }
 
@@ -491,10 +462,11 @@ TEST(SchedScheduler, PoliciesGiveLoneTenantTheWholePool)
 {
     for (Policy policy :
          {Policy::kStatic, Policy::kRoundRobin, Policy::kLagAware}) {
-        auto scheduler = makeScheduler(policy, 4);
-        scheduler->rebalance({0});
+        TenantScheduler scheduler(policy, 4);
+        EXPECT_STREQ(scheduler.name(), toString(policy));
+        scheduler.rebalance({0});
         for (unsigned shard = 0; shard < 4; ++shard) {
-            EXPECT_EQ(scheduler->laneFor(0, shard), shard)
+            EXPECT_EQ(scheduler.laneFor(0, shard), shard)
                 << toString(policy);
         }
     }
@@ -502,12 +474,12 @@ TEST(SchedScheduler, PoliciesGiveLoneTenantTheWholePool)
 
 TEST(SchedScheduler, StaticPartitionIsolatesTenants)
 {
-    StaticPartitionScheduler scheduler(4);
+    TenantScheduler scheduler(Policy::kStatic, 4);
     scheduler.rebalance({0, 1});
     EXPECT_EQ(scheduler.laneSet(0), (std::vector<unsigned>{0, 1}));
     EXPECT_EQ(scheduler.laneSet(1), (std::vector<unsigned>{2, 3}));
     // More tenants than lanes: shared singleton lanes.
-    StaticPartitionScheduler tight(2);
+    TenantScheduler tight(Policy::kStatic, 2);
     tight.rebalance({0, 1, 2});
     EXPECT_EQ(tight.laneSet(0).size(), 1u);
     EXPECT_EQ(tight.laneSet(2).size(), 1u);
@@ -515,7 +487,7 @@ TEST(SchedScheduler, StaticPartitionIsolatesTenants)
 
 TEST(SchedScheduler, RoundRobinRotatesPerTenant)
 {
-    RoundRobinScheduler scheduler(4);
+    TenantScheduler scheduler(Policy::kRoundRobin, 4);
     scheduler.rebalance({0, 1});
     // Tenant 1's shard 0 lands on lane 1, not lane 0: equally-hot
     // shards of co-resident tenants spread across lanes.
@@ -526,7 +498,7 @@ TEST(SchedScheduler, RoundRobinRotatesPerTenant)
 
 TEST(SchedScheduler, LagAwareStealsFromSmallestBacklog)
 {
-    LagAwareScheduler scheduler(4);
+    TenantScheduler scheduler(Policy::kLagAware, 4);
     scheduler.rebalance({0, 1});
     // Tenant 0 lags 10x worse than tenant 1: steal one of 1's lanes.
     scheduler.onEpoch({0, 1}, {50.0, 5.0});
@@ -537,6 +509,16 @@ TEST(SchedScheduler, LagAwareStealsFromSmallestBacklog)
     scheduler.onEpoch({0, 1}, {50.0, 5.0});
     EXPECT_EQ(scheduler.steals(), 1u);
     EXPECT_EQ(scheduler.laneSet(1).size(), 1u);
+
+    // Static and rr keep their maps through any epoch.
+    for (Policy policy : {Policy::kStatic, Policy::kRoundRobin}) {
+        TenantScheduler fixed(policy, 4);
+        fixed.rebalance({0, 1});
+        std::vector<unsigned> before = fixed.laneSet(1);
+        fixed.onEpoch({0, 1}, {50.0, 5.0});
+        EXPECT_EQ(fixed.steals(), 0u) << toString(policy);
+        EXPECT_EQ(fixed.laneSet(1), before) << toString(policy);
+    }
 }
 
 TEST(SchedScheduler, PolicyNamesRoundTrip)

@@ -447,6 +447,75 @@ TEST(Process, InstructionLimitStopsRunaway)
     EXPECT_EQ(result.instructions, 1000u);
 }
 
+/** Records the thread of each retirement, and stops the run at the
+ *  @p stop_at-th one (0 = never). */
+class ThreadLog : public RetireObserver
+{
+  public:
+    ThreadLog(Process& process, std::size_t stop_at)
+        : process_(process), stop_at_(stop_at)
+    {
+    }
+
+    void
+    onRetire(const Retired& retired) override
+    {
+        tids.push_back(retired.tid);
+        if (tids.size() == stop_at_) process_.requestStop();
+    }
+
+    void onOsEvent(const OsEvent&) override {}
+
+    std::vector<ThreadId> tids;
+
+  private:
+    Process& process_;
+    std::size_t stop_at_;
+};
+
+TEST(Process, StopEndsTheRunningThreadsQuantum)
+{
+    // Two threads that are always ready, a quantum of 10: run alone,
+    // each retires 10 instructions a turn. A stop after 5 ends thread
+    // 0's quantum there, and the next run() starts on thread 1. So a
+    // run stopped and resumed, as the pool's slices are, retires
+    // another interleaving than the run alone.
+    auto r = assemble(R"(
+        li r1, 0x10020      ; worker entry (instr index 4)
+        li r2, 0
+        syscall 7           ; spawn
+    spin:
+        jmp spin
+    worker:
+        jmp worker
+    )");
+    ASSERT_TRUE(r.ok()) << r.error;
+    ProcessConfig config;
+    config.quantum = 10;
+    config.max_instructions = 40;
+
+    Process alone(config);
+    alone.load(r.program);
+    ThreadLog alone_log(alone, 0);
+    alone.run(&alone_log);
+
+    Process sliced(config);
+    sliced.load(r.program);
+    ThreadLog sliced_log(sliced, 5);
+    EXPECT_TRUE(sliced.run(&sliced_log).stopped);
+    EXPECT_FALSE(sliced.run(&sliced_log).stopped);
+
+    // (thread, retirements) turns, flattened.
+    auto turns = [](std::vector<std::pair<ThreadId, std::size_t>> list) {
+        std::vector<ThreadId> tids;
+        for (auto [tid, n] : list) tids.insert(tids.end(), n, tid);
+        return tids;
+    };
+    EXPECT_EQ(alone_log.tids, turns({{0, 10}, {1, 10}, {0, 10}, {1, 10}}));
+    EXPECT_EQ(sliced_log.tids,
+              turns({{0, 5}, {1, 10}, {0, 10}, {1, 10}, {0, 5}}));
+}
+
 /** Observer order: OS events follow the syscall retirement. */
 class OrderObserver : public RetireObserver
 {

@@ -318,9 +318,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
                 "status", "cycles", "slowdown", "lag p50", "lag p95",
                 "lag p99", "findings");
     for (const sched::TenantStats& tenant : result.tenants) {
-        const char* status = tenant.rejected
-                                 ? "rejected"
-                                 : (tenant.was_queued ? "queued" : "ok");
+        const char* status = tenant.was_queued ? "queued" : "ok";
         std::printf("%-12s %-8s %12llu %8.2fx %8.1f %8.1f %8.1f %9zu\n",
                     tenant.name.c_str(), status,
                     static_cast<unsigned long long>(tenant.total_cycles),
@@ -356,9 +354,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     for (const sched::TenantStats& tenant : result.tenants) {
         json.beginObject();
         json.field("name", tenant.name);
-        json.field("admitted", tenant.admitted);
         json.field("queued", tenant.was_queued);
-        json.field("rejected", tenant.rejected);
         json.field("instructions", tenant.instructions);
         json.field("cycles",
                    static_cast<std::uint64_t>(tenant.total_cycles));
